@@ -10,12 +10,14 @@ from .bench import EvalReport, control_energy, evaluate, transient_cost
 from .dynamics import (
     CostParams,
     GridState,
+    Rollouts,
     ScenarioConfig,
     Trajectory,
     dist_to_band,
     make_suite,
     recovery_time,
     rollout,
+    rollout_batch,
     sample_scenario,
     stage_cost,
     step,

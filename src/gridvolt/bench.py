@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import recovery_time, rollout
+from .dynamics import Rollouts, recovery_time, rollout_batch, row_dot
 from .util import config_hash, fmt
 
 DEFAULT_RECOVERY_TOL = 1e-3
@@ -26,15 +26,25 @@ def transient_cost(traj, bounds, tol=DEFAULT_RECOVERY_TOL):
 
     Truncating recovery earlier can only drop nonnegative terms, so this is
     monotone in the recovery step; unrecovered runs pay the whole horizon.
+    A Rollouts batch gives one float per scenario.
     """
     rec = recovery_time(traj, bounds, tol=tol)
+    if isinstance(traj, Rollouts):
+        return [math.fsum(np.abs(traj.q[:traj.steps[s] if r is None else r, s])
+                          .ravel().tolist()) for s, r in enumerate(rec)]
     upto = traj.horizon if rec is None else rec
-    return float(math.fsum(abs(x) for t in range(upto) for x in traj.q[t]))
+    return float(math.fsum(np.abs(traj.q[:upto]).ravel().tolist()))
 
 
 def control_energy(traj):
-    """Alternative effort metric: sum_t |u(t)|^2 over the whole horizon."""
-    return float(math.fsum(float(u @ u) for u in traj.u))
+    """Alternative effort metric: sum_t |u(t)|^2 over the whole horizon.
+
+    A Rollouts batch gives one float per scenario.
+    """
+    uu = row_dot(traj.u, traj.u)        # (T,) or (T, S); zero past a cut
+    if isinstance(traj, Rollouts):
+        return [math.fsum(col) for col in uu.T.tolist()]
+    return float(math.fsum(uu.tolist()))
 
 
 def _mean_std(values):
@@ -98,42 +108,34 @@ def evaluate(policies, X, suite, bounds, v0=1.0, T=100, dt=0.1, cp=None,
         cp = CostParams()
     if len(suite) < 1:
         raise ValueError("scenario suite is empty")
-    n = len(suite[0][0])
+    v_env = np.array([v for v, _, _ in suite])
+    q0 = np.array([q for _, q, _ in suite])
     rows = []
     stats = {}
     trajectories = {}
     for name, policy in policies:
-        recs, trans, energies = [], [], []
-        over = np.zeros((len(suite), n))
-        under = np.zeros((len(suite), n))
-        diverged = 0
-        kept = []
-        for k, (v_env, q0, _label) in enumerate(suite):
-            traj = rollout(policy, X, v_env, q0, T=T, dt=dt, cp=cp,
-                           bounds=bounds)
-            rec = recovery_time(traj, bounds, tol=recovery_tol)
-            recs.append(rec)
-            trans.append(transient_cost(traj, bounds, tol=recovery_tol))
-            energies.append(control_energy(traj))
-            v_T = traj.v[-1]
-            over[k] = np.maximum(v_T - v0, 0.0) / v0
-            under[k] = np.maximum(v0 - v_T, 0.0) / v0
-            diverged += int(traj.diverged)
-            if keep_trajectories:
-                kept.append(traj)
-        st = PolicyStats(name=name, recovery=recs, transient=trans,
-                         energy=energies, over_ratio=over, under_ratio=under,
-                         diverged=diverged)
+        runs = rollout_batch(policy, X, v_env, q0, T=T, dt=dt, cp=cp,
+                             bounds=bounds)
+        recs = recovery_time(runs, bounds, tol=recovery_tol)
+        v_T = runs.v[-1]
+        over = np.maximum(v_T - v0, 0.0) / v0
+        under = np.maximum(v0 - v_T, 0.0) / v0
+        st = PolicyStats(name=name, recovery=recs,
+                         transient=transient_cost(runs, bounds,
+                                                  tol=recovery_tol),
+                         energy=control_energy(runs), over_ratio=over,
+                         under_ratio=under, diverged=int(runs.diverged.sum()))
         stats[name] = st
         if keep_trajectories:
-            trajectories[name] = kept
+            trajectories[name] = [runs.trajectory(k)
+                                  for k in range(len(suite))]
 
         N = len(suite)
         rec_filled = [T if r is None else r for r in recs]
         stability = sum(r is not None for r in recs) / N
         for metric, values in (("recovery_steps", rec_filled),
-                               ("transient_cost", trans),
-                               ("control_energy_u2", energies),
+                               ("transient_cost", st.transient),
+                               ("control_energy_u2", st.energy),
                                ("overvoltage_ratio", over.ravel().tolist()),
                                ("undervoltage_ratio", under.ravel().tolist())):
             mean, std = _mean_std(values)
@@ -153,14 +155,12 @@ def evaluate(policies, X, suite, bounds, v0=1.0, T=100, dt=0.1, cp=None,
 
 
 def histogram_counts(values):
-    """Counts per HIST_EDGES bin; every value lands in exactly one bin."""
-    counts = [0] * (len(HIST_EDGES) - 1)
-    for x in values:
-        for b in range(len(counts)):
-            if HIST_EDGES[b] <= x < HIST_EDGES[b + 1]:
-                counts[b] += 1
-                break
-    return counts
+    """Counts per half-open HIST_EDGES bin [lo, hi); values that land in no
+    bin (negative, inf, NaN) are dropped."""
+    b = np.searchsorted(HIST_EDGES, np.asarray(values, dtype=float),
+                        side="right") - 1
+    b = b[(b >= 0) & (b < len(HIST_EDGES) - 1)]
+    return np.bincount(b, minlength=len(HIST_EDGES) - 1).tolist()
 
 
 def write_histograms_csv(report, path):

@@ -123,6 +123,10 @@ def cmd_train(args):
           f"first return {fmt(returns[0]) if returns else 'n/a'}, "
           f"last return {fmt(returns[-1]) if returns else 'n/a'}, "
           f"{result.diverged_episodes} diverged episodes")
+    if result.updates == 0 or 2 * result.diverged_episodes > episodes:
+        print(f"warning: training made {result.updates} updates and "
+              f"{result.diverged_episodes} of {episodes} episodes diverged; "
+              "the checkpoint is likely untrained", file=sys.stderr)
     return 0
 
 

@@ -70,8 +70,15 @@ def band_violation(v, bounds):
 
 
 def dist_to_band(v, bounds):
-    """Euclidean distance from v to the box of acceptable voltages."""
-    return float(np.linalg.norm(band_violation(v, bounds)))
+    """Euclidean distance from v to the box of acceptable voltages.
+
+    A float for one (n,) voltage vector; an array over the leading axes for
+    a stack of them, bit-equal to the per-vector distances.
+    """
+    dev = band_violation(np.asarray(v, dtype=float), bounds)
+    if dev.ndim == 1:
+        return float(np.linalg.norm(dev))
+    return np.sqrt(row_dot(dev, dev))
 
 
 def stage_cost(v, u, bounds, cp):
@@ -208,111 +215,157 @@ class Trajectory:
         return len(self.u)
 
 
-def rollout(policy, X, v_env, q0, T, dt, cp, bounds, blowup=BLOWUP_BOUND):
-    """Roll the closed loop forward T steps with u(t) = policy(v(t)).
+@dataclass
+class Rollouts:
+    """Closed-loop record of S scenarios stepped together, time axis first.
 
-    No exploration noise. If any voltage magnitude exceeds ``blowup`` the
-    trajectory is truncated and flagged as diverged.
+    v, q are (T+1, S, n); u is (T, S, n); stage_costs is (T, S). Scenario s
+    ran ``steps[s]`` steps; past its cut, v and q hold the last state and u
+    and the stage cost are zero.
     """
+
+    v: np.ndarray
+    q: np.ndarray
+    u: np.ndarray
+    stage_costs: np.ndarray
+    dt: float
+    discounted_cost: np.ndarray
+    steps: np.ndarray
+
+    @property
+    def diverged(self):
+        """Per scenario: True when it was cut before the horizon."""
+        return self.steps < len(self.u)
+
+    def trajectory(self, s):
+        """Scenario s as a single-run Trajectory, cut at its last step."""
+        k = int(self.steps[s])
+        return Trajectory(
+            t=np.arange(k + 1) * self.dt,
+            v=self.v[:k + 1, s].copy(),
+            q=self.q[:k + 1, s].copy(),
+            u=self.u[:k, s].copy(),
+            stage_costs=self.stage_costs[:k, s].copy(),
+            dt=self.dt,
+            discounted_cost=float(self.discounted_cost[s]),
+            diverged=bool(self.diverged[s]),
+        )
+
+
+def row_dot(a, b):
+    """Dot product of matching rows over the last axis.
+
+    Each row goes through its own vector-vector product, so the result is
+    bit-equal to ``a[i] @ b[i]`` row by row.
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _row_matvec(X, q):
+    # one matrix-vector product per row: bit-equal to X @ q[i]
+    return np.matmul(X, q[:, :, None])[:, :, 0]
+
+
+def rollout_batch(policy, X, v_env, q0, T, dt, cp, bounds,
+                  blowup=BLOWUP_BOUND):
+    """Roll S closed loops forward together with u(t) = policy(v(t)).
+
+    Each step moves the whole (S, n) block: q <- q + dt u, v <- X q + v_env.
+    ``v_env`` is either a constant (S, n) block or a per-step (T+1, S, n)
+    series replayed row by row (then T may be None). ``policy`` maps an
+    (S, n) block of voltages to an (S, n) block of actions row-wise, and an
+    (n,) vector to an (n,) action; custom callables must do both.
+
+    A scenario whose voltage magnitude exceeds ``blowup``, or whose action
+    is not finite, is cut at that step, flagged as diverged and frozen; the
+    policy is called only on the scenarios still live.
+    """
+    v_env = np.asarray(v_env, dtype=float)
+    q0 = np.asarray(q0, dtype=float)
+    series = v_env.ndim == 3
+    if series:
+        if T is None:
+            T = len(v_env) - 1
+        elif len(v_env) != T + 1:
+            raise ValueError(f"v_env series has {len(v_env)} steps, "
+                             f"need T+1 = {T + 1}")
     if T < 1:
         raise ValueError("horizon must be at least 1")
-    state = GridState.from_env(X, v_env, q0)
-    n = len(state.q)
-    vs = [state.v.copy()]
-    qs = [state.q.copy()]
-    us = []
-    costs = []
-    total = 0.0
-    diverged = False
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    S, n = q0.shape
+    v = np.empty((T + 1, S, n))
+    q = np.empty((T + 1, S, n))
+    u = np.zeros((T, S, n))
+    costs = np.zeros((T, S))
+    total = np.zeros(S)
+    steps = np.full(S, T)
+    q[0] = q0
+    v[0] = _row_matvec(X, q0) + (v_env[0] if series else v_env)
+    live = np.arange(S)
     for t in range(T):
-        if np.max(np.abs(state.v)) > blowup:
-            diverged = True
+        v_t = v[t, live]
+        cut = np.abs(v_t).max(axis=1) > blowup
+        if cut.any():
+            steps[live[cut]] = t
+            live, v_t = live[~cut], v_t[~cut]
+        if len(live) == 0:
             break
-        u = np.asarray(policy(state.v), dtype=float)
-        c = stage_cost(state.v, u, bounds, cp)
-        try:
-            state = step(state, u, dt, X)
-        except DivergenceError:
-            diverged = True
-            break
-        us.append(u)
-        costs.append(c)
-        total += (cp.gamma ** t) * c
-        vs.append(state.v.copy())
-        qs.append(state.q.copy())
-    steps = len(us)
-    return Trajectory(
-        t=np.arange(steps + 1) * dt,
-        v=np.array(vs).reshape(steps + 1, n),
-        q=np.array(qs).reshape(steps + 1, n),
-        u=np.array(us).reshape(steps, n),
-        stage_costs=np.array(costs),
-        dt=dt,
-        discounted_cost=total,
-        diverged=diverged,
-    )
+        u_t = np.asarray(policy(v_t), dtype=float)
+        if u_t.shape != v_t.shape:
+            raise ValueError(f"action shape {u_t.shape} does not match state "
+                             f"{v_t.shape}")
+        cut = ~np.isfinite(u_t).all(axis=1)
+        if cut.any():
+            steps[live[cut]] = t
+            live, v_t, u_t = live[~cut], v_t[~cut], u_t[~cut]
+            if len(live) == 0:
+                break
+        dev = band_violation(v_t, bounds)
+        c = row_dot(cp.eta1 * dev, dev) + cp.eta2 * row_dot(u_t, u_t)
+        q_next = q[t, live] + dt * u_t
+        env = v_env[t + 1, live] if series else v_env[live]
+        q[t + 1, live] = q_next
+        v[t + 1, live] = _row_matvec(X, q_next) + env
+        u[t, live] = u_t
+        costs[t, live] = c
+        total[live] += (cp.gamma ** t) * c
+    for s in np.flatnonzero(steps < T):
+        v[steps[s] + 1:, s] = v[steps[s], s]
+        q[steps[s] + 1:, s] = q[steps[s], s]
+    return Rollouts(v=v, q=q, u=u, stage_costs=costs, dt=dt,
+                    discounted_cost=total, steps=steps)
 
 
-def rollout_trace(policy, X, v_env_series, q0, dt, cp, bounds,
-                  blowup=BLOWUP_BOUND):
-    """Replay an exogenous disturbance trace, one v_env row per step."""
-    v_env_series = np.asarray(v_env_series, dtype=float)
-    T = len(v_env_series) - 1
-    if T < 1:
-        raise ValueError("trace must cover at least two time steps")
-    state = GridState.from_env(X, v_env_series[0], q0)
-    vs = [state.v.copy()]
-    qs = [state.q.copy()]
-    us = []
-    costs = []
-    total = 0.0
-    diverged = False
-    for t in range(T):
-        if np.max(np.abs(state.v)) > blowup:
-            diverged = True
-            break
-        u = np.asarray(policy(state.v), dtype=float)
-        c = stage_cost(state.v, u, bounds, cp)
-        try:
-            state = step(state, u, dt, X)
-        except DivergenceError:
-            diverged = True
-            break
-        state = GridState(q=state.q, v=X @ state.q + v_env_series[t + 1],
-                          v_env=v_env_series[t + 1])
-        us.append(u)
-        costs.append(c)
-        total += (cp.gamma ** t) * c
-        vs.append(state.v.copy())
-        qs.append(state.q.copy())
-    steps = len(us)
-    n = len(state.q)
-    return Trajectory(
-        t=np.arange(steps + 1) * dt,
-        v=np.array(vs).reshape(steps + 1, n),
-        q=np.array(qs).reshape(steps + 1, n),
-        u=np.array(us).reshape(steps, n),
-        stage_costs=np.array(costs),
-        dt=dt,
-        discounted_cost=total,
-        diverged=diverged,
-    )
+def rollout(policy, X, v_env, q0, T, dt, cp, bounds, blowup=BLOWUP_BOUND):
+    """Roll one closed loop forward T steps: ``rollout_batch`` with S = 1.
+
+    No exploration noise. If any voltage magnitude exceeds ``blowup`` the
+    trajectory is truncated and flagged as diverged. ``v_env`` may also be a
+    (T+1, n) disturbance series, replayed one row per step.
+    """
+    v_env = np.asarray(v_env, dtype=float)
+    return rollout_batch(policy, X, v_env[..., None, :],
+                         np.asarray(q0, dtype=float)[None], T, dt, cp,
+                         bounds, blowup=blowup).trajectory(0)
 
 
 def recovery_time(traj, bounds, tol=1e-3):
     """First step after which every later voltage stays within ``tol`` of the
     band. Returns None when the trajectory never settles (including diverged
     trajectories that were cut short).
+
+    ``traj`` is a Trajectory (returns an int or None) or a Rollouts batch
+    (returns a list with one such entry per scenario).
     """
     if len(traj.v) == 0:
         raise ValueError("empty trajectory")
-    if traj.diverged:
-        return None
-    inside = np.array([dist_to_band(v, bounds) <= tol for v in traj.v])
-    if not inside[-1]:
-        return None
-    # walk back from the end to the first step of the final in-band run
-    t = len(inside) - 1
-    while t > 0 and inside[t - 1]:
-        t -= 1
-    return int(t)
+    batch = isinstance(traj, Rollouts)
+    v = traj.v if batch else traj.v[:, None, :]
+    inside = dist_to_band(v, bounds) <= tol                      # (T+1, S)
+    # the final in-band run starts one step after the last out-of-band step
+    last_out = len(inside) - 1 - np.argmax(~inside[::-1], axis=0)
+    start = np.where(inside.all(axis=0), 0, last_out + 1)
+    settled = inside[-1] & ~np.atleast_1d(traj.diverged)
+    rec = [int(k) if ok else None for k, ok in zip(start, settled)]
+    return rec if batch else rec[0]

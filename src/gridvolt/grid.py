@@ -93,12 +93,6 @@ class RadialNetwork:
                     f"bus {b.id}: need v_lower < v0 < v_upper, got "
                     f"[{b.v_lower}, {b.v_upper}] around v0={self.v0}")
 
-    def parent_of(self, bus):
-        for ln in self.lines:
-            if ln.child == bus:
-                return ln.parent
-        raise KeyError(bus)
-
     def children_of(self, bus):
         return [ln.child for ln in self.lines if ln.parent == bus]
 
@@ -108,17 +102,6 @@ class RadialNetwork:
         lo = np.array([b.v_lower for b in order])
         hi = np.array([b.v_upper for b in order])
         return lo, hi
-
-    def subtree_mask(self, bus):
-        """Boolean mask (indexed by bus id - 1) of buses at or below ``bus``."""
-        mask = np.zeros(self.n, dtype=bool)
-        stack = [bus]
-        while stack:
-            b = stack.pop()
-            if b != 0:
-                mask[b - 1] = True
-            stack.extend(self.children_of(b))
-        return mask
 
 
 @dataclass(frozen=True)

@@ -58,12 +58,12 @@ class FeedForwardNet:
 
 
 def net_eval(net, x):
-    """Forward pass; accepts (m, d_in) batches or a single (d_in,) vector."""
+    """Forward pass; accepts (..., d_in) batches or a single (d_in,) vector."""
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     h = x[None, :] if single else x
-    if h.shape[1] != net.weights[0].shape[0]:
-        raise ValueError(f"input width {h.shape[1]} does not match network "
+    if h.shape[-1] != net.weights[0].shape[0]:
+        raise ValueError(f"input width {h.shape[-1]} does not match network "
                          f"input {net.weights[0].shape[0]}")
     last = len(net.weights) - 1
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
@@ -380,6 +380,7 @@ class TrainResult:
     critics: list = None
     band: tuple = None
     diverged_episodes: int = 0
+    updates: int = 0          # minibatch update rounds run
 
 
 class _NetPolicy:
@@ -390,11 +391,15 @@ class _NetPolicy:
         self.joint = joint
 
     def __call__(self, v):
-        v = np.asarray(v, dtype=float)
+        # each row of an (S, n) batch is fed as its own (1, n) input, so a
+        # batch gives bit for bit the outputs of row-by-row calls
+        v = np.asarray(v, dtype=float)[..., None, :]
         if self.joint:
-            return net_eval(self.nets[0], v)
-        return np.array([net_eval(net, v[i:i + 1])[0]
-                         for i, net in enumerate(self.nets)])
+            u = net_eval(self.nets[0], v)
+        else:
+            u = np.concatenate([net_eval(net, v[..., i:i + 1])
+                                for i, net in enumerate(self.nets)], axis=-1)
+        return u[..., 0, :]
 
 
 def _log_row(episode, ret, td_mean, grad_norm, wall_ms):
@@ -459,6 +464,7 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
 
     log = []
     diverged_episodes = 0
+    updates = 0
     clip = cfg.noise_clip_sigmas * cfg.noise_std
 
     for episode in range(cfg.episodes):
@@ -489,6 +495,7 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
         grad_norms = []
         if len(buffer) >= cfg.batch_size:
             for _ in range(cfg.updates_per_episode):
+                updates += 1
                 v_b, u_b, r_b, vn_b = buffer.sample(cfg.batch_size)
                 for i, critic in enumerate(critics):
                     if joint:
@@ -563,4 +570,4 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
     return TrainResult(policy=policy, log=log, config=cfg,
                        actor_kind=actor_kind, raw=raw, init_raw=init_raw,
                        actor_nets=actor_nets, critics=critics, band=band,
-                       diverged_episodes=diverged_episodes)
+                       diverged_episodes=diverged_episodes, updates=updates)

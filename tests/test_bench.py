@@ -150,11 +150,27 @@ def test_empty_suite_rejected():
 # histograms
 # ---------------------------------------------------------------------------
 
+def loop_histogram_counts(values):
+    """Bin-by-bin scan: each value joins the first bin [lo, hi) holding it."""
+    counts = [0] * (len(HIST_EDGES) - 1)
+    for x in values:
+        for b in range(len(counts)):
+            if HIST_EDGES[b] <= x < HIST_EDGES[b + 1]:
+                counts[b] += 1
+                break
+    return counts
+
+
 def test_histogram_bins_total():
     rng = np.random.default_rng(5)
     values = np.abs(rng.normal(scale=0.05, size=500))
     counts = histogram_counts(values)
     assert sum(counts) == 500
+    # bin edges, the overflow bin and values in no bin at all
+    edged = np.concatenate([values, [0.0, 0.005, 0.1, np.inf, np.nan, -0.01]])
+    counts = histogram_counts(edged)
+    assert counts == loop_histogram_counts(edged)
+    assert sum(counts) == 503
 
 
 def test_histogram_csv_totals(tmp_path):

@@ -11,6 +11,7 @@ from gridvolt.policy import (
     sample_raw_params,
     save_checkpoint,
 )
+from gridvolt.rl import FeedForwardNet, save_net_policy
 
 
 @pytest.fixture
@@ -89,6 +90,8 @@ def test_train_and_certify_roundtrip(net_path, tmp_path, capsys):
     assert code == 0
     assert log.read_text().startswith(
         "episode,return,td_loss_mean,grad_norms,wall_ms")
+    # two episodes never fill the replay buffer, so no update runs
+    assert "warning: training made 0 updates" in capsys.readouterr().err
     cert_out = tmp_path / "cert.json"
     code = cli_main(["certify", "--network", net_path,
                      "--checkpoint", str(ckpt), "--rollouts", "6",
@@ -139,6 +142,23 @@ def test_evaluate(net_path, ckpt_path, tmp_path, capsys):
     assert "steep" in text and "linear" in text and "zero" in text
     assert hist.exists()
     assert len(list(traces.glob("*.csv"))) == 3 * 6
+
+
+def test_evaluate_mlp_checkpoint(net_path, tmp_path, capsys):
+    net = five_bus_fixture()
+    rng = np.random.default_rng(2)
+    nets = [FeedForwardNet.create([1, 8, 1], rng) for _ in range(net.n)]
+    ckpt = tmp_path / "mlp.json"
+    save_net_policy(str(ckpt), nets, False, net.bounds())
+    out = tmp_path / "report.csv"
+    code = cli_main(["evaluate", "--network", net_path,
+                     "--policies", str(ckpt), "linear",
+                     "--scenarios", "5", "--horizon", "30",
+                     "--out", str(out)])
+    assert code == 0
+    rows = out.read_text().splitlines()[1:]
+    assert sum(r.startswith("mlp,") for r in rows) == 6
+    assert "mlp: stability" in capsys.readouterr().out
 
 
 def test_evaluate_scenario_file(net_path, tmp_path):

@@ -12,12 +12,13 @@ from gridvolt.dynamics import (
     make_suite,
     recovery_time,
     rollout,
-    rollout_trace,
+    rollout_batch,
     sample_scenario,
     save_scenarios,
     stage_cost,
     step,
 )
+from gridvolt.grid import build_sensitivity, five_bus_fixture
 
 BOUNDS1 = (np.array([0.95]), np.array([1.05]))
 BOUNDS2 = (np.array([0.95, 0.95]), np.array([1.05, 1.05]))
@@ -305,6 +306,115 @@ def test_env_trace_csv(tmp_path):
 def test_rollout_trace_follows_disturbance(tmp_path):
     X = np.array([[0.1, 0.05], [0.05, 0.2]])
     series = np.array([[1.06, 1.0], [1.0, 1.0], [1.0, 0.93]])
-    traj = rollout_trace(zero_policy, X, series, np.zeros(2), dt=0.1,
-                         cp=CP, bounds=BOUNDS2)
+    runs = rollout_batch(zero_policy, X, series[:, None, :], np.zeros((1, 2)),
+                         T=None, dt=0.1, cp=CP, bounds=BOUNDS2)
+    traj = runs.trajectory(0)
     np.testing.assert_array_equal(traj.v, series)
+
+
+# ---------------------------------------------------------------------------
+# batched engine against the per-scenario loop
+# ---------------------------------------------------------------------------
+
+def reference_rollout(policy, X, v_env_series, q0, dt, cp, bounds,
+                      blowup=10.0):
+    """Per-scenario closed loop, one step at a time (the pre-batching code)."""
+    T = len(v_env_series) - 1
+    state = GridState.from_env(X, v_env_series[0], q0)
+    vs, qs, us, costs = [state.v.copy()], [state.q.copy()], [], []
+    total, diverged = 0.0, False
+    for t in range(T):
+        if np.max(np.abs(state.v)) > blowup:
+            diverged = True
+            break
+        u = np.asarray(policy(state.v), dtype=float)
+        c = stage_cost(state.v, u, bounds, cp)
+        try:
+            state = step(state, u, dt, X)
+        except DivergenceError:
+            diverged = True
+            break
+        state = GridState(q=state.q, v=X @ state.q + v_env_series[t + 1],
+                          v_env=v_env_series[t + 1])
+        us.append(u)
+        costs.append(c)
+        total += (cp.gamma ** t) * c
+        vs.append(state.v.copy())
+        qs.append(state.q.copy())
+    n = len(q0)
+    return (np.array(vs), np.array(qs), np.array(us).reshape(len(us), n),
+            np.array(costs), total, diverged)
+
+
+def mixed_policy(v):
+    """Deadband near the band, runaway above 1.5, NaN once v is below 0.3."""
+    u = -np.maximum(v - 1.05, 0.0) + np.maximum(0.95 - v, 0.0)
+    u = np.where(v > 1.5, 100.0 * (v - 1.0), u)
+    return np.where(v < 0.5, np.where(v < 0.3, np.nan, -1.0), u)
+
+
+# a dense sensitivity matrix and a nonzero start, so that any change in the
+# order of the engine's floating-point sums shows in the last bits
+FIXTURE = five_bus_fixture()
+MIXED_X = build_sensitivity(FIXTURE).X
+MIXED_BOUNDS = FIXTURE.bounds()
+# settling, runaway, heading to a non-finite action, calm (series only)
+MIXED_ENV = np.array([[1.08, 0.92, 1.01, 1.063], [2.0, 2.1, 1.9, 2.0],
+                      [0.45, 0.47, 0.46, 0.45], [1.0, 1.0, 1.0, 1.0]])
+MIXED_Q0 = np.random.default_rng(3).normal(scale=0.02, size=(4, 4))
+
+
+def assert_rows_match_reference(runs, series, q0, dt):
+    for s in range(series.shape[1]):
+        v, q, u, costs, total, diverged = reference_rollout(
+            mixed_policy, MIXED_X, series[:, s], q0[s], dt, CP, MIXED_BOUNDS)
+        traj = runs.trajectory(s)
+        np.testing.assert_array_equal(traj.v, v)
+        np.testing.assert_array_equal(traj.q, q)
+        np.testing.assert_array_equal(traj.u, u)
+        np.testing.assert_array_equal(traj.stage_costs, costs)
+        assert traj.discounted_cost == total
+        assert traj.diverged == diverged
+        assert traj.horizon == len(u)
+
+
+def test_engine_matches_reference_loop_per_row():
+    T, dt = 40, 0.1
+    env, q0 = MIXED_ENV[:3], MIXED_Q0[:3]
+    seen = []
+
+    def policy(v):
+        seen.append(len(v))
+        return mixed_policy(v)
+
+    runs = rollout_batch(policy, MIXED_X, env, q0, T=T, dt=dt, cp=CP,
+                         bounds=MIXED_BOUNDS)
+    assert_rows_match_reference(runs, np.tile(env, (T + 1, 1, 1)), q0, dt)
+    assert not runs.diverged[0] and runs.steps[0] == T
+    for s in (1, 2):
+        assert runs.diverged[s] and 0 < runs.steps[s] < T
+    # cut rows are frozen and dropped from later policy calls
+    np.testing.assert_array_equal(runs.v[-1, 1], runs.v[runs.steps[1], 1])
+    assert seen[0] == 3 and seen[-1] == 1 and len(seen) == T
+
+
+def test_engine_replays_a_per_step_series():
+    T, dt = 40, 0.1
+    series = np.tile(MIXED_ENV, (T + 1, 1, 1))
+    series[:, 3, 0] = 1.0 + 0.08 * np.sin(0.3 * np.arange(T + 1))
+    runs = rollout_batch(mixed_policy, MIXED_X, series, MIXED_Q0, T=None,
+                         dt=dt, cp=CP, bounds=MIXED_BOUNDS)
+    assert_rows_match_reference(runs, series, MIXED_Q0, dt)
+    assert runs.trajectory(3).horizon == T
+    with pytest.raises(ValueError, match="series"):
+        rollout_batch(mixed_policy, MIXED_X, series, MIXED_Q0, T=T - 1,
+                      dt=dt, cp=CP, bounds=MIXED_BOUNDS)
+
+
+def test_single_rollout_is_one_engine_row():
+    traj = rollout(mixed_policy, MIXED_X, MIXED_ENV[0], MIXED_Q0[0], T=30,
+                   dt=0.1, cp=CP, bounds=MIXED_BOUNDS)
+    runs = rollout_batch(mixed_policy, MIXED_X, MIXED_ENV, MIXED_Q0, T=30,
+                         dt=0.1, cp=CP, bounds=MIXED_BOUNDS)
+    np.testing.assert_array_equal(traj.v, runs.trajectory(0).v)
+    np.testing.assert_array_equal(traj.u, runs.trajectory(0).u)

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
 
-from gridvolt.dynamics import dist_to_band
+from gridvolt.dynamics import (
+    CostParams,
+    dist_to_band,
+    make_suite,
+    rollout_batch,
+)
 from gridvolt.grid import build_sensitivity, five_bus_fixture
 from gridvolt.lyapunov import (
     CertifyConfig,
     certify_policy,
+    decrease_violations,
     equilibrium_check,
     krasovskii_value,
     lyapunov_time_derivative,
@@ -208,3 +214,32 @@ def test_certified_rollouts_settle_in_band():
         traj = rollout(pol, X5, v_env, q0, T=100, dt=0.1, cp=CostParams(),
                        bounds=BOUNDS)
         assert dist_to_band(traj.v[-1], BOUNDS) <= 1e-3
+
+
+def reference_violations(X, pol, traj, kappa):
+    """Energy rises along one trajectory, one krasovskii_value call a step."""
+    bad = []
+    v_prev = krasovskii_value(X, pol, traj.v[0], cross_check=False)
+    for t in range(traj.horizon):
+        v_next = krasovskii_value(X, pol, traj.v[t + 1], cross_check=False)
+        slack = kappa * traj.dt * traj.dt * float(traj.u[t] @ traj.u[t])
+        if v_next > v_prev + slack + 1e-12 * max(1.0, v_prev):
+            bad.append((t, v_prev, v_next, slack))
+        v_prev = v_next
+    return bad
+
+
+def test_decrease_violations_match_per_step_energy():
+    suite = make_suite(NET.n, 12, seed=1)
+    v_env = np.array([v for v, _, _ in suite])
+    q0 = np.array([q for _, q, _ in suite])
+    # steep enough to ring, then steep enough to diverge (cut rows)
+    for gain_range in ((40.0, 50.0), (80.0, 90.0)):
+        pol = make_policy(3, gain_range=gain_range)
+        runs = rollout_batch(pol, X5, v_env, q0, T=100, dt=0.1,
+                             cp=CostParams(), bounds=BOUNDS)
+        got = decrease_violations(X5, pol, runs, kappa=1.0)
+        want = [reference_violations(X5, pol, runs.trajectory(s), 1.0)
+                for s in range(len(suite))]
+        assert any(got)
+        assert got == want

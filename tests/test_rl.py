@@ -18,10 +18,12 @@ from gridvolt.rl import (
     Transition,
     VoltEnv,
     critic_update,
+    load_net_policy,
     net_actor_update,
     net_backprop,
     net_eval,
     q_action_grad,
+    save_net_policy,
     sgd_step,
     soft_update,
     stable_actor_update,
@@ -426,3 +428,20 @@ def test_config_validation():
         TrainConfig(batch_size=64, buffer_capacity=32)
     with pytest.raises(ValueError):
         TrainConfig(agent_scope="global")
+
+
+@pytest.mark.parametrize("joint", [False, True])
+def test_net_policy_batch_equals_row_by_row(tmp_path, joint):
+    rng = np.random.default_rng(4)
+    n = NET.n
+    sizes = [n, 16, 16, n] if joint else [1, 16, 16, 1]
+    nets = [FeedForwardNet.create(sizes, rng)
+            for _ in range(1 if joint else n)]
+    path = tmp_path / "mlp.json"
+    save_net_policy(str(path), nets, joint, BOUNDS)
+    pol, _band = load_net_policy(str(path))
+    v = rng.uniform(0.9, 1.1, size=(7, n))
+    batch = pol(v)
+    assert batch.shape == (7, n)
+    np.testing.assert_array_equal(batch, np.array([pol(row) for row in v]))
+    assert pol(v[0]).shape == (n,)
