@@ -1,6 +1,5 @@
 """Closed-loop voltage dynamics: integrator, costs, scenarios, rollouts."""
 
-import csv
 import json
 from dataclasses import dataclass
 
@@ -161,40 +160,6 @@ def load_scenarios(path):
         data = json.load(fh)
     return [(np.array(d["v_env"], dtype=float), np.array(d["q0"], dtype=float),
              d.get("label", f"scenario-{i}")) for i, d in enumerate(data)]
-
-
-def load_env_trace_csv(path, n):
-    """Read a disturbance replay trace with columns t, bus_id, v_env.
-
-    Returns (times, v_env array of shape (T, n)). Missing (t, bus) entries
-    hold the previous value of that bus; the first row must cover all buses.
-    """
-    cells = {}
-    times = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            t = float(row["t"])
-            bus = int(row["bus_id"])
-            if not 1 <= bus <= n:
-                raise ValueError(f"bus_id {bus} outside 1..{n}")
-            if t not in cells:
-                cells[t] = {}
-                times.append(t)
-            cells[t][bus] = float(row["v_env"])
-    if not times:
-        raise ValueError(f"no rows in trace file {path}")
-    times.sort()
-    if len(cells[times[0]]) != n:
-        raise ValueError("first time step must define v_env for every bus")
-    out = np.zeros((len(times), n))
-    prev = None
-    for i, t in enumerate(times):
-        row = np.array(prev) if prev is not None else np.zeros(n)
-        for bus, val in cells[t].items():
-            row[bus - 1] = val
-        out[i] = row
-        prev = row
-    return np.array(times), out
 
 
 @dataclass

@@ -179,87 +179,6 @@ def solve_distflow(network, p, q):
     return BranchFlows(P=P, Q=Q), v
 
 
-def symmetric_eigenvalues(a, max_sweeps=64):
-    """Eigenvalues of a symmetric matrix, ascending.
-
-    Householder reduction to tridiagonal form followed by implicit-shift QL
-    on the (diagonal, off-diagonal) pair. Self-contained so definiteness
-    checks do not depend on an external solver.
-    """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    if n == 1:
-        return a[0, :1].copy()
-    # Householder tridiagonalization (eigenvalues only, no vector accumulation)
-    d = np.zeros(n)
-    e = np.zeros(n)
-    for i in range(n - 1, 0, -1):
-        l = i - 1
-        if l > 0:
-            scale = np.abs(a[i, :i]).sum()
-            if scale == 0.0:
-                e[i] = a[i, l]
-                continue
-            row = a[i, :i] / scale
-            h = row @ row
-            f = row[l]
-            g = -np.sqrt(h) if f >= 0 else np.sqrt(h)
-            e[i] = scale * g
-            h -= f * g
-            row[l] = f - g
-            sub = a[:i, :i]
-            pvec = (sub @ row) / h
-            k = (pvec @ row) / (2.0 * h)
-            qvec = pvec - k * row
-            sub -= np.outer(row, qvec) + np.outer(qvec, row)
-            a[i, :i] = row * scale
-        else:
-            e[i] = a[i, l]
-    d[:] = np.diag(a)
-    # Implicit QL with Wilkinson-style shifts on the tridiagonal pair
-    e = np.roll(e, -1)
-    e[n - 1] = 0.0
-    for l in range(n):
-        for _ in range(max_sweeps):
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= np.finfo(float).eps * dd:
-                    break
-                m += 1
-            if m == l:
-                break
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            rr = np.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + (rr if g >= 0 else -rr))
-            s, c = 1.0, 1.0
-            pshift = 0.0
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                rr = np.hypot(f, g)
-                e[i + 1] = rr
-                if rr == 0.0:
-                    d[i + 1] -= pshift
-                    e[m] = 0.0
-                    break
-                s = f / rr
-                c = g / rr
-                g = d[i + 1] - pshift
-                rr = (d[i] - g) * s + 2.0 * c * b
-                pshift = s * rr
-                d[i + 1] = g + pshift
-                g = c * rr - b
-            else:
-                d[l] -= pshift
-                e[l] = g
-                e[m] = 0.0
-        else:
-            raise RuntimeError("eigenvalue iteration failed to converge")
-    d.sort()
-    return d
-
-
 def check_positive_definite(m, sym_tol=1e-9):
     """Return the minimum eigenvalue of a symmetric matrix.
 
@@ -273,7 +192,7 @@ def check_positive_definite(m, sym_tol=1e-9):
         raise ValueError("matrix is not symmetric within tolerance "
                          f"{sym_tol:g}")
     sym = 0.5 * (m + m.T)
-    return float(symmetric_eigenvalues(sym)[0])
+    return float(np.linalg.eigvalsh(sym)[0])
 
 
 def generate_random_feeder(n, rng_seed=0, impedance_range=(0.01, 0.08),

@@ -198,50 +198,48 @@ def policy_input_grad(p, v):
     return g if batch else g[0]
 
 
-def policy_param_grad(raw, band, eps, bus, v_values):
-    """Gradient of u at bus ``bus`` with respect to that bus's raw parameters.
+def policy_param_grad(raw, band, eps, v):
+    """Gradient of each bus's u_i with respect to that bus's raw parameters.
 
-    ``v_values`` may be a scalar or a 1-d batch; returns four arrays shaped
-    (m, d) (or (d,) for scalar input) aligned with the raw fields. The chain
-    rule runs through the reparameterization, so inert columns get zeros.
+    ``v`` is one voltage vector (n,) or a batch (m, n); returns four arrays
+    shaped (n, d) or (m, n, d), aligned with the raw fields. The chain rule
+    runs through the reparameterization, so inert columns get zeros.
     """
-    v = np.atleast_1d(np.asarray(v_values, dtype=float))
-    scalar = np.ndim(v_values) == 0
-    m = len(v)
-    d = raw.d
+    v = np.asarray(v, dtype=float)
+    single = v.ndim == 1
+    vv = np.atleast_2d(v)[:, :, None]                            # (m, n, 1)
     p = constrain(raw, band, eps)
-    w_p, b_p = p.wplus[bus], p.bplus[bus]
-    w_m, b_m = p.wminus[bus], p.bminus[bus]
+    shape = vv.shape[:2] + (raw.d,)
 
-    r_pos = np.maximum(v[:, None] + b_p[None, :], 0.0)          # (m, d)
-    r_neg = np.maximum(-v[:, None] + b_m[None, :], 0.0)
-    act_pos = (v[:, None] + b_p[None, :]) >= 0.0
-    act_neg = (-v[:, None] + b_m[None, :]) > 0.0
+    r_pos = np.maximum(vv + p.bplus, 0.0)                        # (m, n, d)
+    r_neg = np.maximum(-vv + p.bminus, 0.0)
+    act_pos = (vv + p.bplus) >= 0.0
+    act_neg = (-vv + p.bminus) > 0.0
 
     # d xi / d prefix-sum_l telescopes to r_l - r_{l+1}
     diff_pos = r_pos.copy()
-    diff_pos[:, :-1] -= r_pos[:, 1:]
+    diff_pos[..., :-1] -= r_pos[..., 1:]
     diff_neg = r_neg.copy()
-    diff_neg[:, :-1] -= r_neg[:, 1:]
+    diff_neg[..., :-1] -= r_neg[..., 1:]
 
-    g_slope_pos = np.zeros((m, d))
-    g_slope_pos[:, 1:] = -diff_pos[:, 1:] * sigmoid(raw.slope_pos[bus, 1:])[None, :]
-    g_slope_neg = np.zeros((m, d))
-    g_slope_neg[:, 1:] = -diff_neg[:, 1:] * (-sigmoid(raw.slope_neg[bus, 1:]))[None, :]
+    g_slope_pos = np.zeros(shape)
+    g_slope_pos[..., 1:] = -diff_pos[..., 1:] * sigmoid(raw.slope_pos[:, 1:])
+    g_slope_neg = np.zeros(shape)
+    g_slope_neg[..., 1:] = -diff_neg[..., 1:] * -sigmoid(raw.slope_neg[:, 1:])
 
     # a spacing parameter shifts every later kink by -softplus'(raw)
-    wa_pos = w_p[None, :] * act_pos                              # (m, d)
-    tail_pos = np.cumsum(wa_pos[:, ::-1], axis=1)[:, ::-1]
-    g_decr_pos = np.zeros((m, d))
-    g_decr_pos[:, 2:] = tail_pos[:, 2:] * sigmoid(raw.decr_pos[bus, 2:])[None, :]
+    wa_pos = p.wplus * act_pos                                   # (m, n, d)
+    tail_pos = np.cumsum(wa_pos[..., ::-1], axis=-1)[..., ::-1]
+    g_decr_pos = np.zeros(shape)
+    g_decr_pos[..., 2:] = tail_pos[..., 2:] * sigmoid(raw.decr_pos[:, 2:])
 
-    wa_neg = w_m[None, :] * act_neg
-    tail_neg = np.cumsum(wa_neg[:, ::-1], axis=1)[:, ::-1]
-    g_decr_neg = np.zeros((m, d))
-    g_decr_neg[:, 2:] = tail_neg[:, 2:] * sigmoid(raw.decr_neg[bus, 2:])[None, :]
+    wa_neg = p.wminus * act_neg
+    tail_neg = np.cumsum(wa_neg[..., ::-1], axis=-1)[..., ::-1]
+    g_decr_neg = np.zeros(shape)
+    g_decr_neg[..., 2:] = tail_neg[..., 2:] * sigmoid(raw.decr_neg[:, 2:])
 
     grads = (g_slope_pos, g_decr_pos, g_slope_neg, g_decr_neg)
-    if scalar:
+    if single:
         return tuple(g[0] for g in grads)
     return grads
 

@@ -12,11 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DivergenceError, GridState, step
+from .dynamics import DivergenceError, GridState, row_dot, step
 from .policy import (
     MonotonePolicy,
     RawPolicyParams,
     constrain,
+    policy_eval,
     policy_eval_bus,
     policy_param_grad,
     sample_raw_params,
@@ -106,12 +107,6 @@ def sgd_step(net, grads, lr):
     for (w, b), (dw, db) in zip(zip(net.weights, net.biases), grads):
         w -= lr * dw
         b -= lr * db
-
-
-def sgd_ascent(net, grads, lr):
-    for (w, b), (dw, db) in zip(zip(net.weights, net.biases), grads):
-        w += lr * dw
-        b += lr * db
 
 
 def soft_update(target, source, tau):
@@ -267,15 +262,14 @@ class VoltEnv:
 # update rules
 # ---------------------------------------------------------------------------
 
-def critic_update(critic, critic_target, target_policy_eval, batch, cfg):
+def critic_update(critic, critic_target, batch, u_next, cfg):
     """One SGD step on the squared temporal-difference error.
 
-    ``batch`` is (s, u, r, s_next) with 2-d arrays; the bootstrap target
-    r + gamma * Q_target(s', policy_target(s')) is held fixed. Returns the
-    pre-step loss.
+    ``batch`` is (s, u, r, s_next) with 2-d arrays and ``u_next`` holds the
+    target policy's actions at s_next; the bootstrap target
+    r + gamma * Q_target(s', u_next) is held fixed. Returns the pre-step loss.
     """
     s, u, r, s_next = batch
-    u_next = target_policy_eval(s_next)
     q_next = net_eval(critic_target, np.hstack([s_next, u_next]))
     y = r + cfg.gamma * q_next
     x = np.hstack([s, u])
@@ -301,19 +295,20 @@ def q_action_grad(critic, s, u):
     return q, input_grad[:, s.shape[1]:]
 
 
-def stable_actor_update(raw, band, eps, bus, v_batch, dq_du, lr):
-    """Ascend the critic through the constraint map for one bus's parameters.
+def stable_actor_update(raw, band, eps, v_batch, dq_du, lr):
+    """Ascend the critic through the constraint map for every bus at once.
 
-    Updates ``raw`` in place and returns the applied gradient norm.
+    ``v_batch`` and ``dq_du`` are (m, n). Updates ``raw`` in place and
+    returns the applied gradient norm of each bus, shape (n,).
     """
-    grads = policy_param_grad(raw, band, eps, bus, v_batch)
+    grads = policy_param_grad(raw, band, eps, v_batch)
     m = len(v_batch)
     total = 0.0
     for name, g in zip(("slope_pos", "decr_pos", "slope_neg", "decr_neg"),
                        grads):
-        mean_g = (dq_du[:, None] * g).sum(axis=0) / m
-        getattr(raw, name)[bus] += lr * mean_g
-        total += float(mean_g @ mean_g)
+        mean_g = (dq_du[:, :, None] * g).sum(axis=0) / m
+        getattr(raw, name)[...] += lr * mean_g
+        total = total + row_dot(mean_g, mean_g)
     return np.sqrt(total)
 
 
@@ -321,7 +316,7 @@ def net_actor_update(actor, v_batch, dq_du, lr):
     """Deterministic policy-gradient ascent for the unconstrained actor."""
     m = len(v_batch)
     grads, _ = net_backprop(actor, v_batch, dq_du / m)
-    sgd_ascent(actor, grads, lr)
+    sgd_step(actor, grads, -lr)
     total = sum(float((dw ** 2).sum() + (db ** 2).sum()) for dw, db in grads)
     return np.sqrt(total)
 
@@ -401,6 +396,36 @@ class _NetPolicy:
                                 for i, net in enumerate(self.nets)], axis=-1)
         return u[..., 0, :]
 
+    def input_grad(self, v):
+        """Slope du_i/dv_i of each bus at (n,) or (S, n) voltages.
+
+        Local nets give their input gradient; the joint net gives the
+        diagonal of its Jacobian, one backward pass per bus.
+        """
+        v = np.asarray(v, dtype=float)
+        x = v.reshape(-1, v.shape[-1])
+        ones = np.ones((len(x), 1))
+        if self.joint:
+            cols = [net_backprop(self.nets[0], x, ones * e)[1][:, i]
+                    for i, e in enumerate(np.eye(x.shape[1]))]
+        else:
+            cols = [net_backprop(net, x[:, i:i + 1], ones)[1][:, 0]
+                    for i, net in enumerate(self.nets)]
+        return np.stack(cols, axis=-1).reshape(v.shape)
+
+
+def _agent_actions(actor, joint, i, s):
+    """Actions of agent i on its (m, k) state block.
+
+    ``actor`` is a constrained monotone controller or a list of nets, one
+    per agent; a local monotone agent evaluates only its own bus.
+    """
+    if isinstance(actor, list):
+        return net_eval(actor[i], s)
+    if joint:
+        return policy_eval(actor, s)
+    return policy_eval_bus(actor, i, s[:, 0])[:, None]
+
 
 def _log_row(episode, ret, td_mean, grad_norm, wall_ms):
     return {"episode": episode, "return": ret, "td_loss_mean": td_mean,
@@ -435,14 +460,12 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
     buffer = ReplayBuffer(cfg.buffer_capacity, seed=seeds[3])
     band = env.bounds
 
-    # agents: index set is buses for local scope, the whole feeder for joint
-    agent_dims = [n] if joint else [1] * n
-    critics, critic_targets = [], []
-    for dim in agent_dims:
-        critic = FeedForwardNet.create([2 * dim, *cfg.critic_hidden, 1],
-                                       init_rng)
-        critics.append(critic)
-        critic_targets.append(critic.copy())
+    # agents: one per bus column in local scope, the whole feeder for joint
+    dim = n if joint else 1
+    agent_cols = [slice(None)] if joint else [slice(i, i + 1) for i in range(n)]
+    critics = [FeedForwardNet.create([2 * dim, *cfg.critic_hidden, 1], init_rng)
+               for _ in agent_cols]
+    critic_targets = [critic.copy() for critic in critics]
 
     raw = target_raw = init_raw = None
     actor_nets = actor_targets = None
@@ -456,7 +479,7 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
             return MonotonePolicy.from_raw(raw, band, cfg.eps)(v)
     else:
         actor_nets = [FeedForwardNet.create([dim, *cfg.actor_hidden, dim],
-                                            init_rng) for dim in agent_dims]
+                                            init_rng) for _ in agent_cols]
         actor_targets = [net.copy() for net in actor_nets]
 
         def greedy(v):
@@ -497,62 +520,35 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
             for _ in range(cfg.updates_per_episode):
                 updates += 1
                 v_b, u_b, r_b, vn_b = buffer.sample(cfg.batch_size)
-                for i, critic in enumerate(critics):
-                    if joint:
-                        s, a = v_b, u_b
-                        r = r_b.sum(axis=1, keepdims=True)
-                        s_next = vn_b
-                    else:
-                        s, a = v_b[:, i:i + 1], u_b[:, i:i + 1]
-                        r = r_b[:, i:i + 1]
-                        s_next = vn_b[:, i:i + 1]
-
-                    if actor_kind == "stable":
-                        if joint:
-                            def tgt_eval(sn):
-                                return MonotonePolicy.from_raw(
-                                    target_raw, band, cfg.eps)(sn)
-                        else:
-                            tgt_params = constrain(target_raw, band, cfg.eps)
-
-                            def tgt_eval(sn, _i=i, _p=tgt_params):
-                                return policy_eval_bus(
-                                    _p, _i, sn[:, 0])[:, None]
-                    else:
-                        def tgt_eval(sn, _net=actor_targets[i]):
-                            return net_eval(_net, sn)
-
-                    loss = critic_update(critic, critic_targets[i], tgt_eval,
-                                         (s, a, r, s_next), cfg)
-                    td_losses.append(loss)
-
-                    if actor_kind == "stable":
-                        if joint:
-                            u_cur = MonotonePolicy.from_raw(raw, band,
-                                                            cfg.eps)(v_b)
-                            _, dq = q_action_grad(critic, v_b, u_cur)
-                            gnorm = 0.0
-                            for bus in range(n):
-                                gnorm += stable_actor_update(
-                                    raw, band, cfg.eps, bus, v_b[:, bus],
-                                    dq[:, bus], cfg.actor_lr) ** 2
-                            grad_norms.append(np.sqrt(gnorm))
-                        else:
-                            params = constrain(raw, band, cfg.eps)
-                            u_cur = policy_eval_bus(params, i, s[:, 0])[:, None]
-                            _, dq = q_action_grad(critic, s, u_cur)
-                            grad_norms.append(stable_actor_update(
-                                raw, band, cfg.eps, i, s[:, 0], dq[:, 0],
-                                cfg.actor_lr))
-                    else:
-                        u_cur = net_eval(actor_nets[i], s)
-                        _, dq = q_action_grad(critic, s, u_cur)
-                        grad_norms.append(net_actor_update(
-                            actor_nets[i], s, dq, cfg.actor_lr))
-                        soft_update(actor_targets[i], actor_nets[i], cfg.tau)
-                    soft_update(critic_targets[i], critic, cfg.tau)
                 if actor_kind == "stable":
+                    actor = constrain(raw, band, cfg.eps)
+                    actor_tgt = constrain(target_raw, band, cfg.eps)
+                else:
+                    actor, actor_tgt = actor_nets, actor_targets
+                dqs = []
+                for i, cols in enumerate(agent_cols):
+                    s, s_next = v_b[:, cols], vn_b[:, cols]
+                    r = r_b.sum(axis=1, keepdims=True) if joint else r_b[:, cols]
+                    td_losses.append(critic_update(
+                        critics[i], critic_targets[i],
+                        (s, u_b[:, cols], r, s_next),
+                        _agent_actions(actor_tgt, joint, i, s_next), cfg))
+                    _, dq = q_action_grad(critics[i], s,
+                                          _agent_actions(actor, joint, i, s))
+                    dqs.append(dq)
+                    soft_update(critic_targets[i], critics[i], cfg.tau)
+
+                if actor_kind == "stable":
+                    norms = stable_actor_update(raw, band, cfg.eps, v_b,
+                                                np.hstack(dqs), cfg.actor_lr)
+                    grad_norms.extend([np.sqrt(sum(norms ** 2))] if joint
+                                      else norms)
                     soft_update(target_raw, raw, cfg.tau)
+                else:
+                    for i, cols in enumerate(agent_cols):
+                        grad_norms.append(net_actor_update(
+                            actor_nets[i], v_b[:, cols], dqs[i], cfg.actor_lr))
+                        soft_update(actor_targets[i], actor_nets[i], cfg.tau)
 
         wall = (time.perf_counter() - t0) * 1e3 if cfg.record_timing else 0.0
         log.append(_log_row(episode, ep_return,

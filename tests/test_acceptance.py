@@ -215,7 +215,8 @@ def test_criterion_5_gradient_oracle():
         v = float(rng.uniform(0.7, 1.3))
         name = names[int(rng.integers(0, 4))]
         j = int(rng.integers(1, 16))
-        ana = policy_param_grad(raw, band, 1e-3, bus, v)[names.index(name)][j]
+        grads = policy_param_grad(raw, band, 1e-3, np.full(NET.n, v))
+        ana = grads[names.index(name)][bus, j]
         bump = raw.copy()
         getattr(bump, name)[bus, j] += h
         up = policy_eval_bus(constrain(bump, band, 1e-3), bus, v)[0]
@@ -361,13 +362,12 @@ def test_criterion_8_degenerate_critic_fixed_point():
     batch = (rng.uniform(0.9, 1.1, (m, 1)), rng.normal(scale=0.5, size=(m, 1)),
              np.full((m, 1), -2.0), rng.uniform(0.9, 1.1, (m, 1)))
 
-    def tgt_eval(sn):
-        return np.zeros((len(sn), 1))
+    u_next = np.zeros((m, 1))
 
     loss = np.inf
     steps = 0
     for steps in range(1, 5001):
-        loss = critic_update(critic, target, tgt_eval, batch, cfg)
+        loss = critic_update(critic, target, batch, u_next, cfg)
         if loss < 1e-4:
             break
     ok = loss < 1e-4 and steps <= 5000

@@ -12,6 +12,7 @@ from gridvolt.policy import (
     save_checkpoint,
 )
 from gridvolt.rl import FeedForwardNet, save_net_policy
+from gridvolt.util import config_hash
 
 
 @pytest.fixture
@@ -125,6 +126,25 @@ def test_certify_flags_unstable_policy(net_path, tmp_path, capsys):
     assert code == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("joint", [False, True])
+def test_certify_mlp_checkpoint(net_path, tmp_path, capsys, joint):
+    net = five_bus_fixture()
+    rng = np.random.default_rng(3)
+    sizes = [net.n, 8, 8, net.n] if joint else [1, 8, 1]
+    nets = [FeedForwardNet.create(sizes, rng)
+            for _ in range(1 if joint else net.n)]
+    ckpt = tmp_path / "mlp.json"
+    save_net_policy(str(ckpt), nets, joint, net.bounds())
+    cert_out = tmp_path / "cert.json"
+    code = cli_main(["certify", "--network", net_path,
+                     "--checkpoint", str(ckpt), "--rollouts", "4",
+                     "--out", str(cert_out)])
+    assert code in (0, 1)
+    assert "error:" not in capsys.readouterr().err
+    cert = json.loads(cert_out.read_text())
+    assert cert["config_hash"] == config_hash(cert["config"])
 
 
 def test_evaluate(net_path, ckpt_path, tmp_path, capsys):

@@ -7,7 +7,6 @@ from gridvolt.dynamics import (
     GridState,
     ScenarioConfig,
     dist_to_band,
-    load_env_trace_csv,
     load_scenarios,
     make_suite,
     recovery_time,
@@ -288,20 +287,6 @@ def test_recovery_tolerance():
 # ---------------------------------------------------------------------------
 # trace replay
 # ---------------------------------------------------------------------------
-
-def test_env_trace_csv(tmp_path):
-    path = tmp_path / "trace.csv"
-    path.write_text(
-        "t,bus_id,v_env\n"
-        "0,1,1.06\n0,2,1.00\n"
-        "1,1,1.07\n"
-        "2,2,0.94\n"
-    )
-    times, series = load_env_trace_csv(path, n=2)
-    np.testing.assert_array_equal(times, [0.0, 1.0, 2.0])
-    np.testing.assert_allclose(series,
-                               [[1.06, 1.00], [1.07, 1.00], [1.07, 0.94]])
-
 
 def test_rollout_trace_follows_disturbance(tmp_path):
     X = np.array([[0.1, 0.05], [0.05, 0.2]])

@@ -16,7 +16,6 @@ from gridvolt.grid import (
     network_from_dict,
     save_network,
     solve_distflow,
-    symmetric_eigenvalues,
 )
 
 
@@ -148,16 +147,6 @@ def test_indefinite_closed_form():
     # eigenvalues of [[1,2],[2,1]] are 1 +/- 2
     assert check_positive_definite(np.array([[1.0, 2.0], [2.0, 1.0]])) == \
         pytest.approx(-1.0)
-
-
-def test_eigenvalues_against_numpy():
-    rng = np.random.default_rng(7)
-    for n in (1, 2, 3, 5, 12, 30, 56):
-        a = rng.normal(size=(n, n))
-        sym = 0.5 * (a + a.T)
-        mine = symmetric_eigenvalues(sym)
-        ref = np.linalg.eigvalsh(sym)
-        np.testing.assert_allclose(mine, ref, atol=1e-9 * max(1.0, n))
 
 
 def test_nonsymmetric_rejected():

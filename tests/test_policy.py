@@ -225,13 +225,19 @@ def fd_param_grad(raw, bus, v, h=1e-6):
     return tuple(grads)
 
 
+def bus_param_grad(raw, band, bus, v):
+    """One bus's parameter gradients with every bus at voltage v."""
+    grads = policy_param_grad(raw, band, EPS, np.full(raw.n, v))
+    return tuple(g[bus] for g in grads)
+
+
 def test_param_grad_matches_finite_differences():
     rng = np.random.default_rng(7)
     raw = random_raw(rng)
     for trial in range(20):
         bus = int(rng.integers(0, N))
         v = float(rng.uniform(0.7, 1.3))
-        ana = policy_param_grad(raw, BAND, EPS, bus, v)
+        ana = bus_param_grad(raw, BAND, bus, v)
         num = fd_param_grad(raw, bus, v)
         for a, f in zip(ana, num):
             np.testing.assert_allclose(a, f, rtol=1e-4, atol=1e-9)
@@ -240,7 +246,7 @@ def test_param_grad_matches_finite_differences():
 def test_param_grad_zero_in_deadband():
     rng = np.random.default_rng(8)
     raw = random_raw(rng)
-    grads = policy_param_grad(raw, BAND, EPS, 0, 1.0)
+    grads = bus_param_grad(raw, BAND, 0, 1.0)
     for g in grads:
         np.testing.assert_array_equal(g, 0.0)
 
@@ -249,7 +255,7 @@ def test_param_grad_zero_beyond_active_units():
     # kinks far from the probe leave their spacing parameters inert
     raw = RawPolicyParams(*(np.zeros((1, 4)) for _ in range(4)))
     band1 = (np.array([0.95]), np.array([1.05]))
-    grads = policy_param_grad(raw, band1, EPS, 0, 1.06)
+    grads = bus_param_grad(raw, band1, 0, 1.06)
     # first ladder kink is at 1.05 + log(2) > 1.06: spacing grads all zero
     np.testing.assert_array_equal(grads[1], 0.0)
     assert grads[0][1] != 0.0
@@ -259,9 +265,23 @@ def test_param_grad_batch_shape():
     rng = np.random.default_rng(9)
     raw = random_raw(rng)
     vs = rng.uniform(0.8, 1.2, size=17)
-    grads = policy_param_grad(raw, BAND, EPS, 1, vs)
+    block = np.tile(vs[:, None], (1, N))
+    grads = [g[:, 1] for g in policy_param_grad(raw, BAND, EPS, block)]
     for g in grads:
         assert g.shape == (17, D)
+
+
+def test_param_grad_block_equals_rows():
+    rng = np.random.default_rng(10)
+    raw = random_raw(rng)
+    block = rng.uniform(0.8, 1.2, size=(23, N))
+    grads = policy_param_grad(raw, BAND, EPS, block)
+    for g in grads:
+        assert g.shape == (23, N, D)
+    for k, v in enumerate(block):
+        for g, row in zip(grads, policy_param_grad(raw, BAND, EPS, v)):
+            assert row.shape == (N, D)
+            np.testing.assert_array_equal(g[k], row)
 
 
 # ---------------------------------------------------------------------------

@@ -251,12 +251,11 @@ def test_critic_converges_to_constant_reward():
     cfg = TrainConfig(gamma=0.0, critic_lr=0.3, batch_size=16)
     batch = frozen_batch(rng)
 
-    def tgt_eval(sn):
-        return np.zeros((len(sn), 1))
+    u_next = np.zeros((len(batch[3]), 1))
 
     loss = None
     for _ in range(2000):
-        loss = critic_update(critic, target, tgt_eval, batch, cfg)
+        loss = critic_update(critic, target, batch, u_next, cfg)
     assert loss < 1e-5
     q = net_eval(critic, np.hstack([batch[0], batch[1]]))
     np.testing.assert_allclose(q, -2.0, atol=0.01)
@@ -268,14 +267,11 @@ def test_critic_loss_nonnegative_and_duplicate_batch():
     target = critic.copy()
     cfg = TrainConfig(gamma=0.9, critic_lr=1e-5, batch_size=16)
 
-    def tgt_eval(sn):
-        return np.zeros((len(sn), 1))
-
     one = (np.array([[1.02]]), np.array([[0.3]]), np.array([[-1.0]]),
            np.array([[1.01]]))
-    loss_one = critic_update(critic.copy(), target, tgt_eval, one, cfg)
+    loss_one = critic_update(critic.copy(), target, one, np.zeros((1, 1)), cfg)
     rep = tuple(np.repeat(a, 8, axis=0) for a in one)
-    loss_rep = critic_update(critic.copy(), target, tgt_eval, rep, cfg)
+    loss_rep = critic_update(critic.copy(), target, rep, np.zeros((8, 1)), cfg)
     assert loss_one >= 0.0
     assert loss_rep == pytest.approx(loss_one, rel=1e-12)
 
@@ -297,7 +293,7 @@ def test_actor_update_constant_critic_is_noop():
     params = constrain(raw, band1, 1e-3)
     u = policy_eval_bus(params, 0, v)[:, None]
     _, dq = q_action_grad(critic, v[:, None], u)
-    norm = stable_actor_update(raw, band1, 1e-3, 0, v, dq[:, 0], lr=1e-2)
+    norm, = stable_actor_update(raw, band1, 1e-3, v[:, None], dq, lr=1e-2)
     assert norm == 0.0
     np.testing.assert_array_equal(raw.slope_pos, before.slope_pos)
     np.testing.assert_array_equal(raw.decr_pos, before.decr_pos)
@@ -315,7 +311,8 @@ def test_actor_drives_output_to_feasible_optimum():
             params = constrain(raw, band1, 1e-3)
             u = policy_eval_bus(params, 0, v)[0]
             dq = np.array([-2.0 * (u - u_star)])
-            stable_actor_update(raw, band1, 1e-3, 0, v, dq, lr=5.0)
+            stable_actor_update(raw, band1, 1e-3, v[:, None], dq[:, None],
+                                lr=5.0)
         u_final = policy_eval_bus(constrain(raw, band1, 1e-3), 0, v)[0]
         assert u_final == pytest.approx(expect, abs=tol)
 
@@ -344,10 +341,13 @@ def test_train_zero_episodes_returns_initial_policy():
     np.testing.assert_array_equal(res1.policy(probe), res2.policy(probe))
 
 
-def test_train_deterministic_logs():
+@pytest.mark.parametrize("scope", ["local", "joint"])
+@pytest.mark.parametrize("actor", ["stable", "unconstrained"])
+def test_train_deterministic_logs(actor, scope):
     env = make_env()
-    r1 = train(env, small_cfg())
-    r2 = train(env, small_cfg())
+    r1 = train(env, small_cfg(agent_scope=scope), actor_kind=actor)
+    r2 = train(env, small_cfg(agent_scope=scope), actor_kind=actor)
+    assert r1.updates > 0
     assert r1.log == r2.log
     probe = np.array([1.08, 0.94, 1.0, 1.02])
     np.testing.assert_array_equal(r1.policy(probe), r2.policy(probe))
@@ -445,3 +445,48 @@ def test_net_policy_batch_equals_row_by_row(tmp_path, joint):
     assert batch.shape == (7, n)
     np.testing.assert_array_equal(batch, np.array([pol(row) for row in v]))
     assert pol(v[0]).shape == (n,)
+
+
+def relu_pattern(net, x):
+    """Sign pattern of every hidden pre-activation, one row per sample."""
+    h, signs = x, []
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        z = h @ w + b
+        signs.append(z > 0.0)
+        h = np.maximum(z, 0.0)
+    return np.concatenate(signs, axis=-1)
+
+
+@pytest.mark.parametrize("joint", [False, True])
+def test_net_policy_input_grad_matches_central_differences(joint):
+    rng = np.random.default_rng(12)
+    n, h = NET.n, 1e-6
+    sizes = [n, 16, 16, n] if joint else [1, 16, 16, 1]
+    nets = [FeedForwardNet.create(sizes, rng)
+            for _ in range(1 if joint else n)]
+    from gridvolt.rl import _NetPolicy
+    pol = _NetPolicy(nets, joint)
+    v = rng.uniform(0.9, 1.1, size=(40, n))
+    grad = pol.input_grad(v)
+    assert grad.shape == (40, n)
+    assert pol.input_grad(v[3]).shape == (n,)
+    np.testing.assert_allclose(pol.input_grad(v[3]), grad[3],
+                               rtol=1e-12, atol=1e-14)
+    checked = 0
+    for i in range(n):
+        step = np.zeros(n)
+        step[i] = h
+        if joint:
+            keep = [np.all(relu_pattern(nets[0], v + s) ==
+                           relu_pattern(nets[0], v), axis=1)
+                    for s in (step, -step)]
+        else:
+            col = v[:, i:i + 1]
+            keep = [np.all(relu_pattern(nets[i], col + s) ==
+                           relu_pattern(nets[i], col), axis=1)
+                    for s in (h, -h)]
+        rows = keep[0] & keep[1]
+        fd = (pol(v[rows] + step)[:, i] - pol(v[rows] - step)[:, i]) / (2 * h)
+        np.testing.assert_allclose(grad[rows, i], fd, rtol=1e-6, atol=1e-7)
+        checked += int(rows.sum())
+    assert checked > 30 * n
