@@ -31,27 +31,41 @@ def _load_policy(spec, band):
         return "zero", policy.ZeroPolicy()
     if not os.path.exists(spec):
         raise CliError(f"policy checkpoint not found: {spec}")
-    with open(spec) as fh:
-        try:
-            kind = json.load(fh).get("kind", "monotone")
-        except json.JSONDecodeError as exc:
-            raise CliError(f"bad checkpoint {spec}: {exc}") from exc
     name = os.path.splitext(os.path.basename(spec))[0]
-    if kind == "mlp":
-        pol, _band = rl.load_net_policy(spec)
-        return name, pol
     try:
-        raw, ck_band, eps = policy.load_checkpoint(spec)
-    except policy.CheckpointError as exc:
+        with open(spec) as fh:
+            data = json.load(fh)    # a JSONDecodeError is a ValueError
+        if not isinstance(data, dict):
+            raise CliError(f"bad checkpoint {spec}: not a JSON object")
+        if data.get("kind", "monotone") == "mlp":
+            pol, ck_band = rl.load_net_policy(spec)
+        else:
+            raw, ck_band, eps = policy.load_checkpoint(spec)
+            pol = policy.MonotonePolicy.from_raw(raw, ck_band, eps)
+        if len(ck_band[0]) != len(band[0]):
+            raise CliError(f"checkpoint {spec} has {len(ck_band[0])} buses, "
+                           f"the network has {len(band[0])}")
+    except (policy.CheckpointError, KeyError, IndexError, TypeError,
+            ValueError) as exc:
         raise CliError(f"bad checkpoint {spec}: {exc}") from exc
-    return name, policy.MonotonePolicy.from_raw(raw, ck_band, eps)
+    return name, pol
 
 
 def _suite_for(args, n):
     if getattr(args, "scenario_file", None):
         if not os.path.exists(args.scenario_file):
             raise CliError(f"scenario file not found: {args.scenario_file}")
-        return dynamics.load_scenarios(args.scenario_file)
+        try:
+            suite = dynamics.load_scenarios(args.scenario_file)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CliError(f"bad scenario file {args.scenario_file}: "
+                           f"{exc}") from exc
+        for v_env, q0, label in suite:
+            if v_env.shape != (n,) or q0.shape != (n,):
+                raise CliError(
+                    f"scenario {label} has {v_env.size} v_env and {q0.size} "
+                    f"q0 entries, the network has {n} buses")
+        return suite
     count = getattr(args, "scenarios", 0)
     if count < 1:
         raise CliError("need --scenarios >= 1 or --scenario-file")

@@ -156,14 +156,6 @@ def policy_eval_bus(p, bus, v_values):
     return -(xi_pos + xi_neg)
 
 
-def policy_input_grad_bus(p, bus, v_values):
-    """Slope of a single bus's controller over a 1-d batch of voltages."""
-    v = np.atleast_1d(np.asarray(v_values, dtype=float))
-    act_pos = ((v[:, None] + p.bplus[bus][None, :]) >= 0.0).astype(float)
-    act_neg = ((-v[:, None] + p.bminus[bus][None, :]) > 0.0).astype(float)
-    return -(act_pos @ p.wplus[bus] - act_neg @ p.wminus[bus])
-
-
 def policy_eval(p, v):
     """Evaluate the controller: u = -(ascending stack + descending stack).
 
@@ -308,13 +300,11 @@ class ZeroPolicy:
 
 @dataclass
 class MonotoneReport:
-    """Outcome of the sampled monotonicity certificate for one policy."""
+    """Outcome of the exact monotonicity certificate for one policy."""
 
     passed: bool
     clauses: dict
     eps: float
-    grid_span: float
-    samples: int
 
     def summary(self):
         lines = [f"monotone certificate: {'PASS' if self.passed else 'FAIL'}"]
@@ -330,51 +320,45 @@ class MonotoneReport:
 _SLOPE_RTOL = 1e-9
 
 
-def verify_monotone(p, margin=0.5, samples=10_000):
-    """Sampled check of the deadband-controller contract for every bus.
+def verify_monotone(p):
+    """Exact check of the deadband-controller contract for every bus.
 
-    Clauses: (a) exact zero on in-band points, (b) nonincreasing values over
-    the sample grid, (c) slope at most -eps outside the band, (d) outermost
-    slope at least eps in magnitude so the controller keeps growing.
+    Each controller is linear between its sorted ramp kinks and band edges,
+    so the values there and each piece's right-hand slope decide, on the
+    whole real line: (a) exact zero on the band, (b) no piece rises, (c)
+    slope <= -eps outside the band, (d) tail slopes >= eps in magnitude.
+    Witnesses name buses by network id (bus 0 is the substation).
     """
-    n, eps = p.n, p.eps
-    clauses = {"zero_in_band": (True, []), "nonincreasing": (True, []),
-               "strict_slope_outside": (True, []), "unbounded_tails": (True, [])}
-
-    def fail(clause, witness):
-        ok, wit = clauses[clause]
-        wit.append(witness)
-        clauses[clause] = (False, wit)
-
-    slope_floor = -eps * (1.0 - _SLOPE_RTOL)
-    for bus in range(n):
-        lo, hi = p.v_lower[bus], p.v_upper[bus]
-        grid = np.linspace(lo - margin, hi + margin, samples)
-        grid = np.unique(np.concatenate([grid, [lo, hi, 0.5 * (lo + hi)]]))
-        u = policy_eval_bus(p, bus, grid)
-        du = policy_input_grad_bus(p, bus, grid)
-
-        in_band = (grid >= lo) & (grid <= hi)
-        bad = in_band & (u != 0.0)
-        for v in grid[bad][:3]:
-            fail("zero_in_band", f"bus {bus}: u({v:.6f}) != 0")
-        rising = np.nonzero(np.diff(u) > 0.0)[0]
-        for k in rising[:3]:
-            fail("nonincreasing", f"bus {bus}: u rises across "
-                                  f"[{grid[k]:.6f}, {grid[k + 1]:.6f}]")
-        outside = ~in_band
-        loose = outside & (du > slope_floor)
-        for v in grid[loose][:3]:
-            fail("strict_slope_outside",
-                 f"bus {bus}: slope {du[grid == v][0]:.3e} at v={v:.6f}")
-        for end in (0, -1):
-            if abs(du[end]) < eps * (1.0 - _SLOPE_RTOL):
-                fail("unbounded_tails",
-                     f"bus {bus}: tail slope {du[end]:.3e} at v={grid[end]:.6f}")
-
+    kinks = np.concatenate([-p.bplus, p.bminus], axis=1).T       # (2d, n)
+    # a kink that overflowed to +-inf belongs to a ramp that never activates
+    kinks = np.where(np.isfinite(kinks), kinks, p.v_upper)
+    pts = np.sort(np.vstack([kinks, p.v_lower, p.v_upper]), axis=0)
+    pts = np.vstack([np.nextafter(pts[0], -np.inf), pts])        # (2d+3, n)
+    # values at far kinks may overflow; only in-band values and slopes count
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = policy_eval(p, pts)
+        du = policy_input_grad(p, pts)
+    # piece k runs from lefts[k] to rights[k] with slope du[k]
+    lefts = np.vstack([np.full(p.n, -np.inf), pts[1:]])
+    rights = np.vstack([pts[1:], np.full(p.n, np.inf)])
+    real = rights > lefts
+    outside = (lefts < p.v_lower) | (lefts >= p.v_upper)
+    tails = np.isinf(lefts) | np.isinf(rights)
+    floor = p.eps * (1.0 - _SLOPE_RTOL)
+    failing = {
+        "zero_in_band": (pts >= p.v_lower) & (pts <= p.v_upper) & (u != 0.0),
+        "nonincreasing": real & (du > 0.0),
+        "strict_slope_outside": real & outside & (du > -floor),
+        "unbounded_tails": tails & (np.abs(du) < floor),
+    }
+    clauses = {}
+    for name, mask in failing.items():
+        wit = [f"bus {b + 1}: u({pts[k, b]:.6f}) = {u[k, b]:.3e}, slope "
+               f"{du[k, b]:.3e} on [{lefts[k, b]:.6f}, {rights[k, b]:.6f}]"
+               for b, k in list(zip(*np.nonzero(mask.T)))[:10]]
+        clauses[name] = (not wit, wit)
     passed = all(ok for ok, _ in clauses.values())
-    return MonotoneReport(passed=passed, clauses=clauses, eps=eps,
-                          grid_span=margin, samples=samples)
+    return MonotoneReport(passed=passed, clauses=clauses, eps=p.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -442,26 +426,26 @@ def load_checkpoint(path):
     if data.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint version {data.get('format_version')!r}")
-    buses = data["buses"]
     try:
+        buses = data["buses"]
         slope_pos = np.array([b["raw_slopes"][0] for b in buses], dtype=float)
         slope_neg = np.array([b["raw_slopes"][1] for b in buses], dtype=float)
         decr_pos = np.array([b["raw_bias_decrements"][0] for b in buses],
                             dtype=float)
         decr_neg = np.array([b["raw_bias_decrements"][1] for b in buses],
                             dtype=float)
-    except (KeyError, IndexError, ValueError) as exc:
+        band = (np.array(data["band"]["v_lower"], dtype=float),
+                np.array(data["band"]["v_upper"], dtype=float))
+        eps = float(data["eps"])
+        raw = RawPolicyParams(slope_pos=slope_pos, decr_pos=decr_pos,
+                              slope_neg=slope_neg, decr_neg=decr_neg)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc
-    raw = RawPolicyParams(slope_pos=slope_pos, decr_pos=decr_pos,
-                          slope_neg=slope_neg, decr_neg=decr_neg)
-    band = (np.array(data["band"]["v_lower"], dtype=float),
-            np.array(data["band"]["v_upper"], dtype=float))
-    eps = float(data["eps"])
     try:
         params = constrain(raw, band, eps)
     except ValueError as exc:
         raise CheckpointError(f"checkpoint parameters rejected: {exc}") from exc
-    report = verify_monotone(params, samples=2000)
+    report = verify_monotone(params)
     if not report.passed:
         raise CheckpointError("checkpoint failed the monotonicity "
                               f"certificate:\n{report.summary()}")

@@ -7,6 +7,8 @@ and two actor families: the constrained monotone deadband controller
 stabilizer) and an unconstrained multilayer perceptron baseline.
 """
 
+import contextlib
+import ctypes
 import time
 from dataclasses import dataclass
 
@@ -451,6 +453,14 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
     """
     if actor_kind not in ("stable", "unconstrained"):
         raise ValueError(f"unknown actor kind {actor_kind!r}")
+    # each critic pass frees ~2 MB of (batch, hidden) arrays; glibc's default
+    # thresholds return it to the kernel and page-fault it back on the next
+    # pass, so keep freed memory mapped (a no-op without glibc)
+    with contextlib.suppress(OSError, AttributeError):
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt(-3, 4 << 20)    # M_MMAP_THRESHOLD
+        mallopt(-1, 8 << 20)    # M_TRIM_THRESHOLD
     n = env.n
     joint = cfg.agent_scope == "joint"
     seeds = np.random.SeedSequence(cfg.seed).spawn(4)

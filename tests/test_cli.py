@@ -5,7 +5,11 @@ import pytest
 
 from gridvolt.cli import cli_main
 from gridvolt.dynamics import make_suite, save_scenarios
-from gridvolt.grid import five_bus_fixture, save_network
+from gridvolt.grid import (
+    five_bus_fixture,
+    generate_random_feeder,
+    save_network,
+)
 from gridvolt.policy import (
     StackedReluParams,
     sample_raw_params,
@@ -103,20 +107,54 @@ def test_train_and_certify_roundtrip(net_path, tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
-def test_certify_rejects_corrupt_checkpoint(net_path, tmp_path, capsys):
-    # a checkpoint whose stored parameters cannot rebuild a valid controller
-    # is refused at load time, well before any rollout
-    net = five_bus_fixture()
-    raw = sample_raw_params(net.n, 8, np.random.default_rng(1))
-    path = tmp_path / "bad.json"
-    save_checkpoint(str(path), raw, net.bounds(), 1e-3)
-    data = json.loads(path.read_text())
+def _inf_slope(data):
     data["buses"][0]["raw_slopes"][0][2] = float("inf")
-    path.write_text(json.dumps(data))
+    return data
+
+
+def _without(key):
+    def edit(data):
+        del data[key]
+        return data
+    return edit
+
+
+@pytest.mark.parametrize("actor, edit, buses, message", [
+    ("stable", _inf_slope, 4, "bad checkpoint"),
+    ("stable", _without("band"), 4, "malformed"),
+    ("stable", _without("eps"), 4, "malformed"),
+    ("stable", _without("buses"), 4, "malformed"),
+    ("stable", lambda data: [data], 4, "not a JSON object"),
+    ("mlp", _without("nets"), 4, "bad checkpoint"),
+    ("stable", None, 16, "has 4 buses, the network has 16"),
+    ("mlp", None, 16, "has 4 buses, the network has 16"),
+], ids=["inf-slope", "no-band", "no-eps", "no-buses", "not-object",
+        "mlp-no-nets", "stable-on-16-buses", "mlp-on-16-buses"])
+def test_certify_rejects_corrupt_checkpoint(net_path, tmp_path, capsys,
+                                            actor, edit, buses, message):
+    # a checkpoint that is malformed, cannot rebuild a valid controller, or
+    # was trained for another feeder is refused at load time with exit 2,
+    # well before any rollout
+    net = five_bus_fixture()
+    path = tmp_path / "bad.json"
+    if actor == "stable":
+        raw = sample_raw_params(net.n, 8, np.random.default_rng(1))
+        save_checkpoint(str(path), raw, net.bounds(), 1e-3)
+    else:
+        nets = [FeedForwardNet.create([1, 8, 1], np.random.default_rng(k))
+                for k in range(net.n)]
+        save_net_policy(str(path), nets, False, net.bounds())
+    if edit is not None:
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    if buses != net.n:
+        net_path = str(tmp_path / "big.json")
+        save_network(generate_random_feeder(n=buses, rng_seed=1), net_path)
     code = cli_main(["certify", "--network", net_path,
                      "--checkpoint", str(path), "--rollouts", "2"])
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert message in err
 
 
 def test_certify_flags_unstable_policy(net_path, tmp_path, capsys):
@@ -189,6 +227,24 @@ def test_evaluate_scenario_file(net_path, tmp_path):
                      "--policies", "linear", "--scenario-file",
                      str(suite_path), "--horizon", "30", "--out", str(out)])
     assert code == 0
+
+
+@pytest.mark.parametrize("text, message", [
+    (json.dumps([{"v_env": [1.0] * 16, "q0": [0.0] * 16}]),
+     "16 v_env and 16 q0 entries, the network has 4 buses"),
+    ("not json", "bad scenario file"),
+    (json.dumps([{"q0": [0.0] * 4}]), "bad scenario file"),
+    (json.dumps({"v_env": [1.0] * 4}), "bad scenario file"),
+], ids=["16-buses", "not-json", "no-v_env", "not-a-list"])
+def test_evaluate_rejects_bad_scenario_file(net_path, tmp_path, capsys,
+                                            text, message):
+    suite_path = tmp_path / "suite.json"
+    suite_path.write_text(text)
+    code = cli_main(["evaluate", "--network", net_path,
+                     "--policies", "linear", "--scenario-file",
+                     str(suite_path), "--out", str(tmp_path / "r.csv")])
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_evaluate_zero_scenarios_usage_error(net_path, tmp_path, capsys):

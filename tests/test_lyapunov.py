@@ -187,6 +187,28 @@ def test_certificate_linear_deadband_converges_with_long_horizon():
     assert cert.passed, cert.summary()
 
 
+def test_certificate_forgives_violation_that_vanishes_at_fine_step():
+    # a gain-35 droop rings at dt = 0.1 on the fixture; a max_gain that
+    # understates it keeps the slack small, so one scenario gets flagged and
+    # the dt/10 rerun clears it
+    class Understated(LinearDeadbandPolicy):
+        def max_gain(self):
+            return 1.0
+
+    cert = certify_policy(X5, Understated(*BOUNDS, gain=35.0), cert_config())
+    assert cert.passed, cert.summary()
+    vanished = [note for note in cert.notes if "vanished at dt/10" in note]
+    assert len(vanished) == 1
+
+
+def test_certificate_keeps_violation_that_survives_fine_step():
+    pol = LinearDeadbandPolicy(*BOUNDS, gain=-1.0)
+    cert = certify_policy(X5, pol, cert_config())
+    ok, witnesses = cert.clauses["lyapunov_decrease"]
+    assert not ok
+    assert witnesses and all("dt=0.01" in w for w in witnesses)
+
+
 def test_certificate_json_and_summary(tmp_path):
     pol = make_policy(9)
     cert = certify_policy(X5, pol, cert_config(rollouts=4), policy_id="demo")

@@ -309,7 +309,7 @@ def test_verify_accepts_constrained_policies():
     rng = np.random.default_rng(10)
     for _ in range(20):
         p = constrain(random_raw(rng, scale=2.0), BAND, EPS)
-        report = verify_monotone(p, samples=2000)
+        report = verify_monotone(p)
         assert report.passed, report.summary()
 
 
@@ -318,7 +318,7 @@ def test_verify_accepts_steep_sampler():
     for _ in range(10):
         raw = sample_raw_params(N, D, rng)
         p = constrain(raw, BAND, EPS)
-        assert verify_monotone(p, samples=2000).passed
+        assert verify_monotone(p).passed
 
 
 def test_verify_accepts_linear_deadband_as_stack():
@@ -326,7 +326,7 @@ def test_verify_accepts_linear_deadband_as_stack():
         wplus=np.array([[0.0, 1.0]]), bplus=np.array([[0.0, -1.05]]),
         wminus=np.array([[0.0, -1.0]]), bminus=np.array([[0.0, 0.95]]),
         v_lower=np.array([0.95]), v_upper=np.array([1.05]), eps=1e-3)
-    report = verify_monotone(p, samples=2000)
+    report = verify_monotone(p)
     assert report.passed
 
 
@@ -338,12 +338,44 @@ def test_verify_rejects_broken_prefix_sum():
         wminus=np.array([[0.0, -0.5, 0.0]]),
         bminus=np.array([[0.0, 0.95, 0.90]]),
         v_lower=np.array([0.95]), v_upper=np.array([1.05]), eps=1e-3)
-    report = verify_monotone(p, samples=4000)
+    report = verify_monotone(p)
     assert not report.passed
     ok, witnesses = report.clauses["nonincreasing"]
     assert not ok
-    # the violation is located just beyond the second kink at 1.10
+    # the violation is located just beyond the second kink at 1.10, on the
+    # first controllable bus (network id 1; bus 0 is the substation)
     assert any("1.1" in w for w in witnesses)
+    assert any("bus 1" in w for w in witnesses)
+
+
+def test_verify_rejects_slope_flip_far_outside_band():
+    # the slope turns positive past a kink at v = 1.70, far from the band
+    p = StackedReluParams(
+        wplus=np.array([[0.0, 0.5, -0.8]]),
+        bplus=np.array([[0.0, -1.05, -1.70]]),
+        wminus=np.array([[0.0, -0.5, 0.0]]),
+        bminus=np.array([[0.0, 0.95, 0.90]]),
+        v_lower=np.array([0.95]), v_upper=np.array([1.05]), eps=1e-3)
+    report = verify_monotone(p)
+    ok, witnesses = report.clauses["nonincreasing"]
+    assert not ok
+    assert any("1.7" in w for w in witnesses)
+
+
+def test_verify_rejects_flat_tail():
+    # the outer ramp cancels the slope beyond 1.10: bounded, not strict
+    p = StackedReluParams(
+        wplus=np.array([[0.0, 0.5, -0.5]]),
+        bplus=np.array([[0.0, -1.05, -1.10]]),
+        wminus=np.array([[0.0, -0.5, 0.0]]),
+        bminus=np.array([[0.0, 0.95, 0.90]]),
+        v_lower=np.array([0.95]), v_upper=np.array([1.05]), eps=1e-3)
+    report = verify_monotone(p)
+    assert report.clauses["nonincreasing"][0]
+    assert not report.clauses["strict_slope_outside"][0]
+    ok, witnesses = report.clauses["unbounded_tails"]
+    assert not ok
+    assert any("inf]" in w for w in witnesses)
 
 
 def test_verify_rejects_inverted_sign():
@@ -352,7 +384,7 @@ def test_verify_rejects_inverted_sign():
         wplus=-good.wplus, bplus=good.bplus, wminus=-good.wminus,
         bminus=good.bminus, v_lower=good.v_lower, v_upper=good.v_upper,
         eps=good.eps)
-    report = verify_monotone(flipped, samples=2000)
+    report = verify_monotone(flipped)
     assert not report.passed
 
 
@@ -373,6 +405,18 @@ def test_checkpoint_roundtrip(tmp_path):
     u1 = MonotonePolicy.from_raw(raw, BAND, EPS)(np.array([1.07, 0.9, 1.0]))
     u2 = MonotonePolicy.from_raw(raw2, band2, eps2)(np.array([1.07, 0.9, 1.0]))
     np.testing.assert_array_equal(u1, u2)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_checkpoint_with_overflowed_kinks_loads(tmp_path):
+    # spacings of 1e308 push later kinks to +inf: ramps that never activate
+    raw = sample_raw_params(N, D, np.random.default_rng(14))
+    raw.decr_pos[:, 2:4] = 1e308
+    assert np.isinf(constrain(raw, BAND, EPS).bplus).any()
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, raw, BAND, EPS)
+    raw2, band2, eps2 = load_checkpoint(path)
+    assert verify_monotone(constrain(raw2, band2, eps2)).passed
 
 
 def test_checkpoint_rejects_bad_version(tmp_path):

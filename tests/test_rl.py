@@ -369,7 +369,7 @@ def test_train_iterates_stay_monotone():
 
     def check(episode, raw):
         params = constrain(raw, BOUNDS, 1e-3)
-        report = verify_monotone(params, samples=400)
+        report = verify_monotone(params)
         seen.append(report.passed)
 
     train(env, small_cfg(episodes=4), episode_callback=check)
