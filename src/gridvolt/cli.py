@@ -141,6 +141,7 @@ def cmd_train(args):
         print(f"warning: training made {result.updates} updates and "
               f"{result.diverged_episodes} of {episodes} episodes diverged; "
               "the checkpoint is likely untrained", file=sys.stderr)
+        return 1
     return 0
 
 

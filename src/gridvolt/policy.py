@@ -128,8 +128,11 @@ def constrain(raw, band, eps=1e-3):
     bplus = np.zeros((n, d))
     bplus[:, 1] = -v_upper
     if d > 2:
-        bplus[:, 2:] = -v_upper[:, None] - np.cumsum(
-            softplus(raw.decr_pos[:, 2:]), axis=1)
+        # spacings near the float limit overflow, moving kinks to +-inf:
+        # ramps that never activate, which verify_monotone allows for
+        with np.errstate(over="ignore"):
+            bplus[:, 2:] = -v_upper[:, None] - np.cumsum(
+                softplus(raw.decr_pos[:, 2:]), axis=1)
 
     prefix_neg = -(eps + softplus(raw.slope_neg))
     wminus = np.empty((n, d))
@@ -140,8 +143,9 @@ def constrain(raw, band, eps=1e-3):
     bminus = np.zeros((n, d))
     bminus[:, 1] = v_lower
     if d > 2:
-        bminus[:, 2:] = v_lower[:, None] - np.cumsum(
-            softplus(raw.decr_neg[:, 2:]), axis=1)
+        with np.errstate(over="ignore"):
+            bminus[:, 2:] = v_lower[:, None] - np.cumsum(
+                softplus(raw.decr_neg[:, 2:]), axis=1)
 
     return StackedReluParams(wplus=wplus, bplus=bplus, wminus=wminus,
                              bminus=bminus, v_lower=v_lower, v_upper=v_upper,

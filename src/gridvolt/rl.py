@@ -76,6 +76,35 @@ def net_eval(net, x):
     return h[0] if single else h
 
 
+def _forward(net, h):
+    """Every layer's activations on a 2-d batch: [input, hidden..., output]."""
+    last = len(net.weights) - 1
+    acts = [h]
+    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = acts[-1] @ w + b
+        acts.append(np.maximum(z, 0.0) if k < last else z)
+    return acts
+
+
+def _backward(net, acts, upstream, param_grads=True):
+    """Reverse pass through the activations of ``_forward``.
+
+    Returns (parameter grads, input grad); the parameter grads are None when
+    ``param_grads`` is false. A hidden unit passes gradient where its
+    activation is positive, which is where its pre-activation was.
+    """
+    last = len(net.weights) - 1
+    grads = [None] * len(net.weights) if param_grads else None
+    delta = upstream
+    for k in range(last, -1, -1):
+        if k < last:
+            delta = delta * (acts[k + 1] > 0.0)
+        if param_grads:
+            grads[k] = (acts[k].T @ delta, delta.sum(axis=0))
+        delta = delta @ net.weights[k].T
+    return grads, delta
+
+
 def net_backprop(net, x, upstream):
     """Reverse-mode pass. Returns (parameter grads, input grad).
 
@@ -88,20 +117,7 @@ def net_backprop(net, x, upstream):
     upstream = np.asarray(upstream, dtype=float)
     if upstream.ndim == 1:
         upstream = upstream[None, :] if single else upstream[:, None]
-    last = len(net.weights) - 1
-    acts = [h]
-    pre = []
-    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = acts[-1] @ w + b
-        pre.append(z)
-        acts.append(np.maximum(z, 0.0) if k < last else z)
-    grads = [None] * len(net.weights)
-    delta = upstream
-    for k in range(last, -1, -1):
-        if k < last:
-            delta = delta * (pre[k] > 0.0)
-        grads[k] = (acts[k].T @ delta, delta.sum(axis=0))
-        delta = delta @ net.weights[k].T
+    grads, delta = _backward(net, _forward(net, h), upstream)
     return grads, (delta[0] if single else delta)
 
 
@@ -131,6 +147,9 @@ def soft_update(target, source, tau):
 # replay buffer
 # ---------------------------------------------------------------------------
 
+_FIELDS = ("v", "u", "r", "v_next")
+
+
 @dataclass(frozen=True)
 class Transition:
     """One interaction: voltages, applied actions, per-bus rewards, successor."""
@@ -141,48 +160,72 @@ class Transition:
     v_next: np.ndarray
 
     def __post_init__(self):
-        for name in ("v", "u", "r", "v_next"):
+        for name in _FIELDS:
             arr = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, arr)
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"non-finite transition field {name}")
 
 
+_FIRST_ROWS = 1024
+
+
 class ReplayBuffer:
-    """FIFO ring of transitions with seeded uniform sampling."""
+    """FIFO ring of transitions with seeded uniform sampling.
+
+    Each field is one (rows, ...) array. The arrays start at ``_FIRST_ROWS``
+    rows and double as the buffer fills, up to ``capacity`` rows, so a large
+    capacity costs memory only once it is used.
+    """
 
     def __init__(self, capacity, seed=0):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = int(capacity)
-        self._items = []
+        self._fields = None      # allocated on the first push
+        self._size = 0
         self._head = 0
         self._rng = np.random.default_rng(seed)
 
     def __len__(self):
-        return len(self._items)
+        return self._size
 
     def push(self, transition):
-        if len(self._items) < self.capacity:
-            self._items.append(transition)
+        row = [getattr(transition, name) for name in _FIELDS]
+        if self._fields is None:
+            rows = min(self.capacity, _FIRST_ROWS)
+            self._fields = [np.empty((rows, *f.shape)) for f in row]
+        if any(f.shape != arr.shape[1:] for f, arr in zip(row, self._fields)):
+            raise ValueError("transition field shapes differ from the "
+                             "buffer's")
+        if self._size < self.capacity:
+            rows = len(self._fields[0])
+            if self._size == rows:
+                grown = [np.empty((min(2 * rows, self.capacity),
+                                   *arr.shape[1:])) for arr in self._fields]
+                for new, arr in zip(grown, self._fields):
+                    new[:rows] = arr
+                self._fields = grown
+            i = self._size
+            self._size += 1
         else:
-            self._items[self._head] = transition
+            i = self._head
             self._head = (self._head + 1) % self.capacity
+        for arr, f in zip(self._fields, row):
+            arr[i] = f
 
     def snapshot(self):
         """Items oldest-first (test hook for the eviction contract)."""
-        return self._items[self._head:] + self._items[:self._head]
+        order = [*range(self._head, self._size), *range(self._head)]
+        return [Transition(*(arr[i].copy() for arr in self._fields))
+                for i in order]
 
     def sample(self, batch_size):
-        if batch_size > len(self._items):
+        if not 0 < batch_size <= self._size:
             raise ValueError(f"cannot sample {batch_size} transitions from a "
-                             f"buffer holding {len(self._items)}")
-        idx = self._rng.integers(0, len(self._items), size=batch_size)
-        v = np.stack([self._items[i].v for i in idx])
-        u = np.stack([self._items[i].u for i in idx])
-        r = np.stack([self._items[i].r for i in idx])
-        v_next = np.stack([self._items[i].v_next for i in idx])
-        return v, u, r, v_next
+                             f"buffer holding {self._size}")
+        idx = self._rng.integers(0, self._size, size=batch_size)
+        return tuple(arr[idx] for arr in self._fields)
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +317,13 @@ def critic_update(critic, critic_target, batch, u_next, cfg):
     s, u, r, s_next = batch
     q_next = net_eval(critic_target, np.hstack([s_next, u_next]))
     y = r + cfg.gamma * q_next
-    x = np.hstack([s, u])
-    q = net_eval(critic, x)
-    err = q - y
+    acts = _forward(critic, np.hstack([s, u]))
+    err = acts[-1] - y
     loss = float(np.mean(err ** 2))
     if not np.isfinite(loss):
         raise TrainingDiverged("temporal-difference loss is not finite")
     upstream = 2.0 * err / len(err)
-    grads, _ = net_backprop(critic, x, upstream)
+    grads, _ = _backward(critic, acts, upstream)
     sgd_step(critic, grads, cfg.critic_lr)
     return loss
 
@@ -289,11 +331,13 @@ def critic_update(critic, critic_target, batch, u_next, cfg):
 def q_action_grad(critic, s, u):
     """Critic value and its gradient with respect to the action block.
 
-    The action occupies the trailing columns of the critic input.
+    The action occupies the trailing columns of the critic input; the
+    backward pass skips the parameter gradients.
     """
-    x = np.hstack([s, u])
-    q = net_eval(critic, x)
-    _, input_grad = net_backprop(critic, x, np.ones_like(q))
+    acts = _forward(critic, np.hstack([s, u]))
+    q = acts[-1]
+    _, input_grad = _backward(critic, acts, np.ones_like(q),
+                              param_grads=False)
     return q, input_grad[:, s.shape[1]:]
 
 
@@ -362,7 +406,22 @@ def load_net_policy(path):
             for entry in data["nets"]]
     band = (np.array(data["band"]["v_lower"], dtype=float),
             np.array(data["band"]["v_upper"], dtype=float))
-    return _NetPolicy(nets, data["joint"]), band
+    # local scope: one 1 -> 1 net per bus; joint scope: one n -> n net
+    n, joint = len(band[0]), bool(data["joint"])
+    width = n if joint else 1
+    if len(nets) != (1 if joint else n):
+        raise ValueError(f"{'joint' if joint else 'local'} checkpoint has "
+                         f"{len(nets)} nets for {n} buses")
+    for k, net in enumerate(nets):
+        ws, bs = net.weights, net.biases
+        if not (ws and len(ws) == len(bs)
+                and all(w.ndim == 2 and b.shape == (w.shape[1],)
+                        for w, b in zip(ws, bs))
+                and all(a.shape[1] == b.shape[0] for a, b in zip(ws, ws[1:]))
+                and ws[0].shape[0] == width == ws[-1].shape[1]):
+            raise ValueError(f"net {k} is not a consistent {width} -> {width} "
+                             f"network")
+    return _NetPolicy(nets, joint), band
 
 
 @dataclass
@@ -402,16 +461,20 @@ class _NetPolicy:
         """Slope du_i/dv_i of each bus at (n,) or (S, n) voltages.
 
         Local nets give their input gradient; the joint net gives the
-        diagonal of its Jacobian, one backward pass per bus.
+        diagonal of its Jacobian, one input-only backward pass per bus
+        through a shared forward pass.
         """
         v = np.asarray(v, dtype=float)
         x = v.reshape(-1, v.shape[-1])
         ones = np.ones((len(x), 1))
         if self.joint:
-            cols = [net_backprop(self.nets[0], x, ones * e)[1][:, i]
+            acts = _forward(self.nets[0], x)
+            cols = [_backward(self.nets[0], acts, ones * e,
+                              param_grads=False)[1][:, i]
                     for i, e in enumerate(np.eye(x.shape[1]))]
         else:
-            cols = [net_backprop(net, x[:, i:i + 1], ones)[1][:, 0]
+            cols = [_backward(net, _forward(net, x[:, i:i + 1]), ones,
+                              param_grads=False)[1][:, 0]
                     for i, net in enumerate(self.nets)]
         return np.stack(cols, axis=-1).reshape(v.shape)
 

@@ -92,10 +92,11 @@ def test_train_and_certify_roundtrip(net_path, tmp_path, capsys):
     log = tmp_path / "log.csv"
     code = cli_main(["train", "--network", net_path, "--episodes", "2",
                      "--seed", "1", "--out", str(ckpt), "--log", str(log)])
-    assert code == 0
+    # two episodes never fill the replay buffer, so no update runs and the
+    # run fails, though it still writes its checkpoint and log
+    assert code == 1
     assert log.read_text().startswith(
         "episode,return,td_loss_mean,grad_norms,wall_ms")
-    # two episodes never fill the replay buffer, so no update runs
     assert "warning: training made 0 updates" in capsys.readouterr().err
     cert_out = tmp_path / "cert.json"
     code = cli_main(["certify", "--network", net_path,
@@ -109,6 +110,11 @@ def test_train_and_certify_roundtrip(net_path, tmp_path, capsys):
 
 def _inf_slope(data):
     data["buses"][0]["raw_slopes"][0][2] = float("inf")
+    return data
+
+
+def _drop_net(data):
+    del data["nets"][-1]
     return data
 
 
@@ -126,10 +132,12 @@ def _without(key):
     ("stable", _without("buses"), 4, "malformed"),
     ("stable", lambda data: [data], 4, "not a JSON object"),
     ("mlp", _without("nets"), 4, "bad checkpoint"),
+    ("mlp", _drop_net, 4, "local checkpoint has 3 nets for 4 buses"),
     ("stable", None, 16, "has 4 buses, the network has 16"),
     ("mlp", None, 16, "has 4 buses, the network has 16"),
 ], ids=["inf-slope", "no-band", "no-eps", "no-buses", "not-object",
-        "mlp-no-nets", "stable-on-16-buses", "mlp-on-16-buses"])
+        "mlp-no-nets", "mlp-net-missing", "stable-on-16-buses",
+        "mlp-on-16-buses"])
 def test_certify_rejects_corrupt_checkpoint(net_path, tmp_path, capsys,
                                             actor, edit, buses, message):
     # a checkpoint that is malformed, cannot rebuild a valid controller, or

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -407,16 +408,20 @@ def test_checkpoint_roundtrip(tmp_path):
     np.testing.assert_array_equal(u1, u2)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_checkpoint_with_overflowed_kinks_loads(tmp_path):
-    # spacings of 1e308 push later kinks to +inf: ramps that never activate
+    # spacings of 1e308 push later kinks to +inf: ramps that never activate;
+    # the overflow is expected, so no numpy warning may leak from it
     raw = sample_raw_params(N, D, np.random.default_rng(14))
     raw.decr_pos[:, 2:4] = 1e308
-    assert np.isinf(constrain(raw, BAND, EPS).bplus).any()
-    path = tmp_path / "ckpt.json"
-    save_checkpoint(path, raw, BAND, EPS)
-    raw2, band2, eps2 = load_checkpoint(path)
-    assert verify_monotone(constrain(raw2, band2, eps2)).passed
+    raw.decr_neg[:, 2:4] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        p = constrain(raw, BAND, EPS)
+        assert np.isinf(p.bplus).any() and np.isinf(p.bminus).any()
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, raw, BAND, EPS)
+        raw2, band2, eps2 = load_checkpoint(path)
+        assert verify_monotone(constrain(raw2, band2, eps2)).passed
 
 
 def test_checkpoint_rejects_bad_version(tmp_path):

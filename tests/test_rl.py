@@ -12,6 +12,7 @@ from gridvolt.policy import (
     verify_monotone,
 )
 from gridvolt.rl import (
+    _FIRST_ROWS,
     FeedForwardNet,
     ReplayBuffer,
     TrainConfig,
@@ -152,6 +153,66 @@ def test_backprop_dead_relu_zero_grads():
     np.testing.assert_array_equal(gin, 0.0)
 
 
+def reference_backprop(net, x, upstream):
+    """Reverse pass that keeps the pre-activations and masks on them."""
+    acts, pre = [x], []
+    last = len(net.weights) - 1
+    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = acts[-1] @ w + b
+        pre.append(z)
+        acts.append(np.maximum(z, 0.0) if k < last else z)
+    grads = [None] * len(net.weights)
+    delta = upstream
+    for k in range(last, -1, -1):
+        if k < last:
+            delta = delta * (pre[k] > 0.0)
+        grads[k] = (acts[k].T @ delta, delta.sum(axis=0))
+        delta = delta @ net.weights[k].T
+    return grads, delta
+
+
+def critic_with_dead_units(sizes, rng):
+    """A critic whose even hidden units never fire and some sit exactly at 0.
+
+    With zero biases on every fourth unit, an all-zero input row gives those
+    units a pre-activation of exactly 0.0, the edge of the ReLU mask.
+    """
+    net = FeedForwardNet.create(sizes, rng)
+    for b in net.biases[:-1]:
+        b[::2] = -1e3
+        b[1::4] = 0.0
+    return net
+
+
+def critic_cases():
+    rng = np.random.default_rng(21)
+    for sizes in ([2, 16, 1], [2, 16, 16, 1], [4, 12, 10, 8, 1]):
+        for dead in (False, True):
+            make = critic_with_dead_units if dead else FeedForwardNet.create
+            critic = make(sizes, rng)
+            m, half = 24, sizes[0] // 2
+            batch = (rng.uniform(0.9, 1.1, size=(m, half)),
+                     rng.normal(scale=0.5, size=(m, half)),
+                     rng.normal(size=(m, 1)),
+                     rng.uniform(0.9, 1.1, size=(m, half)))
+            if dead:
+                batch[0][0] = 0.0
+                batch[1][0] = 0.0
+            yield critic, batch, rng.normal(scale=0.5, size=(m, half))
+
+
+def test_backprop_equals_pre_activation_reference():
+    for critic, (s, u, _, _), _ in critic_cases():
+        x = np.hstack([s, u])
+        upstream = np.random.default_rng(3).normal(size=(len(x), 1))
+        grads, gin = net_backprop(critic, x, upstream)
+        ref_grads, ref_gin = reference_backprop(critic, x, upstream)
+        np.testing.assert_array_equal(gin, ref_gin)
+        for (dw, db), (rw, rb) in zip(grads, ref_grads):
+            np.testing.assert_array_equal(dw, rw)
+            np.testing.assert_array_equal(db, rb)
+
+
 # ---------------------------------------------------------------------------
 # soft updates
 # ---------------------------------------------------------------------------
@@ -226,6 +287,73 @@ def test_buffer_uniform_sampling():
     assert np.all(np.abs(counts - draws * p) < 5 * sigma)
 
 
+class ListReplayBuffer:
+    """A list of transitions stacked on sampling: the reference layout."""
+
+    def __init__(self, capacity, seed):
+        self.capacity = capacity
+        self.items = []
+        self.head = 0
+        self.rng = np.random.default_rng(seed)
+
+    def push(self, t):
+        if len(self.items) < self.capacity:
+            self.items.append(t)
+        else:
+            self.items[self.head] = t
+            self.head = (self.head + 1) % self.capacity
+
+    def sample(self, batch_size):
+        idx = self.rng.integers(0, len(self.items), size=batch_size)
+        return tuple(np.stack([getattr(self.items[i], name) for i in idx])
+                     for name in ("v", "u", "r", "v_next"))
+
+
+@pytest.mark.parametrize("capacity, pushes", [
+    (4 * _FIRST_ROWS, _FIRST_ROWS // 2),          # still filling
+    (4 * _FIRST_ROWS, _FIRST_ROWS + 300),         # across a growth boundary
+    (_FIRST_ROWS + 200, 3 * _FIRST_ROWS),         # grown, then wrapped
+    (50, 130),                                    # wrapped in the first rows
+], ids=["filling", "grown", "grown-wrapped", "small-wrapped"])
+def test_buffer_sample_equals_list_reference(capacity, pushes):
+    rng = np.random.default_rng(capacity + pushes)
+    buf = ReplayBuffer(capacity, seed=9)
+    ref = ListReplayBuffer(capacity, seed=9)
+    for k in range(pushes):
+        t = Transition(v=rng.normal(size=3), u=rng.normal(size=3),
+                       r=rng.normal(size=3), v_next=rng.normal(size=3))
+        buf.push(t)
+        ref.push(t)
+        if k % 97 == 96 or k == pushes - 1:
+            for got, want in zip(buf.sample(32), ref.sample(32)):
+                np.testing.assert_array_equal(got, want)
+    assert len(buf) == len(ref.items) == min(capacity, pushes)
+    oldest_first = ref.items[ref.head:] + ref.items[:ref.head]
+    for got, want in zip(buf.snapshot(), oldest_first, strict=True):
+        for name in ("v", "u", "r", "v_next"):
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(want, name))
+
+
+def test_buffer_eviction_past_first_allocation():
+    capacity = _FIRST_ROWS + 10
+    buf = ReplayBuffer(capacity, seed=0)
+    total = capacity + 500     # overwrites the oldest 500, keeps the rest
+    for k in range(total):
+        buf.push(tr(k))
+    assert len(buf) == capacity
+    held = [t.v[0] for t in buf.snapshot()]
+    assert held == list(map(float, range(total - capacity, total)))
+
+
+def test_buffer_rejects_mismatched_widths():
+    buf = ReplayBuffer(capacity=5, seed=0)
+    buf.push(tr(1))
+    arr = np.zeros(2)
+    with pytest.raises(ValueError, match="shapes"):
+        buf.push(Transition(v=arr, u=arr, r=arr, v_next=arr))
+
+
 def test_transition_rejects_nonfinite():
     with pytest.raises(ValueError, match="non-finite"):
         Transition(v=np.array([np.inf]), u=np.zeros(1), r=np.zeros(1),
@@ -274,6 +402,47 @@ def test_critic_loss_nonnegative_and_duplicate_batch():
     loss_rep = critic_update(critic.copy(), target, rep, np.zeros((8, 1)), cfg)
     assert loss_one >= 0.0
     assert loss_rep == pytest.approx(loss_one, rel=1e-12)
+
+
+def reference_critic_update(critic, critic_target, batch, u_next, cfg):
+    """The TD step composed from separate forward and backward passes."""
+    s, u, r, s_next = batch
+    y = r + cfg.gamma * net_eval(critic_target, np.hstack([s_next, u_next]))
+    x = np.hstack([s, u])
+    err = net_eval(critic, x) - y
+    grads, _ = net_backprop(critic, x, 2.0 * err / len(err))
+    sgd_step(critic, grads, cfg.critic_lr)
+    return float(np.mean(err ** 2))
+
+
+def reference_q_action_grad(critic, s, u):
+    x = np.hstack([s, u])
+    q = net_eval(critic, x)
+    _, gin = net_backprop(critic, x, np.ones_like(q))
+    return q, gin[:, s.shape[1]:]
+
+
+def test_critic_update_bit_equals_reference():
+    cfg = TrainConfig(gamma=0.9, critic_lr=0.05, batch_size=16)
+    for critic, batch, u_next in critic_cases():
+        target = critic.copy()
+        ref = critic.copy()
+        for _ in range(3):
+            loss = critic_update(critic, target, batch, u_next, cfg)
+            assert loss == reference_critic_update(ref, target, batch,
+                                                   u_next, cfg)
+        for a, b in zip(critic.weights + critic.biases,
+                        ref.weights + ref.biases):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_q_action_grad_bit_equals_reference():
+    for critic, (s, u, _, _), _ in critic_cases():
+        q, dq = q_action_grad(critic, s, u)
+        q_ref, dq_ref = reference_q_action_grad(critic, s, u)
+        np.testing.assert_array_equal(q, q_ref)
+        np.testing.assert_array_equal(dq, dq_ref)
+        assert dq.shape == u.shape
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +614,23 @@ def test_net_policy_batch_equals_row_by_row(tmp_path, joint):
     assert batch.shape == (7, n)
     np.testing.assert_array_equal(batch, np.array([pol(row) for row in v]))
     assert pol(v[0]).shape == (n,)
+
+
+@pytest.mark.parametrize("joint, sizes, count, message", [
+    (False, [1, 8, 1], 3, "local checkpoint has 3 nets for 4 buses"),
+    (True, [4, 8, 4], 2, "joint checkpoint has 2 nets for 4 buses"),
+    (False, [2, 8, 1], 4, "not a consistent 1 -> 1"),
+    (True, [4, 8, 1], 1, "not a consistent 4 -> 4"),
+])
+def test_load_net_policy_rejects_nets_that_miss_the_band(tmp_path, joint,
+                                                         sizes, count,
+                                                         message):
+    rng = np.random.default_rng(8)
+    nets = [FeedForwardNet.create(sizes, rng) for _ in range(count)]
+    path = tmp_path / "mlp.json"
+    save_net_policy(str(path), nets, joint, BOUNDS)
+    with pytest.raises(ValueError, match=message):
+        load_net_policy(str(path))
 
 
 def relu_pattern(net, x):
