@@ -239,7 +239,8 @@ def rollout_batch(policy, X, v_env, q0, T, dt, cp, bounds,
     ``v_env`` is either a constant (S, n) block or a per-step (T+1, S, n)
     series replayed row by row (then T may be None). ``policy`` maps an
     (S, n) block of voltages to an (S, n) block of actions row-wise, and an
-    (n,) vector to an (n,) action; custom callables must do both.
+    (n,) vector to an (n,) action; custom callables must do both, and must
+    not write to the voltages they are given (a view of the record).
 
     A scenario whose voltage magnitude exceeds ``blowup``, or whose action
     is not finite, is cut at that step, flagged as diverged and frozen; the
@@ -267,24 +268,29 @@ def rollout_batch(policy, X, v_env, q0, T, dt, cp, bounds,
     steps = np.full(S, T)
     q[0] = q0
     v[0] = _row_matvec(X, q0) + (v_env[0] if series else v_env)
-    live = np.arange(S)
+    # every row live: step on basic slices (views); index arrays only from
+    # the first cut on. Each cut test is one whole-block reduction, and the
+    # per-row mask is built only when it fires.
+    live = slice(None)
     for t in range(T):
         v_t = v[t, live]
-        cut = np.abs(v_t).max(axis=1) > blowup
-        if cut.any():
+        if len(v_t) and np.abs(v_t).max() > blowup:
+            cut = np.abs(v_t).max(axis=1) > blowup
+            live = np.arange(S)[live]
             steps[live[cut]] = t
             live, v_t = live[~cut], v_t[~cut]
-        if len(live) == 0:
+        if len(v_t) == 0:
             break
         u_t = np.asarray(policy(v_t), dtype=float)
         if u_t.shape != v_t.shape:
             raise ValueError(f"action shape {u_t.shape} does not match state "
                              f"{v_t.shape}")
-        cut = ~np.isfinite(u_t).all(axis=1)
-        if cut.any():
+        if not np.isfinite(u_t).all():
+            cut = ~np.isfinite(u_t).all(axis=1)
+            live = np.arange(S)[live]
             steps[live[cut]] = t
             live, v_t, u_t = live[~cut], v_t[~cut], u_t[~cut]
-            if len(live) == 0:
+            if len(v_t) == 0:
                 break
         dev = band_violation(v_t, bounds)
         c = row_dot(cp.eta1 * dev, dev) + cp.eta2 * row_dot(u_t, u_t)

@@ -5,9 +5,10 @@ the closed-loop vector field: with voltage dynamics driven through the
 sensitivity matrix, V(v) = 0.5 * g(v)' X g(v) where g is the controller.
 For any controller that is zero on the band, strictly decreasing outside
 it, and unbounded in the tails, V decreases along trajectories and the
-voltages converge to the band. This module spot-checks those conditions on
-grids and simulated rollouts and emits a machine-readable certificate with
-witnesses for every violated clause.
+voltages converge to the band. This module checks the slope conditions
+exactly at the kinks of a monotone ramp controller and on sampled grids for
+any other policy, runs seeded rollouts, and emits a machine-readable
+certificate with witnesses for every violated clause.
 """
 
 import json
@@ -17,6 +18,7 @@ import numpy as np
 
 from .dynamics import (CostParams, dist_to_band, make_suite, rollout_batch,
                        row_dot)
+from .policy import MonotonePolicy, verify_monotone
 from .util import config_hash
 
 _CROSS_CHECK_TOL = 1e-9
@@ -67,7 +69,13 @@ def equilibrium_check(policy, v):
 
 @dataclass(frozen=True)
 class CertifyConfig:
-    """Sampling plan for a stability certificate."""
+    """Sampling plan for a stability certificate.
+
+    ``grid_points``, ``joint_samples`` and ``margin`` set the sampled slope
+    window [v_lower - margin, v_upper + margin]; only policies without ramp
+    kinks (MLP, droop, custom) use it, a ``MonotonePolicy`` is checked
+    exactly on the whole real line. All fields stay in the config hash.
+    """
 
     v_lower: tuple
     v_upper: tuple
@@ -180,11 +188,17 @@ def decrease_violations(X, policy, runs, kappa):
 
 
 def certify_policy(X, policy, cfg, policy_id="policy"):
-    """Run the sampled stability conditions and collect a certificate.
+    """Run the stability conditions and collect a certificate.
 
     Clauses:
-      * jacobian_nonpositive      every bus slope <= 0 at every sample;
-      * jacobian_strict_outside   slope <= -eps at out-of-band samples;
+      * jacobian_nonpositive      every bus slope <= 0;
+      * jacobian_strict_outside   slope <= -cfg.eps outside the band;
+                                  for a MonotonePolicy both slope clauses
+                                  are exact on the whole real line
+                                  (``verify_monotone`` at the ramp kinks,
+                                  stricter than sampling), for any other
+                                  policy they are checked on per-bus sweeps
+                                  and joint random samples of the window;
       * lyapunov_decrease         energy nonincreasing along seeded rollouts,
                                   up to an integrator slack of
                                   kappa * dt^2 * |u|^2 per step (kappa from
@@ -201,7 +215,6 @@ def certify_policy(X, policy, cfg, policy_id="policy"):
     hi = np.asarray(cfg.v_upper, dtype=float)
     n = len(lo)
     bounds = (lo, hi)
-    rng = np.random.default_rng(cfg.seed)
 
     clauses = {"jacobian_nonpositive": (True, []),
                "jacobian_strict_outside": (True, []),
@@ -215,30 +228,44 @@ def certify_policy(X, policy, cfg, policy_id="policy"):
             wit.append(witness)
         clauses[clause] = (False, wit)
 
-    # -- pointwise slope conditions: per-bus sweeps plus joint random probes
-    sweeps = np.stack([np.linspace(lo[i] - cfg.margin, hi[i] + cfg.margin,
-                                   cfg.grid_points) for i in range(n)], axis=1)
-    joint = rng.uniform(lo - cfg.margin, hi + cfg.margin,
-                        size=(cfg.joint_samples, n))
-    strict_floor = -cfg.eps * (1.0 - 1e-9)
-    for block in (sweeps, joint):
-        slopes = np.asarray(policy.input_grad(block), dtype=float)
-        over = slopes > 0.0
-        for k, b in list(zip(*np.nonzero(over)))[:10]:
-            fail("jacobian_nonpositive",
-                 f"bus {b + 1}: slope {slopes[k, b]:.3e} > 0 "
-                 f"at v={block[k, b]:.6f}")
-        outside = (block > hi) | (block < lo)
-        loose = outside & (slopes > strict_floor)
-        for k, b in list(zip(*np.nonzero(loose)))[:10]:
-            fail("jacobian_strict_outside",
-                 f"bus {b + 1}: slope {slopes[k, b]:.3e} > -eps "
-                 f"at v={block[k, b]:.6f}")
+    # -- pointwise slope conditions
+    if isinstance(policy, MonotonePolicy):
+        # exact on the whole real line: the controller is linear between
+        # its ramp kinks and band edges
+        exact = verify_monotone(policy.params, eps=cfg.eps, band=bounds)
+        for clause, source in (("jacobian_nonpositive", "nonincreasing"),
+                               ("jacobian_strict_outside",
+                                "strict_slope_outside")):
+            for witness in exact.clauses[source][1]:
+                fail(clause, witness)
+        gain = policy.max_gain()
+    else:
+        # per-bus sweeps plus joint random probes over the sampled window
+        sweeps = np.stack([np.linspace(lo[i] - cfg.margin,
+                                       hi[i] + cfg.margin, cfg.grid_points)
+                           for i in range(n)], axis=1)
+        joint = np.random.default_rng(cfg.seed).uniform(
+            lo - cfg.margin, hi + cfg.margin, size=(cfg.joint_samples, n))
+        strict_floor = -cfg.eps * (1.0 - 1e-9)
+        for block in (sweeps, joint):
+            slopes = np.asarray(policy.input_grad(block), dtype=float)
+            over = slopes > 0.0
+            for k, b in list(zip(*np.nonzero(over)))[:10]:
+                fail("jacobian_nonpositive",
+                     f"bus {b + 1}: slope {slopes[k, b]:.3e} > 0 "
+                     f"at v={block[k, b]:.6f}")
+            outside = (block > hi) | (block < lo)
+            loose = outside & (slopes > strict_floor)
+            for k, b in list(zip(*np.nonzero(loose)))[:10]:
+                fail("jacobian_strict_outside",
+                     f"bus {b + 1}: slope {slopes[k, b]:.3e} > -eps "
+                     f"at v={block[k, b]:.6f}")
+        gain = _policy_max_gain(policy, sweeps[::50])
 
     # -- trajectory conditions
     eigs = np.linalg.eigvalsh(X)
     x_norm = float(np.max(np.abs(eigs)))
-    gain = max(_policy_max_gain(policy, [sweeps[k] for k in range(0, len(sweeps), 50)]), 1.0)
+    gain = max(gain, 1.0)
     kappa = gain ** 2 * x_norm ** 3
     suite = make_suite(n, cfg.rollouts, seed=cfg.seed + 1)
     cp = CostParams()

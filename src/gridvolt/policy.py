@@ -324,20 +324,28 @@ class MonotoneReport:
 _SLOPE_RTOL = 1e-9
 
 
-def verify_monotone(p):
+def verify_monotone(p, eps=None, band=None):
     """Exact check of the deadband-controller contract for every bus.
 
     Each controller is linear between its sorted ramp kinks and band edges,
     so the values there and each piece's right-hand slope decide, on the
     whole real line: (a) exact zero on the band, (b) no piece rises, (c)
     slope <= -eps outside the band, (d) tail slopes >= eps in magnitude.
-    Witnesses name buses by network id (bus 0 is the substation).
+    ``eps`` and ``band`` default to the controller's own; another band's
+    edges join the breakpoints. Witnesses name buses by network id (bus 0
+    is the substation).
     """
+    eps = p.eps if eps is None else eps
+    edges = [p.v_lower, p.v_upper]
+    if band is not None:
+        edges += [np.asarray(band[0], dtype=float),
+                  np.asarray(band[1], dtype=float)]
+    v_lower, v_upper = edges[-2:]
     kinks = np.concatenate([-p.bplus, p.bminus], axis=1).T       # (2d, n)
     # a kink that overflowed to +-inf belongs to a ramp that never activates
     kinks = np.where(np.isfinite(kinks), kinks, p.v_upper)
-    pts = np.sort(np.vstack([kinks, p.v_lower, p.v_upper]), axis=0)
-    pts = np.vstack([np.nextafter(pts[0], -np.inf), pts])        # (2d+3, n)
+    pts = np.sort(np.vstack([kinks, *edges]), axis=0)
+    pts = np.vstack([np.nextafter(pts[0], -np.inf), pts])  # (2d+3 or 2d+5, n)
     # values at far kinks may overflow; only in-band values and slopes count
     with np.errstate(over="ignore", invalid="ignore"):
         u = policy_eval(p, pts)
@@ -346,11 +354,11 @@ def verify_monotone(p):
     lefts = np.vstack([np.full(p.n, -np.inf), pts[1:]])
     rights = np.vstack([pts[1:], np.full(p.n, np.inf)])
     real = rights > lefts
-    outside = (lefts < p.v_lower) | (lefts >= p.v_upper)
+    outside = (lefts < v_lower) | (lefts >= v_upper)
     tails = np.isinf(lefts) | np.isinf(rights)
-    floor = p.eps * (1.0 - _SLOPE_RTOL)
+    floor = eps * (1.0 - _SLOPE_RTOL)
     failing = {
-        "zero_in_band": (pts >= p.v_lower) & (pts <= p.v_upper) & (u != 0.0),
+        "zero_in_band": (pts >= v_lower) & (pts <= v_upper) & (u != 0.0),
         "nonincreasing": real & (du > 0.0),
         "strict_slope_outside": real & outside & (du > -floor),
         "unbounded_tails": tails & (np.abs(du) < floor),
@@ -362,7 +370,7 @@ def verify_monotone(p):
                for b, k in list(zip(*np.nonzero(mask.T)))[:10]]
         clauses[name] = (not wit, wit)
     passed = all(ok for ok, _ in clauses.values())
-    return MonotoneReport(passed=passed, clauses=clauses, eps=p.eps)
+    return MonotoneReport(passed=passed, clauses=clauses, eps=eps)
 
 
 # ---------------------------------------------------------------------------

@@ -547,16 +547,17 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
                                 gain_range=cfg.init_gain, eps=cfg.eps)
         target_raw = raw.copy()
         init_raw = raw.copy()
-
-        def greedy(v):
-            return MonotonePolicy.from_raw(raw, band, cfg.eps)(v)
     else:
         actor_nets = [FeedForwardNet.create([dim, *cfg.actor_hidden, dim],
                                             init_rng) for _ in agent_cols]
         actor_targets = [net.copy() for net in actor_nets]
 
-        def greedy(v):
-            return _NetPolicy(actor_nets, joint)(v)
+    def greedy_policy():
+        # the actor only changes in the update phase, so one build serves a
+        # whole episode's collection
+        if actor_kind == "stable":
+            return MonotonePolicy.from_raw(raw, band, cfg.eps)
+        return _NetPolicy(actor_nets, joint)
 
     log = []
     diverged_episodes = 0
@@ -567,6 +568,7 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
         t0 = time.perf_counter()
         v_env, q0 = env.sample_start(scen_rng)
         state = GridState.from_env(env.X, v_env, q0)
+        greedy = greedy_policy()
         ep_return = 0.0
         diverged = False
         for t in range(cfg.episode_len):
@@ -632,11 +634,7 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
             episode_callback(episode, raw if actor_kind == "stable"
                              else actor_nets)
 
-    if actor_kind == "stable":
-        policy = MonotonePolicy.from_raw(raw, band, cfg.eps)
-    else:
-        policy = _NetPolicy(actor_nets, joint)
-    return TrainResult(policy=policy, log=log, config=cfg,
+    return TrainResult(policy=greedy_policy(), log=log, config=cfg,
                        actor_kind=actor_kind, raw=raw, init_raw=init_raw,
                        actor_nets=actor_nets, critics=critics, band=band,
                        diverged_episodes=diverged_episodes, updates=updates)

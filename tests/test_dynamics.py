@@ -403,3 +403,68 @@ def test_single_rollout_is_one_engine_row():
                          dt=0.1, cp=CP, bounds=MIXED_BOUNDS)
     np.testing.assert_array_equal(traj.v, runs.trajectory(0).v)
     np.testing.assert_array_equal(traj.u, runs.trajectory(0).u)
+
+
+# ---------------------------------------------------------------------------
+# the engine steps on slices until the first cut, then on index arrays
+# ---------------------------------------------------------------------------
+
+def counting(calls):
+    def policy(v):
+        calls.append(len(v))
+        return mixed_policy(v)
+    return policy
+
+
+def test_engine_first_cut_after_all_rows_ran_live():
+    # all rows live for 5 steps; row 1 blows up at step 5 (the switch to
+    # index arrays), row 2's action turns NaN at step 9 (a later cut)
+    T, dt = 30, 0.1
+    series = np.tile(MIXED_ENV[[0, 3, 3]], (T + 1, 1, 1))
+    series[5:, 1] = 11.0
+    series[9:, 2] = 0.2
+    q0 = MIXED_Q0[:3]
+    calls = []
+    runs = rollout_batch(counting(calls), MIXED_X, series, q0, T=None,
+                         dt=dt, cp=CP, bounds=MIXED_BOUNDS)
+    assert_rows_match_reference(runs, series, q0, dt)
+    np.testing.assert_array_equal(runs.steps, [T, 5, 9])
+    assert calls == [3] * 5 + [2] * 5 + [1] * (T - 10)
+
+
+@pytest.mark.parametrize("env, calls_made", [
+    (np.full((3, 4), 11.0), []),                          # all blown up
+    (np.full((3, 4), -11.0), []),                         # ... below -blowup
+    (np.full((3, 4), 0.2), [3]),                          # all actions NaN
+    (np.array([[11.0] * 4, [0.2] * 4, [-12.0] * 4]), [1]),  # both kinds
+])
+def test_engine_cuts_every_row_at_step_zero(env, calls_made):
+    T, dt = 10, 0.1
+    q0 = MIXED_Q0[:3]
+    calls = []
+    runs = rollout_batch(counting(calls), MIXED_X, env, q0, T=T, dt=dt,
+                         cp=CP, bounds=MIXED_BOUNDS)
+    assert_rows_match_reference(runs, np.tile(env, (T + 1, 1, 1)), q0, dt)
+    np.testing.assert_array_equal(runs.steps, 0)
+    assert runs.diverged.all()
+    np.testing.assert_array_equal(runs.v, np.broadcast_to(runs.v[0],
+                                                          runs.v.shape))
+    np.testing.assert_array_equal(runs.u, 0.0)
+    # blown-up rows are cut before the policy sees them
+    assert calls == calls_made
+
+
+def test_engine_blowup_and_nonfinite_cut_in_one_step():
+    # rows 0 and 1 run live until step 6, where row 0's disturbance blows
+    # past the bound and row 1's drives its action to NaN; row 2 runs on
+    T, dt, k = 30, 0.1, 6
+    series = np.tile(MIXED_ENV[[0, 0, 3]], (T + 1, 1, 1))
+    series[k:, 0] = 11.0
+    series[k:, 1] = 0.2
+    q0 = MIXED_Q0[:3]
+    calls = []
+    runs = rollout_batch(counting(calls), MIXED_X, series, q0, T=None,
+                         dt=dt, cp=CP, bounds=MIXED_BOUNDS)
+    assert_rows_match_reference(runs, series, q0, dt)
+    np.testing.assert_array_equal(runs.steps, [k, k, T])
+    assert calls == [3] * k + [2] + [1] * (T - k - 1)

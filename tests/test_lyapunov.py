@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -19,10 +21,12 @@ from gridvolt.lyapunov import (
 from gridvolt.policy import (
     LinearDeadbandPolicy,
     MonotonePolicy,
+    RawPolicyParams,
     StackedReluParams,
     ZeroPolicy,
     sample_raw_params,
 )
+from gridvolt.util import config_hash
 
 NET = five_bus_fixture()
 X5 = build_sensitivity(NET).X
@@ -265,3 +269,119 @@ def test_decrease_violations_match_per_step_energy():
                 for s in range(len(suite))]
         assert any(got)
         assert got == want
+
+
+# ---------------------------------------------------------------------------
+# slope clauses: exact at the kinks of a monotone controller, sampled otherwise
+# ---------------------------------------------------------------------------
+
+class Sampled:
+    """A monotone controller seen only through its calls: no kink structure,
+    so certify_policy samples its slopes."""
+
+    def __init__(self, pol):
+        self.pol = pol
+
+    def __call__(self, v):
+        return self.pol(v)
+
+    def input_grad(self, v):
+        return self.pol.input_grad(v)
+
+    def max_gain(self):
+        return self.pol.max_gain()
+
+
+def flip_far_outside_policy():
+    # gain-20 ramps on every bus; bus 2's slope turns positive past a kink
+    # at v = 1.70, outside the sampled window [0.45, 1.55]
+    n = NET.n
+    wplus = np.tile([0.0, 20.0, 0.0], (n, 1))
+    wplus[1, 2] = -20.5
+    return MonotonePolicy(StackedReluParams(
+        wplus=wplus, bplus=np.tile([0.0, -1.05, -1.70], (n, 1)),
+        wminus=np.tile([0.0, -20.0, 0.0], (n, 1)),
+        bminus=np.tile([0.0, 0.95, 0.90], (n, 1)),
+        v_lower=BOUNDS[0], v_upper=BOUNDS[1], eps=1e-3))
+
+
+def test_certificate_rejects_slope_flip_outside_sampled_window():
+    pol = flip_far_outside_policy()
+    cert = certify_policy(X5, pol, cert_config(rollouts=6))
+    ok, witnesses = cert.clauses["jacobian_nonpositive"]
+    assert not ok and witnesses
+    assert all(w.startswith("bus 2: ") for w in witnesses)
+    assert any("[1.700000, inf]" in w for w in witnesses)
+    assert not cert.clauses["jacobian_strict_outside"][0]
+    assert cert.clauses["convergence_to_band"][0]
+    assert not cert.passed
+    # the sampled window never reaches the flip
+    sampled = certify_policy(X5, Sampled(pol), cert_config(rollouts=6))
+    assert sampled.passed, sampled.summary()
+
+
+def flat_policy(eps, raw_slope):
+    n, d = NET.n, 8
+    slope = np.full((n, d), raw_slope)
+    spacing = np.full((n, d), -3.0)
+    raw = RawPolicyParams(slope_pos=slope, decr_pos=spacing,
+                          slope_neg=slope, decr_neg=spacing)
+    return MonotonePolicy.from_raw(raw, BOUNDS, eps=eps)
+
+
+@pytest.mark.parametrize("policy_eps, cfg_eps, raw_slope", [
+    (1e-4, 1e-3, -50.0),    # slopes near 1e-4: below the certificate's floor
+    (1e-2, 1e-3, -50.0),    # slopes near 1e-2: above it
+    (1e-4, 1e-3, 3.0),      # steep despite a small checkpoint eps
+    (1e-3, 5.0, 3.0),       # a floor steeper than the controller
+])
+def test_strict_slope_floor_comes_from_the_config(policy_eps, cfg_eps,
+                                                  raw_slope):
+    pol = flat_policy(policy_eps, raw_slope)
+    cfg = cert_config(rollouts=2, eps=cfg_eps)
+    exact = certify_policy(X5, pol, cfg)
+    sampled = certify_policy(X5, Sampled(pol), cfg)
+    for clause in ("jacobian_nonpositive", "jacobian_strict_outside"):
+        assert exact.clauses[clause][0] == sampled.clauses[clause][0]
+    assert exact.tolerances == sampled.tolerances
+
+
+def test_certificate_judges_slopes_against_its_own_band():
+    # a controller quiet on [0.95, 1.05] certified against [0.97, 1.03]:
+    # slope 0 between the two edges is outside the certified band
+    pol = make_policy(12)
+    narrow = cert_config(rollouts=2, v_lower=(0.97,) * NET.n,
+                         v_upper=(1.03,) * NET.n)
+    cert = certify_policy(X5, pol, narrow)
+    ok, witnesses = cert.clauses["jacobian_strict_outside"]
+    assert not ok
+    assert any("[1.030000, 1.050000]" in w for w in witnesses)
+    assert not certify_policy(X5, Sampled(pol), narrow).clauses[
+        "jacobian_strict_outside"][0]
+
+
+def test_policy_without_kinks_keeps_sampled_slope_witnesses():
+    class Bumpy(LinearDeadbandPolicy):
+        # claims a positive slope on (1.20, 1.30), inside the sampled window
+        def input_grad(self, v):
+            v = np.asarray(v, dtype=float)
+            bump = (v > 1.20) & (v < 1.30)
+            return np.where(bump, 0.1, super().input_grad(v))
+
+    cert = certify_policy(X5, Bumpy(*BOUNDS, gain=20.0), cert_config())
+    ok, witnesses = cert.clauses["jacobian_nonpositive"]
+    assert not ok and witnesses
+    for w in witnesses:
+        assert re.fullmatch(r"bus [1-4]: slope 1\.000e-01 > 0 at v=1\.2\d{5}",
+                            w), w
+
+
+def test_monotone_certificate_keeps_config_and_hash():
+    pol = make_policy(13)
+    cfg = cert_config(rollouts=3)
+    cert = certify_policy(X5, pol, cfg)
+    assert cert.config == cfg.to_dict()
+    assert cert.config_hash == config_hash(cfg.to_dict())
+    assert list(cert.clauses) == ["jacobian_nonpositive",
+                                  "jacobian_strict_outside",
+                                  "lyapunov_decrease", "convergence_to_band"]
