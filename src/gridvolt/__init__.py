@@ -9,7 +9,6 @@ numerically, and benchmarks them against droop and unconstrained baselines.
 from .bench import EvalReport, control_energy, evaluate, transient_cost
 from .dynamics import (
     CostParams,
-    GridState,
     Rollouts,
     ScenarioConfig,
     Trajectory,

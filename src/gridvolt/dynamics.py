@@ -7,10 +7,7 @@ import numpy as np
 
 DEFAULT_DT = 0.1
 BLOWUP_BOUND = 10.0
-
-
-class DivergenceError(RuntimeError):
-    """Raised when the integrator is driven by non-finite inputs."""
+SCENARIO_KINDS = ("high", "low", "mixed")
 
 
 @dataclass(frozen=True)
@@ -26,40 +23,6 @@ class CostParams:
             raise ValueError("eta1, eta2 must be nonnegative and not both zero")
         if not (0.0 < self.gamma <= 1.0):
             raise ValueError("gamma must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
-class GridState:
-    """Reactive injections q, resulting voltages v, and exogenous v_env.
-
-    v is always recomputed as X q + v_env; it is never mutated independently,
-    so v - X q stays equal to v_env bit for bit along a trajectory.
-    """
-
-    q: np.ndarray
-    v: np.ndarray
-    v_env: np.ndarray
-
-    @classmethod
-    def from_env(cls, X, v_env, q0=None):
-        v_env = np.asarray(v_env, dtype=float)
-        q = np.zeros_like(v_env) if q0 is None else np.asarray(q0, dtype=float)
-        return cls(q=q, v=X @ q + v_env, v_env=v_env)
-
-
-def step(state, u, dt, X):
-    """One forward-Euler step: the action is the rate of change of q."""
-    u = np.asarray(u, dtype=float)
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if u.shape != state.q.shape:
-        raise ValueError(f"action shape {u.shape} does not match state "
-                         f"{state.q.shape}")
-    if not np.all(np.isfinite(u)):
-        raise DivergenceError("non-finite control input; the policy driving "
-                              "this trajectory has diverged")
-    q_next = state.q + dt * u
-    return GridState(q=q_next, v=X @ q_next + state.v_env, v_env=state.v_env)
 
 
 def band_violation(v, bounds):
@@ -81,9 +44,14 @@ def dist_to_band(v, bounds):
 
 
 def stage_cost(v, u, bounds, cp):
-    """Quadratic cost on band violation plus quadratic cost on the action."""
+    """Quadratic cost on band violation plus quadratic cost on the action.
+
+    A float for one (n,) state and action; an (S,) array for (S, n) blocks,
+    bit-equal to the per-row costs.
+    """
     dev = band_violation(v, bounds)
-    return float(cp.eta1 * dev @ dev + cp.eta2 * np.dot(u, u))
+    c = row_dot(cp.eta1 * dev, dev) + cp.eta2 * row_dot(u, u)
+    return float(c) if dev.ndim == 1 else c
 
 
 @dataclass(frozen=True)
@@ -104,7 +72,7 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("high", "low", "mixed"):
+        if self.kind not in SCENARIO_KINDS:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if self.kind == "mixed" and self.n < 2:
             raise ValueError("mixed scenarios need at least two buses")
@@ -136,7 +104,7 @@ def sample_scenario(cfg, rng=None):
     return v_env, np.zeros(n)
 
 
-def make_suite(n, count, seed, kinds=("high", "low", "mixed")):
+def make_suite(n, count, seed, kinds=SCENARIO_KINDS):
     """Seeded list of (v_env, q0, label) disturbance scenarios, kinds cycled."""
     rng = np.random.default_rng(seed)
     suite = []
@@ -228,14 +196,25 @@ def row_dot(a, b):
 
 def _row_matvec(X, q):
     # one matrix-vector product per row: bit-equal to X @ q[i]
-    return np.matmul(X, q[:, :, None])[:, :, 0]
+    return np.matmul(X, q[..., None])[..., 0]
+
+
+def step(q, u, dt, X, v_env):
+    """One forward-Euler step: the action is the rate of change of q.
+
+    Returns (q_next, v_next) with v_next = X q_next + v_env, for one (n,)
+    state or row by row for an (S, n) block.
+    """
+    q_next = q + dt * u
+    return q_next, _row_matvec(X, q_next) + v_env
 
 
 def rollout_batch(policy, X, v_env, q0, T, dt, cp, bounds,
                   blowup=BLOWUP_BOUND):
     """Roll S closed loops forward together with u(t) = policy(v(t)).
 
-    Each step moves the whole (S, n) block: q <- q + dt u, v <- X q + v_env.
+    Each step moves the whole (S, n) block through ``step`` and prices it
+    with ``stage_cost``: q <- q + dt u, v <- X q + v_env.
     ``v_env`` is either a constant (S, n) block or a per-step (T+1, S, n)
     series replayed row by row (then T may be None). ``policy`` maps an
     (S, n) block of voltages to an (S, n) block of actions row-wise, and an
@@ -292,12 +271,9 @@ def rollout_batch(policy, X, v_env, q0, T, dt, cp, bounds,
             live, v_t, u_t = live[~cut], v_t[~cut], u_t[~cut]
             if len(v_t) == 0:
                 break
-        dev = band_violation(v_t, bounds)
-        c = row_dot(cp.eta1 * dev, dev) + cp.eta2 * row_dot(u_t, u_t)
-        q_next = q[t, live] + dt * u_t
+        c = stage_cost(v_t, u_t, bounds, cp)
         env = v_env[t + 1, live] if series else v_env[live]
-        q[t + 1, live] = q_next
-        v[t + 1, live] = _row_matvec(X, q_next) + env
+        q[t + 1, live], v[t + 1, live] = step(q[t, live], u_t, dt, X, env)
         u[t, live] = u_t
         costs[t, live] = c
         total[live] += (cp.gamma ** t) * c

@@ -342,8 +342,10 @@ def verify_monotone(p, eps=None, band=None):
                   np.asarray(band[1], dtype=float)]
     v_lower, v_upper = edges[-2:]
     kinks = np.concatenate([-p.bplus, p.bminus], axis=1).T       # (2d, n)
-    # a kink that overflowed to +-inf belongs to a ramp that never activates
-    kinks = np.where(np.isfinite(kinks), kinks, p.v_upper)
+    weights = np.concatenate([p.wplus, p.wminus], axis=1).T
+    # a ramp of zero weight (column 0), or whose kink overflowed to +-inf,
+    # never bends the controller: park its kink on the band edge
+    kinks = np.where(np.isfinite(kinks) & (weights != 0.0), kinks, p.v_upper)
     pts = np.sort(np.vstack([kinks, *edges]), axis=0)
     pts = np.vstack([np.nextafter(pts[0], -np.inf), pts])  # (2d+3 or 2d+5, n)
     # values at far kinks may overflow; only in-band values and slopes count

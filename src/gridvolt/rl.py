@@ -14,7 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DivergenceError, GridState, row_dot, step
+from .dynamics import (
+    DEFAULT_DT,
+    SCENARIO_KINDS,
+    ScenarioConfig,
+    band_violation,
+    rollout,
+    row_dot,
+    sample_scenario,
+)
 from .policy import (
     MonotonePolicy,
     RawPolicyParams,
@@ -263,13 +271,8 @@ class TrainConfig:
             raise ValueError("batch size cannot exceed buffer capacity")
         if self.agent_scope not in ("local", "joint"):
             raise ValueError(f"unknown agent scope {self.agent_scope!r}")
-
-    def to_dict(self):
-        out = {}
-        for name in self.__dataclass_fields__:
-            val = getattr(self, name)
-            out[name] = list(val) if isinstance(val, tuple) else val
-        return out
+        if self.episode_len < 1:
+            raise ValueError("episode_len must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -280,9 +283,7 @@ class VoltEnv:
     v_lower: np.ndarray
     v_upper: np.ndarray
     cp: object
-    dt: float = 0.1
-    kinds: tuple = ("high", "low", "mixed")
-    blowup: float = 10.0
+    dt: float = DEFAULT_DT
 
     @property
     def n(self):
@@ -293,13 +294,12 @@ class VoltEnv:
         return self.v_lower, self.v_upper
 
     def sample_start(self, rng):
-        from .dynamics import ScenarioConfig, sample_scenario
-        kind = self.kinds[int(rng.integers(0, len(self.kinds)))]
+        kind = SCENARIO_KINDS[int(rng.integers(0, len(SCENARIO_KINDS)))]
         return sample_scenario(ScenarioConfig(kind=kind, n=self.n), rng)
 
     def per_bus_reward(self, v, u):
-        lo, hi = self.bounds
-        dev = np.maximum(v - hi, 0.0) + np.minimum(v - lo, 0.0)
+        """Negated per-bus stage cost, elementwise over any leading axes."""
+        dev = band_violation(v, self.bounds)
         return -(self.cp.eta1 * dev ** 2 + self.cp.eta2 * u ** 2)
 
 
@@ -509,10 +509,13 @@ def write_training_log(log, path):
 def train(env, cfg, actor_kind="stable", episode_callback=None):
     """Run episodic training and return the final greedy policy plus a log.
 
-    Per episode: draw a disturbance scenario, roll the noisy policy for
-    ``episode_len`` steps storing per-bus transitions, then run batched
-    critic/actor updates with soft target tracking. Deterministic under
-    ``cfg.seed``.
+    Per episode: draw a disturbance scenario and roll the greedy policy plus
+    clipped Gaussian noise for ``episode_len`` steps on the closed-loop
+    engine (``rollout``, one scenario of ``rollout_batch``). The engine cuts an episode whose voltages blow up or
+    whose action is not finite; it counts as diverged and keeps the steps
+    before the cut. The recorded steps become per-bus transitions in the
+    replay buffer; then come batched critic/actor updates with soft target
+    tracking. Deterministic under ``cfg.seed``.
     """
     if actor_kind not in ("stable", "unconstrained"):
         raise ValueError(f"unknown actor kind {actor_kind!r}")
@@ -567,27 +570,21 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
     for episode in range(cfg.episodes):
         t0 = time.perf_counter()
         v_env, q0 = env.sample_start(scen_rng)
-        state = GridState.from_env(env.X, v_env, q0)
         greedy = greedy_policy()
+
+        def noisy(v):
+            return greedy(v) + np.clip(
+                noise_rng.normal(0.0, cfg.noise_std, size=v.shape), -clip, clip)
+
+        traj = rollout(noisy, env.X, v_env, q0, cfg.episode_len, env.dt,
+                       env.cp, band)
+        v, u = traj.v, traj.u
+        r = env.per_bus_reward(v[:-1], u)
         ep_return = 0.0
-        diverged = False
-        for t in range(cfg.episode_len):
-            if np.max(np.abs(state.v)) > env.blowup:
-                diverged = True
-                break
-            u = greedy(state.v) + np.clip(
-                noise_rng.normal(0.0, cfg.noise_std, size=n), -clip, clip)
-            r_vec = env.per_bus_reward(state.v, u)
-            try:
-                nxt = step(state, u, env.dt, env.X)
-            except DivergenceError:
-                diverged = True
-                break
-            buffer.push(Transition(v=state.v, u=u, r=r_vec, v_next=nxt.v))
-            ep_return += (cfg.gamma ** t) * float(r_vec.sum())
-            state = nxt
-        if diverged:
-            diverged_episodes += 1
+        for t in range(traj.horizon):
+            buffer.push(Transition(v=v[t], u=u[t], r=r[t], v_next=v[t + 1]))
+            ep_return += (cfg.gamma ** t) * float(r[t].sum())
+        diverged_episodes += int(traj.diverged)
 
         td_losses = []
         grad_norms = []

@@ -3,8 +3,6 @@ import pytest
 
 from gridvolt.dynamics import (
     CostParams,
-    DivergenceError,
-    GridState,
     ScenarioConfig,
     dist_to_band,
     load_scenarios,
@@ -26,56 +24,60 @@ CP = CostParams()
 
 def test_step_zero_action_is_identity():
     X = np.array([[0.1]])
-    s = GridState.from_env(X, np.array([1.02]))
-    s2 = step(s, np.zeros(1), 0.1, X)
-    np.testing.assert_array_equal(s2.q, s.q)
-    np.testing.assert_array_equal(s2.v, s.v)
+    q, v_env = np.zeros(1), np.array([1.02])
+    q2, v2 = step(q, np.zeros(1), 0.1, X, v_env)
+    np.testing.assert_array_equal(q2, q)
+    np.testing.assert_array_equal(v2, X @ q + v_env)
 
 
 def test_step_hand_example():
     X = np.array([[0.1]])
-    s = GridState.from_env(X, np.array([1.06]))
-    s2 = step(s, np.array([-0.5]), 0.1, X)
-    assert s2.q[0] == pytest.approx(-0.05)
-    assert s2.v[0] == pytest.approx(1.055)
-    assert s2.v_env[0] == 1.06
+    q2, v2 = step(np.zeros(1), np.array([-0.5]), 0.1, X, np.array([1.06]))
+    assert q2[0] == pytest.approx(-0.05)
+    assert v2[0] == pytest.approx(1.055)
 
 
 def test_step_roundtrip_linearity():
     X = np.array([[0.1, 0.05], [0.05, 0.2]])
     rng = np.random.default_rng(0)
-    s = GridState.from_env(X, rng.uniform(0.9, 1.1, 2), rng.normal(size=2))
+    v_env, q = rng.uniform(0.9, 1.1, 2), rng.normal(size=2)
     u = rng.normal(size=2)
-    fwd = step(s, u, 0.1, X)
-    back = step(fwd, -u, 0.1, X)
-    np.testing.assert_array_equal(back.q, s.q)
+    q_fwd, _ = step(q, u, 0.1, X, v_env)
+    q_back, _ = step(q_fwd, -u, 0.1, X, v_env)
+    np.testing.assert_array_equal(q_back, q)
 
 
 def test_step_affine_in_action():
     X = np.array([[0.2, 0.1], [0.1, 0.3]])
-    s = GridState.from_env(X, np.array([1.0, 1.0]))
+    q, v_env = np.zeros(2), np.array([1.0, 1.0])
     u1, u2 = np.array([0.3, -0.2]), np.array([-0.1, 0.4])
     a, b = 0.7, -1.3
-    mix = step(s, a * u1 + b * u2, 0.1, X)
-    q_mix = s.q + a * (step(s, u1, 0.1, X).q - s.q) \
-        + b * (step(s, u2, 0.1, X).q - s.q)
-    np.testing.assert_allclose(mix.q, q_mix, atol=1e-15)
-
-
-def test_step_nonfinite_action_diagnosed():
-    X = np.array([[0.1]])
-    s = GridState.from_env(X, np.array([1.0]))
-    with pytest.raises(DivergenceError):
-        step(s, np.array([np.nan]), 0.1, X)
+    q_mix, _ = step(q, a * u1 + b * u2, 0.1, X, v_env)
+    expected = q + a * (step(q, u1, 0.1, X, v_env)[0] - q) \
+        + b * (step(q, u2, 0.1, X, v_env)[0] - q)
+    np.testing.assert_allclose(q_mix, expected, atol=1e-15)
 
 
 def test_v_env_conserved_over_long_rollout():
     X = np.array([[0.1, 0.05], [0.05, 0.2]])
     rng = np.random.default_rng(1)
-    s = GridState.from_env(X, np.array([1.07, 0.93]))
+    q, v_env = np.zeros(2), np.array([1.07, 0.93])
     for _ in range(1000):
-        s = step(s, rng.normal(scale=0.1, size=2), 0.1, X)
-        np.testing.assert_allclose(s.v - X @ s.q, s.v_env, atol=1e-12)
+        q, v = step(q, rng.normal(scale=0.1, size=2), 0.1, X, v_env)
+        np.testing.assert_allclose(v - X @ q, v_env, atol=1e-12)
+
+
+def test_step_block_equals_row_by_row():
+    # a dense matrix, so that a change in the order of the sums shows
+    X = build_sensitivity(five_bus_fixture()).X
+    rng = np.random.default_rng(4)
+    q, u = rng.normal(scale=0.1, size=(2, 6, 4))
+    v_env = rng.uniform(0.9, 1.1, size=(6, 4))
+    q_next, v_next = step(q, u, 0.1, X, v_env)
+    for s in range(6):
+        q_row, v_row = step(q[s], u[s], 0.1, X, v_env[s])
+        np.testing.assert_array_equal(q_next[s], q_row)
+        np.testing.assert_array_equal(v_next[s], v_row)
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +108,17 @@ def test_stage_cost_nonnegative_and_zero_iff():
         if c == 0.0:
             assert dist_to_band(v, BOUNDS2) == 0.0
             assert np.all(u == 0.0)
+
+
+def test_stage_cost_block_equals_row_by_row():
+    rng = np.random.default_rng(5)
+    v = rng.uniform(0.85, 1.15, size=(7, 2))
+    u = rng.normal(scale=0.5, size=(7, 2))
+    costs = stage_cost(v, u, BOUNDS2, CP)
+    assert costs.shape == (7,)
+    for s in range(7):
+        single = stage_cost(v[s], u[s], BOUNDS2, CP)
+        assert isinstance(single, float) and costs[s] == single
 
 
 def test_dist_to_band_examples():
@@ -303,29 +316,30 @@ def test_rollout_trace_follows_disturbance(tmp_path):
 
 def reference_rollout(policy, X, v_env_series, q0, dt, cp, bounds,
                       blowup=10.0):
-    """Per-scenario closed loop, one step at a time (the pre-batching code)."""
+    """Per-scenario closed loop in plain numpy, one step at a time."""
+    lo, hi = bounds
     T = len(v_env_series) - 1
-    state = GridState.from_env(X, v_env_series[0], q0)
-    vs, qs, us, costs = [state.v.copy()], [state.q.copy()], [], []
+    q = np.asarray(q0, dtype=float)
+    v = X @ q + v_env_series[0]
+    vs, qs, us, costs = [v], [q], [], []
     total, diverged = 0.0, False
     for t in range(T):
-        if np.max(np.abs(state.v)) > blowup:
+        if np.max(np.abs(v)) > blowup:
             diverged = True
             break
-        u = np.asarray(policy(state.v), dtype=float)
-        c = stage_cost(state.v, u, bounds, cp)
-        try:
-            state = step(state, u, dt, X)
-        except DivergenceError:
+        u = np.asarray(policy(v), dtype=float)
+        if not np.all(np.isfinite(u)):
             diverged = True
             break
-        state = GridState(q=state.q, v=X @ state.q + v_env_series[t + 1],
-                          v_env=v_env_series[t + 1])
+        dev = np.maximum(v - hi, 0.0) + np.minimum(v - lo, 0.0)
+        c = float(cp.eta1 * dev @ dev + cp.eta2 * (u @ u))
+        q = q + dt * u
+        v = X @ q + v_env_series[t + 1]
         us.append(u)
         costs.append(c)
         total += (cp.gamma ** t) * c
-        vs.append(state.v.copy())
-        qs.append(state.q.copy())
+        vs.append(v)
+        qs.append(q)
     n = len(q0)
     return (np.array(vs), np.array(qs), np.array(us).reshape(len(us), n),
             np.array(costs), total, diverged)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -377,6 +378,29 @@ def test_verify_rejects_flat_tail():
     ok, witnesses = report.clauses["unbounded_tails"]
     assert not ok
     assert any("inf]" in w for w in witnesses)
+
+
+def test_verify_left_tail_is_one_piece_up_to_the_first_lower_kink():
+    # slopes of about 1e-4 fail a check at eps 1e-3 on every outside piece;
+    # the zero-weight column-0 ramps bend nothing, so no piece ends at 0
+    rng = np.random.default_rng(14)
+    raw = RawPolicyParams(*(rng.normal(mu, 0.5, size=(N, D))
+                            for mu in (-12.0, -3.0, -12.0, -3.0)))
+    p = constrain(raw, BAND, eps=1e-4)
+    report = verify_monotone(p, eps=1e-3)
+    assert {name: ok for name, (ok, _) in report.clauses.items()} == {
+        "zero_in_band": True, "nonincreasing": True,
+        "strict_slope_outside": False, "unbounded_tails": False}
+    witnesses = [w for _, wit in report.clauses.values() for w in wit]
+    ends = [re.search(r"on \[(\S+), (\S+)\]$", w).groups() for w in witnesses]
+    assert all(float(right) != 0.0 for _, right in ends)
+    tails = report.clauses["unbounded_tails"][1]
+    for bus in range(N):
+        left = [w for w in tails
+                if w.startswith(f"bus {bus + 1}:") and "[-inf, " in w]
+        first_kink = p.bminus[bus, 1:].min()
+        assert len(left) == 1
+        assert left[0].endswith(f"[-inf, {first_kink:.6f}]")
 
 
 def test_verify_rejects_inverted_sign():

@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from gridvolt.dynamics import CostParams
-from gridvolt.grid import build_sensitivity, five_bus_fixture
+from gridvolt.grid import (
+    build_sensitivity,
+    five_bus_fixture,
+    generate_random_feeder,
+)
 from gridvolt.policy import (
     MonotonePolicy,
     RawPolicyParams,
@@ -588,6 +592,60 @@ def test_train_reward_sign_convention():
             -stage_cost(v, u, BOUNDS, env.cp), abs=1e-12)
 
 
+def reference_collection(env, cfg, policy):
+    """Episode returns and diverged count of a per-step collection loop.
+
+    Plain numpy on the same seeded streams as ``train``: q + dt u,
+    X q + v_env, and an episode cut once |v| passes 10 or the noisy action
+    is not finite. ``policy`` is the greedy actor, fixed when no update runs.
+    """
+    seeds = np.random.SeedSequence(cfg.seed).spawn(4)
+    scen_rng = np.random.default_rng(seeds[1])
+    noise_rng = np.random.default_rng(seeds[2])
+    clip = cfg.noise_clip_sigmas * cfg.noise_std
+    lo, hi = env.bounds
+    returns, diverged = [], 0
+    for _ in range(cfg.episodes):
+        v_env, q = env.sample_start(scen_rng)
+        v = env.X @ q + v_env
+        ret = 0.0
+        for t in range(cfg.episode_len):
+            if np.max(np.abs(v)) > 10.0:
+                diverged += 1
+                break
+            u = policy(v) + np.clip(
+                noise_rng.normal(0.0, cfg.noise_std, size=env.n), -clip, clip)
+            if not np.all(np.isfinite(u)):
+                diverged += 1
+                break
+            dev = np.maximum(v - hi, 0.0) + np.minimum(v - lo, 0.0)
+            r = -(env.cp.eta1 * dev ** 2 + env.cp.eta2 * u ** 2)
+            ret += (cfg.gamma ** t) * float(r.sum())
+            q = q + env.dt * u
+            v = env.X @ q + v_env
+        returns.append(ret)
+    return returns, diverged
+
+
+@pytest.mark.parametrize("actor", ["stable", "unconstrained"])
+@pytest.mark.parametrize("feeder", ["fixture", "16-bus-seed-2"])
+def test_train_collection_matches_reference_loop(feeder, actor):
+    net = NET if feeder == "fixture" else generate_random_feeder(16, rng_seed=2)
+    band = net.bounds()
+    env = VoltEnv(X=build_sensitivity(net).X, v_lower=band[0],
+                  v_upper=band[1], cp=CostParams())
+    # a batch larger than everything collected: no update ever runs
+    cfg = small_cfg(episodes=8, episode_len=30, batch_size=8 * 30 + 1)
+    res = train(env, cfg, actor_kind=actor)
+    assert res.updates == 0
+    returns, diverged = reference_collection(env, cfg, res.policy)
+    assert [row["return"] for row in res.log] == returns
+    assert res.diverged_episodes == diverged
+    if feeder != "fixture" and actor == "stable":
+        # the initial gains exceed this feeder's step-size limit
+        assert 0 < diverged < cfg.episodes
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(actor_lr=0.0)
@@ -597,6 +655,8 @@ def test_config_validation():
         TrainConfig(batch_size=64, buffer_capacity=32)
     with pytest.raises(ValueError):
         TrainConfig(agent_scope="global")
+    with pytest.raises(ValueError):
+        TrainConfig(episode_len=0)
 
 
 @pytest.mark.parametrize("joint", [False, True])
