@@ -11,7 +11,6 @@ from .dynamics import (
     CostParams,
     Rollouts,
     ScenarioConfig,
-    Trajectory,
     dist_to_band,
     make_suite,
     recovery_time,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Rollouts, recovery_time, rollout_batch, row_dot
+from .dynamics import recovery_time, rollout_batch, row_dot
 from .util import config_hash, fmt
 
 DEFAULT_RECOVERY_TOL = 1e-3
@@ -21,30 +21,25 @@ DEFAULT_RECOVERY_TOL = 1e-3
 HIST_EDGES = [0.005 * k for k in range(21)] + [float("inf")]
 
 
-def transient_cost(traj, bounds, tol=DEFAULT_RECOVERY_TOL):
+def transient_cost(runs, bounds, tol=DEFAULT_RECOVERY_TOL):
     """Reactive magnitude accumulated before recovery: sum_t sum_i |q_i(t)|.
 
-    Truncating recovery earlier can only drop nonnegative terms, so this is
-    monotone in the recovery step; unrecovered runs pay the whole horizon.
-    A Rollouts batch gives one float per scenario.
+    One float per scenario of a Rollouts. Truncating recovery earlier can
+    only drop nonnegative terms, so this is monotone in the recovery step;
+    unrecovered runs pay every step they ran.
     """
-    rec = recovery_time(traj, bounds, tol=tol)
-    if isinstance(traj, Rollouts):
-        return [math.fsum(np.abs(traj.q[:traj.steps[s] if r is None else r, s])
-                          .ravel().tolist()) for s, r in enumerate(rec)]
-    upto = traj.horizon if rec is None else rec
-    return float(math.fsum(np.abs(traj.q[:upto]).ravel().tolist()))
+    rec = recovery_time(runs, bounds, tol=tol)
+    return [math.fsum(np.abs(runs.q[:runs.steps[s] if r is None else r, s])
+                      .ravel().tolist()) for s, r in enumerate(rec)]
 
 
-def control_energy(traj):
+def control_energy(runs):
     """Alternative effort metric: sum_t |u(t)|^2 over the whole horizon.
 
-    A Rollouts batch gives one float per scenario.
+    One float per scenario of a Rollouts.
     """
-    uu = row_dot(traj.u, traj.u)        # (T,) or (T, S); zero past a cut
-    if isinstance(traj, Rollouts):
-        return [math.fsum(col) for col in uu.T.tolist()]
-    return float(math.fsum(uu.tolist()))
+    uu = row_dot(runs.u, runs.u)        # (T, S); zero past a cut
+    return [math.fsum(col) for col in uu.T.tolist()]
 
 
 def _mean_std(values):
@@ -76,6 +71,7 @@ class EvalReport:
     horizon: int
     scenario_hash: str
     config_hash: str
+    rollouts: dict = None     # name -> Rollouts, with keep_trajectories
 
     def metric(self, policy, metric):
         for name, met, mean, std, n in self.rows:
@@ -100,8 +96,8 @@ def evaluate(policies, X, suite, bounds, v0=1.0, T=100, dt=0.1, cp=None,
 
     ``policies`` is a list of (name, callable) pairs. Unrecovered scenarios
     enter the mean recovery time at the full horizon T and count against the
-    stability rate. Returns an EvalReport (with trajectories attached per
-    policy when ``keep_trajectories``).
+    stability rate. Returns an EvalReport; with ``keep_trajectories`` its
+    ``rollouts`` holds each policy's closed-loop record.
     """
     if cp is None:
         from .dynamics import CostParams
@@ -112,7 +108,7 @@ def evaluate(policies, X, suite, bounds, v0=1.0, T=100, dt=0.1, cp=None,
     q0 = np.array([q for _, q, _ in suite])
     rows = []
     stats = {}
-    trajectories = {}
+    rollouts = {} if keep_trajectories else None
     for name, policy in policies:
         runs = rollout_batch(policy, X, v_env, q0, T=T, dt=dt, cp=cp,
                              bounds=bounds)
@@ -127,8 +123,7 @@ def evaluate(policies, X, suite, bounds, v0=1.0, T=100, dt=0.1, cp=None,
                          under_ratio=under, diverged=int(runs.diverged.sum()))
         stats[name] = st
         if keep_trajectories:
-            trajectories[name] = [runs.trajectory(k)
-                                  for k in range(len(suite))]
+            rollouts[name] = runs
 
         N = len(suite)
         rec_filled = [T if r is None else r for r in recs]
@@ -146,12 +141,9 @@ def evaluate(policies, X, suite, bounds, v0=1.0, T=100, dt=0.1, cp=None,
                       "label": lab} for v, q, lab in suite]
     cfg = {"T": T, "dt": dt, "recovery_tol": recovery_tol, "v0": v0,
            "eta1": cp.eta1, "eta2": cp.eta2, "gamma": cp.gamma}
-    report = EvalReport(rows=rows, stats=stats, scenario_count=len(suite),
-                        horizon=T, scenario_hash=config_hash(suite_payload),
-                        config_hash=config_hash(cfg))
-    if keep_trajectories:
-        report.trajectories = trajectories
-    return report
+    return EvalReport(rows=rows, stats=stats, scenario_count=len(suite),
+                      horizon=T, scenario_hash=config_hash(suite_payload),
+                      config_hash=config_hash(cfg), rollouts=rollouts)
 
 
 def histogram_counts(values):
@@ -179,17 +171,18 @@ def write_histograms_csv(report, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def write_trajectory_csv(traj, path, policy="policy", scenario="scenario"):
-    """Per-step plot data: t, bus, v, q, u, cost (u and cost blank at t=T)."""
+def write_trajectory_csv(runs, s, path, policy="policy", scenario="scenario"):
+    """Per-step plot data of scenario ``s`` of a Rollouts, up to its cut:
+    t = step * dt, bus, v, q, u, cost (u and cost blank on the last row)."""
     lines = ["policy,scenario,t,bus,v,q,u,cost"]
-    steps = traj.horizon
-    n = traj.v.shape[1]
+    steps = int(runs.steps[s])
+    v, q, u = runs.v[:, s], runs.q[:, s], runs.u[:, s]
+    cost = runs.stage_costs[:, s]
     for t in range(steps + 1):
-        for i in range(n):
-            u_txt = fmt(traj.u[t, i]) if t < steps else ""
-            c_txt = fmt(traj.stage_costs[t]) if t < steps and i == 0 else ""
-            lines.append(f"{policy},{scenario},{fmt(traj.t[t])},{i + 1},"
-                         f"{fmt(traj.v[t, i])},{fmt(traj.q[t, i])},"
-                         f"{u_txt},{c_txt}")
+        for i in range(v.shape[1]):
+            u_txt = fmt(u[t, i]) if t < steps else ""
+            c_txt = fmt(cost[t]) if t < steps and i == 0 else ""
+            lines.append(f"{policy},{scenario},{fmt(t * runs.dt)},{i + 1},"
+                         f"{fmt(v[t, i])},{fmt(q[t, i])},{u_txt},{c_txt}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

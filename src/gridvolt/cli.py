@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -18,9 +19,22 @@ def _load_network(path):
         raise CliError(f"network file not found: {path}")
     try:
         net, _warn = grid.load_network(path)
-    except (json.JSONDecodeError, KeyError, grid.NetworkValidationError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
+        # a JSONDecodeError or NetworkValidationError is a ValueError
         raise CliError(f"bad network file {path}: {exc}") from exc
     return net
+
+
+def _positive(kind):
+    """argparse type: a ``kind`` value that must be positive and finite."""
+    def parse(text):
+        value = kind(text)
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be positive and finite, "
+                                             f"got {text}")
+        return value
+    parse.__name__ = kind.__name__      # "invalid int value" on bad text
+    return parse
 
 
 def _load_policy(spec, band):
@@ -99,11 +113,11 @@ def cmd_simulate(args):
         raise CliError(f"scenario index {args.index} outside 0.."
                        f"{len(suite) - 1}")
     v_env, q0, label = suite[args.index]
-    traj = dynamics.rollout(pol, sens.X, v_env, q0, T=args.horizon,
+    runs = dynamics.rollout(pol, sens.X, v_env, q0, T=args.horizon,
                             dt=args.dt, cp=dynamics.CostParams(), bounds=band)
-    bench.write_trajectory_csv(traj, args.out, policy=name, scenario=label)
-    rec = dynamics.recovery_time(traj, band, tol=args.recovery_tol)
-    status = "diverged" if traj.diverged else (
+    bench.write_trajectory_csv(runs, 0, args.out, policy=name, scenario=label)
+    rec, = dynamics.recovery_time(runs, band, tol=args.recovery_tol)
+    status = "diverged" if runs.diverged[0] else (
         f"recovered at step {rec}" if rec is not None else "not recovered")
     print(f"wrote {args.out}: {label} under {name}: {status}")
     return 0
@@ -180,10 +194,10 @@ def cmd_evaluate(args):
     if args.traces_dir:
         os.makedirs(args.traces_dir, exist_ok=True)
         for pname in names:
-            for k, traj in enumerate(report.trajectories[pname]):
+            for k, (_, _, label) in enumerate(suite):
                 path = os.path.join(args.traces_dir, f"{pname}-{k}.csv")
-                bench.write_trajectory_csv(traj, path, policy=pname,
-                                           scenario=suite[k][2])
+                bench.write_trajectory_csv(report.rollouts[pname], k, path,
+                                           policy=pname, scenario=label)
     print(f"wrote {args.out}: {len(suite)} scenarios "
           f"(hash {report.scenario_hash}), policies: {', '.join(names)}")
     for pname in names:
@@ -222,8 +236,8 @@ def build_parser():
     p.add_argument("--scenarios", type=int, default=10,
                    help="size of the generated suite when no file is given")
     p.add_argument("--index", type=int, default=0)
-    p.add_argument("--horizon", type=int, default=100)
-    p.add_argument("--dt", type=float, default=0.1)
+    p.add_argument("--horizon", type=_positive(int), default=100)
+    p.add_argument("--dt", type=_positive(float), default=0.1)
     p.add_argument("--recovery-tol", type=float,
                    default=bench.DEFAULT_RECOVERY_TOL)
     p.add_argument("--seed", type=int, default=0)
@@ -238,7 +252,7 @@ def build_parser():
                    help="default 200 stable / 600 unconstrained")
     p.add_argument("--scope", choices=("local", "joint"), default="local")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dt", type=float, default=0.1)
+    p.add_argument("--dt", type=_positive(float), default=0.1)
     p.add_argument("--timing", action="store_true",
                    help="record wall-clock per episode (breaks bit-identical "
                         "logs across runs)")
@@ -250,9 +264,9 @@ def build_parser():
     p.add_argument("--network", required=True)
     p.add_argument("--checkpoint", required=True,
                    help="'linear', 'zero', or a checkpoint path")
-    p.add_argument("--rollouts", type=int, default=100)
-    p.add_argument("--horizon", type=int, default=100)
-    p.add_argument("--dt", type=float, default=0.1)
+    p.add_argument("--rollouts", type=_positive(int), default=100)
+    p.add_argument("--horizon", type=_positive(int), default=100)
+    p.add_argument("--dt", type=_positive(float), default=0.1)
     p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
@@ -264,8 +278,8 @@ def build_parser():
                    help="list of 'linear', 'zero', or checkpoint paths")
     p.add_argument("--scenario-file")
     p.add_argument("--scenarios", type=int, default=0)
-    p.add_argument("--horizon", type=int, default=100)
-    p.add_argument("--dt", type=float, default=0.1)
+    p.add_argument("--horizon", type=_positive(int), default=100)
+    p.add_argument("--dt", type=_positive(float), default=0.1)
     p.add_argument("--recovery-tol", type=float,
                    default=bench.DEFAULT_RECOVERY_TOL)
     p.add_argument("--seed", type=int, default=0)

@@ -131,24 +131,6 @@ def load_scenarios(path):
 
 
 @dataclass
-class Trajectory:
-    """Closed-loop record: T+1 states, T actions, per-step stage costs."""
-
-    t: np.ndarray
-    v: np.ndarray
-    q: np.ndarray
-    u: np.ndarray
-    stage_costs: np.ndarray
-    dt: float
-    discounted_cost: float
-    diverged: bool = False
-
-    @property
-    def horizon(self):
-        return len(self.u)
-
-
-@dataclass
 class Rollouts:
     """Closed-loop record of S scenarios stepped together, time axis first.
 
@@ -169,20 +151,6 @@ class Rollouts:
     def diverged(self):
         """Per scenario: True when it was cut before the horizon."""
         return self.steps < len(self.u)
-
-    def trajectory(self, s):
-        """Scenario s as a single-run Trajectory, cut at its last step."""
-        k = int(self.steps[s])
-        return Trajectory(
-            t=np.arange(k + 1) * self.dt,
-            v=self.v[:k + 1, s].copy(),
-            q=self.q[:k + 1, s].copy(),
-            u=self.u[:k, s].copy(),
-            stage_costs=self.stage_costs[:k, s].copy(),
-            dt=self.dt,
-            discounted_cost=float(self.discounted_cost[s]),
-            diverged=bool(self.diverged[s]),
-        )
 
 
 def row_dot(a, b):
@@ -285,34 +253,26 @@ def rollout_batch(policy, X, v_env, q0, T, dt, cp, bounds,
 
 
 def rollout(policy, X, v_env, q0, T, dt, cp, bounds, blowup=BLOWUP_BOUND):
-    """Roll one closed loop forward T steps: ``rollout_batch`` with S = 1.
+    """Roll one closed loop forward: ``rollout_batch`` with S = 1.
 
-    No exploration noise. If any voltage magnitude exceeds ``blowup`` the
-    trajectory is truncated and flagged as diverged. ``v_env`` may also be a
-    (T+1, n) disturbance series, replayed one row per step.
+    ``v_env`` is an (n,) disturbance or a (T+1, n) series replayed one row
+    per step, and ``q0`` is (n,). Returns the one-scenario Rollouts, so
+    scenario 0 of every field is the run.
     """
     v_env = np.asarray(v_env, dtype=float)
     return rollout_batch(policy, X, v_env[..., None, :],
                          np.asarray(q0, dtype=float)[None], T, dt, cp,
-                         bounds, blowup=blowup).trajectory(0)
+                         bounds, blowup=blowup)
 
 
-def recovery_time(traj, bounds, tol=1e-3):
-    """First step after which every later voltage stays within ``tol`` of the
-    band. Returns None when the trajectory never settles (including diverged
-    trajectories that were cut short).
-
-    ``traj`` is a Trajectory (returns an int or None) or a Rollouts batch
-    (returns a list with one such entry per scenario).
+def recovery_time(runs, bounds, tol=1e-3):
+    """Per scenario of a Rollouts, the first step after which every later
+    voltage stays within ``tol`` of the band; None when the run never
+    settles (including diverged runs that were cut short).
     """
-    if len(traj.v) == 0:
-        raise ValueError("empty trajectory")
-    batch = isinstance(traj, Rollouts)
-    v = traj.v if batch else traj.v[:, None, :]
-    inside = dist_to_band(v, bounds) <= tol                      # (T+1, S)
+    inside = dist_to_band(runs.v, bounds) <= tol                 # (T+1, S)
     # the final in-band run starts one step after the last out-of-band step
     last_out = len(inside) - 1 - np.argmax(~inside[::-1], axis=0)
     start = np.where(inside.all(axis=0), 0, last_out + 1)
-    settled = inside[-1] & ~np.atleast_1d(traj.diverged)
-    rec = [int(k) if ok else None for k, ok in zip(start, settled)]
-    return rec if batch else rec[0]
+    settled = inside[-1] & ~runs.diverged
+    return [int(k) if ok else None for k, ok in zip(start, settled)]

@@ -36,7 +36,7 @@ from .util import fmt
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when an update produces a non-finite loss."""
+    """Raised when an update produces a non-finite loss or gradient."""
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +259,6 @@ class TrainConfig:
     actor_hidden: tuple = (100, 100)    # unconstrained baseline actor
     actor_units: int = 16               # ramp units per side, monotone actor
     eps: float = 1e-3
-    init_gain: tuple = (22.0, 26.0)
     record_timing: bool = False
 
     def __post_init__(self):
@@ -332,13 +331,17 @@ def q_action_grad(critic, s, u):
     """Critic value and its gradient with respect to the action block.
 
     The action occupies the trailing columns of the critic input; the
-    backward pass skips the parameter gradients.
+    backward pass skips the parameter gradients. A non-finite gradient
+    raises TrainingDiverged before any actor takes a step along it.
     """
     acts = _forward(critic, np.hstack([s, u]))
     q = acts[-1]
     _, input_grad = _backward(critic, acts, np.ones_like(q),
                               param_grads=False)
-    return q, input_grad[:, s.shape[1]:]
+    dq_du = input_grad[:, s.shape[1]:]
+    if not np.isfinite(dq_du).all():
+        raise TrainingDiverged("critic action gradient is not finite")
+    return q, dq_du
 
 
 def stable_actor_update(raw, band, eps, v_batch, dq_du, lr):
@@ -428,13 +431,10 @@ def load_net_policy(path):
 class TrainResult:
     policy: object
     log: list
-    config: TrainConfig
-    actor_kind: str
     raw: RawPolicyParams = None
     init_raw: RawPolicyParams = None
     actor_nets: list = None
     critics: list = None
-    band: tuple = None
     diverged_episodes: int = 0
     updates: int = 0          # minibatch update rounds run
 
@@ -511,11 +511,12 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
 
     Per episode: draw a disturbance scenario and roll the greedy policy plus
     clipped Gaussian noise for ``episode_len`` steps on the closed-loop
-    engine (``rollout``, one scenario of ``rollout_batch``). The engine cuts an episode whose voltages blow up or
-    whose action is not finite; it counts as diverged and keeps the steps
-    before the cut. The recorded steps become per-bus transitions in the
-    replay buffer; then come batched critic/actor updates with soft target
-    tracking. Deterministic under ``cfg.seed``.
+    engine (``rollout``, one scenario of ``rollout_batch``). The engine cuts
+    an episode whose voltages blow up or whose action is not finite; it
+    counts as diverged and keeps the steps before the cut. The recorded
+    steps become per-bus transitions in the replay buffer; then come batched
+    critic/actor updates with soft target tracking. Deterministic under
+    ``cfg.seed``.
     """
     if actor_kind not in ("stable", "unconstrained"):
         raise ValueError(f"unknown actor kind {actor_kind!r}")
@@ -546,8 +547,7 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
     raw = target_raw = init_raw = None
     actor_nets = actor_targets = None
     if actor_kind == "stable":
-        raw = sample_raw_params(n, cfg.actor_units, init_rng,
-                                gain_range=cfg.init_gain, eps=cfg.eps)
+        raw = sample_raw_params(n, cfg.actor_units, init_rng, eps=cfg.eps)
         target_raw = raw.copy()
         init_raw = raw.copy()
     else:
@@ -576,15 +576,16 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
             return greedy(v) + np.clip(
                 noise_rng.normal(0.0, cfg.noise_std, size=v.shape), -clip, clip)
 
-        traj = rollout(noisy, env.X, v_env, q0, cfg.episode_len, env.dt,
+        runs = rollout(noisy, env.X, v_env, q0, cfg.episode_len, env.dt,
                        env.cp, band)
-        v, u = traj.v, traj.u
+        k = int(runs.steps[0])
+        v, u = runs.v[:k + 1, 0], runs.u[:k, 0]
         r = env.per_bus_reward(v[:-1], u)
         ep_return = 0.0
-        for t in range(traj.horizon):
+        for t in range(k):
             buffer.push(Transition(v=v[t], u=u[t], r=r[t], v_next=v[t + 1]))
             ep_return += (cfg.gamma ** t) * float(r[t].sum())
-        diverged_episodes += int(traj.diverged)
+        diverged_episodes += int(runs.diverged[0])
 
         td_losses = []
         grad_norms = []
@@ -631,7 +632,7 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
             episode_callback(episode, raw if actor_kind == "stable"
                              else actor_nets)
 
-    return TrainResult(policy=greedy_policy(), log=log, config=cfg,
-                       actor_kind=actor_kind, raw=raw, init_raw=init_raw,
-                       actor_nets=actor_nets, critics=critics, band=band,
-                       diverged_episodes=diverged_episodes, updates=updates)
+    return TrainResult(policy=greedy_policy(), log=log, raw=raw,
+                       init_raw=init_raw, actor_nets=actor_nets,
+                       critics=critics, diverged_episodes=diverged_episodes,
+                       updates=updates)

@@ -295,7 +295,7 @@ def test_training_improvement_smoke(trained):
 
     def total_cost(pol):
         return sum(rollout(pol, X5, v, q, T=30, dt=0.1, cp=CP,
-                           bounds=BOUNDS).discounted_cost
+                           bounds=BOUNDS).discounted_cost[0]
                    for v, q, _ in fixed)
 
     before = total_cost(MonotonePolicy.from_raw(res.init_raw, BOUNDS, cfg.eps))

@@ -9,7 +9,7 @@ from gridvolt.bench import (
     transient_cost,
     write_histograms_csv,
 )
-from gridvolt.dynamics import CostParams, Trajectory, make_suite
+from gridvolt.dynamics import CostParams, Rollouts, make_suite
 from gridvolt.grid import build_sensitivity, five_bus_fixture
 from gridvolt.policy import LinearDeadbandPolicy, MonotonePolicy, ZeroPolicy, \
     sample_raw_params
@@ -20,13 +20,15 @@ BOUNDS = NET.bounds()
 BOUNDS1 = (np.array([0.95]), np.array([1.05]))
 
 
-def synth_traj(v_rows, q_rows, u_rows=None):
+def synth_runs(v_rows, q_rows, u_rows=None):
+    """One-scenario record of T+1 given states that ran the whole horizon."""
     v = np.asarray(v_rows, dtype=float)
     q = np.asarray(q_rows, dtype=float)
     T = len(v) - 1
     u = np.zeros((T, v.shape[1])) if u_rows is None else np.asarray(u_rows)
-    return Trajectory(t=np.arange(T + 1) * 0.1, v=v, q=q, u=u,
-                      stage_costs=np.zeros(T), dt=0.1, discounted_cost=0.0)
+    return Rollouts(v=v[:, None, :], q=q[:, None, :], u=u[:, None, :],
+                    stage_costs=np.zeros((T, 1)), dt=0.1,
+                    discounted_cost=np.zeros(1), steps=np.array([T]))
 
 
 # ---------------------------------------------------------------------------
@@ -34,36 +36,36 @@ def synth_traj(v_rows, q_rows, u_rows=None):
 # ---------------------------------------------------------------------------
 
 def test_transient_cost_zero_when_in_band_from_start():
-    traj = synth_traj([[1.0]] * 5, [[0.3]] * 5)
-    assert transient_cost(traj, BOUNDS1) == 0.0
+    runs = synth_runs([[1.0]] * 5, [[0.3]] * 5)
+    assert transient_cost(runs, BOUNDS1)[0] == 0.0
 
 
 def test_transient_cost_hand_sum():
     # recovers at step 3: |q| over steps 0,1,2
     v = [[1.08], [1.07], [1.06], [1.0], [1.0]]
     q = [[0.0], [-0.1], [-0.25], [-0.3], [-0.3]]
-    traj = synth_traj(v, q)
-    assert transient_cost(traj, BOUNDS1) == pytest.approx(0.0 + 0.1 + 0.25)
+    runs = synth_runs(v, q)
+    assert transient_cost(runs, BOUNDS1)[0] == pytest.approx(0.0 + 0.1 + 0.25)
 
 
 def test_transient_cost_full_horizon_when_unrecovered():
     v = [[1.08]] * 5
     q = [[-0.1]] * 5
-    traj = synth_traj(v, q)
-    assert transient_cost(traj, BOUNDS1) == pytest.approx(0.4)
+    runs = synth_runs(v, q)
+    assert transient_cost(runs, BOUNDS1)[0] == pytest.approx(0.4)
 
 
 def test_transient_cost_monotone_in_recovery():
     v = [[1.08], [1.06], [1.0], [1.0], [1.0]]
     q = [[0.2], [0.2], [0.2], [0.2], [0.2]]
-    early = transient_cost(synth_traj(v, q), BOUNDS1)
-    late = transient_cost(synth_traj([[1.08]] * 4 + [[1.0]], q), BOUNDS1)
+    early, = transient_cost(synth_runs(v, q), BOUNDS1)
+    late, = transient_cost(synth_runs([[1.08]] * 4 + [[1.0]], q), BOUNDS1)
     assert early <= late
 
 
 def test_control_energy():
-    traj = synth_traj([[1.0]] * 3, [[0.0]] * 3, [[0.5], [-0.5]])
-    assert control_energy(traj) == pytest.approx(0.5)
+    runs = synth_runs([[1.0]] * 3, [[0.0]] * 3, [[0.5], [-0.5]])
+    assert control_energy(runs)[0] == pytest.approx(0.5)
 
 
 # ---------------------------------------------------------------------------

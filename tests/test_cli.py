@@ -16,7 +16,7 @@ from gridvolt.policy import (
     save_checkpoint,
 )
 from gridvolt.rl import FeedForwardNet, save_net_policy
-from gridvolt.util import config_hash
+from gridvolt.util import config_hash, fmt
 
 
 @pytest.fixture
@@ -85,6 +85,44 @@ def test_simulate_missing_network(tmp_path):
     code = cli_main(["simulate", "--network", str(tmp_path / "none.json"),
                      "--policy", "linear", "--out", str(tmp_path / "t.csv")])
     assert code == 2
+
+
+def _r_not_a_number(data):
+    data["lines"][0]["r"] = "abc"
+    return data
+
+
+def _with(key, value):
+    def edit(data):
+        data[key] = value
+        return data
+    return edit
+
+
+@pytest.mark.parametrize("edit, argv", [
+    (lambda data: [data], ["simulate", "--policy", "linear"]),
+    (_r_not_a_number, ["simulate", "--policy", "linear"]),
+    (_with("buses", 5), ["simulate", "--policy", "linear"]),
+    (None, ["simulate", "--policy", "linear", "--horizon", "0"]),
+    (None, ["simulate", "--policy", "linear", "--dt", "inf"]),
+    (None, ["train", "--episodes", "1", "--dt", "0"]),
+    (None, ["certify", "--checkpoint", "linear", "--rollouts", "0"]),
+    (None, ["evaluate", "--policies", "linear", "--scenarios", "2",
+            "--horizon", "0"]),
+], ids=["network-list", "network-r-not-a-number", "network-buses-not-a-list",
+        "simulate-horizon-0", "simulate-dt-inf", "train-dt-0",
+        "certify-rollouts-0", "evaluate-horizon-0"])
+def test_bad_input_exits_2(net_path, tmp_path, capsys, edit, argv):
+    if edit is not None:
+        with open(net_path) as fh:
+            data = edit(json.load(fh))
+        with open(net_path, "w") as fh:
+            json.dump(data, fh)
+    command, *flags = argv
+    code = cli_main([command, "--network", net_path, *flags,
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_train_and_certify_roundtrip(net_path, tmp_path, capsys):
@@ -208,6 +246,45 @@ def test_evaluate(net_path, ckpt_path, tmp_path, capsys):
     assert "steep" in text and "linear" in text and "zero" in text
     assert hist.exists()
     assert len(list(traces.glob("*.csv"))) == 3 * 6
+
+
+def test_trace_csv_is_the_same_from_simulate_and_evaluate(net_path, tmp_path,
+                                                         capsys):
+    # steep enough that scenarios 0, 4 and 5 of the seed-0 suite diverge
+    net = five_bus_fixture()
+    raw = sample_raw_params(net.n, 16, np.random.default_rng(0),
+                            gain_range=(80, 90))
+    ckpt = tmp_path / "steep.json"
+    save_checkpoint(str(ckpt), raw, net.bounds(), 1e-3)
+    traces = tmp_path / "traces"
+    assert cli_main(["evaluate", "--network", net_path, "--policies",
+                     str(ckpt), "--scenarios", "6", "--out",
+                     str(tmp_path / "report.csv"), "--traces-dir",
+                     str(traces)]) == 0
+    capsys.readouterr()
+    diverged = []
+    for k in range(6):
+        out = tmp_path / f"sim-{k}.csv"
+        assert cli_main(["simulate", "--network", net_path, "--policy",
+                         str(ckpt), "--scenarios", "6", "--index", str(k),
+                         "--out", str(out)]) == 0
+        if "diverged" in capsys.readouterr().out:
+            diverged.append(k)
+        text = out.read_text()
+        assert (traces / f"steep-{k}.csv").read_text() == text
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        states = [rows[i:i + net.n] for i in range(0, len(rows), net.n)]
+        assert len(states) * net.n == len(rows)
+        for t, state in enumerate(states):
+            assert [r[2] for r in state] == [fmt(t * 0.1)] * net.n
+            assert [r[3] for r in state] == [str(i + 1) for i in range(net.n)]
+            last = t == len(states) - 1
+            assert all((r[6] == "") == last for r in state)
+            assert all((r[7] == "") == (last or i > 0)
+                       for i, r in enumerate(state))
+        # a diverged run holds its steps + 1 states, a full one T + 1
+        assert (len(states) < 101) == (k in diverged)
+    assert diverged == [0, 4, 5]
 
 
 def test_evaluate_mlp_checkpoint(net_path, tmp_path, capsys):

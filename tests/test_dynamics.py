@@ -3,6 +3,7 @@ import pytest
 
 from gridvolt.dynamics import (
     CostParams,
+    Rollouts,
     ScenarioConfig,
     dist_to_band,
     load_scenarios,
@@ -198,10 +199,10 @@ def zero_policy(v):
 def test_rollout_zero_policy_constant_voltage():
     X = np.array([[0.1, 0.05], [0.05, 0.2]])
     v_env = np.array([1.07, 1.01])
-    traj = rollout(zero_policy, X, v_env, np.zeros(2), T=20, dt=0.1,
+    runs = rollout(zero_policy, X, v_env, np.zeros(2), T=20, dt=0.1,
                    cp=CP, bounds=BOUNDS2)
-    assert traj.horizon == 20
-    for v in traj.v:
+    assert runs.steps[0] == 20
+    for v in runs.v[:, 0]:
         np.testing.assert_array_equal(v, v_env)
 
 
@@ -211,10 +212,10 @@ def test_rollout_in_band_start_zero_cost():
     def deadband(v):
         return -np.maximum(v - 1.05, 0) + np.maximum(0.95 - v, 0)
 
-    traj = rollout(deadband, X, np.array([1.0]), np.zeros(1), T=30, dt=0.1,
+    runs = rollout(deadband, X, np.array([1.0]), np.zeros(1), T=30, dt=0.1,
                    cp=CP, bounds=BOUNDS1)
-    assert traj.discounted_cost == 0.0
-    np.testing.assert_array_equal(traj.u, 0.0)
+    assert runs.discounted_cost[0] == 0.0
+    np.testing.assert_array_equal(runs.u[:, 0], 0.0)
 
 
 def test_rollout_matches_scalar_recursion():
@@ -225,11 +226,11 @@ def test_rollout_matches_scalar_recursion():
     def deadband(v):
         return -np.maximum(v - 1.05, 0) + np.maximum(0.95 - v, 0)
 
-    traj = rollout(deadband, X, np.array([1.09]), np.zeros(1), T=50, dt=dt,
+    runs = rollout(deadband, X, np.array([1.09]), np.zeros(1), T=50, dt=dt,
                    cp=CP, bounds=BOUNDS1)
     gap = 0.04
     for t in range(51):
-        assert traj.v[t, 0] - 1.05 == pytest.approx(gap, abs=1e-9)
+        assert runs.v[t, 0, 0] - 1.05 == pytest.approx(gap, abs=1e-9)
         gap *= (1 - dt * 0.1)
 
 
@@ -239,62 +240,62 @@ def test_rollout_diverges_and_flags():
     def runaway(v):
         return 100.0 * (v - 1.0)  # positive feedback
 
-    traj = rollout(runaway, X, np.array([1.06]), np.zeros(1), T=500, dt=0.1,
+    runs = rollout(runaway, X, np.array([1.06]), np.zeros(1), T=500, dt=0.1,
                    cp=CP, bounds=BOUNDS1)
-    assert traj.diverged
-    assert traj.horizon < 500
-    assert recovery_time(traj, BOUNDS1) is None
+    assert runs.diverged[0]
+    assert runs.steps[0] < 500
+    assert recovery_time(runs, BOUNDS1)[0] is None
 
 
 def test_rollout_discount_accumulation():
     X = np.array([[0.1]])
-    traj = rollout(zero_policy, X, np.array([1.06]), np.zeros(1), T=3, dt=0.1,
+    runs = rollout(zero_policy, X, np.array([1.06]), np.zeros(1), T=3, dt=0.1,
                    cp=CP, bounds=BOUNDS1)
     c = 100 * 0.01 ** 2
     expect = c * (1 + 0.99 + 0.99 ** 2)
-    assert traj.discounted_cost == pytest.approx(expect)
+    assert runs.discounted_cost[0] == pytest.approx(expect)
 
 
 # ---------------------------------------------------------------------------
 # recovery time
 # ---------------------------------------------------------------------------
 
-def synth_traj(v_values):
-    from gridvolt.dynamics import Trajectory
-    v = np.asarray(v_values, dtype=float).reshape(-1, 1)
+def synth_runs(v_values):
+    """One-scenario, one-bus record of the given voltages, never cut."""
+    v = np.asarray(v_values, dtype=float).reshape(-1, 1, 1)
     T = len(v) - 1
-    return Trajectory(t=np.arange(T + 1) * 0.1, v=v, q=np.zeros_like(v),
-                      u=np.zeros((T, 1)), stage_costs=np.zeros(T), dt=0.1,
-                      discounted_cost=0.0)
+    return Rollouts(v=v, q=np.zeros_like(v), u=np.zeros((T, 1, 1)),
+                    stage_costs=np.zeros((T, 1)), dt=0.1,
+                    discounted_cost=np.zeros(1), steps=np.array([T]))
 
 
 def test_recovery_in_band_from_start():
-    traj = synth_traj([1.0] * 10)
-    assert recovery_time(traj, BOUNDS1) == 0
+    runs = synth_runs([1.0] * 10)
+    assert recovery_time(runs, BOUNDS1)[0] == 0
 
 
 def test_recovery_never():
-    traj = synth_traj([1.2] * 10)
-    assert recovery_time(traj, BOUNDS1) is None
+    runs = synth_runs([1.2] * 10)
+    assert recovery_time(runs, BOUNDS1)[0] is None
 
 
 def test_recovery_enters_at_seven():
     vals = [1.08] * 7 + [1.0] * 5
-    traj = synth_traj(vals)
-    assert recovery_time(traj, BOUNDS1) == 7
+    runs = synth_runs(vals)
+    assert recovery_time(runs, BOUNDS1)[0] == 7
 
 
 def test_recovery_requires_persistence():
     vals = [1.08] * 3 + [1.0] * 3 + [1.08] * 2 + [1.0] * 4
-    traj = synth_traj(vals)
-    assert recovery_time(traj, BOUNDS1) == 8
+    runs = synth_runs(vals)
+    assert recovery_time(runs, BOUNDS1)[0] == 8
 
 
 def test_recovery_tolerance():
     vals = [1.08] * 4 + [1.0505] * 6  # within 1e-3 of the band edge
-    traj = synth_traj(vals)
-    assert recovery_time(traj, BOUNDS1, tol=1e-3) == 4
-    assert recovery_time(traj, BOUNDS1, tol=1e-4) is None
+    runs = synth_runs(vals)
+    assert recovery_time(runs, BOUNDS1, tol=1e-3)[0] == 4
+    assert recovery_time(runs, BOUNDS1, tol=1e-4)[0] is None
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +307,7 @@ def test_rollout_trace_follows_disturbance(tmp_path):
     series = np.array([[1.06, 1.0], [1.0, 1.0], [1.0, 0.93]])
     runs = rollout_batch(zero_policy, X, series[:, None, :], np.zeros((1, 2)),
                          T=None, dt=0.1, cp=CP, bounds=BOUNDS2)
-    traj = runs.trajectory(0)
-    np.testing.assert_array_equal(traj.v, series)
+    np.testing.assert_array_equal(runs.v[:runs.steps[0] + 1, 0], series)
 
 
 # ---------------------------------------------------------------------------
@@ -367,14 +367,14 @@ def assert_rows_match_reference(runs, series, q0, dt):
     for s in range(series.shape[1]):
         v, q, u, costs, total, diverged = reference_rollout(
             mixed_policy, MIXED_X, series[:, s], q0[s], dt, CP, MIXED_BOUNDS)
-        traj = runs.trajectory(s)
-        np.testing.assert_array_equal(traj.v, v)
-        np.testing.assert_array_equal(traj.q, q)
-        np.testing.assert_array_equal(traj.u, u)
-        np.testing.assert_array_equal(traj.stage_costs, costs)
-        assert traj.discounted_cost == total
-        assert traj.diverged == diverged
-        assert traj.horizon == len(u)
+        k = runs.steps[s]
+        np.testing.assert_array_equal(runs.v[:k + 1, s], v)
+        np.testing.assert_array_equal(runs.q[:k + 1, s], q)
+        np.testing.assert_array_equal(runs.u[:k, s], u)
+        np.testing.assert_array_equal(runs.stage_costs[:k, s], costs)
+        assert runs.discounted_cost[s] == total
+        assert runs.diverged[s] == diverged
+        assert k == len(u)
 
 
 def test_engine_matches_reference_loop_per_row():
@@ -404,19 +404,19 @@ def test_engine_replays_a_per_step_series():
     runs = rollout_batch(mixed_policy, MIXED_X, series, MIXED_Q0, T=None,
                          dt=dt, cp=CP, bounds=MIXED_BOUNDS)
     assert_rows_match_reference(runs, series, MIXED_Q0, dt)
-    assert runs.trajectory(3).horizon == T
+    assert runs.steps[3] == T
     with pytest.raises(ValueError, match="series"):
         rollout_batch(mixed_policy, MIXED_X, series, MIXED_Q0, T=T - 1,
                       dt=dt, cp=CP, bounds=MIXED_BOUNDS)
 
 
 def test_single_rollout_is_one_engine_row():
-    traj = rollout(mixed_policy, MIXED_X, MIXED_ENV[0], MIXED_Q0[0], T=30,
-                   dt=0.1, cp=CP, bounds=MIXED_BOUNDS)
+    one = rollout(mixed_policy, MIXED_X, MIXED_ENV[0], MIXED_Q0[0], T=30,
+                  dt=0.1, cp=CP, bounds=MIXED_BOUNDS)
     runs = rollout_batch(mixed_policy, MIXED_X, MIXED_ENV, MIXED_Q0, T=30,
                          dt=0.1, cp=CP, bounds=MIXED_BOUNDS)
-    np.testing.assert_array_equal(traj.v, runs.trajectory(0).v)
-    np.testing.assert_array_equal(traj.u, runs.trajectory(0).u)
+    np.testing.assert_array_equal(one.v[:, 0], runs.v[:, 0])
+    np.testing.assert_array_equal(one.u[:, 0], runs.u[:, 0])
 
 
 # ---------------------------------------------------------------------------

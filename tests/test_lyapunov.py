@@ -237,18 +237,19 @@ def test_certified_rollouts_settle_in_band():
     from gridvolt.dynamics import CostParams, make_suite, rollout
     pol = make_policy(11)
     for v_env, q0, _ in make_suite(NET.n, 10, seed=3):
-        traj = rollout(pol, X5, v_env, q0, T=100, dt=0.1, cp=CostParams(),
+        runs = rollout(pol, X5, v_env, q0, T=100, dt=0.1, cp=CostParams(),
                        bounds=BOUNDS)
-        assert dist_to_band(traj.v[-1], BOUNDS) <= 1e-3
+        assert dist_to_band(runs.v[-1, 0], BOUNDS) <= 1e-3
 
 
-def reference_violations(X, pol, traj, kappa):
-    """Energy rises along one trajectory, one krasovskii_value call a step."""
+def reference_violations(X, pol, runs, s, kappa):
+    """Energy rises along scenario s, one krasovskii_value call a step."""
     bad = []
-    v_prev = krasovskii_value(X, pol, traj.v[0], cross_check=False)
-    for t in range(traj.horizon):
-        v_next = krasovskii_value(X, pol, traj.v[t + 1], cross_check=False)
-        slack = kappa * traj.dt * traj.dt * float(traj.u[t] @ traj.u[t])
+    v, u = runs.v[:, s], runs.u[:, s]
+    v_prev = krasovskii_value(X, pol, v[0], cross_check=False)
+    for t in range(runs.steps[s]):
+        v_next = krasovskii_value(X, pol, v[t + 1], cross_check=False)
+        slack = kappa * runs.dt * runs.dt * float(u[t] @ u[t])
         if v_next > v_prev + slack + 1e-12 * max(1.0, v_prev):
             bad.append((t, v_prev, v_next, slack))
         v_prev = v_next
@@ -265,7 +266,7 @@ def test_decrease_violations_match_per_step_energy():
         runs = rollout_batch(pol, X5, v_env, q0, T=100, dt=0.1,
                              cp=CostParams(), bounds=BOUNDS)
         got = decrease_violations(X5, pol, runs, kappa=1.0)
-        want = [reference_violations(X5, pol, runs.trajectory(s), 1.0)
+        want = [reference_violations(X5, pol, runs, s, 1.0)
                 for s in range(len(suite))]
         assert any(got)
         assert got == want

@@ -20,6 +20,7 @@ from gridvolt.rl import (
     FeedForwardNet,
     ReplayBuffer,
     TrainConfig,
+    TrainingDiverged,
     Transition,
     VoltEnv,
     critic_update,
@@ -578,8 +579,10 @@ def test_train_reward_sign_convention():
 
     v_env = np.full(4, 1.0)
     kw = dict(T=30, dt=0.1, cp=CostParams(), bounds=BOUNDS)
-    cost_zero = rollout(ZeroPolicy(), X5, v_env, np.zeros(4), **kw).discounted_cost
-    cost_fidget = rollout(fidgety, X5, v_env, np.zeros(4), **kw).discounted_cost
+    cost_zero = rollout(ZeroPolicy(), X5, v_env, np.zeros(4),
+                        **kw).discounted_cost[0]
+    cost_fidget = rollout(fidgety, X5, v_env, np.zeros(4),
+                          **kw).discounted_cost[0]
     assert cost_zero == 0.0
     assert cost_fidget > cost_zero
 
@@ -644,6 +647,22 @@ def test_train_collection_matches_reference_loop(feeder, actor):
     if feeder != "fixture" and actor == "stable":
         # the initial gains exceed this feeder's step-size limit
         assert 0 < diverged < cfg.episodes
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("scope", ["local", "joint"])
+def test_overflowing_critic_raises_training_diverged(scope):
+    # the initial gains exceed this feeder's step-size limit, so the replay
+    # buffer holds blown-up voltages and the critics overflow
+    net = generate_random_feeder(16, rng_seed=2)
+    band = net.bounds()
+    env = VoltEnv(X=build_sensitivity(net).X, v_lower=band[0],
+                  v_upper=band[1], cp=CostParams())
+    cfg = TrainConfig(episodes=8, seed=0, batch_size=64,
+                      updates_per_episode=2, critic_hidden=(16, 16),
+                      agent_scope=scope)
+    with pytest.raises(TrainingDiverged):
+        train(env, cfg, actor_kind="stable")
 
 
 def test_config_validation():
