@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import recovery_time, rollout_batch, row_dot
+from .dynamics import recovery_time, rollout_batch, row_dot, stage_cost
 from .util import config_hash, fmt
 
 DEFAULT_RECOVERY_TOL = 1e-3
@@ -52,13 +52,10 @@ def _mean_std(values):
 class PolicyStats:
     """Raw per-scenario outcomes for one policy."""
 
-    name: str
-    recovery: list            # per scenario, None when never recovered
     transient: list
     energy: list
     over_ratio: np.ndarray    # (scenarios, buses)
     under_ratio: np.ndarray
-    diverged: int
 
 
 @dataclass
@@ -67,10 +64,7 @@ class EvalReport:
 
     rows: list                # (policy, metric, mean, std, n)
     stats: dict               # name -> PolicyStats
-    scenario_count: int
-    horizon: int
     scenario_hash: str
-    config_hash: str
     rollouts: dict = None     # name -> Rollouts, with keep_trajectories
 
     def metric(self, policy, metric):
@@ -90,7 +84,7 @@ class EvalReport:
         return text
 
 
-def evaluate(policies, X, suite, bounds, v0=1.0, T=100, dt=0.1, cp=None,
+def evaluate(policies, X, suite, bounds, v0=1.0, T=100, dt=0.1,
              recovery_tol=DEFAULT_RECOVERY_TOL, keep_trajectories=False):
     """Roll every policy over every scenario and aggregate the comparison.
 
@@ -99,9 +93,6 @@ def evaluate(policies, X, suite, bounds, v0=1.0, T=100, dt=0.1, cp=None,
     stability rate. Returns an EvalReport; with ``keep_trajectories`` its
     ``rollouts`` holds each policy's closed-loop record.
     """
-    if cp is None:
-        from .dynamics import CostParams
-        cp = CostParams()
     if len(suite) < 1:
         raise ValueError("scenario suite is empty")
     v_env = np.array([v for v, _, _ in suite])
@@ -110,17 +101,14 @@ def evaluate(policies, X, suite, bounds, v0=1.0, T=100, dt=0.1, cp=None,
     stats = {}
     rollouts = {} if keep_trajectories else None
     for name, policy in policies:
-        runs = rollout_batch(policy, X, v_env, q0, T=T, dt=dt, cp=cp,
-                             bounds=bounds)
+        runs = rollout_batch(policy, X, v_env, q0, T=T, dt=dt)
         recs = recovery_time(runs, bounds, tol=recovery_tol)
         v_T = runs.v[-1]
         over = np.maximum(v_T - v0, 0.0) / v0
         under = np.maximum(v0 - v_T, 0.0) / v0
-        st = PolicyStats(name=name, recovery=recs,
-                         transient=transient_cost(runs, bounds,
-                                                  tol=recovery_tol),
+        st = PolicyStats(transient=transient_cost(runs, bounds, recovery_tol),
                          energy=control_energy(runs), over_ratio=over,
-                         under_ratio=under, diverged=int(runs.diverged.sum()))
+                         under_ratio=under)
         stats[name] = st
         if keep_trajectories:
             rollouts[name] = runs
@@ -139,11 +127,9 @@ def evaluate(policies, X, suite, bounds, v0=1.0, T=100, dt=0.1, cp=None,
 
     suite_payload = [{"v_env": list(map(float, v)), "q0": list(map(float, q)),
                       "label": lab} for v, q, lab in suite]
-    cfg = {"T": T, "dt": dt, "recovery_tol": recovery_tol, "v0": v0,
-           "eta1": cp.eta1, "eta2": cp.eta2, "gamma": cp.gamma}
-    return EvalReport(rows=rows, stats=stats, scenario_count=len(suite),
-                      horizon=T, scenario_hash=config_hash(suite_payload),
-                      config_hash=config_hash(cfg), rollouts=rollouts)
+    return EvalReport(rows=rows, stats=stats,
+                      scenario_hash=config_hash(suite_payload),
+                      rollouts=rollouts)
 
 
 def histogram_counts(values):
@@ -171,13 +157,15 @@ def write_histograms_csv(report, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def write_trajectory_csv(runs, s, path, policy="policy", scenario="scenario"):
+def write_trajectory_csv(runs, s, path, bounds, cp, policy="policy",
+                         scenario="scenario"):
     """Per-step plot data of scenario ``s`` of a Rollouts, up to its cut:
-    t = step * dt, bus, v, q, u, cost (u and cost blank on the last row)."""
+    t = step * dt, bus, v, q, u, and the stage cost of (v, u) priced with
+    ``bounds`` and ``cp`` (u and cost blank on the last row)."""
     lines = ["policy,scenario,t,bus,v,q,u,cost"]
     steps = int(runs.steps[s])
     v, q, u = runs.v[:, s], runs.q[:, s], runs.u[:, s]
-    cost = runs.stage_costs[:, s]
+    cost = stage_cost(v[:steps], u[:steps], bounds, cp)
     for t in range(steps + 1):
         for i in range(v.shape[1]):
             u_txt = fmt(u[t, i]) if t < steps else ""

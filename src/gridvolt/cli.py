@@ -25,13 +25,14 @@ def _load_network(path):
     return net
 
 
-def _positive(kind):
-    """argparse type: a ``kind`` value that must be positive and finite."""
+def _bounded(kind, low, strict=False):
+    """argparse type: a finite ``kind`` value >= ``low`` (> if ``strict``)."""
     def parse(text):
         value = kind(text)
-        if not 0 < value < math.inf:
-            raise argparse.ArgumentTypeError(f"must be positive and finite, "
-                                             f"got {text}")
+        if not (low < value if strict else low <= value) or value == math.inf:
+            raise argparse.ArgumentTypeError(
+                f"must be finite and {'>' if strict else '>='} {low}, "
+                f"got {text}")
         return value
     parse.__name__ = kind.__name__      # "invalid int value" on bad text
     return parse
@@ -74,6 +75,8 @@ def _suite_for(args, n):
         except (KeyError, TypeError, ValueError) as exc:
             raise CliError(f"bad scenario file {args.scenario_file}: "
                            f"{exc}") from exc
+        if not suite:
+            raise CliError(f"scenario file {args.scenario_file} is empty")
         for v_env, q0, label in suite:
             if v_env.shape != (n,) or q0.shape != (n,):
                 raise CliError(
@@ -90,9 +93,12 @@ def cmd_generate_network(args):
     if args.fixture:
         net = grid.five_bus_fixture()
     elif args.buses is not None:
-        net = grid.generate_random_feeder(
-            n=args.buses, rng_seed=args.seed,
-            impedance_range=(args.impedance_lo, args.impedance_hi))
+        try:
+            net = grid.generate_random_feeder(
+                n=args.buses, rng_seed=args.seed,
+                impedance_range=(args.impedance_lo, args.impedance_hi))
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
     else:
         raise CliError("need --buses or --fixture")
     sens = grid.build_sensitivity(net)
@@ -113,9 +119,9 @@ def cmd_simulate(args):
         raise CliError(f"scenario index {args.index} outside 0.."
                        f"{len(suite) - 1}")
     v_env, q0, label = suite[args.index]
-    runs = dynamics.rollout(pol, sens.X, v_env, q0, T=args.horizon,
-                            dt=args.dt, cp=dynamics.CostParams(), bounds=band)
-    bench.write_trajectory_csv(runs, 0, args.out, policy=name, scenario=label)
+    runs = dynamics.rollout(pol, sens.X, v_env, q0, T=args.horizon, dt=args.dt)
+    bench.write_trajectory_csv(runs, 0, args.out, band, dynamics.CostParams(),
+                               policy=name, scenario=label)
     rec, = dynamics.recovery_time(runs, band, tol=args.recovery_tol)
     status = "diverged" if runs.diverged[0] else (
         f"recovered at step {rec}" if rec is not None else "not recovered")
@@ -193,11 +199,13 @@ def cmd_evaluate(args):
         bench.write_histograms_csv(report, args.histograms)
     if args.traces_dir:
         os.makedirs(args.traces_dir, exist_ok=True)
+        cp = dynamics.CostParams()
         for pname in names:
             for k, (_, _, label) in enumerate(suite):
                 path = os.path.join(args.traces_dir, f"{pname}-{k}.csv")
                 bench.write_trajectory_csv(report.rollouts[pname], k, path,
-                                           policy=pname, scenario=label)
+                                           band, cp, policy=pname,
+                                           scenario=label)
     print(f"wrote {args.out}: {len(suite)} scenarios "
           f"(hash {report.scenario_hash}), policies: {', '.join(names)}")
     for pname in names:
@@ -216,15 +224,16 @@ def build_parser():
         description="Voltage control on radial feeders: feeders, rollouts, "
                     "training, stability certificates, and benchmarks.")
     sub = parser.add_subparsers(dest="command", required=True)
+    positive_float = _bounded(float, 0, strict=True)
 
     p = sub.add_parser("generate-network", help="write a radial feeder file")
-    p.add_argument("--buses", type=int,
+    p.add_argument("--buses", type=_bounded(int, 1),
                    help="size of a random feeder (omit with --fixture)")
     p.add_argument("--fixture", action="store_true",
                    help="write the bundled 5-bus feeder instead")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--impedance-lo", type=float, default=0.01)
-    p.add_argument("--impedance-hi", type=float, default=0.08)
+    p.add_argument("--seed", type=_bounded(int, 0), default=0)
+    p.add_argument("--impedance-lo", type=positive_float, default=0.01)
+    p.add_argument("--impedance-hi", type=positive_float, default=0.08)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate_network)
 
@@ -236,11 +245,11 @@ def build_parser():
     p.add_argument("--scenarios", type=int, default=10,
                    help="size of the generated suite when no file is given")
     p.add_argument("--index", type=int, default=0)
-    p.add_argument("--horizon", type=_positive(int), default=100)
-    p.add_argument("--dt", type=_positive(float), default=0.1)
-    p.add_argument("--recovery-tol", type=float,
+    p.add_argument("--horizon", type=_bounded(int, 1), default=100)
+    p.add_argument("--dt", type=positive_float, default=0.1)
+    p.add_argument("--recovery-tol", type=_bounded(float, 0),
                    default=bench.DEFAULT_RECOVERY_TOL)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_bounded(int, 0), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
@@ -248,11 +257,11 @@ def build_parser():
     p.add_argument("--network", required=True)
     p.add_argument("--actor", choices=("stable", "unconstrained"),
                    default="stable")
-    p.add_argument("--episodes", type=int, default=None,
+    p.add_argument("--episodes", type=_bounded(int, 1), default=None,
                    help="default 200 stable / 600 unconstrained")
     p.add_argument("--scope", choices=("local", "joint"), default="local")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dt", type=_positive(float), default=0.1)
+    p.add_argument("--seed", type=_bounded(int, 0), default=0)
+    p.add_argument("--dt", type=positive_float, default=0.1)
     p.add_argument("--timing", action="store_true",
                    help="record wall-clock per episode (breaks bit-identical "
                         "logs across runs)")
@@ -264,11 +273,11 @@ def build_parser():
     p.add_argument("--network", required=True)
     p.add_argument("--checkpoint", required=True,
                    help="'linear', 'zero', or a checkpoint path")
-    p.add_argument("--rollouts", type=_positive(int), default=100)
-    p.add_argument("--horizon", type=_positive(int), default=100)
-    p.add_argument("--dt", type=_positive(float), default=0.1)
-    p.add_argument("--tol", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--rollouts", type=_bounded(int, 1), default=100)
+    p.add_argument("--horizon", type=_bounded(int, 1), default=100)
+    p.add_argument("--dt", type=positive_float, default=0.1)
+    p.add_argument("--tol", type=_bounded(float, 0), default=1e-3)
+    p.add_argument("--seed", type=_bounded(int, 0), default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_certify)
 
@@ -278,11 +287,11 @@ def build_parser():
                    help="list of 'linear', 'zero', or checkpoint paths")
     p.add_argument("--scenario-file")
     p.add_argument("--scenarios", type=int, default=0)
-    p.add_argument("--horizon", type=_positive(int), default=100)
-    p.add_argument("--dt", type=_positive(float), default=0.1)
-    p.add_argument("--recovery-tol", type=float,
+    p.add_argument("--horizon", type=_bounded(int, 1), default=100)
+    p.add_argument("--dt", type=positive_float, default=0.1)
+    p.add_argument("--recovery-tol", type=_bounded(float, 0),
                    default=bench.DEFAULT_RECOVERY_TOL)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_bounded(int, 0), default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--histograms")
     p.add_argument("--traces-dir")

@@ -12,17 +12,14 @@ SCENARIO_KINDS = ("high", "low", "mixed")
 
 @dataclass(frozen=True)
 class CostParams:
-    """Stage-cost weights: deviation weight, action weight, per-step discount."""
+    """Stage-cost weights: deviation weight and action weight."""
 
     eta1: float = 100.0
     eta2: float = 50.0
-    gamma: float = 0.99
 
     def __post_init__(self):
         if self.eta1 < 0 or self.eta2 < 0 or (self.eta1 == 0 and self.eta2 == 0):
             raise ValueError("eta1, eta2 must be nonnegative and not both zero")
-        if not (0.0 < self.gamma <= 1.0):
-            raise ValueError("gamma must lie in (0, 1]")
 
 
 def band_violation(v, bounds):
@@ -134,17 +131,14 @@ def load_scenarios(path):
 class Rollouts:
     """Closed-loop record of S scenarios stepped together, time axis first.
 
-    v, q are (T+1, S, n); u is (T, S, n); stage_costs is (T, S). Scenario s
-    ran ``steps[s]`` steps; past its cut, v and q hold the last state and u
-    and the stage cost are zero.
+    v, q are (T+1, S, n); u is (T, S, n). Scenario s ran ``steps[s]`` steps
+    of size ``dt``; past its cut, v and q hold the last state and u is zero.
     """
 
     v: np.ndarray
     q: np.ndarray
     u: np.ndarray
-    stage_costs: np.ndarray
     dt: float
-    discounted_cost: np.ndarray
     steps: np.ndarray
 
     @property
@@ -177,12 +171,11 @@ def step(q, u, dt, X, v_env):
     return q_next, _row_matvec(X, q_next) + v_env
 
 
-def rollout_batch(policy, X, v_env, q0, T, dt, cp, bounds,
-                  blowup=BLOWUP_BOUND):
+def rollout_batch(policy, X, v_env, q0, T, dt, blowup=BLOWUP_BOUND):
     """Roll S closed loops forward together with u(t) = policy(v(t)).
 
-    Each step moves the whole (S, n) block through ``step`` and prices it
-    with ``stage_cost``: q <- q + dt u, v <- X q + v_env.
+    Each step moves the whole (S, n) block through ``step``:
+    q <- q + dt u, v <- X q + v_env.
     ``v_env`` is either a constant (S, n) block or a per-step (T+1, S, n)
     series replayed row by row (then T may be None). ``policy`` maps an
     (S, n) block of voltages to an (S, n) block of actions row-wise, and an
@@ -210,8 +203,6 @@ def rollout_batch(policy, X, v_env, q0, T, dt, cp, bounds,
     v = np.empty((T + 1, S, n))
     q = np.empty((T + 1, S, n))
     u = np.zeros((T, S, n))
-    costs = np.zeros((T, S))
-    total = np.zeros(S)
     steps = np.full(S, T)
     q[0] = q0
     v[0] = _row_matvec(X, q0) + (v_env[0] if series else v_env)
@@ -239,20 +230,16 @@ def rollout_batch(policy, X, v_env, q0, T, dt, cp, bounds,
             live, v_t, u_t = live[~cut], v_t[~cut], u_t[~cut]
             if len(v_t) == 0:
                 break
-        c = stage_cost(v_t, u_t, bounds, cp)
         env = v_env[t + 1, live] if series else v_env[live]
         q[t + 1, live], v[t + 1, live] = step(q[t, live], u_t, dt, X, env)
         u[t, live] = u_t
-        costs[t, live] = c
-        total[live] += (cp.gamma ** t) * c
     for s in np.flatnonzero(steps < T):
         v[steps[s] + 1:, s] = v[steps[s], s]
         q[steps[s] + 1:, s] = q[steps[s], s]
-    return Rollouts(v=v, q=q, u=u, stage_costs=costs, dt=dt,
-                    discounted_cost=total, steps=steps)
+    return Rollouts(v=v, q=q, u=u, dt=dt, steps=steps)
 
 
-def rollout(policy, X, v_env, q0, T, dt, cp, bounds, blowup=BLOWUP_BOUND):
+def rollout(policy, X, v_env, q0, T, dt, blowup=BLOWUP_BOUND):
     """Roll one closed loop forward: ``rollout_batch`` with S = 1.
 
     ``v_env`` is an (n,) disturbance or a (T+1, n) series replayed one row
@@ -261,8 +248,8 @@ def rollout(policy, X, v_env, q0, T, dt, cp, bounds, blowup=BLOWUP_BOUND):
     """
     v_env = np.asarray(v_env, dtype=float)
     return rollout_batch(policy, X, v_env[..., None, :],
-                         np.asarray(q0, dtype=float)[None], T, dt, cp,
-                         bounds, blowup=blowup)
+                         np.asarray(q0, dtype=float)[None], T, dt,
+                         blowup=blowup)
 
 
 def recovery_time(runs, bounds, tol=1e-3):

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import (CostParams, dist_to_band, make_suite, rollout_batch,
-                       row_dot)
+from .dynamics import dist_to_band, make_suite, rollout_batch, row_dot
 from .policy import MonotonePolicy, verify_monotone
 from .util import config_hash
 
@@ -204,7 +203,12 @@ def certify_policy(X, policy, cfg, policy_id="policy"):
                                   kappa * dt^2 * |u|^2 per step (kappa from
                                   the matrix norm and the policy gain);
                                   violations are retried at dt/10 and only
-                                  persistent ones fail the clause;
+                                  persistent ones fail the clause. For a
+                                  MonotonePolicy (exact max_gain L, slopes
+                                  in [-L, 0]) a step raises V by at most
+                                  dt^2/2 L^2 lmax(X)^3 |g|^2, half the
+                                  slack, so the clause is evidence only
+                                  for other policies;
       * convergence_to_band       every rollout ends within dist_tol of the
                                   band by the horizon.
 
@@ -268,14 +272,13 @@ def certify_policy(X, policy, cfg, policy_id="policy"):
     gain = max(gain, 1.0)
     kappa = gain ** 2 * x_norm ** 3
     suite = make_suite(n, cfg.rollouts, seed=cfg.seed + 1)
-    cp = CostParams()
 
     v_env = np.array([sc[0] for sc in suite])
     q0 = np.array([sc[1] for sc in suite])
 
     def roll(rows, dt, horizon):
         runs = rollout_batch(policy, X, v_env[rows], q0[rows], T=horizon,
-                             dt=dt, cp=cp, bounds=bounds, blowup=cfg.blowup)
+                             dt=dt, blowup=cfg.blowup)
         return runs, decrease_violations(X, policy, runs, kappa)
 
     runs, bad = roll(slice(None), cfg.dt, cfg.horizon)

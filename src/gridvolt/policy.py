@@ -267,7 +267,8 @@ class MonotonePolicy:
         return policy_input_grad(self.params, v)
 
     def max_gain(self):
-        """Largest slope magnitude anywhere (outermost prefix sum)."""
+        """Largest slope magnitude anywhere: the largest prefix sum of the
+        ramp weights over every piece of every bus, on either side."""
         pos = np.cumsum(self.params.wplus, axis=1).max()
         neg = np.abs(np.cumsum(self.params.wminus, axis=1)).max()
         return float(max(pos, neg))

@@ -264,6 +264,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.actor_lr <= 0 or self.critic_lr <= 0:
             raise ValueError("learning rates must be positive")
+        if not (0.0 <= self.gamma <= 1.0):
+            raise ValueError("gamma must lie in [0, 1]")
         if not (0.0 < self.tau <= 1.0):
             raise ValueError("tau must lie in (0, 1]")
         if self.batch_size > self.buffer_capacity:
@@ -434,7 +436,6 @@ class TrainResult:
     raw: RawPolicyParams = None
     init_raw: RawPolicyParams = None
     actor_nets: list = None
-    critics: list = None
     diverged_episodes: int = 0
     updates: int = 0          # minibatch update rounds run
 
@@ -576,8 +577,7 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
             return greedy(v) + np.clip(
                 noise_rng.normal(0.0, cfg.noise_std, size=v.shape), -clip, clip)
 
-        runs = rollout(noisy, env.X, v_env, q0, cfg.episode_len, env.dt,
-                       env.cp, band)
+        runs = rollout(noisy, env.X, v_env, q0, cfg.episode_len, env.dt)
         k = int(runs.steps[0])
         v, u = runs.v[:k + 1, 0], runs.u[:k, 0]
         r = env.per_bus_reward(v[:-1], u)
@@ -634,5 +634,5 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
 
     return TrainResult(policy=greedy_policy(), log=log, raw=raw,
                        init_raw=init_raw, actor_nets=actor_nets,
-                       critics=critics, diverged_episodes=diverged_episodes,
+                       diverged_episodes=diverged_episodes,
                        updates=updates)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from gridvolt.bench import evaluate
-from gridvolt.dynamics import CostParams, make_suite, rollout
+from gridvolt.dynamics import CostParams, make_suite, rollout, stage_cost
 from gridvolt.grid import (
     build_sensitivity,
     check_positive_definite,
@@ -47,6 +47,13 @@ SENS = build_sensitivity(NET)
 X5 = SENS.X
 BOUNDS = NET.bounds()
 CP = CostParams()
+
+
+def discounted_stage_cost(runs, gamma=TrainConfig().gamma):
+    """Sum over the run's steps of gamma^t times the stage cost."""
+    k = runs.steps[0]
+    costs = stage_cost(runs.v[:k, 0], runs.u[:k, 0], BOUNDS, CP)
+    return sum((gamma ** t) * c for t, c in enumerate(costs))
 
 
 def line(num, name, ok, detail=""):
@@ -294,8 +301,7 @@ def test_training_improvement_smoke(trained):
     fixed = make_suite(NET.n, 40, seed=777)
 
     def total_cost(pol):
-        return sum(rollout(pol, X5, v, q, T=30, dt=0.1, cp=CP,
-                           bounds=BOUNDS).discounted_cost[0]
+        return sum(discounted_stage_cost(rollout(pol, X5, v, q, T=30, dt=0.1))
                    for v, q, _ in fixed)
 
     before = total_cost(MonotonePolicy.from_raw(res.init_raw, BOUNDS, cfg.eps))

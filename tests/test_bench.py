@@ -9,7 +9,7 @@ from gridvolt.bench import (
     transient_cost,
     write_histograms_csv,
 )
-from gridvolt.dynamics import CostParams, Rollouts, make_suite
+from gridvolt.dynamics import Rollouts, make_suite
 from gridvolt.grid import build_sensitivity, five_bus_fixture
 from gridvolt.policy import LinearDeadbandPolicy, MonotonePolicy, ZeroPolicy, \
     sample_raw_params
@@ -27,8 +27,7 @@ def synth_runs(v_rows, q_rows, u_rows=None):
     T = len(v) - 1
     u = np.zeros((T, v.shape[1])) if u_rows is None else np.asarray(u_rows)
     return Rollouts(v=v[:, None, :], q=q[:, None, :], u=u[:, None, :],
-                    stage_costs=np.zeros((T, 1)), dt=0.1,
-                    discounted_cost=np.zeros(1), steps=np.array([T]))
+                    dt=0.1, steps=np.array([T]))
 
 
 # ---------------------------------------------------------------------------

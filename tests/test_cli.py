@@ -99,6 +99,9 @@ def _with(key, value):
     return edit
 
 
+EMPTY_SUITE = "empty-suite.json"
+
+
 @pytest.mark.parametrize("edit, argv", [
     (lambda data: [data], ["simulate", "--policy", "linear"]),
     (_r_not_a_number, ["simulate", "--policy", "linear"]),
@@ -109,20 +112,54 @@ def _with(key, value):
     (None, ["certify", "--checkpoint", "linear", "--rollouts", "0"]),
     (None, ["evaluate", "--policies", "linear", "--scenarios", "2",
             "--horizon", "0"]),
+    (None, ["simulate", "--policy", "linear", "--recovery-tol", "nan"]),
+    (None, ["simulate", "--policy", "linear", "--recovery-tol", "-1"]),
+    (None, ["evaluate", "--policies", "linear", "--scenarios", "2",
+            "--recovery-tol", "nan"]),
+    (None, ["evaluate", "--policies", "linear", "--scenarios", "2",
+            "--recovery-tol", "-1"]),
+    (None, ["certify", "--checkpoint", "linear", "--tol", "-1"]),
+    (None, ["simulate", "--policy", "linear", "--seed", "-1"]),
+    (None, ["train", "--episodes", "1", "--seed", "-1"]),
+    (None, ["certify", "--checkpoint", "linear", "--seed", "-1"]),
+    (None, ["evaluate", "--policies", "linear", "--scenarios", "2",
+            "--seed", "-1"]),
+    (None, ["generate-network", "--buses", "4", "--seed", "-1"]),
+    (None, ["generate-network", "--buses", "0"]),
+    (None, ["generate-network", "--buses", "4", "--impedance-lo", "0.08",
+            "--impedance-hi", "0.08"]),
+    (None, ["generate-network", "--buses", "4", "--impedance-hi", "inf"]),
+    (None, ["train", "--episodes", "-3"]),
+    (None, ["evaluate", "--policies", "linear", "--scenario-file",
+            EMPTY_SUITE]),
 ], ids=["network-list", "network-r-not-a-number", "network-buses-not-a-list",
         "simulate-horizon-0", "simulate-dt-inf", "train-dt-0",
-        "certify-rollouts-0", "evaluate-horizon-0"])
+        "certify-rollouts-0", "evaluate-horizon-0",
+        "simulate-recovery-tol-nan", "simulate-recovery-tol-negative",
+        "evaluate-recovery-tol-nan", "evaluate-recovery-tol-negative",
+        "certify-tol-negative", "simulate-seed-negative",
+        "train-seed-negative", "certify-seed-negative",
+        "evaluate-seed-negative", "generate-network-seed-negative",
+        "generate-network-buses-0", "generate-network-impedance-empty",
+        "generate-network-impedance-inf",
+        "train-episodes-negative", "evaluate-empty-scenario-file"])
 def test_bad_input_exits_2(net_path, tmp_path, capsys, edit, argv):
     if edit is not None:
         with open(net_path) as fh:
             data = edit(json.load(fh))
         with open(net_path, "w") as fh:
             json.dump(data, fh)
+    (tmp_path / EMPTY_SUITE).write_text("[]")
     command, *flags = argv
-    code = cli_main([command, "--network", net_path, *flags,
-                     "--out", str(tmp_path / "out")])
+    flags = [str(tmp_path / f) if f == EMPTY_SUITE else f for f in flags]
+    if command != "generate-network":
+        flags = ["--network", net_path, *flags]
+    out = tmp_path / "out"
+    code = cli_main([command, *flags, "--out", str(out)])
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and "unrecognized arguments" not in err
+    assert not out.exists()
 
 
 def test_train_and_certify_roundtrip(net_path, tmp_path, capsys):

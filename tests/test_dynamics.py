@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gridvolt.bench import write_trajectory_csv
 from gridvolt.dynamics import (
     CostParams,
     Rollouts,
@@ -17,6 +18,7 @@ from gridvolt.dynamics import (
     step,
 )
 from gridvolt.grid import build_sensitivity, five_bus_fixture
+from gridvolt.util import fmt
 
 BOUNDS1 = (np.array([0.95]), np.array([1.05]))
 BOUNDS2 = (np.array([0.95, 0.95]), np.array([1.05, 1.05]))
@@ -132,8 +134,6 @@ def test_dist_to_band_examples():
 def test_cost_params_validation():
     with pytest.raises(ValueError):
         CostParams(eta1=0.0, eta2=0.0)
-    with pytest.raises(ValueError):
-        CostParams(gamma=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +199,7 @@ def zero_policy(v):
 def test_rollout_zero_policy_constant_voltage():
     X = np.array([[0.1, 0.05], [0.05, 0.2]])
     v_env = np.array([1.07, 1.01])
-    runs = rollout(zero_policy, X, v_env, np.zeros(2), T=20, dt=0.1,
-                   cp=CP, bounds=BOUNDS2)
+    runs = rollout(zero_policy, X, v_env, np.zeros(2), T=20, dt=0.1)
     assert runs.steps[0] == 20
     for v in runs.v[:, 0]:
         np.testing.assert_array_equal(v, v_env)
@@ -212,9 +211,9 @@ def test_rollout_in_band_start_zero_cost():
     def deadband(v):
         return -np.maximum(v - 1.05, 0) + np.maximum(0.95 - v, 0)
 
-    runs = rollout(deadband, X, np.array([1.0]), np.zeros(1), T=30, dt=0.1,
-                   cp=CP, bounds=BOUNDS1)
-    assert runs.discounted_cost[0] == 0.0
+    runs = rollout(deadband, X, np.array([1.0]), np.zeros(1), T=30, dt=0.1)
+    costs = stage_cost(runs.v[:runs.steps[0], 0], runs.u[:, 0], BOUNDS1, CP)
+    np.testing.assert_array_equal(costs, 0.0)
     np.testing.assert_array_equal(runs.u[:, 0], 0.0)
 
 
@@ -226,8 +225,7 @@ def test_rollout_matches_scalar_recursion():
     def deadband(v):
         return -np.maximum(v - 1.05, 0) + np.maximum(0.95 - v, 0)
 
-    runs = rollout(deadband, X, np.array([1.09]), np.zeros(1), T=50, dt=dt,
-                   cp=CP, bounds=BOUNDS1)
+    runs = rollout(deadband, X, np.array([1.09]), np.zeros(1), T=50, dt=dt)
     gap = 0.04
     for t in range(51):
         assert runs.v[t, 0, 0] - 1.05 == pytest.approx(gap, abs=1e-9)
@@ -240,20 +238,10 @@ def test_rollout_diverges_and_flags():
     def runaway(v):
         return 100.0 * (v - 1.0)  # positive feedback
 
-    runs = rollout(runaway, X, np.array([1.06]), np.zeros(1), T=500, dt=0.1,
-                   cp=CP, bounds=BOUNDS1)
+    runs = rollout(runaway, X, np.array([1.06]), np.zeros(1), T=500, dt=0.1)
     assert runs.diverged[0]
     assert runs.steps[0] < 500
     assert recovery_time(runs, BOUNDS1)[0] is None
-
-
-def test_rollout_discount_accumulation():
-    X = np.array([[0.1]])
-    runs = rollout(zero_policy, X, np.array([1.06]), np.zeros(1), T=3, dt=0.1,
-                   cp=CP, bounds=BOUNDS1)
-    c = 100 * 0.01 ** 2
-    expect = c * (1 + 0.99 + 0.99 ** 2)
-    assert runs.discounted_cost[0] == pytest.approx(expect)
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +252,8 @@ def synth_runs(v_values):
     """One-scenario, one-bus record of the given voltages, never cut."""
     v = np.asarray(v_values, dtype=float).reshape(-1, 1, 1)
     T = len(v) - 1
-    return Rollouts(v=v, q=np.zeros_like(v), u=np.zeros((T, 1, 1)),
-                    stage_costs=np.zeros((T, 1)), dt=0.1,
-                    discounted_cost=np.zeros(1), steps=np.array([T]))
+    return Rollouts(v=v, q=np.zeros_like(v), u=np.zeros((T, 1, 1)), dt=0.1,
+                    steps=np.array([T]))
 
 
 def test_recovery_in_band_from_start():
@@ -306,7 +293,7 @@ def test_rollout_trace_follows_disturbance(tmp_path):
     X = np.array([[0.1, 0.05], [0.05, 0.2]])
     series = np.array([[1.06, 1.0], [1.0, 1.0], [1.0, 0.93]])
     runs = rollout_batch(zero_policy, X, series[:, None, :], np.zeros((1, 2)),
-                         T=None, dt=0.1, cp=CP, bounds=BOUNDS2)
+                         T=None, dt=0.1)
     np.testing.assert_array_equal(runs.v[:runs.steps[0] + 1, 0], series)
 
 
@@ -322,7 +309,7 @@ def reference_rollout(policy, X, v_env_series, q0, dt, cp, bounds,
     q = np.asarray(q0, dtype=float)
     v = X @ q + v_env_series[0]
     vs, qs, us, costs = [v], [q], [], []
-    total, diverged = 0.0, False
+    diverged = False
     for t in range(T):
         if np.max(np.abs(v)) > blowup:
             diverged = True
@@ -337,12 +324,11 @@ def reference_rollout(policy, X, v_env_series, q0, dt, cp, bounds,
         v = X @ q + v_env_series[t + 1]
         us.append(u)
         costs.append(c)
-        total += (cp.gamma ** t) * c
         vs.append(v)
         qs.append(q)
     n = len(q0)
     return (np.array(vs), np.array(qs), np.array(us).reshape(len(us), n),
-            np.array(costs), total, diverged)
+            np.array(costs), diverged)
 
 
 def mixed_policy(v):
@@ -365,14 +351,14 @@ MIXED_Q0 = np.random.default_rng(3).normal(scale=0.02, size=(4, 4))
 
 def assert_rows_match_reference(runs, series, q0, dt):
     for s in range(series.shape[1]):
-        v, q, u, costs, total, diverged = reference_rollout(
+        v, q, u, costs, diverged = reference_rollout(
             mixed_policy, MIXED_X, series[:, s], q0[s], dt, CP, MIXED_BOUNDS)
         k = runs.steps[s]
         np.testing.assert_array_equal(runs.v[:k + 1, s], v)
         np.testing.assert_array_equal(runs.q[:k + 1, s], q)
         np.testing.assert_array_equal(runs.u[:k, s], u)
-        np.testing.assert_array_equal(runs.stage_costs[:k, s], costs)
-        assert runs.discounted_cost[s] == total
+        np.testing.assert_array_equal(
+            stage_cost(runs.v[:k, s], runs.u[:k, s], MIXED_BOUNDS, CP), costs)
         assert runs.diverged[s] == diverged
         assert k == len(u)
 
@@ -386,8 +372,7 @@ def test_engine_matches_reference_loop_per_row():
         seen.append(len(v))
         return mixed_policy(v)
 
-    runs = rollout_batch(policy, MIXED_X, env, q0, T=T, dt=dt, cp=CP,
-                         bounds=MIXED_BOUNDS)
+    runs = rollout_batch(policy, MIXED_X, env, q0, T=T, dt=dt)
     assert_rows_match_reference(runs, np.tile(env, (T + 1, 1, 1)), q0, dt)
     assert not runs.diverged[0] and runs.steps[0] == T
     for s in (1, 2):
@@ -402,21 +387,42 @@ def test_engine_replays_a_per_step_series():
     series = np.tile(MIXED_ENV, (T + 1, 1, 1))
     series[:, 3, 0] = 1.0 + 0.08 * np.sin(0.3 * np.arange(T + 1))
     runs = rollout_batch(mixed_policy, MIXED_X, series, MIXED_Q0, T=None,
-                         dt=dt, cp=CP, bounds=MIXED_BOUNDS)
+                         dt=dt)
     assert_rows_match_reference(runs, series, MIXED_Q0, dt)
     assert runs.steps[3] == T
     with pytest.raises(ValueError, match="series"):
         rollout_batch(mixed_policy, MIXED_X, series, MIXED_Q0, T=T - 1,
-                      dt=dt, cp=CP, bounds=MIXED_BOUNDS)
+                      dt=dt)
 
 
 def test_single_rollout_is_one_engine_row():
     one = rollout(mixed_policy, MIXED_X, MIXED_ENV[0], MIXED_Q0[0], T=30,
-                  dt=0.1, cp=CP, bounds=MIXED_BOUNDS)
+                  dt=0.1)
     runs = rollout_batch(mixed_policy, MIXED_X, MIXED_ENV, MIXED_Q0, T=30,
-                         dt=0.1, cp=CP, bounds=MIXED_BOUNDS)
+                         dt=0.1)
     np.testing.assert_array_equal(one.v[:, 0], runs.v[:, 0])
     np.testing.assert_array_equal(one.u[:, 0], runs.u[:, 0])
+
+
+def test_trace_csv_costs_match_reference_loop(tmp_path):
+    # scenario 1 is cut by blow-up and scenario 2 by a non-finite action
+    T, dt = 30, 0.1
+    runs = rollout_batch(mixed_policy, MIXED_X, MIXED_ENV, MIXED_Q0, T=T,
+                         dt=dt)
+    assert runs.diverged[1] and runs.diverged[2]
+    n = MIXED_ENV.shape[1]
+    for s in range(len(MIXED_ENV)):
+        *_, costs, _ = reference_rollout(
+            mixed_policy, MIXED_X, np.tile(MIXED_ENV[s], (T + 1, 1)),
+            MIXED_Q0[s], dt, CP, MIXED_BOUNDS)
+        path = tmp_path / f"trace-{s}.csv"
+        write_trajectory_csv(runs, s, path, MIXED_BOUNDS, CP)
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert len(rows) == (len(costs) + 1) * n
+        for k, row in enumerate(rows):
+            t, bus = divmod(k, n)
+            want = fmt(costs[t]) if t < len(costs) and bus == 0 else ""
+            assert row[-1] == want, (s, t, bus)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +446,7 @@ def test_engine_first_cut_after_all_rows_ran_live():
     q0 = MIXED_Q0[:3]
     calls = []
     runs = rollout_batch(counting(calls), MIXED_X, series, q0, T=None,
-                         dt=dt, cp=CP, bounds=MIXED_BOUNDS)
+                         dt=dt)
     assert_rows_match_reference(runs, series, q0, dt)
     np.testing.assert_array_equal(runs.steps, [T, 5, 9])
     assert calls == [3] * 5 + [2] * 5 + [1] * (T - 10)
@@ -456,8 +462,7 @@ def test_engine_cuts_every_row_at_step_zero(env, calls_made):
     T, dt = 10, 0.1
     q0 = MIXED_Q0[:3]
     calls = []
-    runs = rollout_batch(counting(calls), MIXED_X, env, q0, T=T, dt=dt,
-                         cp=CP, bounds=MIXED_BOUNDS)
+    runs = rollout_batch(counting(calls), MIXED_X, env, q0, T=T, dt=dt)
     assert_rows_match_reference(runs, np.tile(env, (T + 1, 1, 1)), q0, dt)
     np.testing.assert_array_equal(runs.steps, 0)
     assert runs.diverged.all()
@@ -478,7 +483,7 @@ def test_engine_blowup_and_nonfinite_cut_in_one_step():
     q0 = MIXED_Q0[:3]
     calls = []
     runs = rollout_batch(counting(calls), MIXED_X, series, q0, T=None,
-                         dt=dt, cp=CP, bounds=MIXED_BOUNDS)
+                         dt=dt)
     assert_rows_match_reference(runs, series, q0, dt)
     np.testing.assert_array_equal(runs.steps, [k, k, T])
     assert calls == [3] * k + [2] + [1] * (T - k - 1)

@@ -3,12 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from gridvolt.dynamics import (
-    CostParams,
-    dist_to_band,
-    make_suite,
-    rollout_batch,
-)
+from gridvolt.dynamics import dist_to_band, make_suite, rollout_batch
 from gridvolt.grid import build_sensitivity, five_bus_fixture
 from gridvolt.lyapunov import (
     CertifyConfig,
@@ -234,11 +229,10 @@ def test_certificate_deterministic():
 
 def test_certified_rollouts_settle_in_band():
     # the convergence clause itself: spot-check dist at horizon by hand
-    from gridvolt.dynamics import CostParams, make_suite, rollout
+    from gridvolt.dynamics import rollout
     pol = make_policy(11)
     for v_env, q0, _ in make_suite(NET.n, 10, seed=3):
-        runs = rollout(pol, X5, v_env, q0, T=100, dt=0.1, cp=CostParams(),
-                       bounds=BOUNDS)
+        runs = rollout(pol, X5, v_env, q0, T=100, dt=0.1)
         assert dist_to_band(runs.v[-1, 0], BOUNDS) <= 1e-3
 
 
@@ -263,13 +257,32 @@ def test_decrease_violations_match_per_step_energy():
     # steep enough to ring, then steep enough to diverge (cut rows)
     for gain_range in ((40.0, 50.0), (80.0, 90.0)):
         pol = make_policy(3, gain_range=gain_range)
-        runs = rollout_batch(pol, X5, v_env, q0, T=100, dt=0.1,
-                             cp=CostParams(), bounds=BOUNDS)
+        runs = rollout_batch(pol, X5, v_env, q0, T=100, dt=0.1)
         got = decrease_violations(X5, pol, runs, kappa=1.0)
         want = [reference_violations(X5, pol, runs, s, 1.0)
                 for s in range(len(suite))]
         assert any(got)
         assert got == want
+
+
+def test_monotone_energy_rise_is_at_most_half_the_slack():
+    # slopes in [-L, 0] give v+ - v = dt X g and g(v+) - g(v) = dt D X g with
+    # D diagonal in [-L, 0], so V(v+) - V(v) = dt (Xg)'D(Xg)
+    # + dt^2/2 (DXg)'X(DXg) <= dt^2/2 L^2 lmax^3 |g|^2: half of certify's
+    # slack, even on runs that diverge
+    suite = make_suite(NET.n, 30, seed=5)
+    v_env = np.array([v for v, _, _ in suite])
+    q0 = np.array([q for _, q, _ in suite])
+    lmax = np.linalg.eigvalsh(X5).max()
+    diverged = 0
+    for seed in range(4):
+        pol = make_policy(seed, gain_range=(80.0, 90.0))
+        kappa = max(pol.max_gain(), 1.0) ** 2 * lmax ** 3
+        runs = rollout_batch(pol, X5, v_env, q0, T=100, dt=0.1)
+        diverged += int(runs.diverged.sum())
+        assert any(decrease_violations(X5, pol, runs, kappa=0.0))
+        assert not any(decrease_violations(X5, pol, runs, kappa=kappa / 2))
+    assert diverged > 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gridvolt.dynamics import CostParams
+from gridvolt.dynamics import CostParams, stage_cost
 from gridvolt.grid import (
     build_sensitivity,
     five_bus_fixture,
@@ -40,6 +40,13 @@ from gridvolt.rl import (
 NET = five_bus_fixture()
 X5 = build_sensitivity(NET).X
 BOUNDS = NET.bounds()
+
+
+def discounted_stage_cost(runs, gamma=TrainConfig().gamma):
+    """Sum over the run's steps of gamma^t times the stage cost."""
+    k = runs.steps[0]
+    costs = stage_cost(runs.v[:k, 0], runs.u[:k, 0], BOUNDS, CostParams())
+    return sum((gamma ** t) * c for t, c in enumerate(costs))
 
 
 def make_env():
@@ -571,18 +578,17 @@ def test_train_reward_sign_convention():
     # strictly more than doing nothing, and the per-bus rewards used by
     # train are the exact negation of the stage costs
     env = make_env()
-    from gridvolt.dynamics import rollout, stage_cost
+    from gridvolt.dynamics import rollout
     from gridvolt.policy import ZeroPolicy
 
     def fidgety(v):
         return np.full_like(v, 0.1)
 
     v_env = np.full(4, 1.0)
-    kw = dict(T=30, dt=0.1, cp=CostParams(), bounds=BOUNDS)
-    cost_zero = rollout(ZeroPolicy(), X5, v_env, np.zeros(4),
-                        **kw).discounted_cost[0]
-    cost_fidget = rollout(fidgety, X5, v_env, np.zeros(4),
-                          **kw).discounted_cost[0]
+    cost_zero = discounted_stage_cost(
+        rollout(ZeroPolicy(), X5, v_env, np.zeros(4), T=30, dt=0.1))
+    cost_fidget = discounted_stage_cost(
+        rollout(fidgety, X5, v_env, np.zeros(4), T=30, dt=0.1))
     assert cost_zero == 0.0
     assert cost_fidget > cost_zero
 
@@ -676,6 +682,10 @@ def test_config_validation():
         TrainConfig(agent_scope="global")
     with pytest.raises(ValueError):
         TrainConfig(episode_len=0)
+    with pytest.raises(ValueError):
+        TrainConfig(gamma=1.5)
+    with pytest.raises(ValueError):
+        TrainConfig(gamma=-0.1)
 
 
 @pytest.mark.parametrize("joint", [False, True])
