@@ -60,7 +60,6 @@ from .rl import (
     FeedForwardNet,
     ReplayBuffer,
     TrainConfig,
-    Transition,
     VoltEnv,
     critic_update,
     net_backprop,

@@ -82,6 +82,8 @@ def _suite_for(args, n):
                 raise CliError(
                     f"scenario {label} has {v_env.size} v_env and {q0.size} "
                     f"q0 entries, the network has {n} buses")
+            if not all(map(math.isfinite, [*v_env, *q0])):
+                raise CliError(f"scenario {label} has a non-finite entry")
         return suite
     count = getattr(args, "scenarios", 0)
     if count < 1:

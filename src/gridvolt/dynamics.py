@@ -8,6 +8,9 @@ import numpy as np
 DEFAULT_DT = 0.1
 BLOWUP_BOUND = 10.0
 SCENARIO_KINDS = ("high", "low", "mixed")
+HIGH_RANGE = (1.05, 1.10)       # voltages of buses pushed over the band
+LOW_RANGE = (0.90, 0.95)        # voltages of buses pushed under it
+AMBIENT_RANGE = (0.98, 1.02)    # every other bus
 
 
 @dataclass(frozen=True)
@@ -57,16 +60,11 @@ class ScenarioConfig:
 
     ``kind`` is 'high', 'low' or 'mixed'. Violating buses are a uniformly
     chosen nonempty subset; for 'mixed' at least one bus is pushed over and
-    one under the band. Remaining buses stay near nominal. ``seed`` is used
-    when no generator is passed to ``sample_scenario``.
+    one under the band. Remaining buses stay near nominal.
     """
 
     kind: str
     n: int
-    high_range: tuple = (1.05, 1.10)
-    low_range: tuple = (0.90, 0.95)
-    ambient_range: tuple = (0.98, 1.02)
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
@@ -75,18 +73,21 @@ class ScenarioConfig:
             raise ValueError("mixed scenarios need at least two buses")
 
 
-def sample_scenario(cfg, rng=None):
-    """Draw (v_env, q0) for one disturbance scenario. q0 defaults to zero."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+def scenario_kinds(n):
+    """The scenario kinds an n-bus feeder can draw: 'mixed' needs two buses."""
+    return SCENARIO_KINDS if n >= 2 else SCENARIO_KINDS[:2]
+
+
+def sample_scenario(cfg, rng):
+    """Draw (v_env, q0) for one disturbance scenario. q0 is zero."""
     n = cfg.n
-    v_env = rng.uniform(*cfg.ambient_range, size=n)
+    v_env = rng.uniform(*AMBIENT_RANGE, size=n)
     k = int(rng.integers(1, n + 1))
     chosen = rng.choice(n, size=k, replace=False)
     if cfg.kind == "high":
-        v_env[chosen] = rng.uniform(*cfg.high_range, size=k)
+        v_env[chosen] = rng.uniform(*HIGH_RANGE, size=k)
     elif cfg.kind == "low":
-        v_env[chosen] = rng.uniform(*cfg.low_range, size=k)
+        v_env[chosen] = rng.uniform(*LOW_RANGE, size=k)
     else:
         if k == 1:
             extra = rng.choice(np.setdiff1d(np.arange(n), chosen), size=1)
@@ -96,14 +97,16 @@ def sample_scenario(cfg, rng=None):
         high[rng.random(k) < 0.5] = True
         high[0] = True
         high[-1] = False
-        v_env[chosen[high]] = rng.uniform(*cfg.high_range, size=int(high.sum()))
-        v_env[chosen[~high]] = rng.uniform(*cfg.low_range, size=int((~high).sum()))
+        v_env[chosen[high]] = rng.uniform(*HIGH_RANGE, size=int(high.sum()))
+        v_env[chosen[~high]] = rng.uniform(*LOW_RANGE, size=int((~high).sum()))
     return v_env, np.zeros(n)
 
 
-def make_suite(n, count, seed, kinds=SCENARIO_KINDS):
-    """Seeded list of (v_env, q0, label) disturbance scenarios, kinds cycled."""
+def make_suite(n, count, seed):
+    """Seeded list of (v_env, q0, label) disturbance scenarios, cycling
+    through the kinds ``scenario_kinds(n)`` allows."""
     rng = np.random.default_rng(seed)
+    kinds = scenario_kinds(n)
     suite = []
     for i in range(count):
         kind = kinds[i % len(kinds)]

@@ -61,10 +61,10 @@ class RadialNetwork:
                 f"lines, got {len(self.lines)}")
         parent_of = {}
         for ln in self.lines:
-            if ln.r <= 0 or ln.x <= 0:
+            if not (0 < ln.r < np.inf and 0 < ln.x < np.inf):
                 raise NetworkValidationError(
                     f"line {ln.parent}-{ln.child}: impedances must be positive "
-                    f"(r={ln.r}, x={ln.x})")
+                    f"and finite (r={ln.r}, x={ln.x})")
             if ln.child in parent_of:
                 raise NetworkValidationError(
                     f"bus {ln.child} has more than one parent")

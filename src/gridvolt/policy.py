@@ -96,10 +96,6 @@ class StackedReluParams:
     def n(self):
         return self.wplus.shape[0]
 
-    @property
-    def d(self):
-        return self.wplus.shape[1]
-
 
 def constrain(raw, band, eps=1e-3):
     """Map unconstrained parameters onto a valid monotone deadband controller.

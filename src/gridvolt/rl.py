@@ -16,12 +16,12 @@ import numpy as np
 
 from .dynamics import (
     DEFAULT_DT,
-    SCENARIO_KINDS,
     ScenarioConfig,
     band_violation,
     rollout,
     row_dot,
     sample_scenario,
+    scenario_kinds,
 )
 from .policy import (
     MonotonePolicy,
@@ -62,10 +62,6 @@ class FeedForwardNet:
     def copy(self):
         return FeedForwardNet([w.copy() for w in self.weights],
                               [b.copy() for b in self.biases])
-
-    @property
-    def sizes(self):
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
 
 
 def net_eval(net, x):
@@ -155,84 +151,61 @@ def soft_update(target, source, tau):
 # replay buffer
 # ---------------------------------------------------------------------------
 
-_FIELDS = ("v", "u", "r", "v_next")
-
-
-@dataclass(frozen=True)
-class Transition:
-    """One interaction: voltages, applied actions, per-bus rewards, successor."""
-
-    v: np.ndarray
-    u: np.ndarray
-    r: np.ndarray
-    v_next: np.ndarray
-
-    def __post_init__(self):
-        for name in _FIELDS:
-            arr = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, arr)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"non-finite transition field {name}")
-
-
-_FIRST_ROWS = 1024
-
-
 class ReplayBuffer:
     """FIFO ring of transitions with seeded uniform sampling.
 
-    Each field is one (rows, ...) array. The arrays start at ``_FIRST_ROWS``
-    rows and double as the buffer fills, up to ``capacity`` rows, so a large
-    capacity costs memory only once it is used.
+    Each field (v, u, r, v_next) is one (capacity, ...) array, allocated on
+    the first push; the t-th transition ever pushed lives in row
+    ``t % capacity``.
     """
 
     def __init__(self, capacity, seed=0):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = int(capacity)
-        self._fields = None      # allocated on the first push
-        self._size = 0
-        self._head = 0
+        self._fields = None
+        self._pushed = 0
         self._rng = np.random.default_rng(seed)
 
     def __len__(self):
-        return self._size
+        return min(self._pushed, self.capacity)
 
-    def push(self, transition):
-        row = [getattr(transition, name) for name in _FIELDS]
+    def push(self, v, u, r, v_next):
+        """Append a (k, ...) block of transitions, one per row.
+
+        Only the last ``capacity`` rows of a longer block are kept.
+        """
+        block = [np.asarray(f, dtype=float) for f in (v, u, r, v_next)]
+        k = len(block[0])
+        if any(len(f) != k for f in block):
+            raise ValueError("transition blocks differ in length")
+        if not all(np.isfinite(f).all() for f in block):
+            raise ValueError("non-finite transition field")
+        if k == 0:
+            return
         if self._fields is None:
-            rows = min(self.capacity, _FIRST_ROWS)
-            self._fields = [np.empty((rows, *f.shape)) for f in row]
-        if any(f.shape != arr.shape[1:] for f, arr in zip(row, self._fields)):
+            self._fields = [np.empty((self.capacity, *f.shape[1:]))
+                            for f in block]
+        if any(f.shape[1:] != arr.shape[1:]
+               for f, arr in zip(block, self._fields)):
             raise ValueError("transition field shapes differ from the "
                              "buffer's")
-        if self._size < self.capacity:
-            rows = len(self._fields[0])
-            if self._size == rows:
-                grown = [np.empty((min(2 * rows, self.capacity),
-                                   *arr.shape[1:])) for arr in self._fields]
-                for new, arr in zip(grown, self._fields):
-                    new[:rows] = arr
-                self._fields = grown
-            i = self._size
-            self._size += 1
-        else:
-            i = self._head
-            self._head = (self._head + 1) % self.capacity
-        for arr, f in zip(self._fields, row):
-            arr[i] = f
+        skip = max(0, k - self.capacity)
+        rows = (self._pushed + np.arange(skip, k)) % self.capacity
+        for arr, f in zip(self._fields, block):
+            arr[rows] = f[skip:]
+        self._pushed += k
 
     def snapshot(self):
-        """Items oldest-first (test hook for the eviction contract)."""
-        order = [*range(self._head, self._size), *range(self._head)]
-        return [Transition(*(arr[i].copy() for arr in self._fields))
-                for i in order]
+        """The four field arrays oldest first; empty before the first push."""
+        order = (self._pushed + np.arange(-len(self), 0)) % self.capacity
+        return tuple(arr[order] for arr in self._fields or ())
 
     def sample(self, batch_size):
-        if not 0 < batch_size <= self._size:
+        if not 0 < batch_size <= len(self):
             raise ValueError(f"cannot sample {batch_size} transitions from a "
-                             f"buffer holding {self._size}")
-        idx = self._rng.integers(0, self._size, size=batch_size)
+                             f"buffer holding {len(self)}")
+        idx = self._rng.integers(0, len(self), size=batch_size)
         return tuple(arr[idx] for arr in self._fields)
 
 
@@ -295,7 +268,8 @@ class VoltEnv:
         return self.v_lower, self.v_upper
 
     def sample_start(self, rng):
-        kind = SCENARIO_KINDS[int(rng.integers(0, len(SCENARIO_KINDS)))]
+        kinds = scenario_kinds(self.n)
+        kind = kinds[int(rng.integers(0, len(kinds)))]
         return sample_scenario(ScenarioConfig(kind=kind, n=self.n), rng)
 
     def per_bus_reward(self, v, u):
@@ -535,7 +509,10 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
     init_rng = np.random.default_rng(seeds[0])
     scen_rng = np.random.default_rng(seeds[1])
     noise_rng = np.random.default_rng(seeds[2])
-    buffer = ReplayBuffer(cfg.buffer_capacity, seed=seeds[3])
+    # a run pushes at most episodes * episode_len transitions
+    buffer = ReplayBuffer(max(1, min(cfg.buffer_capacity,
+                                     cfg.episodes * cfg.episode_len)),
+                          seed=seeds[3])
     band = env.bounds
 
     # agents: one per bus column in local scope, the whole feeder for joint
@@ -581,9 +558,9 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
         k = int(runs.steps[0])
         v, u = runs.v[:k + 1, 0], runs.u[:k, 0]
         r = env.per_bus_reward(v[:-1], u)
+        buffer.push(v[:-1], u, r, v[1:])
         ep_return = 0.0
         for t in range(k):
-            buffer.push(Transition(v=v[t], u=u[t], r=r[t], v_next=v[t + 1]))
             ep_return += (cfg.gamma ** t) * float(r[t].sum())
         diverged_episodes += int(runs.diverged[0])
 

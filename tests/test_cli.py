@@ -99,7 +99,23 @@ def _with(key, value):
     return edit
 
 
+def _with_line(key, value):
+    def edit(data):
+        data["lines"][0][key] = value
+        return data
+    return edit
+
+
+# scenario files, written by the test under these names
 EMPTY_SUITE = "empty-suite.json"
+NAN_SUITE = "nan-suite.json"
+INF_SUITE = "inf-suite.json"
+
+
+def _suite_with(field, index, value):
+    suite = make_suite(4, 2, seed=0)
+    suite[1][field][index] = value
+    return suite
 
 
 @pytest.mark.parametrize("edit, argv", [
@@ -132,6 +148,12 @@ EMPTY_SUITE = "empty-suite.json"
     (None, ["train", "--episodes", "-3"]),
     (None, ["evaluate", "--policies", "linear", "--scenario-file",
             EMPTY_SUITE]),
+    (_with_line("x", float("nan")), ["simulate", "--policy", "linear"]),
+    (_with_line("x", float("inf")), ["certify", "--checkpoint", "linear"]),
+    (None, ["evaluate", "--policies", "linear", "--scenario-file",
+            NAN_SUITE]),
+    (None, ["simulate", "--policy", "linear", "--scenario-file",
+            INF_SUITE, "--index", "1"]),
 ], ids=["network-list", "network-r-not-a-number", "network-buses-not-a-list",
         "simulate-horizon-0", "simulate-dt-inf", "train-dt-0",
         "certify-rollouts-0", "evaluate-horizon-0",
@@ -142,16 +164,21 @@ EMPTY_SUITE = "empty-suite.json"
         "evaluate-seed-negative", "generate-network-seed-negative",
         "generate-network-buses-0", "generate-network-impedance-empty",
         "generate-network-impedance-inf",
-        "train-episodes-negative", "evaluate-empty-scenario-file"])
+        "train-episodes-negative", "evaluate-empty-scenario-file",
+        "network-x-nan", "network-x-inf", "evaluate-scenario-v-env-nan",
+        "simulate-scenario-q0-inf"])
 def test_bad_input_exits_2(net_path, tmp_path, capsys, edit, argv):
     if edit is not None:
         with open(net_path) as fh:
             data = edit(json.load(fh))
         with open(net_path, "w") as fh:
             json.dump(data, fh)
-    (tmp_path / EMPTY_SUITE).write_text("[]")
+    suites = {EMPTY_SUITE: [], NAN_SUITE: _suite_with(0, 2, float("nan")),
+              INF_SUITE: _suite_with(1, 0, float("inf"))}
+    for name, suite in suites.items():
+        save_scenarios(suite, tmp_path / name)
     command, *flags = argv
-    flags = [str(tmp_path / f) if f == EMPTY_SUITE else f for f in flags]
+    flags = [str(tmp_path / f) if f in suites else f for f in flags]
     if command != "generate-network":
         flags = ["--network", net_path, *flags]
     out = tmp_path / "out"
@@ -181,6 +208,25 @@ def test_train_and_certify_roundtrip(net_path, tmp_path, capsys):
     cert = json.loads(cert_out.read_text())
     assert cert["passed"] is True
     assert "PASS" in capsys.readouterr().out
+
+
+def test_one_bus_feeder_runs_every_subcommand(tmp_path, capsys):
+    # a one-bus feeder cannot draw 'mixed' scenarios, so every suite and
+    # training episode uses the 'high' and 'low' kinds only
+    net = str(tmp_path / "one.json")
+    ckpt = str(tmp_path / "one-trained.json")
+    assert cli_main(["generate-network", "--buses", "1", "--out", net]) == 0
+    assert cli_main(["train", "--network", net, "--episodes", "10",
+                     "--out", ckpt]) == 0
+    assert cli_main(["simulate", "--network", net, "--policy", ckpt,
+                     "--out", str(tmp_path / "traj.csv")]) == 0
+    assert cli_main(["evaluate", "--network", net, "--policies", "linear",
+                     ckpt, "--scenarios", "3",
+                     "--out", str(tmp_path / "report.csv")]) == 0
+    assert cli_main(["certify", "--network", net, "--checkpoint", ckpt,
+                     "--rollouts", "6"]) == 0
+    out = capsys.readouterr().out
+    assert "PASS" in out and "mixed" not in out
 
 
 def _inf_slope(data):

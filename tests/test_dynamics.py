@@ -3,6 +3,7 @@ import pytest
 
 from gridvolt.bench import write_trajectory_csv
 from gridvolt.dynamics import (
+    SCENARIO_KINDS,
     CostParams,
     Rollouts,
     ScenarioConfig,
@@ -14,6 +15,7 @@ from gridvolt.dynamics import (
     rollout_batch,
     sample_scenario,
     save_scenarios,
+    scenario_kinds,
     stage_cost,
     step,
 )
@@ -174,6 +176,13 @@ def test_mixed_scenarios_cover_both_sides():
         under += int(np.any(v_env < 0.95))
     assert over == 1000
     assert under == 1000
+
+
+def test_scenario_kinds_drop_mixed_below_two_buses():
+    assert scenario_kinds(1) == ("high", "low")
+    assert scenario_kinds(2) == scenario_kinds(16) == SCENARIO_KINDS
+    labels = [label for _, _, label in make_suite(n=1, count=4, seed=0)]
+    assert labels == ["high-0", "low-1", "high-2", "low-3"]
 
 
 def test_scenario_json_roundtrip(tmp_path):

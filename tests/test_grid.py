@@ -81,6 +81,14 @@ def test_nonpositive_impedance_rejected():
         RadialNetwork(buses=buses, lines=(Line(0, 1, 0.0, 0.05),))
 
 
+@pytest.mark.parametrize("r, x", [(0.02, float("nan")), (float("inf"), 0.05),
+                                  (float("nan"), float("nan"))])
+def test_nonfinite_impedance_rejected(r, x):
+    buses = (Bus(0), Bus(1))
+    with pytest.raises(NetworkValidationError, match="finite"):
+        RadialNetwork(buses=buses, lines=(Line(0, 1, r, x),))
+
+
 def test_wrong_line_count_rejected():
     buses = (Bus(0), Bus(1), Bus(2))
     with pytest.raises(NetworkValidationError, match="exactly 2"):

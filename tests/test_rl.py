@@ -1,3 +1,6 @@
+import itertools
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
@@ -16,12 +19,10 @@ from gridvolt.policy import (
     verify_monotone,
 )
 from gridvolt.rl import (
-    _FIRST_ROWS,
     FeedForwardNet,
     ReplayBuffer,
     TrainConfig,
     TrainingDiverged,
-    Transition,
     VoltEnv,
     critic_update,
     load_net_policy,
@@ -263,22 +264,23 @@ def test_soft_update_raw_params():
 # ---------------------------------------------------------------------------
 
 def tr(val):
-    arr = np.array([float(val)])
-    return Transition(v=arr, u=arr, r=arr, v_next=arr)
+    """A one-row block of transitions whose every field holds ``val``."""
+    arr = np.array([[float(val)]])
+    return arr, arr, arr, arr
 
 
 def test_buffer_fifo_eviction():
     buf = ReplayBuffer(capacity=5, seed=0)
     for k in range(8):
-        buf.push(tr(k))
+        buf.push(*tr(k))
     assert len(buf) == 5
-    held = [t.v[0] for t in buf.snapshot()]
+    held = list(buf.snapshot()[0][:, 0])
     assert held == [3.0, 4.0, 5.0, 6.0, 7.0]
 
 
 def test_buffer_rejects_oversample():
     buf = ReplayBuffer(capacity=5, seed=0)
-    buf.push(tr(1))
+    buf.push(*tr(1))
     with pytest.raises(ValueError, match="cannot sample"):
         buf.sample(2)
 
@@ -287,7 +289,7 @@ def test_buffer_uniform_sampling():
     k = 10
     buf = ReplayBuffer(capacity=k, seed=123)
     for i in range(k):
-        buf.push(tr(i))
+        buf.push(*tr(i))
     draws = 100_000
     counts = np.zeros(k)
     for _ in range(draws // k):
@@ -297,6 +299,9 @@ def test_buffer_uniform_sampling():
     p = 1.0 / k
     sigma = np.sqrt(draws * p * (1 - p))
     assert np.all(np.abs(counts - draws * p) < 5 * sigma)
+
+
+Row = namedtuple("Row", "v u r v_next")
 
 
 class ListReplayBuffer:
@@ -321,55 +326,106 @@ class ListReplayBuffer:
                      for name in ("v", "u", "r", "v_next"))
 
 
+def random_rows(rng, count, width=3):
+    return [Row(*(rng.normal(size=width) for _ in range(4)))
+            for _ in range(count)]
+
+
+def push_rows(buf, ref, rows):
+    """One block push into ``buf``; the same rows one at a time into ``ref``."""
+    buf.push(*(np.array([getattr(t, name) for t in rows]).reshape(-1, 3)
+               for name in Row._fields))
+    for t in rows:
+        ref.push(t)
+
+
+def assert_same_contents(buf, ref):
+    assert len(buf) == len(ref.items)
+    oldest_first = ref.items[ref.head:] + ref.items[:ref.head]
+    for got, name in zip(buf.snapshot(), Row._fields, strict=True):
+        want = [getattr(t, name) for t in oldest_first]
+        np.testing.assert_array_equal(got, np.array(want).reshape(-1, 3))
+
+
 @pytest.mark.parametrize("capacity, pushes", [
-    (4 * _FIRST_ROWS, _FIRST_ROWS // 2),          # still filling
-    (4 * _FIRST_ROWS, _FIRST_ROWS + 300),         # across a growth boundary
-    (_FIRST_ROWS + 200, 3 * _FIRST_ROWS),         # grown, then wrapped
-    (50, 130),                                    # wrapped in the first rows
+    (4096, 512),          # still filling
+    (4096, 1324),         # filling across many blocks
+    (1224, 3072),         # filled, then wrapped
+    (50, 130),            # wrapped in the first blocks
 ], ids=["filling", "grown", "grown-wrapped", "small-wrapped"])
 def test_buffer_sample_equals_list_reference(capacity, pushes):
     rng = np.random.default_rng(capacity + pushes)
     buf = ReplayBuffer(capacity, seed=9)
     ref = ListReplayBuffer(capacity, seed=9)
-    for k in range(pushes):
-        t = Transition(v=rng.normal(size=3), u=rng.normal(size=3),
-                       r=rng.normal(size=3), v_next=rng.normal(size=3))
-        buf.push(t)
-        ref.push(t)
-        if k % 97 == 96 or k == pushes - 1:
-            for got, want in zip(buf.sample(32), ref.sample(32)):
-                np.testing.assert_array_equal(got, want)
+    rows = random_rows(rng, pushes)
+    for k in range(0, pushes, 97):
+        push_rows(buf, ref, rows[k:k + 97])
+        for got, want in zip(buf.sample(32), ref.sample(32)):
+            np.testing.assert_array_equal(got, want)
     assert len(buf) == len(ref.items) == min(capacity, pushes)
-    oldest_first = ref.items[ref.head:] + ref.items[:ref.head]
-    for got, want in zip(buf.snapshot(), oldest_first, strict=True):
-        for name in ("v", "u", "r", "v_next"):
-            np.testing.assert_array_equal(getattr(got, name),
-                                          getattr(want, name))
+    assert_same_contents(buf, ref)
 
 
-def test_buffer_eviction_past_first_allocation():
-    capacity = _FIRST_ROWS + 10
+@pytest.mark.parametrize("blocks", [
+    (0, 1, 30, 200),      # every block size in turn, starting empty
+    (30,),                # one episode of the default length per push
+    (1,),                 # one row per push
+    (200, 0),             # blocks longer than the capacity of 150
+], ids=["all-sizes", "episode", "one-row", "over-capacity"])
+def test_buffer_block_push_equals_list_reference(blocks):
+    capacity, total = 150, 700
+    rng = np.random.default_rng(len(blocks))
+    buf = ReplayBuffer(capacity, seed=4)
+    ref = ListReplayBuffer(capacity, seed=4)
+    rows = random_rows(rng, total)
+    sizes = itertools.cycle(blocks)
+    k = 0
+    while k < total:
+        size = next(sizes)
+        push_rows(buf, ref, rows[k:k + size])
+        k += size
+        if not ref.items:
+            assert len(buf) == 0 and buf.snapshot() == ()
+            continue
+        assert_same_contents(buf, ref)
+        m = min(8, len(buf))
+        for got, want in zip(buf.sample(m), ref.sample(m)):
+            np.testing.assert_array_equal(got, want)
+    assert len(buf) == capacity
+
+
+def test_buffer_eviction_after_wrap():
+    capacity = 1034
     buf = ReplayBuffer(capacity, seed=0)
     total = capacity + 500     # overwrites the oldest 500, keeps the rest
     for k in range(total):
-        buf.push(tr(k))
+        buf.push(*tr(k))
     assert len(buf) == capacity
-    held = [t.v[0] for t in buf.snapshot()]
+    held = list(buf.snapshot()[0][:, 0])
     assert held == list(map(float, range(total - capacity, total)))
 
 
 def test_buffer_rejects_mismatched_widths():
     buf = ReplayBuffer(capacity=5, seed=0)
-    buf.push(tr(1))
-    arr = np.zeros(2)
+    buf.push(*tr(1))
+    arr = np.zeros((1, 2))
     with pytest.raises(ValueError, match="shapes"):
-        buf.push(Transition(v=arr, u=arr, r=arr, v_next=arr))
+        buf.push(arr, arr, arr, arr)
 
 
-def test_transition_rejects_nonfinite():
+def test_buffer_rejects_mismatched_block_lengths():
+    buf = ReplayBuffer(capacity=5, seed=0)
+    arr = np.zeros((2, 1))
+    with pytest.raises(ValueError, match="length"):
+        buf.push(arr, arr, arr, arr[:1])
+
+
+def test_push_rejects_nonfinite():
+    buf = ReplayBuffer(capacity=5, seed=0)
     with pytest.raises(ValueError, match="non-finite"):
-        Transition(v=np.array([np.inf]), u=np.zeros(1), r=np.zeros(1),
-                   v_next=np.zeros(1))
+        buf.push(np.array([[np.inf]]), np.zeros((1, 1)), np.zeros((1, 1)),
+                 np.zeros((1, 1)))
+    assert len(buf) == 0
 
 
 # ---------------------------------------------------------------------------
