@@ -88,9 +88,10 @@ class RadialNetwork:
         for b in self.buses:
             if b.id == 0:
                 continue
-            if not (b.v_lower < self.v0 < b.v_upper):
+            if not (b.v_lower < self.v0 < b.v_upper
+                    and np.isfinite([b.v_lower, b.v_upper]).all()):
                 raise NetworkValidationError(
-                    f"bus {b.id}: need v_lower < v0 < v_upper, got "
+                    f"bus {b.id}: need finite v_lower < v0 < v_upper, got "
                     f"[{b.v_lower}, {b.v_upper}] around v0={self.v0}")
 
     def children_of(self, bus):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynamics import dist_to_band, make_suite, rollout_batch, row_dot
 from .policy import MonotonePolicy, verify_monotone
-from .util import config_hash
+from .util import clause_lines, config_hash
 
 _CROSS_CHECK_TOL = 1e-9
 
@@ -138,13 +138,8 @@ class StabilityCertificate:
     def summary(self):
         lines = [f"stability certificate [{self.policy_id}]: "
                  f"{'PASS' if self.passed else 'FAIL'}  "
-                 f"(config {self.config_hash})"]
-        for name, (ok, witnesses) in self.clauses.items():
-            lines.append(f"  [{'ok ' if ok else 'FAIL'}] {name}")
-            for w in witnesses[:5]:
-                lines.append(f"        witness: {w}")
-        for note in self.notes:
-            lines.append(f"  note: {note}")
+                 f"(config {self.config_hash})", *clause_lines(self.clauses)]
+        lines += [f"  note: {note}" for note in self.notes]
         return "\n".join(lines)
 
 

@@ -3,17 +3,21 @@
 Each bus gets a scalar controller u_i = g_i(v_i) that is exactly zero inside
 the acceptable voltage band, strictly decreasing outside it, and unbounded as
 the voltage runs away. The controller is the negated sum of two one-sided
-ramp stacks: an ascending stack whose first kink sits on the upper band edge
-and a descending stack whose first kink sits on the lower band edge. The
-defining constraints (nonnegative prefix sums of the ramp weights, ordered
-kink positions, pinned first kinks) are enforced by reparameterization, so
-every point of the unconstrained parameter space maps to a valid controller.
+ramp stacks: an ascending stack whose first kink sits on the upper band edge,
+and its mirror image below the band. The lower stack is the upper stack's
+construction read at -v, so one code path builds, evaluates and
+differentiates both. The defining constraints (prefix sums of the ramp
+weights bounded away from zero, ordered kink positions, pinned first kinks)
+are enforced by reparameterization, so every point of the unconstrained
+parameter space maps to a valid controller.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
+
+from .util import clause_lines
 
 
 class CheckpointError(RuntimeError):
@@ -51,9 +55,9 @@ class RawPolicyParams:
     decr_neg: np.ndarray
 
     def __post_init__(self):
-        for name in ("slope_pos", "decr_pos", "slope_neg", "decr_neg"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, arr)
+        for f in fields(self):
+            arr = np.asarray(getattr(self, f.name), dtype=float)
+            object.__setattr__(self, f.name, arr)
             if arr.shape != self.slope_pos.shape:
                 raise ValueError("raw parameter arrays must share one shape")
 
@@ -65,9 +69,13 @@ class RawPolicyParams:
     def d(self):
         return self.slope_pos.shape[1]
 
+    def arrays(self):
+        """The four arrays in field order, which is also the order of
+        ``policy_param_grad``'s gradients."""
+        return tuple(getattr(self, f.name) for f in fields(self))
+
     def copy(self):
-        return RawPolicyParams(self.slope_pos.copy(), self.decr_pos.copy(),
-                               self.slope_neg.copy(), self.decr_neg.copy())
+        return RawPolicyParams(*(a.copy() for a in self.arrays()))
 
 
 @dataclass(frozen=True)
@@ -97,6 +105,34 @@ class StackedReluParams:
         return self.wplus.shape[0]
 
 
+def _stack(raw_slope, raw_decr, edge, sign, eps):
+    """Weights and biases of one stack of ramps w_l * max(x + b_l, 0): the
+    upper one (x = v, sign +1, edge -v_upper) or the lower (x = -v, sign -1,
+    edge v_lower). Its prefix sums carry ``sign``; its kinks step outward."""
+    prefix = sign * (eps + softplus(raw_slope))      # used from column 1
+    w = np.zeros(raw_slope.shape)
+    w[:, 1] = prefix[:, 1]
+    w[:, 2:] = prefix[:, 2:] - prefix[:, 1:-1]
+    b = np.zeros(raw_slope.shape)
+    b[:, 1] = edge
+    # spacings near the float limit overflow, moving kinks to +-inf: ramps
+    # that never activate, which verify_monotone allows for
+    with np.errstate(over="ignore"):
+        b[:, 2:] = edge[:, None] - np.cumsum(softplus(raw_decr[:, 2:]), axis=1)
+    return w, b
+
+
+def _stacks(p, v):
+    """(x, weights, biases, sign) of the upper stack, then the lower one."""
+    return ((v, p.wplus, p.bplus, 1.0), (-v, p.wminus, p.bminus, -1.0))
+
+
+def _active(z, sign):
+    """Ramps that count towards the right-hand slope at pre-activation z: an
+    upper ramp from its kink on, a lower one (read at -v) only left of it."""
+    return z >= 0.0 if sign > 0 else z > 0.0
+
+
 def constrain(raw, band, eps=1e-3):
     """Map unconstrained parameters onto a valid monotone deadband controller.
 
@@ -104,45 +140,19 @@ def constrain(raw, band, eps=1e-3):
     at eps no matter how negative the raw values go; kink positions start on
     the band edges and step outward by softplus(raw spacing).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     v_lower, v_upper = (np.asarray(band[0], dtype=float),
                         np.asarray(band[1], dtype=float))
-    for name in ("slope_pos", "decr_pos", "slope_neg", "decr_neg"):
-        if not np.all(np.isfinite(getattr(raw, name))):
-            raise ValueError(f"non-finite raw parameter in {name}")
-    n, d = raw.n, raw.d
-    if v_lower.shape != (n,) or v_upper.shape != (n,):
+    for f in fields(raw):
+        if not np.all(np.isfinite(getattr(raw, f.name))):
+            raise ValueError(f"non-finite raw parameter in {f.name}")
+    if raw.d < 2:
+        raise ValueError(f"need at least 2 ramp units per side, got {raw.d}")
+    if v_lower.shape != (raw.n,) or v_upper.shape != (raw.n,):
         raise ValueError("band arrays must have one entry per bus")
-
-    prefix_pos = eps + softplus(raw.slope_pos)       # (n, d), used from col 1
-    wplus = np.empty((n, d))
-    wplus[:, 0] = 0.0
-    wplus[:, 1] = prefix_pos[:, 1]
-    wplus[:, 2:] = prefix_pos[:, 2:] - prefix_pos[:, 1:-1]
-
-    bplus = np.zeros((n, d))
-    bplus[:, 1] = -v_upper
-    if d > 2:
-        # spacings near the float limit overflow, moving kinks to +-inf:
-        # ramps that never activate, which verify_monotone allows for
-        with np.errstate(over="ignore"):
-            bplus[:, 2:] = -v_upper[:, None] - np.cumsum(
-                softplus(raw.decr_pos[:, 2:]), axis=1)
-
-    prefix_neg = -(eps + softplus(raw.slope_neg))
-    wminus = np.empty((n, d))
-    wminus[:, 0] = 0.0
-    wminus[:, 1] = prefix_neg[:, 1]
-    wminus[:, 2:] = prefix_neg[:, 2:] - prefix_neg[:, 1:-1]
-
-    bminus = np.zeros((n, d))
-    bminus[:, 1] = v_lower
-    if d > 2:
-        with np.errstate(over="ignore"):
-            bminus[:, 2:] = v_lower[:, None] - np.cumsum(
-                softplus(raw.decr_neg[:, 2:]), axis=1)
-
+    wplus, bplus = _stack(raw.slope_pos, raw.decr_pos, -v_upper, 1.0, eps)
+    wminus, bminus = _stack(raw.slope_neg, raw.decr_neg, v_lower, -1.0, eps)
     return StackedReluParams(wplus=wplus, bplus=bplus, wminus=wminus,
                              bminus=bminus, v_lower=v_lower, v_upper=v_upper,
                              eps=eps)
@@ -151,9 +161,9 @@ def constrain(raw, band, eps=1e-3):
 def policy_eval_bus(p, bus, v_values):
     """Controller output of a single bus over a 1-d batch of voltages."""
     v = np.atleast_1d(np.asarray(v_values, dtype=float))
-    xi_pos = np.maximum(v[:, None] + p.bplus[bus][None, :], 0.0) @ p.wplus[bus]
-    xi_neg = np.maximum(-v[:, None] + p.bminus[bus][None, :], 0.0) @ p.wminus[bus]
-    return -(xi_pos + xi_neg)
+    xi = [np.maximum(x[:, None] + b[bus][None, :], 0.0) @ w[bus]
+          for x, w, b, _ in _stacks(p, v)]
+    return -(xi[0] + xi[1])
 
 
 def policy_eval(p, v):
@@ -165,11 +175,9 @@ def policy_eval(p, v):
     v = np.asarray(v, dtype=float)
     batch = v.ndim == 2
     vv = v if batch else v[None, :]
-    xi_pos = np.einsum("nd,mnd->mn", p.wplus,
-                       np.maximum(vv[:, :, None] + p.bplus[None], 0.0))
-    xi_neg = np.einsum("nd,mnd->mn", p.wminus,
-                       np.maximum(-vv[:, :, None] + p.bminus[None], 0.0))
-    u = -(xi_pos + xi_neg)
+    xi = [np.einsum("nd,mnd->mn", w, np.maximum(x[:, :, None] + b[None], 0.0))
+          for x, w, b, _ in _stacks(p, vv)]
+    u = -(xi[0] + xi[1])
     return u if batch else u[0]
 
 
@@ -182,11 +190,10 @@ def policy_input_grad(p, v):
     v = np.asarray(v, dtype=float)
     batch = v.ndim == 2
     vv = v if batch else v[None, :]
-    act_pos = (vv[:, :, None] + p.bplus[None]) >= 0.0
-    act_neg = (-vv[:, :, None] + p.bminus[None]) > 0.0
-    dxi_pos = np.einsum("nd,mnd->mn", p.wplus, act_pos.astype(float))
-    dxi_neg = -np.einsum("nd,mnd->mn", p.wminus, act_neg.astype(float))
-    g = -(dxi_pos + dxi_neg)
+    dxi = [np.einsum("nd,mnd->mn", w,
+                     _active(x[:, :, None] + b[None], sign).astype(float))
+           for x, w, b, sign in _stacks(p, vv)]
+    g = -(dxi[0] - dxi[1])       # the lower stack's dx/dv is -1
     return g if batch else g[0]
 
 
@@ -202,38 +209,24 @@ def policy_param_grad(raw, band, eps, v):
     vv = np.atleast_2d(v)[:, :, None]                            # (m, n, 1)
     p = constrain(raw, band, eps)
     shape = vv.shape[:2] + (raw.d,)
-
-    r_pos = np.maximum(vv + p.bplus, 0.0)                        # (m, n, d)
-    r_neg = np.maximum(-vv + p.bminus, 0.0)
-    act_pos = (vv + p.bplus) >= 0.0
-    act_neg = (-vv + p.bminus) > 0.0
-
-    # d xi / d prefix-sum_l telescopes to r_l - r_{l+1}
-    diff_pos = r_pos.copy()
-    diff_pos[..., :-1] -= r_pos[..., 1:]
-    diff_neg = r_neg.copy()
-    diff_neg[..., :-1] -= r_neg[..., 1:]
-
-    g_slope_pos = np.zeros(shape)
-    g_slope_pos[..., 1:] = -diff_pos[..., 1:] * sigmoid(raw.slope_pos[:, 1:])
-    g_slope_neg = np.zeros(shape)
-    g_slope_neg[..., 1:] = -diff_neg[..., 1:] * -sigmoid(raw.slope_neg[:, 1:])
-
-    # a spacing parameter shifts every later kink by -softplus'(raw)
-    wa_pos = p.wplus * act_pos                                   # (m, n, d)
-    tail_pos = np.cumsum(wa_pos[..., ::-1], axis=-1)[..., ::-1]
-    g_decr_pos = np.zeros(shape)
-    g_decr_pos[..., 2:] = tail_pos[..., 2:] * sigmoid(raw.decr_pos[:, 2:])
-
-    wa_neg = p.wminus * act_neg
-    tail_neg = np.cumsum(wa_neg[..., ::-1], axis=-1)[..., ::-1]
-    g_decr_neg = np.zeros(shape)
-    g_decr_neg[..., 2:] = tail_neg[..., 2:] * sigmoid(raw.decr_neg[:, 2:])
-
-    grads = (g_slope_pos, g_decr_pos, g_slope_neg, g_decr_neg)
-    if single:
-        return tuple(g[0] for g in grads)
-    return grads
+    raws = ((raw.slope_pos, raw.decr_pos), (raw.slope_neg, raw.decr_neg))
+    grads = []
+    for (x, w, b, sign), (raw_slope, raw_decr) in zip(_stacks(p, vv), raws):
+        z = x + b                                                # (m, n, d)
+        r = np.maximum(z, 0.0)
+        # d xi / d prefix-sum_l telescopes to r_l - r_{l+1}; a prefix sum
+        # moves with its raw slope times the stack's sign
+        diff = r.copy()
+        diff[..., :-1] -= r[..., 1:]
+        g_slope = np.zeros(shape)
+        g_slope[..., 1:] = -diff[..., 1:] * (sign * sigmoid(raw_slope[:, 1:]))
+        # a spacing parameter shifts every later kink by -softplus'(raw)
+        wa = w * _active(z, sign)
+        tail = np.cumsum(wa[..., ::-1], axis=-1)[..., ::-1]
+        g_decr = np.zeros(shape)
+        g_decr[..., 2:] = tail[..., 2:] * sigmoid(raw_decr[:, 2:])
+        grads += [g_slope, g_decr]
+    return tuple(g[0] for g in grads) if single else tuple(grads)
 
 
 def linear_deadband(v, v_lower, v_upper):
@@ -265,9 +258,8 @@ class MonotonePolicy:
     def max_gain(self):
         """Largest slope magnitude anywhere: the largest prefix sum of the
         ramp weights over every piece of every bus, on either side."""
-        pos = np.cumsum(self.params.wplus, axis=1).max()
-        neg = np.abs(np.cumsum(self.params.wminus, axis=1)).max()
-        return float(max(pos, neg))
+        return float(max(np.abs(np.cumsum(w, axis=1)).max()
+                         for w in (self.params.wplus, self.params.wminus)))
 
 
 class LinearDeadbandPolicy:
@@ -308,13 +300,9 @@ class MonotoneReport:
     eps: float
 
     def summary(self):
-        lines = [f"monotone certificate: {'PASS' if self.passed else 'FAIL'}"]
-        for name, (ok, witnesses) in self.clauses.items():
-            mark = "ok " if ok else "FAIL"
-            lines.append(f"  [{mark}] {name}")
-            for w in witnesses[:5]:
-                lines.append(f"        witness: {w}")
-        return "\n".join(lines)
+        return "\n".join([f"monotone certificate: "
+                          f"{'PASS' if self.passed else 'FAIL'}",
+                          *clause_lines(self.clauses)])
 
 
 # slopes are compared against eps with a relative float-roundoff allowance
@@ -439,17 +427,14 @@ def load_checkpoint(path):
             f"unsupported checkpoint version {data.get('format_version')!r}")
     try:
         buses = data["buses"]
-        slope_pos = np.array([b["raw_slopes"][0] for b in buses], dtype=float)
-        slope_neg = np.array([b["raw_slopes"][1] for b in buses], dtype=float)
-        decr_pos = np.array([b["raw_bias_decrements"][0] for b in buses],
-                            dtype=float)
-        decr_neg = np.array([b["raw_bias_decrements"][1] for b in buses],
-                            dtype=float)
+        # field order: each side's slopes, then its spacings
+        raw = RawPolicyParams(*(
+            np.array([b[key][side] for b in buses], dtype=float)
+            for side in (0, 1)
+            for key in ("raw_slopes", "raw_bias_decrements")))
         band = (np.array(data["band"]["v_lower"], dtype=float),
                 np.array(data["band"]["v_upper"], dtype=float))
         eps = float(data["eps"])
-        raw = RawPolicyParams(slope_pos=slope_pos, decr_pos=decr_pos,
-                              slope_neg=slope_neg, decr_neg=decr_neg)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc
     try:

@@ -63,6 +63,10 @@ class FeedForwardNet:
         return FeedForwardNet([w.copy() for w in self.weights],
                               [b.copy() for b in self.biases])
 
+    def arrays(self):
+        """Every parameter array: the weights, then the biases."""
+        return (*self.weights, *self.biases)
+
 
 def net_eval(net, x):
     """Forward pass; accepts (..., d_in) batches or a single (d_in,) vector."""
@@ -72,16 +76,12 @@ def net_eval(net, x):
     if h.shape[-1] != net.weights[0].shape[0]:
         raise ValueError(f"input width {h.shape[-1]} does not match network "
                          f"input {net.weights[0].shape[0]}")
-    last = len(net.weights) - 1
-    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = h @ w + b
-        if k < last:
-            h = np.maximum(h, 0.0)
-    return h[0] if single else h
+    out = _forward(net, h)[-1]
+    return out[0] if single else out
 
 
 def _forward(net, h):
-    """Every layer's activations on a 2-d batch: [input, hidden..., output]."""
+    """Every layer's activations on a batch: [input, hidden..., output]."""
     last = len(net.weights) - 1
     acts = [h]
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
@@ -133,18 +133,9 @@ def sgd_step(net, grads, lr):
 
 def soft_update(target, source, tau):
     """target <- (1 - tau) * target + tau * source, elementwise."""
-    if isinstance(target, RawPolicyParams):
-        for name in ("slope_pos", "decr_pos", "slope_neg", "decr_neg"):
-            t = getattr(target, name)
-            t *= (1.0 - tau)
-            t += tau * getattr(source, name)
-        return
-    for tw, sw in zip(target.weights, source.weights):
-        tw *= (1.0 - tau)
-        tw += tau * sw
-    for tb, sb in zip(target.biases, source.biases):
-        tb *= (1.0 - tau)
-        tb += tau * sb
+    for t, s in zip(target.arrays(), source.arrays()):
+        t *= (1.0 - tau)
+        t += tau * s
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +238,8 @@ class TrainConfig:
             raise ValueError(f"unknown agent scope {self.agent_scope!r}")
         if self.episode_len < 1:
             raise ValueError("episode_len must be at least 1")
+        if self.actor_units < 2:
+            raise ValueError("actor_units must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -329,10 +322,9 @@ def stable_actor_update(raw, band, eps, v_batch, dq_du, lr):
     grads = policy_param_grad(raw, band, eps, v_batch)
     m = len(v_batch)
     total = 0.0
-    for name, g in zip(("slope_pos", "decr_pos", "slope_neg", "decr_neg"),
-                       grads):
+    for arr, g in zip(raw.arrays(), grads):
         mean_g = (dq_du[:, :, None] * g).sum(axis=0) / m
-        getattr(raw, name)[...] += lr * mean_g
+        arr += lr * mean_g
         total = total + row_dot(mean_g, mean_g)
     return np.sqrt(total)
 

@@ -1,4 +1,5 @@
-"""Small shared helpers: canonical config hashing and float formatting."""
+"""Small shared helpers: canonical config hashing, float formatting and
+certificate clause lines."""
 
 import hashlib
 import json
@@ -27,3 +28,13 @@ def config_hash(obj):
 def fmt(x):
     """Render a float with 12 significant digits (stable across runs)."""
     return format(float(x), ".12g")
+
+
+def clause_lines(clauses):
+    """Certificate lines: one ``[ok ]``/``[FAIL]`` line per clause, each
+    followed by its first five witnesses."""
+    lines = []
+    for name, (ok, witnesses) in clauses.items():
+        lines.append(f"  [{'ok ' if ok else 'FAIL'}] {name}")
+        lines += [f"        witness: {w}" for w in witnesses[:5]]
+    return lines

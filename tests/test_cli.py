@@ -106,6 +106,13 @@ def _with_line(key, value):
     return edit
 
 
+def _with_band(key, value):
+    def edit(data):
+        next(b for b in data["buses"] if b["id"] == 1)[key] = value
+        return data
+    return edit
+
+
 # scenario files, written by the test under these names
 EMPTY_SUITE = "empty-suite.json"
 NAN_SUITE = "nan-suite.json"
@@ -154,6 +161,13 @@ def _suite_with(field, index, value):
             NAN_SUITE]),
     (None, ["simulate", "--policy", "linear", "--scenario-file",
             INF_SUITE, "--index", "1"]),
+    *[(_with_band(key, value), argv)
+      for key, value in (("v_upper", float("inf")),
+                         ("v_lower", -float("inf")))
+      for argv in (["certify", "--checkpoint", "linear"],
+                   ["simulate", "--policy", "linear"],
+                   ["evaluate", "--policies", "linear", "--scenarios", "3"],
+                   ["train", "--episodes", "1"])],
 ], ids=["network-list", "network-r-not-a-number", "network-buses-not-a-list",
         "simulate-horizon-0", "simulate-dt-inf", "train-dt-0",
         "certify-rollouts-0", "evaluate-horizon-0",
@@ -166,7 +180,10 @@ def _suite_with(field, index, value):
         "generate-network-impedance-inf",
         "train-episodes-negative", "evaluate-empty-scenario-file",
         "network-x-nan", "network-x-inf", "evaluate-scenario-v-env-nan",
-        "simulate-scenario-q0-inf"])
+        "simulate-scenario-q0-inf",
+        *[f"network-{edge}-{command}"
+          for edge in ("v-upper-inf", "v-lower-inf")
+          for command in ("certify", "simulate", "evaluate", "train")]])
 def test_bad_input_exits_2(net_path, tmp_path, capsys, edit, argv):
     if edit is not None:
         with open(net_path) as fh:
@@ -234,6 +251,13 @@ def _inf_slope(data):
     return data
 
 
+def _one_unit(data):
+    for bus in data["buses"]:
+        for key in ("raw_slopes", "raw_bias_decrements"):
+            bus[key] = [side[:1] for side in bus[key]]
+    return data
+
+
 def _drop_net(data):
     del data["nets"][-1]
     return data
@@ -251,13 +275,14 @@ def _without(key):
     ("stable", _without("band"), 4, "malformed"),
     ("stable", _without("eps"), 4, "malformed"),
     ("stable", _without("buses"), 4, "malformed"),
+    ("stable", _one_unit, 4, "at least 2 ramp units per side, got 1"),
     ("stable", lambda data: [data], 4, "not a JSON object"),
     ("mlp", _without("nets"), 4, "bad checkpoint"),
     ("mlp", _drop_net, 4, "local checkpoint has 3 nets for 4 buses"),
     ("stable", None, 16, "has 4 buses, the network has 16"),
     ("mlp", None, 16, "has 4 buses, the network has 16"),
-], ids=["inf-slope", "no-band", "no-eps", "no-buses", "not-object",
-        "mlp-no-nets", "mlp-net-missing", "stable-on-16-buses",
+], ids=["inf-slope", "no-band", "no-eps", "no-buses", "one-unit",
+        "not-object", "mlp-no-nets", "mlp-net-missing", "stable-on-16-buses",
         "mlp-on-16-buses"])
 def test_certify_rejects_corrupt_checkpoint(net_path, tmp_path, capsys,
                                             actor, edit, buses, message):

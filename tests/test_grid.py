@@ -96,9 +96,11 @@ def test_wrong_line_count_rejected():
 
 
 def test_bad_band_rejected():
-    buses = (Bus(0), Bus(1, v_lower=1.01, v_upper=1.05))
-    with pytest.raises(NetworkValidationError, match="bus 1"):
-        RadialNetwork(buses=buses, lines=(Line(0, 1, 0.02, 0.05),))
+    for v_lower, v_upper in ((1.01, 1.05), (0.95, float("inf")),
+                             (-float("inf"), 1.05)):
+        buses = (Bus(0), Bus(1, v_lower=v_lower, v_upper=v_upper))
+        with pytest.raises(NetworkValidationError, match="bus 1"):
+            RadialNetwork(buses=buses, lines=(Line(0, 1, 0.02, 0.05),))
 
 
 # ---------------------------------------------------------------------------

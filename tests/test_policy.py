@@ -20,6 +20,8 @@ from gridvolt.policy import (
     policy_param_grad,
     sample_raw_params,
     save_checkpoint,
+    sigmoid,
+    softplus,
     verify_monotone,
 )
 
@@ -77,6 +79,22 @@ def test_constrain_rejects_nonfinite():
     raw.slope_pos[0, 0] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
         constrain(raw, BAND, EPS)
+
+
+@pytest.mark.parametrize("eps, d, message", [
+    (float("nan"), D, "eps must be finite and positive"),
+    (float("inf"), D, "eps must be finite and positive"),
+    (0.0, D, "eps must be finite and positive"),
+    (-1e-3, D, "eps must be finite and positive"),
+    (EPS, 1, "at least 2 ramp units per side, got 1"),
+    (EPS, 0, "at least 2 ramp units per side, got 0"),
+])
+def test_constrain_rejects_inputs_it_cannot_map(eps, d, message):
+    raw = RawPolicyParams(*(np.zeros((N, d)) for _ in range(4)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=message):
+            constrain(raw, BAND, eps)
 
 
 def test_constrain_zero_raw_golden():
@@ -284,6 +302,156 @@ def test_param_grad_block_equals_rows():
         for g, row in zip(grads, policy_param_grad(raw, BAND, EPS, v)):
             assert row.shape == (N, D)
             np.testing.assert_array_equal(g[k], row)
+
+
+# ---------------------------------------------------------------------------
+# frozen reference: both stacks written out by hand
+# ---------------------------------------------------------------------------
+
+def ref_constrain(raw, band, eps):
+    v_lower, v_upper = (np.asarray(band[0], dtype=float),
+                        np.asarray(band[1], dtype=float))
+    n, d = raw.n, raw.d
+    prefix_pos = eps + softplus(raw.slope_pos)
+    wplus = np.empty((n, d))
+    wplus[:, 0] = 0.0
+    wplus[:, 1] = prefix_pos[:, 1]
+    wplus[:, 2:] = prefix_pos[:, 2:] - prefix_pos[:, 1:-1]
+    bplus = np.zeros((n, d))
+    bplus[:, 1] = -v_upper
+    if d > 2:
+        with np.errstate(over="ignore"):
+            bplus[:, 2:] = -v_upper[:, None] - np.cumsum(
+                softplus(raw.decr_pos[:, 2:]), axis=1)
+    prefix_neg = -(eps + softplus(raw.slope_neg))
+    wminus = np.empty((n, d))
+    wminus[:, 0] = 0.0
+    wminus[:, 1] = prefix_neg[:, 1]
+    wminus[:, 2:] = prefix_neg[:, 2:] - prefix_neg[:, 1:-1]
+    bminus = np.zeros((n, d))
+    bminus[:, 1] = v_lower
+    if d > 2:
+        with np.errstate(over="ignore"):
+            bminus[:, 2:] = v_lower[:, None] - np.cumsum(
+                softplus(raw.decr_neg[:, 2:]), axis=1)
+    return StackedReluParams(wplus=wplus, bplus=bplus, wminus=wminus,
+                             bminus=bminus, v_lower=v_lower, v_upper=v_upper,
+                             eps=eps)
+
+
+def ref_eval_bus(p, bus, v_values):
+    v = np.atleast_1d(np.asarray(v_values, dtype=float))
+    xi_pos = np.maximum(v[:, None] + p.bplus[bus][None, :], 0.0) @ p.wplus[bus]
+    xi_neg = (np.maximum(-v[:, None] + p.bminus[bus][None, :], 0.0)
+              @ p.wminus[bus])
+    return -(xi_pos + xi_neg)
+
+
+def ref_eval(p, v):
+    v = np.asarray(v, dtype=float)
+    batch = v.ndim == 2
+    vv = v if batch else v[None, :]
+    xi_pos = np.einsum("nd,mnd->mn", p.wplus,
+                       np.maximum(vv[:, :, None] + p.bplus[None], 0.0))
+    xi_neg = np.einsum("nd,mnd->mn", p.wminus,
+                       np.maximum(-vv[:, :, None] + p.bminus[None], 0.0))
+    u = -(xi_pos + xi_neg)
+    return u if batch else u[0]
+
+
+def ref_input_grad(p, v):
+    v = np.asarray(v, dtype=float)
+    batch = v.ndim == 2
+    vv = v if batch else v[None, :]
+    act_pos = (vv[:, :, None] + p.bplus[None]) >= 0.0
+    act_neg = (-vv[:, :, None] + p.bminus[None]) > 0.0
+    dxi_pos = np.einsum("nd,mnd->mn", p.wplus, act_pos.astype(float))
+    dxi_neg = -np.einsum("nd,mnd->mn", p.wminus, act_neg.astype(float))
+    g = -(dxi_pos + dxi_neg)
+    return g if batch else g[0]
+
+
+def ref_param_grad(raw, band, eps, v):
+    v = np.asarray(v, dtype=float)
+    single = v.ndim == 1
+    vv = np.atleast_2d(v)[:, :, None]
+    p = ref_constrain(raw, band, eps)
+    shape = vv.shape[:2] + (raw.d,)
+    r_pos = np.maximum(vv + p.bplus, 0.0)
+    r_neg = np.maximum(-vv + p.bminus, 0.0)
+    act_pos = (vv + p.bplus) >= 0.0
+    act_neg = (-vv + p.bminus) > 0.0
+    diff_pos = r_pos.copy()
+    diff_pos[..., :-1] -= r_pos[..., 1:]
+    diff_neg = r_neg.copy()
+    diff_neg[..., :-1] -= r_neg[..., 1:]
+    g_slope_pos = np.zeros(shape)
+    g_slope_pos[..., 1:] = -diff_pos[..., 1:] * sigmoid(raw.slope_pos[:, 1:])
+    g_slope_neg = np.zeros(shape)
+    g_slope_neg[..., 1:] = -diff_neg[..., 1:] * -sigmoid(raw.slope_neg[:, 1:])
+    wa_pos = p.wplus * act_pos
+    tail_pos = np.cumsum(wa_pos[..., ::-1], axis=-1)[..., ::-1]
+    g_decr_pos = np.zeros(shape)
+    g_decr_pos[..., 2:] = tail_pos[..., 2:] * sigmoid(raw.decr_pos[:, 2:])
+    wa_neg = p.wminus * act_neg
+    tail_neg = np.cumsum(wa_neg[..., ::-1], axis=-1)[..., ::-1]
+    g_decr_neg = np.zeros(shape)
+    g_decr_neg[..., 2:] = tail_neg[..., 2:] * sigmoid(raw.decr_neg[:, 2:])
+    grads = (g_slope_pos, g_decr_pos, g_slope_neg, g_decr_neg)
+    if single:
+        return tuple(g[0] for g in grads)
+    return grads
+
+
+def assert_same_bits(got, want):
+    """Equal float64 bit patterns: tells -0.0 from 0.0 and NaN payloads."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# a stack of two units has no spacing parameter that could overflow
+@pytest.mark.parametrize("d, overflow", [
+    (2, False), (3, False), (16, False), (3, True), (16, True)])
+def test_stacks_match_frozen_reference_bit_for_bit(d, overflow):
+    rng = np.random.default_rng(100 + d)
+    n = 5
+    band = (rng.uniform(0.9, 0.97, size=n), rng.uniform(1.03, 1.1, size=n))
+    for trial in range(10):
+        raw = RawPolicyParams(*(rng.normal(scale=3.0, size=(n, d))
+                                for _ in range(4)))
+        if overflow:
+            # spacings near the float limit push the outer kinks to -+inf
+            raw.decr_pos[:, 2:] = rng.uniform(1e307, 1.7e308, size=(n, d - 2))
+            raw.decr_neg[:, -1] = 1.7e308
+        p, want_p = constrain(raw, band, EPS), ref_constrain(raw, band, EPS)
+        for name in ("wplus", "bplus", "wminus", "bminus"):
+            assert_same_bits(getattr(p, name), getattr(want_p, name))
+        # every kink and band edge, where the right-hand slope rule decides,
+        # then a spread of voltages on both sides of the band
+        kinks = np.concatenate([-p.bplus, p.bminus, np.stack(band, axis=1)],
+                               axis=1).T
+        spread = rng.uniform(0.75, 1.25, size=(20, n))
+        vv = np.vstack([kinks[np.isfinite(kinks).all(axis=1)], spread])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_same_bits(policy_eval(p, vv), ref_eval(p, vv))
+            assert_same_bits(policy_input_grad(p, vv), ref_input_grad(p, vv))
+            for grad, want in zip(policy_param_grad(raw, band, EPS, vv),
+                                  ref_param_grad(raw, band, EPS, vv)):
+                assert_same_bits(grad, want)
+            for v in vv[::7]:
+                assert_same_bits(policy_eval(p, v), ref_eval(p, v))
+                assert_same_bits(policy_input_grad(p, v),
+                                 ref_input_grad(p, v))
+                for grad, want in zip(policy_param_grad(raw, band, EPS, v),
+                                      ref_param_grad(raw, band, EPS, v)):
+                    assert_same_bits(grad, want)
+            for bus in range(n):
+                assert_same_bits(policy_eval_bus(p, bus, vv[:, bus]),
+                                 ref_eval_bus(p, bus, vv[:, bus]))
+                assert_same_bits(policy_eval_bus(p, bus, vv[0, bus]),
+                                 ref_eval_bus(p, bus, vv[0, bus]))
 
 
 # ---------------------------------------------------------------------------

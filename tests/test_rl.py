@@ -742,6 +742,8 @@ def test_config_validation():
         TrainConfig(gamma=1.5)
     with pytest.raises(ValueError):
         TrainConfig(gamma=-0.1)
+    with pytest.raises(ValueError, match="actor_units"):
+        TrainConfig(actor_units=1)
 
 
 @pytest.mark.parametrize("joint", [False, True])
