@@ -21,16 +21,17 @@ DEFAULT_RECOVERY_TOL = 1e-3
 HIST_EDGES = [0.005 * k for k in range(21)] + [float("inf")]
 
 
-def transient_cost(runs, bounds, tol=DEFAULT_RECOVERY_TOL):
+def transient_cost(runs, recovery):
     """Reactive magnitude accumulated before recovery: sum_t sum_i |q_i(t)|.
 
-    One float per scenario of a Rollouts. Truncating recovery earlier can
-    only drop nonnegative terms, so this is monotone in the recovery step;
-    unrecovered runs pay every step they ran.
+    One float per scenario of a Rollouts, given the record's
+    ``recovery_time``. Truncating recovery earlier can only drop nonnegative
+    terms, so this is monotone in the recovery step; unrecovered runs pay
+    every step they ran.
     """
-    rec = recovery_time(runs, bounds, tol=tol)
-    return [math.fsum(np.abs(runs.q[:runs.steps[s] if r is None else r, s])
-                      .ravel().tolist()) for s, r in enumerate(rec)]
+    abs_q = np.abs(runs.q)
+    return [math.fsum(abs_q[:runs.steps[s] if r is None else r, s]
+                      .ravel().tolist()) for s, r in enumerate(recovery)]
 
 
 def control_energy(runs):
@@ -106,7 +107,7 @@ def evaluate(policies, X, suite, bounds, v0=1.0, T=100, dt=0.1,
         v_T = runs.v[-1]
         over = np.maximum(v_T - v0, 0.0) / v0
         under = np.maximum(v0 - v_T, 0.0) / v0
-        st = PolicyStats(transient=transient_cost(runs, bounds, recovery_tol),
+        st = PolicyStats(transient=transient_cost(runs, recs),
                          energy=control_energy(runs), over_ratio=over,
                          under_ratio=under)
         stats[name] = st

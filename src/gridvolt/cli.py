@@ -53,10 +53,10 @@ def _load_policy(spec, band):
         if not isinstance(data, dict):
             raise CliError(f"bad checkpoint {spec}: not a JSON object")
         if data.get("kind", "monotone") == "mlp":
-            pol, ck_band = rl.load_net_policy(spec)
+            pol, ck_band = rl.parse_net_policy(data, spec)
         else:
-            raw, ck_band, eps = policy.load_checkpoint(spec)
-            pol = policy.MonotonePolicy.from_raw(raw, ck_band, eps)
+            _, ck_band, _, params = policy.parse_checkpoint(data)
+            pol = policy.MonotonePolicy(params)
         if len(ck_band[0]) != len(band[0]):
             raise CliError(f"checkpoint {spec} has {len(ck_band[0])} buses, "
                            f"the network has {len(band[0])}")

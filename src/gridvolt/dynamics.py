@@ -90,8 +90,10 @@ def sample_scenario(cfg, rng):
         v_env[chosen] = rng.uniform(*LOW_RANGE, size=k)
     else:
         if k == 1:
-            extra = rng.choice(np.setdiff1d(np.arange(n), chosen), size=1)
-            chosen = np.concatenate([chosen, extra])
+            # a draw from the other n - 1 buses in ascending order: the
+            # same random stream as choosing from that list directly
+            extra = rng.choice(n - 1, size=1)
+            chosen = np.concatenate([chosen, extra + (extra >= chosen)])
             k = 2
         high = np.zeros(k, dtype=bool)
         high[rng.random(k) < 0.5] = True

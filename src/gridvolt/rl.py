@@ -76,18 +76,25 @@ def net_eval(net, x):
     if h.shape[-1] != net.weights[0].shape[0]:
         raise ValueError(f"input width {h.shape[-1]} does not match network "
                          f"input {net.weights[0].shape[0]}")
-    out = _forward(net, h)[-1]
-    return out[0] if single else out
+    for h in _layers(net, h):     # only the newest layer stays alive
+        pass
+    return h[0] if single else h
+
+
+def _layers(net, h):
+    """Yield each layer's activations on a batch in turn: hidden..., output."""
+    last = len(net.weights) - 1
+    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+        h = h @ w
+        h += b
+        if k < last:
+            np.maximum(h, 0.0, out=h)
+        yield h
 
 
 def _forward(net, h):
     """Every layer's activations on a batch: [input, hidden..., output]."""
-    last = len(net.weights) - 1
-    acts = [h]
-    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = acts[-1] @ w + b
-        acts.append(np.maximum(z, 0.0) if k < last else z)
-    return acts
+    return [h, *_layers(net, h)]
 
 
 def _backward(net, acts, upstream, param_grads=True):
@@ -369,6 +376,12 @@ def load_net_policy(path):
     import json
     with open(path) as fh:
         data = json.load(fh)
+    return parse_net_policy(data, path)
+
+
+def parse_net_policy(data, path):
+    """``load_net_policy`` on an already parsed file read from ``path``:
+    returns (policy, band)."""
     if data.get("kind") != "mlp" or \
             data.get("format_version") != NET_CHECKPOINT_VERSION:
         raise ValueError(f"not an mlp policy checkpoint: {path}")

@@ -9,7 +9,7 @@ from gridvolt.bench import (
     transient_cost,
     write_histograms_csv,
 )
-from gridvolt.dynamics import Rollouts, make_suite
+from gridvolt.dynamics import Rollouts, make_suite, recovery_time
 from gridvolt.grid import build_sensitivity, five_bus_fixture
 from gridvolt.policy import LinearDeadbandPolicy, MonotonePolicy, ZeroPolicy, \
     sample_raw_params
@@ -34,9 +34,14 @@ def synth_runs(v_rows, q_rows, u_rows=None):
 # transient cost
 # ---------------------------------------------------------------------------
 
+def transient(runs):
+    """Transient cost of a one-bus record at BOUNDS1's default tolerance."""
+    return transient_cost(runs, recovery_time(runs, BOUNDS1))
+
+
 def test_transient_cost_zero_when_in_band_from_start():
     runs = synth_runs([[1.0]] * 5, [[0.3]] * 5)
-    assert transient_cost(runs, BOUNDS1)[0] == 0.0
+    assert transient(runs)[0] == 0.0
 
 
 def test_transient_cost_hand_sum():
@@ -44,21 +49,21 @@ def test_transient_cost_hand_sum():
     v = [[1.08], [1.07], [1.06], [1.0], [1.0]]
     q = [[0.0], [-0.1], [-0.25], [-0.3], [-0.3]]
     runs = synth_runs(v, q)
-    assert transient_cost(runs, BOUNDS1)[0] == pytest.approx(0.0 + 0.1 + 0.25)
+    assert transient(runs)[0] == pytest.approx(0.0 + 0.1 + 0.25)
 
 
 def test_transient_cost_full_horizon_when_unrecovered():
     v = [[1.08]] * 5
     q = [[-0.1]] * 5
     runs = synth_runs(v, q)
-    assert transient_cost(runs, BOUNDS1)[0] == pytest.approx(0.4)
+    assert transient(runs)[0] == pytest.approx(0.4)
 
 
 def test_transient_cost_monotone_in_recovery():
     v = [[1.08], [1.06], [1.0], [1.0], [1.0]]
     q = [[0.2], [0.2], [0.2], [0.2], [0.2]]
-    early, = transient_cost(synth_runs(v, q), BOUNDS1)
-    late, = transient_cost(synth_runs([[1.08]] * 4 + [[1.0]], q), BOUNDS1)
+    early, = transient(synth_runs(v, q))
+    late, = transient(synth_runs([[1.08]] * 4 + [[1.0]], q))
     assert early <= late
 
 
@@ -116,6 +121,22 @@ def test_trained_style_policy_beats_linear_here():
         report.metric("linear", "transient_cost")[0]
     assert report.metric("steep", "recovery_steps")[0] < \
         report.metric("linear", "recovery_steps")[0]
+
+
+def test_evaluate_computes_recovery_once_per_policy(monkeypatch):
+    import gridvolt.bench as bench
+    calls = []
+
+    def counted(runs, bounds, tol):
+        calls.append(len(runs.steps))
+        return recovery_time(runs, bounds, tol)
+
+    monkeypatch.setattr(bench, "recovery_time", counted)
+    suite = make_suite(NET.n, 5, seed=4)
+    pols = [("steep", steep_policy()), ("linear",
+            LinearDeadbandPolicy(*BOUNDS)), ("zero", ZeroPolicy())]
+    evaluate(pols, X5, suite, BOUNDS, T=40)
+    assert calls == [5, 5, 5]
 
 
 def test_report_csv_deterministic(tmp_path):

@@ -20,7 +20,7 @@ from gridvolt.dynamics import (
     step,
 )
 from gridvolt.grid import build_sensitivity, five_bus_fixture
-from gridvolt.util import fmt
+from gridvolt.util import config_hash, fmt
 
 BOUNDS1 = (np.array([0.95]), np.array([1.05]))
 BOUNDS2 = (np.array([0.95, 0.95]), np.array([1.05, 1.05]))
@@ -176,6 +176,25 @@ def test_mixed_scenarios_cover_both_sides():
         under += int(np.any(v_env < 0.95))
     assert over == 1000
     assert under == 1000
+
+
+# config_hash of make_suite(n, 150, seed), frozen while the mixed branch
+# still drew its second bus with np.setdiff1d; every pair below takes that
+# one-violating-bus branch at least three times
+FROZEN_SUITES = {
+    (2, 0): "7c08dc0ec167c219", (2, 1): "e314737c473a3d68",
+    (2, 2): "9f4721c21b7842b3", (4, 0): "9661ce4c3ca2c6a8",
+    (4, 1): "06260482834c239a", (4, 2): "695c12b66a35ea70",
+    (16, 0): "434cf4ff60f41705", (16, 1): "f666720646aca290",
+    (16, 2): "d42516a0995e1eef",
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(FROZEN_SUITES))
+def test_make_suite_is_frozen(n, seed):
+    suite = make_suite(n, 150, seed=seed)
+    payload = [[v.tolist(), q.tolist(), label] for v, q, label in suite]
+    assert config_hash(payload) == FROZEN_SUITES[n, seed]
 
 
 def test_scenario_kinds_drop_mixed_below_two_buses():

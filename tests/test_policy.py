@@ -1,10 +1,12 @@
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from gridvolt.dynamics import rollout_batch
 from gridvolt.policy import (
     CheckpointError,
     LinearDeadbandPolicy,
@@ -452,6 +454,108 @@ def test_stacks_match_frozen_reference_bit_for_bit(d, overflow):
                                  ref_eval_bus(p, bus, vv[:, bus]))
                 assert_same_bits(policy_eval_bus(p, bus, vv[0, bus]),
                                  ref_eval_bus(p, bus, vv[0, bus]))
+
+
+# ---------------------------------------------------------------------------
+# piece-table evaluation (MonotonePolicy.__call__)
+# ---------------------------------------------------------------------------
+
+def table_cases(d, overflow, count=10):
+    """Random controllers on 5 buses, as in the frozen-reference test."""
+    rng = np.random.default_rng(200 + d + 50 * overflow)
+    n = 5
+    for _ in range(count):
+        band = (rng.uniform(0.9, 0.97, size=n), rng.uniform(1.03, 1.1, size=n))
+        raw = RawPolicyParams(*(rng.normal(scale=3.0, size=(n, d))
+                                for _ in range(4)))
+        if overflow:
+            raw.decr_pos[:, 2:] = rng.uniform(1e307, 1.7e308, size=(n, d - 2))
+            raw.decr_neg[:, -1] = 1.7e308
+        yield constrain(raw, band, EPS), band, rng
+
+
+def table_breakpoints(p, band):
+    """Every bus's kinks and band edges, one row each; a zero-weight or
+    overflowed kink bends nothing and is replaced by the upper edge."""
+    kinks = np.concatenate([-p.bplus, p.bminus], axis=1).T
+    weights = np.concatenate([p.wplus, p.wminus], axis=1).T
+    kinks = np.where(np.isfinite(kinks) & (weights != 0.0), kinks, band[1])
+    return np.vstack([kinks, *band])
+
+
+def exact_eval(p, bus, v):
+    """One bus's controller output in exact rational arithmetic, rounded."""
+    total = Fraction(0)
+    for x, w, b in ((v, p.wplus, p.bplus), (-v, p.wminus, p.bminus)):
+        for w_l, b_l in zip(w[bus], b[bus]):
+            if np.isfinite(b_l) and x + b_l > 0:
+                total += Fraction(w_l) * (Fraction(x) + Fraction(b_l))
+    return float(-total)
+
+
+TABLE_CASES = [(2, False), (3, False), (16, False), (3, True), (16, True)]
+
+
+@pytest.mark.parametrize("d, overflow", TABLE_CASES)
+def test_piece_table_matches_policy_eval(d, overflow):
+    for p, band, rng in table_cases(d, overflow):
+        pol = MonotonePolicy(p)
+        breaks = table_breakpoints(p, band)
+        # far kinks near 1e308 may evaluate to +-inf or NaN: same bits
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_same_bits(pol(breaks), policy_eval(p, breaks))
+        # the closed band, edges included: zero with policy_eval's sign
+        band_v = np.linspace(band[0], band[1], 41)
+        assert np.all(pol(band_v) == 0.0)
+        assert_same_bits(pol(band_v), policy_eval(p, band_v))
+        # elsewhere: within rounding of policy_eval across the band
+        v = np.vstack([rng.uniform(0.5, 1.5, size=(200, p.n)),
+                       np.nextafter(band[0], -np.inf),
+                       np.nextafter(band[1], np.inf)])
+        np.testing.assert_allclose(pol(v), policy_eval(p, v), rtol=1e-13,
+                                   atol=0.0)
+        # far out, where the ramp sum itself loses digits to cancellation,
+        # within rounding of the exact rational value
+        far = rng.uniform(-3.0, 5.0, size=(4, p.n))
+        want = [[exact_eval(p, bus, x) for bus, x in enumerate(row)]
+                for row in far]
+        np.testing.assert_allclose(pol(far), want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("d, overflow", TABLE_CASES)
+def test_piece_table_is_nonincreasing_and_row_consistent(d, overflow):
+    for p, band, rng in table_cases(d, overflow, count=4):
+        pol = MonotonePolicy(p)
+        breaks = table_breakpoints(p, band)
+        near = breaks[np.abs(breaks).max(axis=1) < 10.0]
+        v = np.sort(np.vstack([near, np.nextafter(near, -np.inf),
+                               np.nextafter(near, np.inf),
+                               rng.uniform(0.0, 2.0, size=(300, p.n))]),
+                    axis=0)
+        u = pol(v)
+        assert np.all(np.isfinite(u))
+        assert np.all(np.diff(u, axis=0) <= 0.0)
+        for row, u_row in zip(v[::25], u[::25]):
+            assert_same_bits(pol(row), u_row)
+
+
+def test_piece_table_passes_nan_and_inf_on_to_the_rollout_cut():
+    p, band, _ = next(table_cases(16, False))
+    pol = MonotonePolicy(p)
+    v = np.ones((3, p.n))
+    v[0, 1], v[1, 2], v[2, 3] = np.nan, np.inf, -np.inf
+    u = pol(v)
+    assert np.isnan(u[0, 1])
+    assert u[1, 2] == -np.inf and u[2, 3] == np.inf
+    assert np.isfinite(np.delete(u.ravel(), [1, 7, 13])).all()
+    assert np.isnan(pol(v[0])[1])
+    # a NaN voltage reaches the policy (the blow-up test cannot see it),
+    # and its non-finite action cuts that scenario at once
+    v_env = np.tile(np.linspace(0.9, 1.1, p.n), (3, 1))
+    v_env[1, 2] = np.nan
+    runs = rollout_batch(pol, 0.05 * np.eye(p.n) + 0.01, v_env,
+                         np.zeros((3, p.n)), T=6, dt=0.1)
+    np.testing.assert_array_equal(runs.steps, [6, 0, 6])
 
 
 # ---------------------------------------------------------------------------

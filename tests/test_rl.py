@@ -37,6 +37,7 @@ from gridvolt.rl import (
     train,
     write_training_log,
 )
+from gridvolt.rl import _forward
 
 NET = five_bus_fixture()
 X5 = build_sensitivity(NET).X
@@ -100,6 +101,27 @@ def test_net_matches_reference():
         x = rng.normal(size=(7, sizes[0]))
         np.testing.assert_allclose(net_eval(net, x), reference_forward(net, x),
                                    atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(3,), (6, 1, 3)])
+def test_net_eval_is_the_last_forward_layer_bit_for_bit(shape):
+    rng = np.random.default_rng(11)
+    net = FeedForwardNet.create([3, 16, 16, 2], rng)
+    x = rng.normal(size=shape)
+    before = x.copy()
+    got = net_eval(net, x)
+    h = x if x.ndim > 1 else x[None, :]
+    want = _forward(net, h)[-1]
+    want = want if x.ndim > 1 else want[0]
+    assert got.shape == want.shape == shape[:-1] + (2,)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    # the straight-line layer arithmetic, one layer at a time
+    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+        h = h @ w + b
+        h = np.maximum(h, 0.0) if k < len(net.weights) - 1 else h
+    h = h if x.ndim > 1 else h[0]
+    np.testing.assert_array_equal(got.view(np.uint64), h.view(np.uint64))
+    np.testing.assert_array_equal(x, before)
 
 
 def test_net_shape_mismatch():
