@@ -41,13 +41,12 @@ from .lyapunov import (
     lyapunov_time_derivative,
 )
 from .policy import (
-    LinearDeadbandPolicy,
     MonotonePolicy,
     RawPolicyParams,
     StackedReluParams,
     ZeroPolicy,
     constrain,
-    linear_deadband,
+    droop,
     load_checkpoint,
     policy_eval,
     policy_input_grad,

@@ -41,7 +41,7 @@ def _bounded(kind, low, strict=False):
 def _load_policy(spec, band):
     """Resolve a policy argument: 'linear', 'zero', or a checkpoint path."""
     if spec == "linear":
-        return "linear", policy.LinearDeadbandPolicy(*band)
+        return "linear", policy.MonotonePolicy(policy.droop(band, 1.0))
     if spec == "zero":
         return "zero", policy.ZeroPolicy()
     if not os.path.exists(spec):

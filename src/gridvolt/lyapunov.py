@@ -6,13 +6,13 @@ sensitivity matrix, V(v) = 0.5 * g(v)' X g(v) where g is the controller.
 For any controller that is zero on the band, strictly decreasing outside
 it, and unbounded in the tails, V decreases along trajectories and the
 voltages converge to the band. This module checks the slope conditions
-exactly at the kinks of a monotone ramp controller and on sampled grids for
-any other policy, runs seeded rollouts, and emits a machine-readable
-certificate with witnesses for every violated clause.
+exactly at the kinks of a monotone ramp controller (droop included) and on
+sampled grids for any other policy, runs seeded rollouts, and emits a
+machine-readable certificate with witnesses for every violated clause.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -72,8 +72,9 @@ class CertifyConfig:
 
     ``grid_points``, ``joint_samples`` and ``margin`` set the sampled slope
     window [v_lower - margin, v_upper + margin]; only policies without ramp
-    kinks (MLP, droop, custom) use it, a ``MonotonePolicy`` is checked
-    exactly on the whole real line. All fields stay in the config hash.
+    kinks (MLP, zero, custom) use it, a ``MonotonePolicy`` (droop included)
+    is checked exactly on the whole real line. All fields stay in the
+    config hash.
     """
 
     v_lower: tuple
@@ -90,20 +91,8 @@ class CertifyConfig:
     blowup: float = 10.0
 
     def to_dict(self):
-        return {
-            "v_lower": list(map(float, self.v_lower)),
-            "v_upper": list(map(float, self.v_upper)),
-            "grid_points": self.grid_points,
-            "joint_samples": self.joint_samples,
-            "rollouts": self.rollouts,
-            "horizon": self.horizon,
-            "dt": self.dt,
-            "dist_tol": self.dist_tol,
-            "margin": self.margin,
-            "eps": self.eps,
-            "seed": self.seed,
-            "blowup": self.blowup,
-        }
+        return {**asdict(self), "v_lower": list(map(float, self.v_lower)),
+                "v_upper": list(map(float, self.v_upper))}
 
 
 @dataclass
@@ -119,16 +108,9 @@ class StabilityCertificate:
     notes: list = field(default_factory=list)
 
     def to_json(self, path=None):
-        data = {
-            "policy_id": self.policy_id,
-            "passed": self.passed,
-            "clauses": {k: {"ok": ok, "witnesses": wit}
-                        for k, (ok, wit) in self.clauses.items()},
-            "tolerances": self.tolerances,
-            "config": self.config,
-            "config_hash": self.config_hash,
-            "notes": self.notes,
-        }
+        data = {**asdict(self),
+                "clauses": {k: {"ok": ok, "witnesses": wit}
+                            for k, (ok, wit) in self.clauses.items()}}
         text = json.dumps(data, indent=2)
         if path is not None:
             with open(path, "w") as fh:
@@ -146,8 +128,6 @@ class StabilityCertificate:
 def _policy_max_gain(policy, grids):
     if hasattr(policy, "max_gain"):
         return policy.max_gain()
-    if hasattr(policy, "gain"):
-        return float(policy.gain)
     worst = 0.0
     for vv in grids:
         worst = max(worst, float(np.max(np.abs(policy.input_grad(vv)))))
@@ -187,12 +167,13 @@ def certify_policy(X, policy, cfg, policy_id="policy"):
     Clauses:
       * jacobian_nonpositive      every bus slope <= 0;
       * jacobian_strict_outside   slope <= -cfg.eps outside the band;
-                                  for a MonotonePolicy both slope clauses
-                                  are exact on the whole real line
-                                  (``verify_monotone`` at the ramp kinks,
-                                  stricter than sampling), for any other
-                                  policy they are checked on per-bus sweeps
-                                  and joint random samples of the window;
+                                  for a MonotonePolicy (trained or droop)
+                                  both slope clauses are exact on the whole
+                                  real line (``verify_monotone`` at the ramp
+                                  kinks, stricter than sampling); for MLP,
+                                  zero and custom policies they are checked
+                                  on per-bus sweeps and joint random
+                                  samples of the window;
       * lyapunov_decrease         energy nonincreasing along seeded rollouts,
                                   up to an integrator slack of
                                   kappa * dt^2 * |u|^2 per step (kappa from
@@ -203,7 +184,7 @@ def certify_policy(X, policy, cfg, policy_id="policy"):
                                   in [-L, 0]) a step raises V by at most
                                   dt^2/2 L^2 lmax(X)^3 |g|^2, half the
                                   slack, so the clause is evidence only
-                                  for other policies;
+                                  for MLP, zero and custom policies;
       * convergence_to_band       every rollout ends within dist_tol of the
                                   band by the horizon.
 

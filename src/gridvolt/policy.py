@@ -229,10 +229,20 @@ def policy_param_grad(raw, band, eps, v):
     return tuple(g[0] for g in grads) if single else tuple(grads)
 
 
-def linear_deadband(v, v_lower, v_upper):
-    """Classic droop rule: unit slope outside the band, zero inside."""
-    v = np.asarray(v, dtype=float)
-    return -np.maximum(v - v_upper, 0.0) + np.maximum(v_lower - v, 0.0)
+def droop(band, gain):
+    """The droop baseline as a two-ramp stack per bus: slope -gain outside
+    the band, zero on it, so it is monotone with ``eps = gain``."""
+    if not (np.isfinite(gain) and gain > 0):
+        raise ValueError(f"droop gain must be finite and positive, got {gain}")
+    v_lower, v_upper = (np.asarray(band[0], dtype=float),
+                        np.asarray(band[1], dtype=float))
+    zero = np.zeros_like(v_upper)
+    return StackedReluParams(
+        wplus=np.column_stack([zero, zero + gain]),
+        bplus=np.column_stack([zero, -v_upper]),
+        wminus=np.column_stack([zero, zero - gain]),
+        bminus=np.column_stack([zero, v_lower]),
+        v_lower=v_lower, v_upper=v_upper, eps=float(gain))
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +268,12 @@ def _breakpoints(p, edges):
         return pts, policy_eval(p, pts), policy_input_grad(p, pts)
 
 
-class _PieceTable:
-    """A monotone controller as an exact per-bus table of linear pieces.
+class MonotonePolicy:
+    """Callable bundle of constrained parameters for a whole feeder.
+
+    When built, the controller is compiled into an exact per-bus table of
+    linear pieces, and calls evaluate the table: one lookup and one
+    multiply-add per voltage instead of summing every ramp.
 
     The pieces lie between the sorted breakpoints of ``_breakpoints``, so
     the table holds the function ``verify_monotone`` checks. On piece j a
@@ -276,7 +290,8 @@ class _PieceTable:
     piece keys. Memory is O(n K) for K breakpoints per bus.
     """
 
-    def __init__(self, p):
+    def __init__(self, params):
+        self.params = p = params
         pts, u, du = _breakpoints(p, (p.v_lower, p.v_upper))
         kinks, u = pts[1:], u[1:]                                # (K, n)
         distinct = np.unique(kinks)
@@ -309,6 +324,10 @@ class _PieceTable:
         (self.keys, self.at, self.value, self.slope, self.lo,
          self.hi) = (t.T.ravel() for t in tables)
 
+    @classmethod
+    def from_raw(cls, raw, band, eps=1e-3):
+        return cls(constrain(raw, band, eps))
+
     def __call__(self, v):
         v = np.asarray(v, dtype=float)
         # NaN ranks after every breakpoint and lands on the right tail
@@ -319,27 +338,6 @@ class _PieceTable:
         np.minimum(u, self.hi[j], out=u)
         return u
 
-
-class MonotonePolicy:
-    """Callable bundle of constrained parameters for a whole feeder.
-
-    Calls evaluate a piece table compiled once from ``params``: one lookup
-    and one multiply-add per voltage instead of summing every ramp. It
-    matches ``policy_eval`` bit for bit at the breakpoints and to rounding
-    between them.
-    """
-
-    def __init__(self, params):
-        self.params = params
-        self._table = _PieceTable(params)
-
-    @classmethod
-    def from_raw(cls, raw, band, eps=1e-3):
-        return cls(constrain(raw, band, eps))
-
-    def __call__(self, v):
-        return self._table(v)
-
     def input_grad(self, v):
         return policy_input_grad(self.params, v)
 
@@ -348,23 +346,6 @@ class MonotonePolicy:
         ramp weights over every piece of every bus, on either side."""
         return float(max(np.abs(np.cumsum(w, axis=1)).max()
                          for w in (self.params.wplus, self.params.wminus)))
-
-
-class LinearDeadbandPolicy:
-    """Unit-gain droop baseline over the same band."""
-
-    def __init__(self, v_lower, v_upper, gain=1.0):
-        self.v_lower = np.asarray(v_lower, dtype=float)
-        self.v_upper = np.asarray(v_upper, dtype=float)
-        self.gain = gain
-
-    def __call__(self, v):
-        return self.gain * linear_deadband(v, self.v_lower, self.v_upper)
-
-    def input_grad(self, v):
-        v = np.asarray(v, dtype=float)
-        outside = (v >= self.v_upper) | (v < self.v_lower)
-        return np.where(outside, -self.gain, 0.0)
 
 
 class ZeroPolicy:
@@ -522,12 +503,17 @@ def parse_checkpoint(data):
         band = (np.array(data["band"]["v_lower"], dtype=float),
                 np.array(data["band"]["v_upper"], dtype=float))
         eps = float(data["eps"])
+        declared = [b["d"] for b in buses]
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc
     try:
         params = constrain(raw, band, eps)
     except ValueError as exc:
         raise CheckpointError(f"checkpoint parameters rejected: {exc}") from exc
+    for i, d in enumerate(declared):
+        if d != raw.d:
+            raise CheckpointError(f"bus {i + 1} declares d = {d!r} but has "
+                                  f"{raw.d} ramp units per side")
     report = verify_monotone(params)
     if not report.passed:
         raise CheckpointError("checkpoint failed the monotonicity "

@@ -9,6 +9,7 @@ stabilizer) and an unconstrained multilayer perceptron baseline.
 
 import contextlib
 import ctypes
+import json
 import time
 from dataclasses import dataclass
 
@@ -354,7 +355,6 @@ NET_CHECKPOINT_VERSION = 1
 
 def save_net_policy(path, nets, joint, band, meta=None):
     """Persist the unconstrained perceptron policy (one net per agent)."""
-    import json
     data = {
         "format_version": NET_CHECKPOINT_VERSION,
         "kind": "mlp",
@@ -373,7 +373,6 @@ def save_net_policy(path, nets, joint, band, meta=None):
 
 def load_net_policy(path):
     """Load an unconstrained policy saved by ``save_net_policy``."""
-    import json
     with open(path) as fh:
         data = json.load(fh)
     return parse_net_policy(data, path)
@@ -385,9 +384,10 @@ def parse_net_policy(data, path):
     if data.get("kind") != "mlp" or \
             data.get("format_version") != NET_CHECKPOINT_VERSION:
         raise ValueError(f"not an mlp policy checkpoint: {path}")
-    nets = [FeedForwardNet([np.array(w) for w in entry["weights"]],
-                           [np.array(b) for b in entry["biases"]])
-            for entry in data["nets"]]
+    nets = [FeedForwardNet(
+        [np.array(w, dtype=float) for w in entry["weights"]],
+        [np.array(b, dtype=float) for b in entry["biases"]])
+        for entry in data["nets"]]
     band = (np.array(data["band"]["v_lower"], dtype=float),
             np.array(data["band"]["v_upper"], dtype=float))
     # local scope: one 1 -> 1 net per bus; joint scope: one n -> n net
@@ -405,6 +405,8 @@ def parse_net_policy(data, path):
                 and ws[0].shape[0] == width == ws[-1].shape[1]):
             raise ValueError(f"net {k} is not a consistent {width} -> {width} "
                              f"network")
+        if not all(np.isfinite(a).all() for a in net.arrays()):
+            raise ValueError(f"net {k} has a non-finite weight or bias")
     return _NetPolicy(nets, joint), band
 
 

@@ -21,10 +21,10 @@ from gridvolt.grid import (
 )
 from gridvolt.lyapunov import CertifyConfig, certify_policy
 from gridvolt.policy import (
-    LinearDeadbandPolicy,
     MonotonePolicy,
     RawPolicyParams,
     constrain,
+    droop,
     policy_eval_bus,
     policy_input_grad,
     policy_param_grad,
@@ -319,7 +319,7 @@ def test_training_improvement_smoke(trained):
 def test_criterion_7_benchmark_vs_linear(trained):
     t0 = time.perf_counter()
     suite = make_suite(NET.n, 200, seed=1234)
-    linear = LinearDeadbandPolicy(*BOUNDS)
+    linear = MonotonePolicy(droop(BOUNDS, 1.0))
     report = evaluate([("stable_ddpg", trained["result"].policy),
                        ("linear", linear)],
                       X5, suite, BOUNDS, T=100, dt=0.1)
@@ -405,7 +405,8 @@ def test_criterion_9_determinism(tmp_path):
         pol = MonotonePolicy.from_raw(
             sample_raw_params(NET.n, 8, np.random.default_rng(5)),
             BOUNDS, 1e-3)
-        rep = evaluate([("p", pol), ("linear", LinearDeadbandPolicy(*BOUNDS))],
+        rep = evaluate([("p", pol),
+                        ("linear", MonotonePolicy(droop(BOUNDS, 1.0)))],
                        X5, suite, BOUNDS, T=60, dt=0.1)
         reports.append(rep.to_csv())
     ok = logs[0] == logs[1] and reports[0] == reports[1]

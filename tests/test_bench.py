@@ -11,7 +11,7 @@ from gridvolt.bench import (
 )
 from gridvolt.dynamics import Rollouts, make_suite, recovery_time
 from gridvolt.grid import build_sensitivity, five_bus_fixture
-from gridvolt.policy import LinearDeadbandPolicy, MonotonePolicy, ZeroPolicy, \
+from gridvolt.policy import MonotonePolicy, ZeroPolicy, droop, \
     sample_raw_params
 
 NET = five_bus_fixture()
@@ -102,7 +102,8 @@ def test_linear_recovery_matches_scalar_formula():
     X1 = build_sensitivity(net1).X
     gap0, dt, tol = 0.04, 0.5, 1e-3
     suite = [(np.array([1.05 + gap0]), np.zeros(1), "case")]
-    report = evaluate([("linear", LinearDeadbandPolicy(*net1.bounds()))],
+    linear = MonotonePolicy(droop(net1.bounds(), 1.0))
+    report = evaluate([("linear", linear)],
                       X1, suite, net1.bounds(), T=400, dt=dt,
                       recovery_tol=tol)
     factor = 1 - dt * X1[0, 0]
@@ -114,7 +115,7 @@ def test_linear_recovery_matches_scalar_formula():
 def test_trained_style_policy_beats_linear_here():
     suite = make_suite(NET.n, 30, seed=2)
     report = evaluate([("steep", steep_policy()),
-                       ("linear", LinearDeadbandPolicy(*BOUNDS))],
+                       ("linear", MonotonePolicy(droop(BOUNDS, 1.0)))],
                       X5, suite, BOUNDS, T=100)
     assert report.metric("steep", "stability_rate")[0] == 1.0
     assert report.metric("steep", "transient_cost")[0] < \
@@ -133,8 +134,9 @@ def test_evaluate_computes_recovery_once_per_policy(monkeypatch):
 
     monkeypatch.setattr(bench, "recovery_time", counted)
     suite = make_suite(NET.n, 5, seed=4)
-    pols = [("steep", steep_policy()), ("linear",
-            LinearDeadbandPolicy(*BOUNDS)), ("zero", ZeroPolicy())]
+    pols = [("steep", steep_policy()),
+            ("linear", MonotonePolicy(droop(BOUNDS, 1.0))),
+            ("zero", ZeroPolicy())]
     evaluate(pols, X5, suite, BOUNDS, T=40)
     assert calls == [5, 5, 5]
 

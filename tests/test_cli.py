@@ -263,6 +263,18 @@ def _drop_net(data):
     return data
 
 
+def _weight(value):
+    def edit(data):
+        data["nets"][0]["weights"][0][0][0] = value
+        return data
+    return edit
+
+
+def _wrong_d(data):
+    data["buses"][0]["d"] = 3
+    return data
+
+
 def _without(key):
     def edit(data):
         del data[key]
@@ -281,9 +293,13 @@ def _without(key):
     ("mlp", _drop_net, 4, "local checkpoint has 3 nets for 4 buses"),
     ("stable", None, 16, "has 4 buses, the network has 16"),
     ("mlp", None, 16, "has 4 buses, the network has 16"),
+    ("mlp", _weight(float("nan")), 4, "net 0 has a non-finite weight"),
+    ("mlp", _weight("a"), 4, "could not convert string to float"),
+    ("stable", _wrong_d, 4, "bus 1 declares d = 3 but has 8 ramp units"),
 ], ids=["inf-slope", "no-band", "no-eps", "no-buses", "one-unit",
         "not-object", "mlp-no-nets", "mlp-net-missing", "stable-on-16-buses",
-        "mlp-on-16-buses"])
+        "mlp-on-16-buses", "mlp-nan-weight", "mlp-text-weight",
+        "stable-wrong-d"])
 def test_certify_rejects_corrupt_checkpoint(net_path, tmp_path, capsys,
                                             actor, edit, buses, message):
     # a checkpoint that is malformed, cannot rebuild a valid controller, or

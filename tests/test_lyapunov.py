@@ -14,11 +14,11 @@ from gridvolt.lyapunov import (
     lyapunov_time_derivative,
 )
 from gridvolt.policy import (
-    LinearDeadbandPolicy,
     MonotonePolicy,
     RawPolicyParams,
     StackedReluParams,
     ZeroPolicy,
+    droop,
     sample_raw_params,
 )
 from gridvolt.util import config_hash
@@ -181,7 +181,7 @@ def test_certificate_zero_policy():
 
 
 def test_certificate_linear_deadband_converges_with_long_horizon():
-    pol = LinearDeadbandPolicy(*BOUNDS)
+    pol = MonotonePolicy(droop(BOUNDS, 1.0))
     cert = certify_policy(X5, pol, cert_config(rollouts=6, horizon=4000))
     assert cert.passed, cert.summary()
 
@@ -190,19 +190,28 @@ def test_certificate_forgives_violation_that_vanishes_at_fine_step():
     # a gain-35 droop rings at dt = 0.1 on the fixture; a max_gain that
     # understates it keeps the slack small, so one scenario gets flagged and
     # the dt/10 rerun clears it
-    class Understated(LinearDeadbandPolicy):
+    class Understated(Sampled):
         def max_gain(self):
             return 1.0
 
-    cert = certify_policy(X5, Understated(*BOUNDS, gain=35.0), cert_config())
+    pol = Understated(MonotonePolicy(droop(BOUNDS, 35.0)))
+    cert = certify_policy(X5, pol, cert_config())
     assert cert.passed, cert.summary()
     vanished = [note for note in cert.notes if "vanished at dt/10" in note]
     assert len(vanished) == 1
 
 
 def test_certificate_keeps_violation_that_survives_fine_step():
-    pol = LinearDeadbandPolicy(*BOUNDS, gain=-1.0)
-    cert = certify_policy(X5, pol, cert_config())
+    class Rising(Sampled):
+        # droop at gain -1: it pushes voltages away from the band
+        def __call__(self, v):
+            return -self.pol(v)
+
+        def input_grad(self, v):
+            return -self.pol.input_grad(v)
+
+    cert = certify_policy(X5, Rising(MonotonePolicy(droop(BOUNDS, 1.0))),
+                          cert_config())
     ok, witnesses = cert.clauses["lyapunov_decrease"]
     assert not ok
     assert witnesses and all("dt=0.01" in w for w in witnesses)
@@ -375,14 +384,15 @@ def test_certificate_judges_slopes_against_its_own_band():
 
 
 def test_policy_without_kinks_keeps_sampled_slope_witnesses():
-    class Bumpy(LinearDeadbandPolicy):
+    class Bumpy(Sampled):
         # claims a positive slope on (1.20, 1.30), inside the sampled window
         def input_grad(self, v):
             v = np.asarray(v, dtype=float)
             bump = (v > 1.20) & (v < 1.30)
             return np.where(bump, 0.1, super().input_grad(v))
 
-    cert = certify_policy(X5, Bumpy(*BOUNDS, gain=20.0), cert_config())
+    pol = Bumpy(MonotonePolicy(droop(BOUNDS, 20.0)))
+    cert = certify_policy(X5, pol, cert_config())
     ok, witnesses = cert.clauses["jacobian_nonpositive"]
     assert not ok and witnesses
     for w in witnesses:

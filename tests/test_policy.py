@@ -9,12 +9,11 @@ import pytest
 from gridvolt.dynamics import rollout_batch
 from gridvolt.policy import (
     CheckpointError,
-    LinearDeadbandPolicy,
     MonotonePolicy,
     RawPolicyParams,
     StackedReluParams,
     constrain,
-    linear_deadband,
+    droop,
     load_checkpoint,
     policy_eval,
     policy_eval_bus,
@@ -559,20 +558,71 @@ def test_piece_table_passes_nan_and_inf_on_to_the_rollout_cut():
 
 
 # ---------------------------------------------------------------------------
-# linear deadband
+# droop: the linear deadband baseline as a two-ramp stack
 # ---------------------------------------------------------------------------
 
 def test_linear_deadband_values():
-    assert linear_deadband(1.07, 0.95, 1.05) == pytest.approx(-0.02)
-    assert linear_deadband(0.93, 0.95, 1.05) == pytest.approx(0.02)
-    assert linear_deadband(1.01, 0.95, 1.05) == 0.0
+    pol = MonotonePolicy(droop(([0.95], [1.05]), 1.0))
+    assert pol(np.array([1.07]))[0] == pytest.approx(-0.02)
+    assert pol(np.array([0.93]))[0] == pytest.approx(0.02)
+    assert pol(np.array([1.01]))[0] == 0.0
 
 
 def test_linear_policy_wrapper():
-    pol = LinearDeadbandPolicy(*BAND)
+    pol = MonotonePolicy(droop(BAND, 1.0))
     v = np.array([1.07, 0.93, 1.0])
     np.testing.assert_allclose(pol(v), [-0.02, 0.02, 0.0])
     np.testing.assert_allclose(pol.input_grad(v), [-1.0, -1.0, 0.0])
+
+
+def frozen_droop(v, v_lower, v_upper, gain):
+    """The droop formula the stack replaced, kept as the reference."""
+    return gain * (-np.maximum(v - v_upper, 0.0)
+                   + np.maximum(v_lower - v, 0.0))
+
+
+def droop_cases(count=200):
+    """Random droops (1-19 buses, per-bus bands, gains 1e-3 to 50) with
+    voltages in [-3, 5] plus every band edge and its float neighbours."""
+    rng = np.random.default_rng(77)
+    for _ in range(count):
+        n = int(rng.integers(1, 20))
+        lo = rng.uniform(0.85, 0.99, size=n)
+        hi = rng.uniform(1.01, 1.15, size=n)
+        gain = float(10.0 ** rng.uniform(-3.0, np.log10(50.0)))
+        edges = np.concatenate([lo, hi])
+        extra = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                                np.nextafter(edges, np.inf)])
+        v = np.vstack([rng.uniform(-3.0, 5.0, size=(40, n)),
+                       np.tile(extra[:, None], (1, n))])
+        yield (lo, hi), gain, v
+
+
+def test_droop_matches_frozen_formula():
+    for (lo, hi), gain, v in droop_cases():
+        p = droop((lo, hi), gain)
+        pol = MonotonePolicy(p)
+        u = pol(v)
+        want = frozen_droop(v, lo, hi, gain)
+        on_band = (v >= lo) & (v <= hi)
+        # bit-equal off the band, a zero of either sign on it
+        np.testing.assert_array_equal(u[~on_band], want[~on_band])
+        assert np.all(u[on_band] == 0.0)
+        # right-hand slopes: the upper edge already has the outside slope,
+        # the lower edge the band's
+        outside = (v >= hi) | (v < lo)
+        np.testing.assert_array_equal(pol.input_grad(v),
+                                      np.where(outside, -gain, 0.0))
+        assert pol.max_gain() == gain == p.eps
+        assert verify_monotone(p).passed
+        for k in range(0, len(v), 17):
+            assert_same_bits(pol(v[k]), u[k])
+
+
+@pytest.mark.parametrize("gain", [0.0, -1.0, np.nan, np.inf])
+def test_droop_rejects_gain_that_is_not_finite_and_positive(gain):
+    with pytest.raises(ValueError, match="finite and positive"):
+        droop(BAND, gain)
 
 
 # ---------------------------------------------------------------------------
