@@ -156,8 +156,7 @@ def cmd_train(args):
         rl.write_training_log(result.log, args.log)
     returns = [row["return"] for row in result.log]
     print(f"wrote {args.out}: {episodes} episodes, "
-          f"first return {fmt(returns[0]) if returns else 'n/a'}, "
-          f"last return {fmt(returns[-1]) if returns else 'n/a'}, "
+          f"first return {fmt(returns[0])}, last return {fmt(returns[-1])}, "
           f"{result.diverged_episodes} diverged episodes")
     if result.updates == 0 or 2 * result.diverged_episodes > episodes:
         print(f"warning: training made {result.updates} updates and "

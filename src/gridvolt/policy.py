@@ -510,6 +510,9 @@ def parse_checkpoint(data):
         params = constrain(raw, band, eps)
     except ValueError as exc:
         raise CheckpointError(f"checkpoint parameters rejected: {exc}") from exc
+    for i in np.flatnonzero(~(band[0] < band[1])):
+        raise CheckpointError(f"bus {i + 1} has v_lower = {band[0][i]:g} "
+                              f"not below v_upper = {band[1][i]:g}")
     for i, d in enumerate(declared):
         if d != raw.d:
             raise CheckpointError(f"bus {i + 1} declares d = {d!r} but has "

@@ -45,7 +45,10 @@ class TrainingDiverged(RuntimeError):
 # ---------------------------------------------------------------------------
 
 class FeedForwardNet:
-    """Affine layers with ReLU hidden activations and a linear output."""
+    """Affine layers with ReLU hidden activations and a linear output.
+
+    The passes below compute in the dtype of the net's parameters.
+    """
 
     def __init__(self, weights, biases):
         self.weights = weights
@@ -60,9 +63,17 @@ class FeedForwardNet:
             biases.append(rng.uniform(-bound, bound, size=fan_out))
         return cls(weights, biases)
 
+    @property
+    def dtype(self):
+        return self.weights[0].dtype
+
+    def astype(self, dtype):
+        """A copy with every parameter array cast to ``dtype``."""
+        return FeedForwardNet([w.astype(dtype) for w in self.weights],
+                              [b.astype(dtype) for b in self.biases])
+
     def copy(self):
-        return FeedForwardNet([w.copy() for w in self.weights],
-                              [b.copy() for b in self.biases])
+        return self.astype(self.dtype)
 
     def arrays(self):
         """Every parameter array: the weights, then the biases."""
@@ -71,7 +82,7 @@ class FeedForwardNet:
 
 def net_eval(net, x):
     """Forward pass; accepts (..., d_in) batches or a single (d_in,) vector."""
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=net.dtype)
     single = x.ndim == 1
     h = x[None, :] if single else x
     if h.shape[-1] != net.weights[0].shape[0]:
@@ -95,6 +106,7 @@ def _layers(net, h):
 
 def _forward(net, h):
     """Every layer's activations on a batch: [input, hidden..., output]."""
+    h = np.asarray(h, dtype=net.dtype)
     return [h, *_layers(net, h)]
 
 
@@ -107,7 +119,7 @@ def _backward(net, acts, upstream, param_grads=True):
     """
     last = len(net.weights) - 1
     grads = [None] * len(net.weights) if param_grads else None
-    delta = upstream
+    delta = np.asarray(upstream, dtype=net.dtype)
     for k in range(last, -1, -1):
         if k < last:
             delta = delta * (acts[k + 1] > 0.0)
@@ -123,10 +135,10 @@ def net_backprop(net, x, upstream):
     ``upstream`` holds d(objective)/d(output) per sample; parameter grads are
     summed over the batch, the input grad keeps its per-sample shape.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=net.dtype)
     single = x.ndim == 1
     h = x[None, :] if single else x
-    upstream = np.asarray(upstream, dtype=float)
+    upstream = np.asarray(upstream, dtype=net.dtype)
     if upstream.ndim == 1:
         upstream = upstream[None, :] if single else upstream[:, None]
     grads, delta = _backward(net, _forward(net, h), upstream)
@@ -240,8 +252,20 @@ class TrainConfig:
             raise ValueError("gamma must lie in [0, 1]")
         if not (0.0 < self.tau <= 1.0):
             raise ValueError("tau must lie in (0, 1]")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
         if self.batch_size > self.buffer_capacity:
             raise ValueError("batch size cannot exceed buffer capacity")
+        for name in ("noise_std", "noise_clip_sigmas"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
+        if self.episodes < 1:
+            raise ValueError("episodes must be at least 1")
+        if self.updates_per_episode < 0:
+            raise ValueError("updates_per_episode must be nonnegative")
+        for name in ("critic_hidden", "actor_hidden"):
+            if not all(size >= 1 for size in getattr(self, name)):
+                raise ValueError(f"{name} sizes must be at least 1")
         if self.agent_scope not in ("local", "joint"):
             raise ValueError(f"unknown agent scope {self.agent_scope!r}")
         if self.episode_len < 1:
@@ -288,14 +312,16 @@ def critic_update(critic, critic_target, batch, u_next, cfg):
 
     ``batch`` is (s, u, r, s_next) with 2-d arrays and ``u_next`` holds the
     target policy's actions at s_next; the bootstrap target
-    r + gamma * Q_target(s', u_next) is held fixed. Returns the pre-step loss.
+    r + gamma * Q_target(s', u_next) is held fixed. Returns the pre-step loss,
+    reduced in float64 whatever the critic's dtype, so that its finiteness
+    check is not bounded by the range of float32.
     """
     s, u, r, s_next = batch
     q_next = net_eval(critic_target, np.hstack([s_next, u_next]))
     y = r + cfg.gamma * q_next
     acts = _forward(critic, np.hstack([s, u]))
     err = acts[-1] - y
-    loss = float(np.mean(err ** 2))
+    loss = float(np.mean(np.square(err, dtype=float)))
     if not np.isfinite(loss):
         raise TrainingDiverged("temporal-difference loss is not finite")
     upstream = 2.0 * err / len(err)
@@ -391,7 +417,10 @@ def parse_net_policy(data, path):
     band = (np.array(data["band"]["v_lower"], dtype=float),
             np.array(data["band"]["v_upper"], dtype=float))
     # local scope: one 1 -> 1 net per bus; joint scope: one n -> n net
-    n, joint = len(band[0]), bool(data["joint"])
+    n, joint = len(band[0]), data["joint"]
+    if not isinstance(joint, bool):
+        raise ValueError(f"checkpoint field 'joint' must be true or false, "
+                         f"got {joint!r}")
     width = n if joint else 1
     if len(nets) != (1 if joint else n):
         raise ValueError(f"{'joint' if joint else 'local'} checkpoint has "
@@ -502,9 +531,10 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
     """
     if actor_kind not in ("stable", "unconstrained"):
         raise ValueError(f"unknown actor kind {actor_kind!r}")
-    # each critic pass frees ~2 MB of (batch, hidden) arrays; glibc's default
-    # thresholds return it to the kernel and page-fault it back on the next
-    # pass, so keep freed memory mapped (a no-op without glibc)
+    # each float32 critic pass frees about 0.5 MB of (batch, hidden) arrays
+    # (a float64 MLP actor pass about 1 MB); glibc's default thresholds
+    # return it to the kernel and page-fault it back on the next pass, so
+    # keep freed memory mapped (a no-op without glibc)
     with contextlib.suppress(OSError, AttributeError):
         mallopt = ctypes.CDLL("libc.so.6").mallopt
         mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
@@ -525,7 +555,11 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
     # agents: one per bus column in local scope, the whole feeder for joint
     dim = n if joint else 1
     agent_cols = [slice(None)] if joint else [slice(i, i + 1) for i in range(n)]
-    critics = [FeedForwardNet.create([2 * dim, *cfg.critic_hidden, 1], init_rng)
+    # the critics only supply dQ/du and are dropped after training, so they
+    # run in float32 (drawn in float64 from the seeded stream, then cast);
+    # the actor, the replay buffer and the logged TD loss stay float64
+    critics = [FeedForwardNet.create([2 * dim, *cfg.critic_hidden, 1],
+                                     init_rng).astype(np.float32)
                for _ in agent_cols]
     critic_targets = [critic.copy() for critic in critics]
 

@@ -282,6 +282,22 @@ def _without(key):
     return edit
 
 
+def _edited_checkpoint(tmp_path, actor, edit):
+    """A fixture checkpoint of either kind, passed through ``edit``."""
+    net = five_bus_fixture()
+    path = tmp_path / "bad.json"
+    if actor == "stable":
+        raw = sample_raw_params(net.n, 8, np.random.default_rng(1))
+        save_checkpoint(str(path), raw, net.bounds(), 1e-3)
+    else:
+        nets = [FeedForwardNet.create([1, 8, 1], np.random.default_rng(k))
+                for k in range(net.n)]
+        save_net_policy(str(path), nets, False, net.bounds())
+    if edit is not None:
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    return path
+
+
 @pytest.mark.parametrize("actor, edit, buses, message", [
     ("stable", _inf_slope, 4, "bad checkpoint"),
     ("stable", _without("band"), 4, "malformed"),
@@ -306,22 +322,46 @@ def test_certify_rejects_corrupt_checkpoint(net_path, tmp_path, capsys,
     # was trained for another feeder is refused at load time with exit 2,
     # well before any rollout
     net = five_bus_fixture()
-    path = tmp_path / "bad.json"
-    if actor == "stable":
-        raw = sample_raw_params(net.n, 8, np.random.default_rng(1))
-        save_checkpoint(str(path), raw, net.bounds(), 1e-3)
-    else:
-        nets = [FeedForwardNet.create([1, 8, 1], np.random.default_rng(k))
-                for k in range(net.n)]
-        save_net_policy(str(path), nets, False, net.bounds())
-    if edit is not None:
-        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    path = _edited_checkpoint(tmp_path, actor, edit)
     if buses != net.n:
         net_path = str(tmp_path / "big.json")
         save_network(generate_random_feeder(n=buses, rng_seed=1), net_path)
     code = cli_main(["certify", "--network", net_path,
                      "--checkpoint", str(path), "--rollouts", "2"])
     assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert message in err
+
+
+def _inverted_band(data):
+    data["band"]["v_lower"][0] = 1.2
+    return data
+
+
+def _joint(value):
+    def edit(data):
+        data["joint"] = value
+        return data
+    return edit
+
+
+@pytest.mark.parametrize("command", ["certify", "evaluate"])
+@pytest.mark.parametrize("actor, edit, message", [
+    ("stable", _inverted_band,
+     "bus 1 has v_lower = 1.2 not below v_upper = 1.05"),
+    ("mlp", _joint("false"),
+     "checkpoint field 'joint' must be true or false, got 'false'"),
+    ("mlp", _joint(1), "checkpoint field 'joint' must be true or false, got 1"),
+], ids=["inverted-band", "joint-string", "joint-int"])
+def test_certify_and_evaluate_reject_bad_checkpoint_fields(
+        net_path, tmp_path, capsys, command, actor, edit, message):
+    path = str(_edited_checkpoint(tmp_path, actor, edit))
+    out = str(tmp_path / "out")
+    argv = (["certify", "--checkpoint", path, "--rollouts", "2"]
+            if command == "certify" else
+            ["evaluate", "--policies", path, "--scenarios", "2", "--out", out])
+    assert cli_main([*argv, "--network", net_path]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
     assert message in err

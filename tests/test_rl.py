@@ -4,6 +4,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
+from gridvolt import rl
 from gridvolt.dynamics import CostParams, stage_cost
 from gridvolt.grid import (
     build_sensitivity,
@@ -14,8 +15,10 @@ from gridvolt.policy import (
     MonotonePolicy,
     RawPolicyParams,
     constrain,
+    load_checkpoint,
     policy_eval_bus,
     sample_raw_params,
+    save_checkpoint,
     verify_monotone,
 )
 from gridvolt.rl import (
@@ -535,6 +538,46 @@ def test_q_action_grad_bit_equals_reference():
         assert dq.shape == u.shape
 
 
+def test_float32_critic_passes_bit_equal_reference_and_stay_float32():
+    # a float32 critic runs the same code path in float32: its SGD steps and
+    # soft updates keep every weight float32, and its TD loss is float64
+    cfg = TrainConfig(gamma=0.9, critic_lr=0.05, batch_size=16)
+    for critic, batch, u_next in critic_cases():
+        critic = critic.astype(np.float32)
+        target = critic.copy()
+        ref = critic.copy()
+        for _ in range(3):
+            loss = critic_update(critic, target, batch, u_next, cfg)
+            assert loss == reference_critic_update(ref, target, batch,
+                                                   u_next, cfg)
+            soft_update(target, critic, 0.3)
+        for a, b, t in zip(critic.arrays(), ref.arrays(), target.arrays()):
+            assert a.dtype == t.dtype == np.float32
+            np.testing.assert_array_equal(a, b)
+        s, u = batch[:2]
+        q, dq = q_action_grad(critic, s, u)
+        q_ref, dq_ref = reference_q_action_grad(critic, s, u)
+        assert q.dtype == dq.dtype == np.float32
+        np.testing.assert_array_equal(q, q_ref)
+        np.testing.assert_array_equal(dq, dq_ref)
+
+
+def test_float32_backprop_agrees_with_float64_of_the_same_weights():
+    for critic, (s, u, _, _), _ in critic_cases():
+        net32 = critic.astype(np.float32)
+        x = np.hstack([s, u]).astype(np.float32)
+        upstream = np.random.default_rng(3).normal(size=(len(x), 1))
+        upstream = upstream.astype(np.float32)
+        grads32, gin32 = net_backprop(net32, x, upstream)
+        grads64, gin64 = net_backprop(net32.astype(np.float64), x, upstream)
+        pairs = [(gin32, gin64), *zip(itertools.chain(*grads32),
+                                      itertools.chain(*grads64))]
+        for got, want in pairs:
+            assert got.dtype == np.float32 and want.dtype == np.float64
+            np.testing.assert_allclose(got, want, rtol=1e-5,
+                                       atol=1e-5 * np.abs(want).max())
+
+
 # ---------------------------------------------------------------------------
 # actor updates
 # ---------------------------------------------------------------------------
@@ -591,11 +634,14 @@ def test_net_actor_ascends_quadratic():
 # training loop
 # ---------------------------------------------------------------------------
 
-def test_train_zero_episodes_returns_initial_policy():
+def test_train_without_updates_returns_initial_policy():
+    # one 10-step episode never fills a batch of 16, so no update runs
     env = make_env()
-    res1 = train(env, small_cfg(episodes=0))
-    res2 = train(env, small_cfg(episodes=0))
-    assert res1.log == []
+    res1 = train(env, small_cfg(episodes=1))
+    res2 = train(env, small_cfg(episodes=1))
+    assert res1.updates == 0 and len(res1.log) == 1
+    for a, b in zip(res1.raw.arrays(), res1.init_raw.arrays()):
+        np.testing.assert_array_equal(a, b)
     probe = np.array([1.07, 1.0, 0.93, 1.06])
     np.testing.assert_array_equal(res1.policy(probe), res2.policy(probe))
 
@@ -610,6 +656,38 @@ def test_train_deterministic_logs(actor, scope):
     assert r1.log == r2.log
     probe = np.array([1.08, 0.94, 1.0, 1.02])
     np.testing.assert_array_equal(r1.policy(probe), r2.policy(probe))
+
+
+@pytest.mark.parametrize("actor", ["stable", "unconstrained"])
+def test_train_runs_float32_critics_and_keeps_the_actor_float64(
+        tmp_path, monkeypatch, actor):
+    seen = set()
+    update = rl.critic_update
+
+    def spy(critic, critic_target, *args):
+        seen.add((str(critic.dtype), str(critic_target.dtype)))
+        return update(critic, critic_target, *args)
+
+    monkeypatch.setattr(rl, "critic_update", spy)
+    res = train(make_env(), small_cfg(), actor_kind=actor)
+    assert res.updates > 0
+    assert seen == {("float32", "float32")}
+    assert all(type(row["td_loss_mean"]) is float for row in res.log)
+    path = tmp_path / "policy.json"
+    if actor == "stable":
+        arrays = [*res.raw.arrays(), *res.init_raw.arrays()]
+        save_checkpoint(str(path), res.raw, BOUNDS, 1e-3)
+        raw, _band, _eps = load_checkpoint(str(path))
+        for a, b in zip(raw.arrays(), res.raw.arrays()):
+            np.testing.assert_array_equal(a, b)
+    else:
+        arrays = [a for net in res.actor_nets for a in net.arrays()]
+        save_net_policy(str(path), res.actor_nets, False, BOUNDS)
+        loaded, _band = load_net_policy(str(path))
+        v = np.random.default_rng(9).uniform(0.85, 1.15, size=(50, NET.n))
+        np.testing.assert_array_equal(loaded(v).view(np.uint64),
+                                      res.policy(v).view(np.uint64))
+    assert all(a.dtype == np.float64 for a in arrays)
 
 
 def test_train_log_csv_roundtrip(tmp_path):
@@ -766,6 +844,13 @@ def test_config_validation():
         TrainConfig(gamma=-0.1)
     with pytest.raises(ValueError, match="actor_units"):
         TrainConfig(actor_units=1)
+    for field, value in (("batch_size", 0), ("noise_std", -0.1),
+                         ("noise_std", float("nan")),
+                         ("noise_clip_sigmas", -3.0),
+                         ("updates_per_episode", -1), ("episodes", 0),
+                         ("critic_hidden", (100, 0)), ("actor_hidden", (0,))):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
 
 
 @pytest.mark.parametrize("joint", [False, True])
