@@ -205,15 +205,23 @@ def policy_param_grad(raw, band, eps, v):
     runs through the reparameterization, so inert columns get zeros.
     """
     v = np.asarray(v, dtype=float)
-    single = v.ndim == 1
-    vv = np.atleast_2d(v)[:, :, None]                            # (m, n, 1)
-    p = constrain(raw, band, eps)
+    grads, _ = _param_grad_and_ramps(raw, constrain(raw, band, eps),
+                                     np.atleast_2d(v))
+    return tuple(g[0] for g in grads) if v.ndim == 1 else grads
+
+
+def _param_grad_and_ramps(raw, p, v):
+    """``policy_param_grad`` on an (m, n) block, through ``p``, the controller
+    that ``raw`` constrains to; also returns each stack's (m, n, d) ramp
+    outputs relu(x + b), from which ``_bus_eval_from_ramps`` reads u."""
+    vv = v[:, :, None]                                           # (m, n, 1)
     shape = vv.shape[:2] + (raw.d,)
     raws = ((raw.slope_pos, raw.decr_pos), (raw.slope_neg, raw.decr_neg))
-    grads = []
+    grads, ramps = [], []
     for (x, w, b, sign), (raw_slope, raw_decr) in zip(_stacks(p, vv), raws):
         z = x + b                                                # (m, n, d)
         r = np.maximum(z, 0.0)
+        ramps.append(r)
         # d xi / d prefix-sum_l telescopes to r_l - r_{l+1}; a prefix sum
         # moves with its raw slope times the stack's sign
         diff = r.copy()
@@ -226,7 +234,14 @@ def policy_param_grad(raw, band, eps, v):
         g_decr = np.zeros(shape)
         g_decr[..., 2:] = tail[..., 2:] * sigmoid(raw_decr[:, 2:])
         grads += [g_slope, g_decr]
-    return tuple(g[0] for g in grads) if single else tuple(grads)
+    return tuple(grads), ramps
+
+
+def _bus_eval_from_ramps(p, bus, ramps):
+    """``policy_eval_bus(p, bus, v[:, bus])`` bit for bit, read from the
+    ramp outputs that ``_param_grad_and_ramps`` returned at v."""
+    xi = [r[:, bus] @ w[bus] for r, w in zip(ramps, (p.wplus, p.wminus))]
+    return -(xi[0] + xi[1])
 
 
 def droop(band, gain):

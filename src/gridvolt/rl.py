@@ -30,9 +30,9 @@ from .policy import (
     constrain,
     policy_eval,
     policy_eval_bus,
-    policy_param_grad,
     sample_raw_params,
 )
+from .policy import _bus_eval_from_ramps, _param_grad_and_ramps
 from .util import fmt
 
 
@@ -97,7 +97,9 @@ def _layers(net, h):
     """Yield each layer's activations on a batch in turn: hidden..., output."""
     last = len(net.weights) - 1
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
-        h = h @ w
+        # a fan-in-1 layer is an outer product: each entry is one multiply,
+        # the value BLAS gives, at about a third of its cost
+        h = h * w if w.shape[0] == 1 else h @ w
         h += b
         if k < last:
             np.maximum(h, 0.0, out=h)
@@ -122,10 +124,12 @@ def _backward(net, acts, upstream, param_grads=True):
     delta = np.asarray(upstream, dtype=net.dtype)
     for k in range(last, -1, -1):
         if k < last:
-            delta = delta * (acts[k + 1] > 0.0)
+            delta *= acts[k + 1] > 0.0      # delta is a fresh product here
         if param_grads:
             grads[k] = (acts[k].T @ delta, delta.sum(axis=0))
-        delta = delta @ net.weights[k].T
+        w = net.weights[k]
+        # through a fan-out-1 layer the product is again an outer product
+        delta = delta * w.T if w.shape[1] == 1 else delta @ w.T
     return grads, delta
 
 
@@ -246,8 +250,9 @@ class TrainConfig:
     record_timing: bool = False
 
     def __post_init__(self):
-        if self.actor_lr <= 0 or self.critic_lr <= 0:
-            raise ValueError("learning rates must be positive")
+        for name in ("actor_lr", "critic_lr", "eps"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if not (0.0 <= self.gamma <= 1.0):
             raise ValueError("gamma must lie in [0, 1]")
         if not (0.0 < self.tau <= 1.0):
@@ -347,14 +352,14 @@ def q_action_grad(critic, s, u):
     return q, dq_du
 
 
-def stable_actor_update(raw, band, eps, v_batch, dq_du, lr):
+def stable_actor_update(raw, grads, dq_du, lr):
     """Ascend the critic through the constraint map for every bus at once.
 
-    ``v_batch`` and ``dq_du`` are (m, n). Updates ``raw`` in place and
-    returns the applied gradient norm of each bus, shape (n,).
+    ``grads`` are ``policy_param_grad``'s (m, n, d) arrays on the state
+    batch and ``dq_du`` is (m, n). Updates ``raw`` in place and returns the
+    applied gradient norm of each bus, shape (n,).
     """
-    grads = policy_param_grad(raw, band, eps, v_batch)
-    m = len(v_batch)
+    m = len(dq_du)
     total = 0.0
     for arr, g in zip(raw.arrays(), grads):
         mean_g = (dq_du[:, :, None] * g).sum(axis=0) / m
@@ -363,10 +368,15 @@ def stable_actor_update(raw, band, eps, v_batch, dq_du, lr):
     return np.sqrt(total)
 
 
-def net_actor_update(actor, v_batch, dq_du, lr):
-    """Deterministic policy-gradient ascent for the unconstrained actor."""
-    m = len(v_batch)
-    grads, _ = net_backprop(actor, v_batch, dq_du / m)
+def net_actor_update(actor, acts, dq_du, lr):
+    """Deterministic policy-gradient ascent for the unconstrained actor.
+
+    ``acts`` is ``_forward(actor, v_batch)``, the pass whose output gave the
+    actions at which ``dq_du`` was taken; the step backpropagates through
+    it instead of running the forward pass again.
+    """
+    m = len(acts[0])
+    grads, _ = _backward(actor, acts, dq_du / m)
     sgd_step(actor, grads, -lr)
     total = sum(float((dw ** 2).sum() + (db ** 2).sum()) for dw, db in grads)
     return np.sqrt(total)
@@ -491,7 +501,7 @@ class _NetPolicy:
 
 
 def _agent_actions(actor, joint, i, s):
-    """Actions of agent i on its (m, k) state block.
+    """Target actions of agent i on its (m, k) state block.
 
     ``actor`` is a constrained monotone controller or a list of nets, one
     per agent; a local monotone agent evaluates only its own bus.
@@ -531,8 +541,8 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
     """
     if actor_kind not in ("stable", "unconstrained"):
         raise ValueError(f"unknown actor kind {actor_kind!r}")
-    # each float32 critic pass frees about 0.5 MB of (batch, hidden) arrays
-    # (a float64 MLP actor pass about 1 MB); glibc's default thresholds
+    # each float32 critic pass frees about 0.45 MB of (batch, hidden) arrays
+    # (a float64 MLP actor pass about 0.9 MB); glibc's default thresholds
     # return it to the kernel and page-fault it back on the next pass, so
     # keep freed memory mapped (a no-op without glibc)
     with contextlib.suppress(OSError, AttributeError):
@@ -614,9 +624,12 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
                 if actor_kind == "stable":
                     actor = constrain(raw, band, cfg.eps)
                     actor_tgt = constrain(target_raw, band, cfg.eps)
+                    # one ramp pass gives the actor gradient and, in local
+                    # scope, the current actions
+                    grads, ramps = _param_grad_and_ramps(raw, actor, v_b)
+                    dqs = []
                 else:
-                    actor, actor_tgt = actor_nets, actor_targets
-                dqs = []
+                    actor_tgt = actor_targets
                 for i, cols in enumerate(agent_cols):
                     s, s_next = v_b[:, cols], vn_b[:, cols]
                     r = r_b.sum(axis=1, keepdims=True) if joint else r_b[:, cols]
@@ -624,22 +637,32 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
                         critics[i], critic_targets[i],
                         (s, u_b[:, cols], r, s_next),
                         _agent_actions(actor_tgt, joint, i, s_next), cfg))
-                    _, dq = q_action_grad(critics[i], s,
-                                          _agent_actions(actor, joint, i, s))
-                    dqs.append(dq)
                     soft_update(critic_targets[i], critics[i], cfg.tau)
+                    if actor_kind == "stable":
+                        # the einsum of policy_eval rounds unlike the
+                        # per-bus product, so joint scope keeps it
+                        u = policy_eval(actor, s) if joint else \
+                            _bus_eval_from_ramps(actor, i, ramps)[:, None]
+                        dqs.append(q_action_grad(critics[i], s, u)[1])
+                    else:
+                        # agents share no nets, so agent i's actor steps
+                        # now; freeing its activations before the next
+                        # agent's passes keeps peak memory flat
+                        acts = _forward(actor_nets[i], s)
+                        _, dq = q_action_grad(critics[i], s, acts[-1])
+                        grad_norms.append(net_actor_update(
+                            actor_nets[i], acts, dq, cfg.actor_lr))
+                        soft_update(actor_targets[i], actor_nets[i], cfg.tau)
+                        del acts
 
                 if actor_kind == "stable":
-                    norms = stable_actor_update(raw, band, cfg.eps, v_b,
-                                                np.hstack(dqs), cfg.actor_lr)
+                    norms = stable_actor_update(raw, grads, np.hstack(dqs),
+                                                cfg.actor_lr)
                     grad_norms.extend([np.sqrt(sum(norms ** 2))] if joint
                                       else norms)
                     soft_update(target_raw, raw, cfg.tau)
-                else:
-                    for i, cols in enumerate(agent_cols):
-                        grad_norms.append(net_actor_update(
-                            actor_nets[i], v_b[:, cols], dqs[i], cfg.actor_lr))
-                        soft_update(actor_targets[i], actor_nets[i], cfg.tau)
+                    # freed before the next round's ramp pass, as acts are
+                    del grads, ramps
 
         wall = (time.perf_counter() - t0) * 1e3 if cfg.record_timing else 0.0
         log.append(_log_row(episode, ep_return,

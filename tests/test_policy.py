@@ -25,6 +25,7 @@ from gridvolt.policy import (
     softplus,
     verify_monotone,
 )
+from gridvolt.policy import _bus_eval_from_ramps, _param_grad_and_ramps
 
 N, D = 3, 8
 BAND = (np.full(N, 0.95), np.full(N, 1.05))
@@ -453,6 +454,36 @@ def test_stacks_match_frozen_reference_bit_for_bit(d, overflow):
                                  ref_eval_bus(p, bus, vv[:, bus]))
                 assert_same_bits(policy_eval_bus(p, bus, vv[0, bus]),
                                  ref_eval_bus(p, bus, vv[0, bus]))
+
+
+@pytest.mark.parametrize("d, overflow", [(2, False), (16, False), (16, True)])
+def test_shared_ramp_pass_matches_param_grad_and_eval_bus(d, overflow):
+    # a training round takes the actor gradient and each local agent's
+    # actions from one ramp pass through the round's constrained controller
+    rng = np.random.default_rng(200 + d)
+    n = 5
+    band = (rng.uniform(0.9, 0.97, size=n), rng.uniform(1.03, 1.1, size=n))
+    for trial in range(50):
+        raw = RawPolicyParams(*(rng.normal(scale=3.0, size=(n, d))
+                                for _ in range(4)))
+        if overflow:
+            raw.decr_pos[:, 2:] = rng.uniform(1e307, 1.7e308, size=(n, d - 2))
+        p = constrain(raw, band, EPS)
+        kinks = np.concatenate([-p.bplus, p.bminus, np.stack(band, axis=1)],
+                               axis=1).T
+        spread = rng.uniform(0.75, 1.25, size=(64, n))
+        vv = np.vstack([kinks[np.isfinite(kinks).all(axis=1)], spread])
+        with np.errstate(over="ignore", invalid="ignore"):
+            grads, ramps = _param_grad_and_ramps(raw, p, vv)
+            for grad, want in zip(grads, policy_param_grad(raw, band, EPS, vv)):
+                assert_same_bits(grad, want)
+            for bus in range(n):
+                assert_same_bits(_bus_eval_from_ramps(p, bus, ramps),
+                                 policy_eval_bus(p, bus, vv[:, bus]))
+            v = vv[trial % len(vv)]
+            grads, _ = _param_grad_and_ramps(raw, p, v[None, :])
+            for grad, want in zip(grads, policy_param_grad(raw, band, EPS, v)):
+                assert_same_bits(grad[0], want)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from gridvolt.policy import (
     constrain,
     load_checkpoint,
     policy_eval_bus,
+    policy_param_grad,
     sample_raw_params,
     save_checkpoint,
     verify_monotone,
@@ -40,7 +41,7 @@ from gridvolt.rl import (
     train,
     write_training_log,
 )
-from gridvolt.rl import _forward
+from gridvolt.rl import _backward, _forward
 
 NET = five_bus_fixture()
 X5 = build_sensitivity(NET).X
@@ -73,7 +74,7 @@ def small_cfg(**over):
 
 def reference_forward(net, x):
     """Independent straight-line recomputation of the forward pass."""
-    h = np.asarray(x, dtype=float)
+    h = np.asarray(x, dtype=net.dtype)
     for k in range(len(net.weights)):
         z = h @ net.weights[k] + net.biases[k]
         h = z if k == len(net.weights) - 1 else np.where(z > 0, z, 0.0)
@@ -192,7 +193,11 @@ def test_backprop_dead_relu_zero_grads():
 
 
 def reference_backprop(net, x, upstream):
-    """Reverse pass that keeps the pre-activations and masks on them."""
+    """Reverse pass that keeps the pre-activations and masks on them.
+
+    Parameter grads are summed over a 2-d batch only; a stacked batch gets
+    the input grad alone.
+    """
     acts, pre = [x], []
     last = len(net.weights) - 1
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
@@ -204,7 +209,8 @@ def reference_backprop(net, x, upstream):
     for k in range(last, -1, -1):
         if k < last:
             delta = delta * (pre[k] > 0.0)
-        grads[k] = (acts[k].T @ delta, delta.sum(axis=0))
+        if x.ndim == 2:
+            grads[k] = (acts[k].T @ delta, delta.sum(axis=0))
         delta = delta @ net.weights[k].T
     return grads, delta
 
@@ -249,6 +255,46 @@ def test_backprop_equals_pre_activation_reference():
         for (dw, db), (rw, rb) in zip(grads, ref_grads):
             np.testing.assert_array_equal(dw, rw)
             np.testing.assert_array_equal(db, rb)
+
+
+def actor_cases(dtype):
+    """Local-scope MLP actors, whose first layer has fan-in 1 and whose
+    last has fan-out 1, with and without dead units and exact zeros."""
+    rng = np.random.default_rng(31)
+    for dead in (False, True):
+        make = critic_with_dead_units if dead else FeedForwardNet.create
+        net = make([1, 16, 16, 1], rng).astype(dtype)
+        x = rng.uniform(0.9, 1.1, size=(24, 1))
+        upstream = rng.normal(size=(24, 1))
+        if dead:
+            x[0] = 0.0
+            upstream[1] = 0.0
+        yield net, x.astype(dtype), upstream.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_fan_in_one_passes_equal_the_blas_reference(dtype):
+    # fan-in-1 forward and fan-out-1 backward products are broadcasts with
+    # one multiply per entry; they are compared as values, because an
+    # exactly zero product keeps its sign there and is +0.0 from BLAS
+    for net, x, upstream in actor_cases(dtype):
+        out = net_eval(net, x)
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out, reference_forward(net, x))
+        grads, gin = net_backprop(net, x, upstream)
+        ref_grads, ref_gin = reference_backprop(net, x, upstream)
+        assert gin.dtype == dtype
+        np.testing.assert_array_equal(gin, ref_gin)
+        for (dw, db), (rw, rb) in zip(grads, ref_grads):
+            np.testing.assert_array_equal(dw, rw)
+            np.testing.assert_array_equal(db, rb)
+        # a CLI batch feeds each row as its own (1, 1) input
+        x3, up3 = x[:, :, None], upstream[:, :, None]
+        np.testing.assert_array_equal(net_eval(net, x3),
+                                      reference_forward(net, x3))
+        _, gin3 = _backward(net, _forward(net, x3), up3, param_grads=False)
+        np.testing.assert_array_equal(gin3,
+                                      reference_backprop(net, x3, up3)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +641,8 @@ def test_actor_update_constant_critic_is_noop():
     params = constrain(raw, band1, 1e-3)
     u = policy_eval_bus(params, 0, v)[:, None]
     _, dq = q_action_grad(critic, v[:, None], u)
-    norm, = stable_actor_update(raw, band1, 1e-3, v[:, None], dq, lr=1e-2)
+    grads = policy_param_grad(raw, band1, 1e-3, v[:, None])
+    norm, = stable_actor_update(raw, grads, dq, lr=1e-2)
     assert norm == 0.0
     np.testing.assert_array_equal(raw.slope_pos, before.slope_pos)
     np.testing.assert_array_equal(raw.decr_pos, before.decr_pos)
@@ -613,10 +660,38 @@ def test_actor_drives_output_to_feasible_optimum():
             params = constrain(raw, band1, 1e-3)
             u = policy_eval_bus(params, 0, v)[0]
             dq = np.array([-2.0 * (u - u_star)])
-            stable_actor_update(raw, band1, 1e-3, v[:, None], dq[:, None],
-                                lr=5.0)
+            grads = policy_param_grad(raw, band1, 1e-3, v[:, None])
+            stable_actor_update(raw, grads, dq[:, None], lr=5.0)
         u_final = policy_eval_bus(constrain(raw, band1, 1e-3), 0, v)[0]
         assert u_final == pytest.approx(expect, abs=tol)
+
+
+@pytest.mark.parametrize("sizes", [[1, 16, 16, 1], [4, 16, 16, 4]])
+def test_net_actor_update_from_the_action_pass_equals_a_backprop_step(sizes):
+    # training steps the actor through the forward pass that gave its
+    # actions; that step must be the one a separate net_backprop pass gives
+    rng = np.random.default_rng(41)
+    actor = critic_with_dead_units(sizes, rng)
+    ref = actor.copy()
+    m, lr = 32, 0.05
+    for _ in range(3):
+        # a column of the sampled batch, as a local agent sees its bus
+        v = rng.uniform(0.9, 1.1, size=(m, sizes[0] + 2))[:, 1:-1]
+        v[0] = 0.0
+        acts = _forward(actor, v)
+        np.testing.assert_array_equal(acts[-1].view(np.uint64),
+                                      net_eval(ref, v).view(np.uint64))
+        # the float32 critics' dQ/du
+        dq = rng.normal(size=(m, sizes[-1])).astype(np.float32)
+        dq[1] = 0.0
+        norm = net_actor_update(actor, acts, dq, lr)
+        grads, _ = net_backprop(ref, v, dq / m)
+        sgd_step(ref, grads, -lr)
+        assert norm == np.sqrt(sum(float((dw ** 2).sum() + (db ** 2).sum())
+                                   for dw, db in grads))
+        for got, want in zip(actor.arrays(), ref.arrays()):
+            np.testing.assert_array_equal(got.view(np.uint64),
+                                          want.view(np.uint64))
 
 
 def test_net_actor_ascends_quadratic():
@@ -624,9 +699,9 @@ def test_net_actor_ascends_quadratic():
     actor = FeedForwardNet.create([1, 8, 1], rng)
     v = rng.uniform(0.9, 1.1, size=(16, 1))
     for _ in range(4000):
-        u = net_eval(actor, v)
-        dq = -2.0 * (u - 0.7)
-        net_actor_update(actor, v, dq, lr=0.2)
+        acts = _forward(actor, v)
+        dq = -2.0 * (acts[-1] - 0.7)
+        net_actor_update(actor, acts, dq, lr=0.2)
     np.testing.assert_allclose(net_eval(actor, v), 0.7, atol=0.01)
 
 
@@ -848,7 +923,11 @@ def test_config_validation():
                          ("noise_std", float("nan")),
                          ("noise_clip_sigmas", -3.0),
                          ("updates_per_episode", -1), ("episodes", 0),
-                         ("critic_hidden", (100, 0)), ("actor_hidden", (0,))):
+                         ("critic_hidden", (100, 0)), ("actor_hidden", (0,)),
+                         ("actor_lr", float("nan")), ("actor_lr", np.inf),
+                         ("critic_lr", float("nan")), ("critic_lr", np.inf),
+                         ("critic_lr", -1e-4), ("eps", 0.0), ("eps", -1e-3),
+                         ("eps", float("nan")), ("eps", np.inf)):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
 
