@@ -36,9 +36,7 @@ from .lyapunov import (
     CertifyConfig,
     StabilityCertificate,
     certify_policy,
-    equilibrium_check,
     krasovskii_value,
-    lyapunov_time_derivative,
 )
 from .policy import (
     MonotonePolicy,

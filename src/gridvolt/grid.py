@@ -94,9 +94,6 @@ class RadialNetwork:
                     f"bus {b.id}: need finite v_lower < v0 < v_upper, got "
                     f"[{b.v_lower}, {b.v_upper}] around v0={self.v0}")
 
-    def children_of(self, bus):
-        return [ln.child for ln in self.lines if ln.parent == bus]
-
     def bounds(self):
         """Per-bus voltage band as two arrays indexed by bus id - 1."""
         order = sorted((b for b in self.buses if b.id != 0), key=lambda b: b.id)

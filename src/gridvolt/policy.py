@@ -440,10 +440,10 @@ def verify_monotone(p, eps=None, band=None):
 # ---------------------------------------------------------------------------
 
 def sample_raw_params(n, d, rng, gain_range=(22.0, 26.0),
-                      spacing_range=(0.004, 0.02), steepen=1.05, eps=1e-3):
+                      spacing_range=(0.004, 0.02), eps=1e-3):
     """Random controller family used for certification suites and training
     starts: droop-like gain near the band drawn from ``gain_range``,
-    kinks packed just outside the band, modest steepening further out.
+    kinks packed just outside the band, 5% steeper at the last ramp.
 
     Gains well below ~4 cannot pull the bundled feeder back inside a
     0.1-wide band within a 100-step horizon, and gains above ~27 make the
@@ -452,7 +452,7 @@ def sample_raw_params(n, d, rng, gain_range=(22.0, 26.0),
     """
     def side():
         base = rng.uniform(*gain_range, size=(n, 1))
-        growth = np.linspace(1.0, steepen, d)[None, :]
+        growth = np.linspace(1.0, 1.05, d)[None, :]
         target = base * growth
         slope_raw = np.log(np.expm1(np.maximum(target - eps, 1e-6)))
         spacing = rng.uniform(*spacing_range, size=(n, d))
@@ -467,13 +467,34 @@ def sample_raw_params(n, d, rng, gain_range=(22.0, 26.0),
 CHECKPOINT_VERSION = 1
 
 
+def band_record(band):
+    """The band as both checkpoint kinds store it: one list per edge."""
+    return {"v_lower": list(map(float, band[0])),
+            "v_upper": list(map(float, band[1]))}
+
+
+def parse_band(record):
+    """(v_lower, v_upper) arrays from a ``band_record``, refused unless they
+    hold one finite pair per bus with v_lower below v_upper."""
+    lo = np.array(record["v_lower"], dtype=float)
+    hi = np.array(record["v_upper"], dtype=float)
+    if lo.ndim != 1 or lo.shape != hi.shape:
+        raise CheckpointError(f"band has {lo.size} v_lower and {hi.size} "
+                              "v_upper entries")
+    for i in np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi))):
+        raise CheckpointError(f"bus {i + 1} has a non-finite band edge")
+    for i in np.flatnonzero(~(lo < hi)):
+        raise CheckpointError(f"bus {i + 1} has v_lower = {lo[i]:g} "
+                              f"not below v_upper = {hi[i]:g}")
+    return lo, hi
+
+
 def save_checkpoint(path, raw, band, eps, meta=None):
     data = {
         "format_version": CHECKPOINT_VERSION,
         "kind": "monotone",
         "eps": eps,
-        "band": {"v_lower": list(map(float, band[0])),
-                 "v_upper": list(map(float, band[1]))},
+        "band": band_record(band),
         "buses": [
             {
                 "d": raw.d,
@@ -515,8 +536,7 @@ def parse_checkpoint(data):
             np.array([b[key][side] for b in buses], dtype=float)
             for side in (0, 1)
             for key in ("raw_slopes", "raw_bias_decrements")))
-        band = (np.array(data["band"]["v_lower"], dtype=float),
-                np.array(data["band"]["v_upper"], dtype=float))
+        band = parse_band(data["band"])
         eps = float(data["eps"])
         declared = [b["d"] for b in buses]
     except (KeyError, IndexError, TypeError, ValueError) as exc:
@@ -525,9 +545,6 @@ def parse_checkpoint(data):
         params = constrain(raw, band, eps)
     except ValueError as exc:
         raise CheckpointError(f"checkpoint parameters rejected: {exc}") from exc
-    for i in np.flatnonzero(~(band[0] < band[1])):
-        raise CheckpointError(f"bus {i + 1} has v_lower = {band[0][i]:g} "
-                              f"not below v_upper = {band[1][i]:g}")
     for i, d in enumerate(declared):
         if d != raw.d:
             raise CheckpointError(f"bus {i + 1} declares d = {d!r} but has "

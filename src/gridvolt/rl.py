@@ -27,7 +27,9 @@ from .dynamics import (
 from .policy import (
     MonotonePolicy,
     RawPolicyParams,
+    band_record,
     constrain,
+    parse_band,
     policy_eval,
     policy_eval_bus,
     sample_raw_params,
@@ -395,8 +397,7 @@ def save_net_policy(path, nets, joint, band, meta=None):
         "format_version": NET_CHECKPOINT_VERSION,
         "kind": "mlp",
         "joint": bool(joint),
-        "band": {"v_lower": list(map(float, band[0])),
-                 "v_upper": list(map(float, band[1]))},
+        "band": band_record(band),
         "nets": [{"weights": [w.tolist() for w in net.weights],
                   "biases": [b.tolist() for b in net.biases]}
                  for net in nets],
@@ -424,8 +425,7 @@ def parse_net_policy(data, path):
         [np.array(w, dtype=float) for w in entry["weights"]],
         [np.array(b, dtype=float) for b in entry["biases"]])
         for entry in data["nets"]]
-    band = (np.array(data["band"]["v_lower"], dtype=float),
-            np.array(data["band"]["v_upper"], dtype=float))
+    band = parse_band(data["band"])
     # local scope: one 1 -> 1 net per bus; joint scope: one n -> n net
     n, joint = len(band[0]), data["joint"]
     if not isinstance(joint, bool):
@@ -527,6 +527,26 @@ def write_training_log(log, path):
                      f"{fmt(row['wall_ms'])}\n")
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's bundled OpenBLAS at one thread for the block, since
+    threaded float64 products round differently by thread count; a numpy
+    built against another BLAS runs unpinned."""
+    get, put = (lambda: 1), (lambda threads: None)
+    with contextlib.suppress(ImportError, OSError, AttributeError):
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        get, put = (lib.scipy_openblas_get_num_threads64_,
+                    lib.scipy_openblas_set_num_threads64_)
+    old = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(old)
+
+
+@_one_blas_thread()
 def train(env, cfg, actor_kind="stable", episode_callback=None):
     """Run episodic training and return the final greedy policy plus a log.
 
@@ -537,7 +557,7 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
     counts as diverged and keeps the steps before the cut. The recorded
     steps become per-bus transitions in the replay buffer; then come batched
     critic/actor updates with soft target tracking. Deterministic under
-    ``cfg.seed``.
+    ``cfg.seed`` at any BLAS thread count (see ``_one_blas_thread``).
     """
     if actor_kind not in ("stable", "unconstrained"):
         raise ValueError(f"unknown actor kind {actor_kind!r}")

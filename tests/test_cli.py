@@ -339,6 +339,16 @@ def _inverted_band(data):
     return data
 
 
+def _short_v_upper(data):
+    data["band"]["v_upper"].pop()
+    return data
+
+
+def _nan_v_upper(data):
+    data["band"]["v_upper"][0] = float("nan")
+    return data
+
+
 def _joint(value):
     def edit(data):
         data["joint"] = value
@@ -353,7 +363,12 @@ def _joint(value):
     ("mlp", _joint("false"),
      "checkpoint field 'joint' must be true or false, got 'false'"),
     ("mlp", _joint(1), "checkpoint field 'joint' must be true or false, got 1"),
-], ids=["inverted-band", "joint-string", "joint-int"])
+    ("mlp", _inverted_band,
+     "bus 1 has v_lower = 1.2 not below v_upper = 1.05"),
+    ("mlp", _short_v_upper, "band has 4 v_lower and 3 v_upper entries"),
+    ("mlp", _nan_v_upper, "bus 1 has a non-finite band edge"),
+], ids=["inverted-band", "joint-string", "joint-int", "mlp-inverted-band",
+        "mlp-short-v-upper", "mlp-nan-v-upper"])
 def test_certify_and_evaluate_reject_bad_checkpoint_fields(
         net_path, tmp_path, capsys, command, actor, edit, message):
     path = str(_edited_checkpoint(tmp_path, actor, edit))

@@ -1,9 +1,14 @@
 import itertools
+import os
+import subprocess
+import sys
 from collections import namedtuple
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gridvolt
 from gridvolt import rl
 from gridvolt.dynamics import CostParams, stage_cost
 from gridvolt.grid import (
@@ -731,6 +736,52 @@ def test_train_deterministic_logs(actor, scope):
     assert r1.log == r2.log
     probe = np.array([1.08, 0.94, 1.0, 1.02])
     np.testing.assert_array_equal(r1.policy(probe), r2.policy(probe))
+
+
+# a 16-bus perceptron run whose float64 actor products round differently
+# at one and two OpenBLAS threads unless train pins BLAS to one
+_THREADED_TRAIN = """
+import sys
+from gridvolt import dynamics, grid, rl
+net = grid.generate_random_feeder(16, rng_seed=0)
+X = grid.build_sensitivity(net).X
+band = net.bounds()
+env = rl.VoltEnv(X=X, v_lower=band[0], v_upper=band[1],
+                 cp=dynamics.CostParams())
+cfg = rl.TrainConfig(episodes=12, seed=0, updates_per_episode=5)
+res = rl.train(env, cfg, actor_kind="unconstrained")
+rl.write_training_log(res.log, sys.argv[1] + "/log.csv")
+rl.save_net_policy(sys.argv[1] + "/ckpt.json", res.actor_nets, False, band)
+"""
+
+
+def test_train_bits_do_not_depend_on_blas_threads(tmp_path):
+    src = str(Path(gridvolt.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", _THREADED_TRAIN, str(out)],
+                       env=env, check=True, timeout=600)
+        outputs.append([(out / name).read_bytes()
+                        for name in ("log.csv", "ckpt.json")])
+    assert outputs[0][0] == outputs[1][0]
+    assert outputs[0][1] == outputs[1][1]
+
+
+def test_train_runs_unpinned_without_bundled_openblas(monkeypatch):
+    # a numpy whose BLAS library cannot be opened trains as before
+    pinned = train(make_env(), small_cfg())
+
+    def missing(name):
+        raise OSError(name)
+
+    monkeypatch.setattr(rl.ctypes, "CDLL", missing)
+    unpinned = train(make_env(), small_cfg())
+    assert unpinned.updates > 0
+    assert unpinned.log == pinned.log
 
 
 @pytest.mark.parametrize("actor", ["stable", "unconstrained"])
