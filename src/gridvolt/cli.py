@@ -60,8 +60,7 @@ def _load_policy(spec, band):
         if len(ck_band[0]) != len(band[0]):
             raise CliError(f"checkpoint {spec} has {len(ck_band[0])} buses, "
                            f"the network has {len(band[0])}")
-    except (policy.CheckpointError, KeyError, IndexError, TypeError,
-            ValueError) as exc:
+    except (policy.CheckpointError, ValueError) as exc:
         raise CliError(f"bad checkpoint {spec}: {exc}") from exc
     return name, pol
 

@@ -202,8 +202,11 @@ def rollout_batch(policy, X, v_env, q0, T, dt, blowup=BLOWUP_BOUND):
                              f"need T+1 = {T + 1}")
     if T < 1:
         raise ValueError("horizon must be at least 1")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    for name, arr in (("v_env", v_env), ("q0", q0)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} has a non-finite entry")
     S, n = q0.shape
     v = np.empty((T + 1, S, n))
     q = np.empty((T + 1, S, n))

@@ -1,6 +1,7 @@
 """Radial feeder model, voltage sensitivity matrices, and linear power flow."""
 
 import json
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -52,6 +53,10 @@ class RadialNetwork:
 
     def _validate(self):
         ids = [b.id for b in self.buses]
+        for i in ids + [e for ln in self.lines for e in (ln.parent, ln.child)]:
+            if isinstance(i, bool) or not isinstance(i, numbers.Integral):
+                raise NetworkValidationError(
+                    f"bus ids and line ends must be integers, got {i!r}")
         if sorted(ids) != list(range(len(ids))):
             raise NetworkValidationError(
                 f"bus ids must be 0..n without gaps, got {sorted(ids)}")
@@ -264,7 +269,7 @@ def network_from_dict(data):
         for key in entry:
             if key not in _BUS_KEYS:
                 warn.append(f"unknown bus key {key!r} (bus {entry.get('id')})")
-        buses.append(Bus(id=int(entry["id"]),
+        buses.append(Bus(id=entry["id"],
                          v_lower=float(entry.get("v_lower", 0.95)),
                          v_upper=float(entry.get("v_upper", 1.05))))
     lines = []
@@ -273,7 +278,7 @@ def network_from_dict(data):
             if key not in _LINE_KEYS:
                 warn.append(f"unknown line key {key!r} "
                             f"(line {entry.get('from')}-{entry.get('to')})")
-        lines.append(Line(parent=int(entry["from"]), child=int(entry["to"]),
+        lines.append(Line(parent=entry["from"], child=entry["to"],
                           r=float(entry["r"]), x=float(entry["x"])))
     net = RadialNetwork(buses=tuple(buses), lines=tuple(lines),
                         v0=float(data.get("v0", 1.0)),

@@ -175,10 +175,15 @@ def policy_eval(p, v):
     v = np.asarray(v, dtype=float)
     batch = v.ndim == 2
     vv = v if batch else v[None, :]
-    xi = [np.einsum("nd,mnd->mn", w, np.maximum(x[:, :, None] + b[None], 0.0))
+    xi = [_ramp_sum(w, np.maximum(x[:, :, None] + b[None], 0.0))
           for x, w, b, _ in _stacks(p, vv)]
     u = -(xi[0] + xi[1])
     return u if batch else u[0]
+
+
+def _ramp_sum(w, r):
+    """One stack's weighted sum of its (m, n, d) ramp outputs r."""
+    return np.einsum("nd,mnd->mn", w, r)
 
 
 def policy_input_grad(p, v):
@@ -190,8 +195,7 @@ def policy_input_grad(p, v):
     v = np.asarray(v, dtype=float)
     batch = v.ndim == 2
     vv = v if batch else v[None, :]
-    dxi = [np.einsum("nd,mnd->mn", w,
-                     _active(x[:, :, None] + b[None], sign).astype(float))
+    dxi = [_ramp_sum(w, _active(x[:, :, None] + b[None], sign).astype(float))
            for x, w, b, sign in _stacks(p, vv)]
     g = -(dxi[0] - dxi[1])       # the lower stack's dx/dv is -1
     return g if batch else g[0]
@@ -205,23 +209,23 @@ def policy_param_grad(raw, band, eps, v):
     runs through the reparameterization, so inert columns get zeros.
     """
     v = np.asarray(v, dtype=float)
-    grads, _ = _param_grad_and_ramps(raw, constrain(raw, band, eps),
-                                     np.atleast_2d(v))
+    grads, _ = _param_grad_and_eval(raw, constrain(raw, band, eps),
+                                    np.atleast_2d(v))
     return tuple(g[0] for g in grads) if v.ndim == 1 else grads
 
 
-def _param_grad_and_ramps(raw, p, v):
+def _param_grad_and_eval(raw, p, v):
     """``policy_param_grad`` on an (m, n) block, through ``p``, the controller
-    that ``raw`` constrains to; also returns each stack's (m, n, d) ramp
-    outputs relu(x + b), from which ``_bus_eval_from_ramps`` reads u."""
+    that ``raw`` constrains to; also returns the (m, n) actions, bit for bit
+    ``policy_eval(p, v)``, summed from the same ramp outputs."""
     vv = v[:, :, None]                                           # (m, n, 1)
     shape = vv.shape[:2] + (raw.d,)
     raws = ((raw.slope_pos, raw.decr_pos), (raw.slope_neg, raw.decr_neg))
-    grads, ramps = [], []
+    grads, xi = [], []
     for (x, w, b, sign), (raw_slope, raw_decr) in zip(_stacks(p, vv), raws):
         z = x + b                                                # (m, n, d)
         r = np.maximum(z, 0.0)
-        ramps.append(r)
+        xi.append(_ramp_sum(w, r))
         # d xi / d prefix-sum_l telescopes to r_l - r_{l+1}; a prefix sum
         # moves with its raw slope times the stack's sign
         diff = r.copy()
@@ -234,14 +238,7 @@ def _param_grad_and_ramps(raw, p, v):
         g_decr = np.zeros(shape)
         g_decr[..., 2:] = tail[..., 2:] * sigmoid(raw_decr[:, 2:])
         grads += [g_slope, g_decr]
-    return tuple(grads), ramps
-
-
-def _bus_eval_from_ramps(p, bus, ramps):
-    """``policy_eval_bus(p, bus, v[:, bus])`` bit for bit, read from the
-    ramp outputs that ``_param_grad_and_ramps`` returned at v."""
-    xi = [r[:, bus] @ w[bus] for r, w in zip(ramps, (p.wplus, p.wminus))]
-    return -(xi[0] + xi[1])
+    return tuple(grads), -(xi[0] + xi[1])
 
 
 def droop(band, gain):

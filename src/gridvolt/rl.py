@@ -25,16 +25,16 @@ from .dynamics import (
     scenario_kinds,
 )
 from .policy import (
+    CheckpointError,
     MonotonePolicy,
     RawPolicyParams,
     band_record,
     constrain,
     parse_band,
     policy_eval,
-    policy_eval_bus,
     sample_raw_params,
 )
-from .policy import _bus_eval_from_ramps, _param_grad_and_ramps
+from .policy import _param_grad_and_eval
 from .util import fmt
 
 
@@ -417,24 +417,27 @@ def load_net_policy(path):
 
 def parse_net_policy(data, path):
     """``load_net_policy`` on an already parsed file read from ``path``:
-    returns (policy, band)."""
-    if data.get("kind") != "mlp" or \
+    returns (policy, band); every defect raises ``CheckpointError``."""
+    if not isinstance(data, dict) or data.get("kind") != "mlp" or \
             data.get("format_version") != NET_CHECKPOINT_VERSION:
-        raise ValueError(f"not an mlp policy checkpoint: {path}")
-    nets = [FeedForwardNet(
-        [np.array(w, dtype=float) for w in entry["weights"]],
-        [np.array(b, dtype=float) for b in entry["biases"]])
-        for entry in data["nets"]]
-    band = parse_band(data["band"])
-    # local scope: one 1 -> 1 net per bus; joint scope: one n -> n net
-    n, joint = len(band[0]), data["joint"]
+        raise CheckpointError(f"not an mlp policy checkpoint: {path}")
+    try:
+        nets = [FeedForwardNet(
+            [np.array(w, dtype=float) for w in entry["weights"]],
+            [np.array(b, dtype=float) for b in entry["biases"]])
+            for entry in data["nets"]]
+        band = parse_band(data["band"])
+        # local scope: one 1 -> 1 net per bus; joint scope: one n -> n net
+        n, joint = len(band[0]), data["joint"]
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed checkpoint: {exc}") from exc
     if not isinstance(joint, bool):
-        raise ValueError(f"checkpoint field 'joint' must be true or false, "
-                         f"got {joint!r}")
+        raise CheckpointError(f"checkpoint field 'joint' must be true or "
+                              f"false, got {joint!r}")
     width = n if joint else 1
     if len(nets) != (1 if joint else n):
-        raise ValueError(f"{'joint' if joint else 'local'} checkpoint has "
-                         f"{len(nets)} nets for {n} buses")
+        raise CheckpointError(f"{'joint' if joint else 'local'} checkpoint "
+                              f"has {len(nets)} nets for {n} buses")
     for k, net in enumerate(nets):
         ws, bs = net.weights, net.biases
         if not (ws and len(ws) == len(bs)
@@ -442,10 +445,10 @@ def parse_net_policy(data, path):
                         for w, b in zip(ws, bs))
                 and all(a.shape[1] == b.shape[0] for a, b in zip(ws, ws[1:]))
                 and ws[0].shape[0] == width == ws[-1].shape[1]):
-            raise ValueError(f"net {k} is not a consistent {width} -> {width} "
-                             f"network")
+            raise CheckpointError(f"net {k} is not a consistent {width} -> "
+                                  f"{width} network")
         if not all(np.isfinite(a).all() for a in net.arrays()):
-            raise ValueError(f"net {k} has a non-finite weight or bias")
+            raise CheckpointError(f"net {k} has a non-finite weight or bias")
     return _NetPolicy(nets, joint), band
 
 
@@ -498,19 +501,6 @@ class _NetPolicy:
                               param_grads=False)[1][:, 0]
                     for i, net in enumerate(self.nets)]
         return np.stack(cols, axis=-1).reshape(v.shape)
-
-
-def _agent_actions(actor, joint, i, s):
-    """Target actions of agent i on its (m, k) state block.
-
-    ``actor`` is a constrained monotone controller or a list of nets, one
-    per agent; a local monotone agent evaluates only its own bus.
-    """
-    if isinstance(actor, list):
-        return net_eval(actor[i], s)
-    if joint:
-        return policy_eval(actor, s)
-    return policy_eval_bus(actor, i, s[:, 0])[:, None]
 
 
 def _log_row(episode, ret, td_mean, grad_norm, wall_ms):
@@ -642,28 +632,25 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
                 updates += 1
                 v_b, u_b, r_b, vn_b = buffer.sample(cfg.batch_size)
                 if actor_kind == "stable":
-                    actor = constrain(raw, band, cfg.eps)
-                    actor_tgt = constrain(target_raw, band, cfg.eps)
-                    # one ramp pass gives the actor gradient and, in local
-                    # scope, the current actions
-                    grads, ramps = _param_grad_and_ramps(raw, actor, v_b)
+                    # one ramp pass gives the actor gradient and the current
+                    # actions, one policy_eval the target actions; each
+                    # agent reads its own columns of the (m, n) blocks
+                    grads, u = _param_grad_and_eval(
+                        raw, constrain(raw, band, cfg.eps), v_b)
+                    u_next = policy_eval(
+                        constrain(target_raw, band, cfg.eps), vn_b)
                     dqs = []
-                else:
-                    actor_tgt = actor_targets
                 for i, cols in enumerate(agent_cols):
                     s, s_next = v_b[:, cols], vn_b[:, cols]
                     r = r_b.sum(axis=1, keepdims=True) if joint else r_b[:, cols]
                     td_losses.append(critic_update(
                         critics[i], critic_targets[i],
                         (s, u_b[:, cols], r, s_next),
-                        _agent_actions(actor_tgt, joint, i, s_next), cfg))
+                        u_next[:, cols] if actor_kind == "stable"
+                        else net_eval(actor_targets[i], s_next), cfg))
                     soft_update(critic_targets[i], critics[i], cfg.tau)
                     if actor_kind == "stable":
-                        # the einsum of policy_eval rounds unlike the
-                        # per-bus product, so joint scope keeps it
-                        u = policy_eval(actor, s) if joint else \
-                            _bus_eval_from_ramps(actor, i, ramps)[:, None]
-                        dqs.append(q_action_grad(critics[i], s, u)[1])
+                        dqs.append(q_action_grad(critics[i], s, u[:, cols])[1])
                     else:
                         # agents share no nets, so agent i's actor steps
                         # now; freeing its activations before the next
@@ -682,7 +669,7 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
                                       else norms)
                     soft_update(target_raw, raw, cfg.tau)
                     # freed before the next round's ramp pass, as acts are
-                    del grads, ramps
+                    del grads
 
         wall = (time.perf_counter() - t0) * 1e3 if cfg.record_timing else 0.0
         log.append(_log_row(episode, ep_return,

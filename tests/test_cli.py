@@ -113,6 +113,15 @@ def _with_band(key, value):
     return edit
 
 
+def _with_ids(edits):
+    """Set (field, entry index, key) to a value for each listed edit."""
+    def edit(data):
+        for (field, index, key), value in edits.items():
+            data[field][index][key] = value
+        return data
+    return edit
+
+
 # scenario files, written by the test under these names
 EMPTY_SUITE = "empty-suite.json"
 NAN_SUITE = "nan-suite.json"
@@ -168,6 +177,13 @@ def _suite_with(field, index, value):
                    ["simulate", "--policy", "linear"],
                    ["evaluate", "--policies", "linear", "--scenarios", "3"],
                    ["train", "--episodes", "1"])],
+    *[(_with_ids(edits), ["simulate", "--policy", "linear"])
+      for edits in ({("buses", 3, "id"): 3.7, ("lines", 2, "to"): 3.2},
+                    {("lines", 3, "to"): 4.5},
+                    {("lines", 0, "from"): False},
+                    {("buses", 1, "id"): True},
+                    {("buses", 2, "id"): "2"},
+                    {("lines", 1, "from"): "1"})],
 ], ids=["network-list", "network-r-not-a-number", "network-buses-not-a-list",
         "simulate-horizon-0", "simulate-dt-inf", "train-dt-0",
         "certify-rollouts-0", "evaluate-horizon-0",
@@ -183,7 +199,10 @@ def _suite_with(field, index, value):
         "simulate-scenario-q0-inf",
         *[f"network-{edge}-{command}"
           for edge in ("v-upper-inf", "v-lower-inf")
-          for command in ("certify", "simulate", "evaluate", "train")]])
+          for command in ("certify", "simulate", "evaluate", "train")],
+        "network-bus-id-fractional", "network-line-to-fractional",
+        "network-line-from-boolean", "network-bus-id-boolean",
+        "network-bus-id-string", "network-line-from-string"])
 def test_bad_input_exits_2(net_path, tmp_path, capsys, edit, argv):
     if edit is not None:
         with open(net_path) as fh:

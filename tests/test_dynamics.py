@@ -515,3 +515,20 @@ def test_engine_blowup_and_nonfinite_cut_in_one_step():
     assert_rows_match_reference(runs, series, q0, dt)
     np.testing.assert_array_equal(runs.steps, [k, k, T])
     assert calls == [3] * k + [2] + [1] * (T - k - 1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dt", np.nan), ("dt", np.inf), ("dt", 0.0), ("v_env", np.nan),
+    ("v_env", -np.inf), ("q0", np.nan), ("q0", np.inf),
+])
+def test_engine_refuses_non_finite_inputs(field, value):
+    # a NaN dt or start would run every step on NaN voltages that no cut
+    # test catches, and report the rows as not diverged
+    args = {"v_env": MIXED_ENV[:2].copy(), "q0": MIXED_Q0[:2].copy(),
+            "dt": 0.1}
+    if field == "dt":
+        args["dt"] = value
+    else:
+        args[field][1, 2] = value
+    with pytest.raises(ValueError, match=field):
+        rollout_batch(lambda v: np.zeros_like(v), MIXED_X, T=5, **args)

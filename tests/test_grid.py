@@ -14,6 +14,7 @@ from gridvolt.grid import (
     generate_random_feeder,
     load_network,
     network_from_dict,
+    network_to_dict,
     save_network,
     solve_distflow,
 )
@@ -275,3 +276,15 @@ def test_loader_flags_unknown_keys(tmp_path):
     assert loaded == net
     assert any("mystery" in w for w in warn)
     assert any("color" in w for w in warn)
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("buses", "id", 3.7), ("buses", "id", True), ("buses", "id", "3"),
+    ("lines", "to", 3.2), ("lines", "from", False), ("lines", "from", "2"),
+])
+def test_loader_refuses_ids_that_are_not_integers(section, key, value):
+    # int() would truncate 3.7 to 3 and read a boolean as bus 0 or 1
+    data = network_to_dict(five_bus_fixture())
+    data[section][3 if section == "buses" else 2][key] = value
+    with pytest.raises(NetworkValidationError, match="must be integers"):
+        network_from_dict(data)

@@ -25,7 +25,7 @@ from gridvolt.policy import (
     softplus,
     verify_monotone,
 )
-from gridvolt.policy import _bus_eval_from_ramps, _param_grad_and_ramps
+from gridvolt.policy import _param_grad_and_eval
 
 N, D = 3, 8
 BAND = (np.full(N, 0.95), np.full(N, 1.05))
@@ -457,8 +457,8 @@ def test_stacks_match_frozen_reference_bit_for_bit(d, overflow):
 
 
 @pytest.mark.parametrize("d, overflow", [(2, False), (16, False), (16, True)])
-def test_shared_ramp_pass_matches_param_grad_and_eval_bus(d, overflow):
-    # a training round takes the actor gradient and each local agent's
+def test_ramp_pass_matches_param_grad_and_policy_eval(d, overflow):
+    # a training round takes the actor gradient and every agent's current
     # actions from one ramp pass through the round's constrained controller
     rng = np.random.default_rng(200 + d)
     n = 5
@@ -474,16 +474,15 @@ def test_shared_ramp_pass_matches_param_grad_and_eval_bus(d, overflow):
         spread = rng.uniform(0.75, 1.25, size=(64, n))
         vv = np.vstack([kinks[np.isfinite(kinks).all(axis=1)], spread])
         with np.errstate(over="ignore", invalid="ignore"):
-            grads, ramps = _param_grad_and_ramps(raw, p, vv)
+            grads, u = _param_grad_and_eval(raw, p, vv)
             for grad, want in zip(grads, policy_param_grad(raw, band, EPS, vv)):
                 assert_same_bits(grad, want)
-            for bus in range(n):
-                assert_same_bits(_bus_eval_from_ramps(p, bus, ramps),
-                                 policy_eval_bus(p, bus, vv[:, bus]))
+            assert_same_bits(u, policy_eval(p, vv))
             v = vv[trial % len(vv)]
-            grads, _ = _param_grad_and_ramps(raw, p, v[None, :])
+            grads, u = _param_grad_and_eval(raw, p, v[None, :])
             for grad, want in zip(grads, policy_param_grad(raw, band, EPS, v)):
                 assert_same_bits(grad[0], want)
+            assert_same_bits(u[0], policy_eval(p, v))
 
 
 # ---------------------------------------------------------------------------
@@ -579,13 +578,13 @@ def test_piece_table_passes_nan_and_inf_on_to_the_rollout_cut():
     assert u[1, 2] == -np.inf and u[2, 3] == np.inf
     assert np.isfinite(np.delete(u.ravel(), [1, 7, 13])).all()
     assert np.isnan(pol(v[0])[1])
-    # a NaN voltage reaches the policy (the blow-up test cannot see it),
-    # and its non-finite action cuts that scenario at once
+    # the blow-up test cannot see a NaN voltage, so the engine refuses a
+    # NaN disturbance before any policy call
     v_env = np.tile(np.linspace(0.9, 1.1, p.n), (3, 1))
     v_env[1, 2] = np.nan
-    runs = rollout_batch(pol, 0.05 * np.eye(p.n) + 0.01, v_env,
-                         np.zeros((3, p.n)), T=6, dt=0.1)
-    np.testing.assert_array_equal(runs.steps, [6, 0, 6])
+    with pytest.raises(ValueError, match="v_env"):
+        rollout_batch(pol, 0.05 * np.eye(p.n) + 0.01, v_env,
+                      np.zeros((3, p.n)), T=6, dt=0.1)
 
 
 # ---------------------------------------------------------------------------

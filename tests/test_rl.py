@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from gridvolt.grid import (
     generate_random_feeder,
 )
 from gridvolt.policy import (
+    CheckpointError,
     MonotonePolicy,
     RawPolicyParams,
     constrain,
@@ -1013,7 +1015,38 @@ def test_load_net_policy_rejects_nets_that_miss_the_band(tmp_path, joint,
     nets = [FeedForwardNet.create(sizes, rng) for _ in range(count)]
     path = tmp_path / "mlp.json"
     save_net_policy(str(path), nets, joint, BOUNDS)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(CheckpointError, match=message):
+        load_net_policy(str(path))
+
+
+def _drop(key):
+    def edit(data):
+        del data[key]
+    return edit
+
+
+def _set_net(key, value):
+    def edit(data):
+        data["nets"][0][key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _drop("joint"), _drop("nets"), _drop("band"),
+    _set_net("weights", "abc"), _set_net("biases", None),
+    _set_net("weights", [[["x"]]]),
+    lambda data: data.update(nets=[[1.0]]),
+], ids=["no-joint", "no-nets", "no-band", "weights-string", "biases-null",
+        "weights-not-numbers", "net-not-an-object"])
+def test_load_net_policy_wraps_malformed_fields(tmp_path, edit):
+    rng = np.random.default_rng(9)
+    nets = [FeedForwardNet.create([1, 4, 1], rng) for _ in range(NET.n)]
+    path = tmp_path / "mlp.json"
+    save_net_policy(str(path), nets, False, BOUNDS)
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    with pytest.raises(CheckpointError, match="malformed checkpoint"):
         load_net_policy(str(path))
 
 
