@@ -7,6 +7,8 @@ they never do). Aggregation uses exact summation so reports are bit-stable
 under a fixed seed.
 """
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -75,14 +77,20 @@ class EvalReport:
         raise KeyError((policy, metric))
 
     def to_csv(self, path=None):
-        lines = ["policy,metric,mean,std,n"]
-        for name, met, mean, std, n in self.rows:
-            lines.append(f"{name},{met},{fmt(mean)},{fmt(std)},{n}")
-        text = "\n".join(lines) + "\n"
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
+        return _csv([("policy", "metric", "mean", "std", "n"),
+                     *((name, met, fmt(mean), fmt(std), n)
+                       for name, met, mean, std, n in self.rows)], path)
+
+
+def _csv(rows, path=None):
+    """CSV text of ``rows``, also written to ``path`` if given. A field with
+    a comma, quote or line break is quoted; any other keeps its bytes."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    if path is not None:
+        with open(path, "w", newline="") as fh:
+            fh.write(buf.getvalue())
+    return buf.getvalue()
 
 
 def evaluate(policies, X, suite, bounds, v0=1.0, T=100, dt=0.1,
@@ -144,7 +152,7 @@ def histogram_counts(values):
 
 def write_histograms_csv(report, path):
     """Terminal over-/under-voltage ratio histograms, one row per bin."""
-    lines = ["policy,metric,bin_lo,bin_hi,count"]
+    rows = [("policy", "metric", "bin_lo", "bin_hi", "count")]
     for name, st in report.stats.items():
         for metric, arr in (("overvoltage_ratio", st.over_ratio),
                             ("undervoltage_ratio", st.under_ratio)):
@@ -152,10 +160,8 @@ def write_histograms_csv(report, path):
             for b, c in enumerate(counts):
                 hi = HIST_EDGES[b + 1]
                 hi_txt = "inf" if math.isinf(hi) else fmt(hi)
-                lines.append(f"{name},{metric},{fmt(HIST_EDGES[b])},"
-                             f"{hi_txt},{c}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+                rows.append((name, metric, fmt(HIST_EDGES[b]), hi_txt, c))
+    _csv(rows, path)
 
 
 def write_trajectory_csv(runs, s, path, bounds, cp, policy="policy",
@@ -163,7 +169,7 @@ def write_trajectory_csv(runs, s, path, bounds, cp, policy="policy",
     """Per-step plot data of scenario ``s`` of a Rollouts, up to its cut:
     t = step * dt, bus, v, q, u, and the stage cost of (v, u) priced with
     ``bounds`` and ``cp`` (u and cost blank on the last row)."""
-    lines = ["policy,scenario,t,bus,v,q,u,cost"]
+    rows = [("policy", "scenario", "t", "bus", "v", "q", "u", "cost")]
     steps = int(runs.steps[s])
     v, q, u = runs.v[:, s], runs.q[:, s], runs.u[:, s]
     cost = stage_cost(v[:steps], u[:steps], bounds, cp)
@@ -171,7 +177,6 @@ def write_trajectory_csv(runs, s, path, bounds, cp, policy="policy",
         for i in range(v.shape[1]):
             u_txt = fmt(u[t, i]) if t < steps else ""
             c_txt = fmt(cost[t]) if t < steps and i == 0 else ""
-            lines.append(f"{policy},{scenario},{fmt(t * runs.dt)},{i + 1},"
-                         f"{fmt(v[t, i])},{fmt(q[t, i])},{u_txt},{c_txt}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+            rows.append((policy, scenario, fmt(t * runs.dt), i + 1,
+                         fmt(v[t, i]), fmt(q[t, i]), u_txt, c_txt))
+    _csv(rows, path)

@@ -143,14 +143,12 @@ def cmd_train(args):
     env = rl.VoltEnv(X=sens.X, v_lower=band[0], v_upper=band[1],
                      cp=dynamics.CostParams(), dt=args.dt)
     result = rl.train(env, cfg, actor_kind=args.actor)
+    meta = {"actor": args.actor, "seed": args.seed, **rl.blas_meta()}
     if args.actor == "stable":
-        policy_mod_meta = {"actor": "stable", "seed": args.seed}
-        policy.save_checkpoint(args.out, result.raw, band, cfg.eps,
-                               meta=policy_mod_meta)
+        policy.save_checkpoint(args.out, result.raw, band, cfg.eps, meta=meta)
     else:
         rl.save_net_policy(args.out, result.actor_nets,
-                           cfg.agent_scope == "joint", band,
-                           meta={"actor": "unconstrained", "seed": args.seed})
+                           cfg.agent_scope == "joint", band, meta=meta)
     if args.log:
         rl.write_training_log(result.log, args.log)
     returns = [row["return"] for row in result.log]

@@ -209,36 +209,43 @@ def policy_param_grad(raw, band, eps, v):
     runs through the reparameterization, so inert columns get zeros.
     """
     v = np.asarray(v, dtype=float)
-    grads, _ = _param_grad_and_eval(raw, constrain(raw, band, eps),
-                                    np.atleast_2d(v))
+    _, ramps = _ramp_pass(constrain(raw, band, eps), np.atleast_2d(v))
+    grads = _ramp_grads(raw, ramps)
     return tuple(g[0] for g in grads) if v.ndim == 1 else grads
 
 
-def _param_grad_and_eval(raw, p, v):
-    """``policy_param_grad`` on an (m, n) block, through ``p``, the controller
-    that ``raw`` constrains to; also returns the (m, n) actions, bit for bit
-    ``policy_eval(p, v)``, summed from the same ramp outputs."""
-    vv = v[:, :, None]                                           # (m, n, 1)
-    shape = vv.shape[:2] + (raw.d,)
-    raws = ((raw.slope_pos, raw.decr_pos), (raw.slope_neg, raw.decr_neg))
-    grads, xi = [], []
-    for (x, w, b, sign), (raw_slope, raw_decr) in zip(_stacks(p, vv), raws):
+def _ramp_pass(p, v):
+    """One pass of the controller ``p`` over an (m, n) block: the (m, n)
+    actions, bit for bit ``policy_eval(p, v)``, and per stack the (m, n, d)
+    ramp outputs and slopes of the active ramps that ``_ramp_grads`` maps."""
+    xi, ramps = [], []
+    for x, w, b, sign in _stacks(p, v[:, :, None]):
         z = x + b                                                # (m, n, d)
         r = np.maximum(z, 0.0)
         xi.append(_ramp_sum(w, r))
+        ramps.append((r, w * _active(z, sign)))
+    return -(xi[0] + xi[1]), ramps
+
+
+def _ramp_grads(raw, ramps):
+    """The four raw-parameter gradients from each stack's ``_ramp_pass``
+    arrays, over any leading axes. The map is linear in those arrays, so
+    their dQ/du-weighted batch means give the mean gradient."""
+    raws = ((raw.slope_pos, raw.decr_pos), (raw.slope_neg, raw.decr_neg))
+    grads = []
+    for (raw_slope, raw_decr), sign, (r, wa) in zip(raws, (1.0, -1.0), ramps):
         # d xi / d prefix-sum_l telescopes to r_l - r_{l+1}; a prefix sum
         # moves with its raw slope times the stack's sign
         diff = r.copy()
         diff[..., :-1] -= r[..., 1:]
-        g_slope = np.zeros(shape)
+        g_slope = np.zeros(r.shape)
         g_slope[..., 1:] = -diff[..., 1:] * (sign * sigmoid(raw_slope[:, 1:]))
         # a spacing parameter shifts every later kink by -softplus'(raw)
-        wa = w * _active(z, sign)
         tail = np.cumsum(wa[..., ::-1], axis=-1)[..., ::-1]
-        g_decr = np.zeros(shape)
+        g_decr = np.zeros(r.shape)
         g_decr[..., 2:] = tail[..., 2:] * sigmoid(raw_decr[:, 2:])
         grads += [g_slope, g_decr]
-    return tuple(grads), -(xi[0] + xi[1])
+    return tuple(grads)
 
 
 def droop(band, gain):

@@ -34,7 +34,7 @@ from .policy import (
     policy_eval,
     sample_raw_params,
 )
-from .policy import _param_grad_and_eval
+from .policy import _ramp_grads, _ramp_pass
 from .util import fmt
 
 
@@ -354,19 +354,24 @@ def q_action_grad(critic, s, u):
     return q, dq_du
 
 
-def stable_actor_update(raw, grads, dq_du, lr):
+def stable_actor_update(raw, ramps, dq_du, lr):
     """Ascend the critic through the constraint map for every bus at once.
 
-    ``grads`` are ``policy_param_grad``'s (m, n, d) arrays on the state
-    batch and ``dq_du`` is (m, n). Updates ``raw`` in place and returns the
-    applied gradient norm of each bus, shape (n,).
+    ``ramps`` is the ``_ramp_pass`` on the (m, n) state batch of the
+    controller ``raw`` constrains to, and ``dq_du`` is (m, n). The step is
+    one vector-Jacobian product: dQ/du contracts each (m, n, d) ramp array
+    to its (n, d) batch mean, which ``_ramp_grads`` maps to the mean
+    gradient. Updates ``raw`` in place and returns the applied gradient
+    norm of each bus, shape (n,).
     """
     m = len(dq_du)
+    dq = dq_du.T[:, None, :].astype(float)                      # (n, 1, m)
+    means = [[(dq @ a.transpose(1, 0, 2))[:, 0] / m for a in pair]
+             for pair in ramps]
     total = 0.0
-    for arr, g in zip(raw.arrays(), grads):
-        mean_g = (dq_du[:, :, None] * g).sum(axis=0) / m
-        arr += lr * mean_g
-        total = total + row_dot(mean_g, mean_g)
+    for arr, g in zip(raw.arrays(), _ramp_grads(raw, means)):
+        arr += lr * g
+        total = total + row_dot(g, g)
     return np.sqrt(total)
 
 
@@ -517,17 +522,33 @@ def write_training_log(log, path):
                      f"{fmt(row['wall_ms'])}\n")
 
 
+def _openblas_threads():
+    """The (get, set) thread-count calls of numpy's bundled OpenBLAS, or
+    None for a numpy built against another BLAS."""
+    with contextlib.suppress(ImportError, OSError, AttributeError):
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        return (lib.scipy_openblas_get_num_threads64_,
+                lib.scipy_openblas_set_num_threads64_)
+    return None
+
+
+def blas_meta():
+    """numpy's BLAS library and the thread count ``train`` runs it at: 1
+    where ``_one_blas_thread`` pins it, else None for the library's own
+    count, which numpy cannot read."""
+    blas = getattr(np.__config__, "CONFIG", {}).get(
+        "Build Dependencies", {}).get("blas", {})
+    return {"blas": f"{blas.get('name')} {blas.get('version')}",
+            "blas_threads": 1 if _openblas_threads() else None}
+
+
 @contextlib.contextmanager
 def _one_blas_thread():
     """Hold numpy's bundled OpenBLAS at one thread for the block, since
     threaded float64 products round differently by thread count; a numpy
     built against another BLAS runs unpinned."""
-    get, put = (lambda: 1), (lambda threads: None)
-    with contextlib.suppress(ImportError, OSError, AttributeError):
-        from numpy._core import _multiarray_umath
-        lib = ctypes.CDLL(_multiarray_umath.__file__)
-        get, put = (lib.scipy_openblas_get_num_threads64_,
-                    lib.scipy_openblas_set_num_threads64_)
+    get, put = _openblas_threads() or ((lambda: 1), (lambda threads: None))
     old = get()
     put(1)
     try:
@@ -632,11 +653,10 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
                 updates += 1
                 v_b, u_b, r_b, vn_b = buffer.sample(cfg.batch_size)
                 if actor_kind == "stable":
-                    # one ramp pass gives the actor gradient and the current
-                    # actions, one policy_eval the target actions; each
-                    # agent reads its own columns of the (m, n) blocks
-                    grads, u = _param_grad_and_eval(
-                        raw, constrain(raw, band, cfg.eps), v_b)
+                    # one ramp pass gives the current actions and the
+                    # actor step's ramps, one policy_eval the target
+                    # actions; each agent reads its columns of both blocks
+                    u, ramps = _ramp_pass(constrain(raw, band, cfg.eps), v_b)
                     u_next = policy_eval(
                         constrain(target_raw, band, cfg.eps), vn_b)
                     dqs = []
@@ -663,13 +683,13 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
                         del acts
 
                 if actor_kind == "stable":
-                    norms = stable_actor_update(raw, grads, np.hstack(dqs),
+                    norms = stable_actor_update(raw, ramps, np.hstack(dqs),
                                                 cfg.actor_lr)
                     grad_norms.extend([np.sqrt(sum(norms ** 2))] if joint
                                       else norms)
                     soft_update(target_raw, raw, cfg.tau)
                     # freed before the next round's ramp pass, as acts are
-                    del grads
+                    del ramps
 
         wall = (time.perf_counter() - t0) * 1e3 if cfg.record_timing else 0.0
         log.append(_log_row(episode, ep_return,

@@ -1,8 +1,16 @@
+import csv
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gridvolt
+from gridvolt import rl
 from gridvolt.cli import cli_main
 from gridvolt.dynamics import make_suite, save_scenarios
 from gridvolt.grid import (
@@ -223,6 +231,30 @@ def test_bad_input_exits_2(net_path, tmp_path, capsys, edit, argv):
     err = capsys.readouterr().err
     assert "error:" in err and "unrecognized arguments" not in err
     assert not out.exists()
+
+
+def test_trained_checkpoints_record_blas_and_keep_bytes_across_threads(
+        net_path, tmp_path):
+    # the meta names the BLAS library and the thread count training ran at,
+    # which is one at any OPENBLAS_NUM_THREADS, so the bytes stay the same
+    src = str(Path(gridvolt.__file__).parents[1])
+    for actor in ("stable", "unconstrained"):
+        ckpts = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{actor}-{threads}.json"
+            subprocess.run(
+                [sys.executable, "-m", "gridvolt.cli", "train", "--network",
+                 net_path, "--actor", actor, "--episodes", "10", "--out",
+                 str(out)], check=True, capture_output=True, timeout=600,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                     "PYTHONPATH": src})
+            ckpts.append(out.read_bytes())
+        assert ckpts[0] == ckpts[1]
+        meta = json.loads(ckpts[0])["meta"]
+        assert meta == {"actor": actor, "seed": 0, **rl.blas_meta()}
+        assert meta["blas"] == "{name} {version}".format(
+            **np.__config__.CONFIG["Build Dependencies"]["blas"])
+        assert meta["blas_threads"] == (1 if rl._openblas_threads() else None)
 
 
 def test_train_and_certify_roundtrip(net_path, tmp_path, capsys):
@@ -483,6 +515,33 @@ def test_trace_csv_is_the_same_from_simulate_and_evaluate(net_path, tmp_path,
         # a diverged run holds its steps + 1 states, a full one T + 1
         assert (len(states) < 101) == (k in diverged)
     assert diverged == [0, 4, 5]
+
+
+def test_evaluate_csvs_quote_fields_that_hold_commas(net_path, ckpt_path,
+                                                    tmp_path):
+    # a checkpoint name and a scenario label with a comma stay one field
+    ckpt = tmp_path / "a,b.json"
+    shutil.copy(ckpt_path, ckpt)
+    suite_path = tmp_path / "suite.json"
+    save_scenarios([(v, q, "spike, bus 1")
+                    for v, q, _ in make_suite(4, 2, seed=9)], suite_path)
+    paths = {name: tmp_path / name for name in ("report.csv", "hist.csv")}
+    assert cli_main(["evaluate", "--network", net_path, "--policies",
+                     str(ckpt), "linear", "--scenario-file", str(suite_path),
+                     "--horizon", "30", "--out", str(paths["report.csv"]),
+                     "--histograms", str(paths["hist.csv"]), "--traces-dir",
+                     str(tmp_path / "traces")]) == 0
+    paths["trace.csv"] = tmp_path / "traces" / "a,b-1.csv"
+    rows = {}
+    for name, path in paths.items():
+        with open(path, newline="") as fh:
+            rows[name] = list(csv.reader(fh))
+    for name, width in (("report.csv", 5), ("hist.csv", 5), ("trace.csv", 8)):
+        assert {len(row) for row in rows[name]} == {width}, name
+        assert {row[0] for row in rows[name][1:]} >= {"a,b"}, name
+    assert {row[1] for row in rows["trace.csv"][1:]} == {"spike, bus 1"}
+    assert paths["report.csv"].read_text().splitlines()[1].startswith(
+        '"a,b",')
 
 
 def test_evaluate_mlp_checkpoint(net_path, tmp_path, capsys):

@@ -25,7 +25,7 @@ from gridvolt.policy import (
     softplus,
     verify_monotone,
 )
-from gridvolt.policy import _param_grad_and_eval
+from gridvolt.policy import _ramp_grads, _ramp_pass
 
 N, D = 3, 8
 BAND = (np.full(N, 0.95), np.full(N, 1.05))
@@ -458,8 +458,9 @@ def test_stacks_match_frozen_reference_bit_for_bit(d, overflow):
 
 @pytest.mark.parametrize("d, overflow", [(2, False), (16, False), (16, True)])
 def test_ramp_pass_matches_param_grad_and_policy_eval(d, overflow):
-    # a training round takes the actor gradient and every agent's current
-    # actions from one ramp pass through the round's constrained controller
+    # a training round takes the actor step's ramps and every agent's
+    # current actions from one ramp pass through the round's constrained
+    # controller; mapped sample by sample, the ramps give the gradients
     rng = np.random.default_rng(200 + d)
     n = 5
     band = (rng.uniform(0.9, 0.97, size=n), rng.uniform(1.03, 1.1, size=n))
@@ -474,13 +475,15 @@ def test_ramp_pass_matches_param_grad_and_policy_eval(d, overflow):
         spread = rng.uniform(0.75, 1.25, size=(64, n))
         vv = np.vstack([kinks[np.isfinite(kinks).all(axis=1)], spread])
         with np.errstate(over="ignore", invalid="ignore"):
-            grads, u = _param_grad_and_eval(raw, p, vv)
-            for grad, want in zip(grads, policy_param_grad(raw, band, EPS, vv)):
+            u, ramps = _ramp_pass(p, vv)
+            for grad, want in zip(_ramp_grads(raw, ramps),
+                                  ref_param_grad(raw, band, EPS, vv)):
                 assert_same_bits(grad, want)
             assert_same_bits(u, policy_eval(p, vv))
             v = vv[trial % len(vv)]
-            grads, u = _param_grad_and_eval(raw, p, v[None, :])
-            for grad, want in zip(grads, policy_param_grad(raw, band, EPS, v)):
+            u, ramps = _ramp_pass(p, v[None, :])
+            for grad, want in zip(_ramp_grads(raw, ramps),
+                                  policy_param_grad(raw, band, EPS, v)):
                 assert_same_bits(grad[0], want)
             assert_same_bits(u[0], policy_eval(p, v))
 

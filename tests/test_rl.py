@@ -23,6 +23,7 @@ from gridvolt.policy import (
     RawPolicyParams,
     constrain,
     load_checkpoint,
+    policy_eval,
     policy_eval_bus,
     policy_param_grad,
     sample_raw_params,
@@ -48,6 +49,7 @@ from gridvolt.rl import (
     train,
     write_training_log,
 )
+from gridvolt.policy import _ramp_pass
 from gridvolt.rl import _backward, _forward
 
 NET = five_bus_fixture()
@@ -645,11 +647,9 @@ def test_actor_update_constant_critic_is_noop():
     before = raw.copy()
     band1 = (BOUNDS[0][:1], BOUNDS[1][:1])
     v = np.array([1.07, 1.08, 0.92])
-    params = constrain(raw, band1, 1e-3)
-    u = policy_eval_bus(params, 0, v)[:, None]
+    u, ramps = _ramp_pass(constrain(raw, band1, 1e-3), v[:, None])
     _, dq = q_action_grad(critic, v[:, None], u)
-    grads = policy_param_grad(raw, band1, 1e-3, v[:, None])
-    norm, = stable_actor_update(raw, grads, dq, lr=1e-2)
+    norm, = stable_actor_update(raw, ramps, dq, lr=1e-2)
     assert norm == 0.0
     np.testing.assert_array_equal(raw.slope_pos, before.slope_pos)
     np.testing.assert_array_equal(raw.decr_pos, before.decr_pos)
@@ -664,13 +664,58 @@ def test_actor_drives_output_to_feasible_optimum():
     for u_star, expect, tol in ((-0.5, -0.5, 1e-3), (0.5, -2e-5, 5e-5)):
         raw = RawPolicyParams(*(np.zeros((1, 6)) for _ in range(4)))
         for _ in range(5000):
-            params = constrain(raw, band1, 1e-3)
-            u = policy_eval_bus(params, 0, v)[0]
-            dq = np.array([-2.0 * (u - u_star)])
-            grads = policy_param_grad(raw, band1, 1e-3, v[:, None])
-            stable_actor_update(raw, grads, dq[:, None], lr=5.0)
+            u, ramps = _ramp_pass(constrain(raw, band1, 1e-3), v[:, None])
+            dq = -2.0 * (u - u_star)
+            stable_actor_update(raw, ramps, dq, lr=5.0)
         u_final = policy_eval_bus(constrain(raw, band1, 1e-3), 0, v)[0]
         assert u_final == pytest.approx(expect, abs=tol)
+
+
+@pytest.mark.parametrize("scope", ["local", "joint"])
+@pytest.mark.parametrize("feeder", ["fixture", "16bus"])
+def test_stable_actor_step_is_the_mean_of_per_sample_gradients(
+        monkeypatch, feeder, scope):
+    # the step contracts dQ/du with the round's ramps before mapping them
+    # to raw gradients; that must be the batch mean of dQ/du times
+    # policy_param_grad's per-sample blocks
+    net = NET if feeder == "fixture" else generate_random_feeder(16, 1)
+    band, n, m, lr = net.bounds(), net.n, 256, 1e-2
+    rng = np.random.default_rng(42)
+    raw = sample_raw_params(n, 16, rng)
+    # voltages inside, on and beyond the kinks on both sides of the band
+    v = rng.uniform(0.85, 1.15, size=(m, n))
+    p = constrain(raw, band, 1e-3)
+    u, ramps = _ramp_pass(p, v)
+    np.testing.assert_array_equal(u.view(np.uint64),
+                                  policy_eval(p, v).view(np.uint64))
+    # the float32 critics' dQ/du, one critic per agent as in training
+    dim = n if scope == "joint" else 1
+    dq = np.hstack([q_action_grad(
+        FeedForwardNet.create([2 * dim, 16, 1], rng).astype(np.float32),
+        v[:, c:c + dim], u[:, c:c + dim])[1] for c in range(0, n, dim)])
+    want = [(dq[:, :, None] * g).sum(axis=0) / m
+            for g in policy_param_grad(raw, band, 1e-3, v)]
+    mapped, ramp_grads = [], rl._ramp_grads
+
+    def spy(*args):
+        mapped.extend(ramp_grads(*args))
+        return mapped
+
+    monkeypatch.setattr(rl, "_ramp_grads", spy)
+    before = raw.copy()
+    norms = stable_actor_update(raw, ramps, dq, lr)
+    for got, exp, old, new in zip(mapped, want, before.arrays(),
+                                  raw.arrays()):
+        assert np.abs(exp).max() > 0.0
+        np.testing.assert_allclose(got, exp, rtol=0.0,
+                                   atol=1e-12 * np.abs(exp).max())
+        np.testing.assert_array_equal(new, old + lr * got)
+    for g in mapped[::2]:
+        np.testing.assert_array_equal(g[:, 0], 0.0)      # inert slopes
+    for g in mapped[1::2]:
+        np.testing.assert_array_equal(g[:, :2], 0.0)     # inert spacings
+    np.testing.assert_allclose(
+        norms, np.sqrt(sum((g ** 2).sum(axis=1) for g in want)), rtol=1e-12)
 
 
 @pytest.mark.parametrize("sizes", [[1, 16, 16, 1], [4, 16, 16, 4]])
@@ -741,19 +786,29 @@ def test_train_deterministic_logs(actor, scope):
 
 
 # a 16-bus perceptron run whose float64 actor products round differently
-# at one and two OpenBLAS threads unless train pins BLAS to one
+# at one and two OpenBLAS threads unless train pins BLAS to one, and
+# monotone-actor runs in both scopes, whose step contracts by matmul (on
+# feeder seed 1: on seed 0 their float32 critics overflow)
 _THREADED_TRAIN = """
 import sys
-from gridvolt import dynamics, grid, rl
-net = grid.generate_random_feeder(16, rng_seed=0)
-X = grid.build_sensitivity(net).X
-band = net.bounds()
-env = rl.VoltEnv(X=X, v_lower=band[0], v_upper=band[1],
-                 cp=dynamics.CostParams())
-cfg = rl.TrainConfig(episodes=12, seed=0, updates_per_episode=5)
-res = rl.train(env, cfg, actor_kind="unconstrained")
-rl.write_training_log(res.log, sys.argv[1] + "/log.csv")
-rl.save_net_policy(sys.argv[1] + "/ckpt.json", res.actor_nets, False, band)
+from gridvolt import dynamics, grid, policy, rl
+for actor, scope, seed in (("unconstrained", "local", 0),
+                           ("stable", "local", 1), ("stable", "joint", 1)):
+    net = grid.generate_random_feeder(16, rng_seed=seed)
+    X = grid.build_sensitivity(net).X
+    band = net.bounds()
+    env = rl.VoltEnv(X=X, v_lower=band[0], v_upper=band[1],
+                     cp=dynamics.CostParams())
+    cfg = rl.TrainConfig(episodes=12, seed=0, updates_per_episode=5,
+                         agent_scope=scope)
+    res = rl.train(env, cfg, actor_kind=actor)
+    assert res.updates > 0
+    out = f"{sys.argv[1]}/{actor}-{scope}"
+    rl.write_training_log(res.log, out + ".log.csv")
+    if actor == "stable":
+        policy.save_checkpoint(out + ".json", res.raw, band, cfg.eps)
+    else:
+        rl.save_net_policy(out + ".json", res.actor_nets, False, band)
 """
 
 
@@ -767,10 +822,11 @@ def test_train_bits_do_not_depend_on_blas_threads(tmp_path):
                "PYTHONPATH": src}
         subprocess.run([sys.executable, "-c", _THREADED_TRAIN, str(out)],
                        env=env, check=True, timeout=600)
-        outputs.append([(out / name).read_bytes()
-                        for name in ("log.csv", "ckpt.json")])
-    assert outputs[0][0] == outputs[1][0]
-    assert outputs[0][1] == outputs[1][1]
+        outputs.append({path.name: path.read_bytes()
+                        for path in out.iterdir()})
+    assert len(outputs[0]) == 6
+    for name, data in outputs[0].items():
+        assert outputs[1][name] == data, name
 
 
 def test_train_runs_unpinned_without_bundled_openblas(monkeypatch):
