@@ -49,7 +49,11 @@ class TrainingDiverged(RuntimeError):
 class FeedForwardNet:
     """Affine layers with ReLU hidden activations and a linear output.
 
-    The passes below compute in the dtype of the net's parameters.
+    A net has (fan_in, fan_out) weights and (fan_out,) biases; a stack of A
+    nets of one shape (``stack``) has (A, fan_in, fan_out) weights and
+    (A, 1, fan_out) biases and runs on (A, m, d) batches, each agent's slice
+    bit for bit as its own net would. The passes below read layer shapes
+    from the end and compute in the dtype of the net's parameters.
     """
 
     def __init__(self, weights, biases):
@@ -64,6 +68,18 @@ class FeedForwardNet:
             weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
             biases.append(rng.uniform(-bound, bound, size=fan_out))
         return cls(weights, biases)
+
+    @classmethod
+    def stack(cls, nets):
+        """One stacked net whose agent i is ``nets[i]``."""
+        return cls([np.stack(ws) for ws in zip(*(n.weights for n in nets))],
+                   [np.stack(bs)[:, None, :]
+                    for bs in zip(*(n.biases for n in nets))])
+
+    def agent(self, i):
+        """Agent i of a stack as a net of views: its steps move the stack."""
+        return FeedForwardNet([w[i] for w in self.weights],
+                              [b[i, 0] for b in self.biases])
 
     @property
     def dtype(self):
@@ -87,9 +103,9 @@ def net_eval(net, x):
     x = np.asarray(x, dtype=net.dtype)
     single = x.ndim == 1
     h = x[None, :] if single else x
-    if h.shape[-1] != net.weights[0].shape[0]:
+    if h.shape[-1] != net.weights[0].shape[-2]:
         raise ValueError(f"input width {h.shape[-1]} does not match network "
-                         f"input {net.weights[0].shape[0]}")
+                         f"input {net.weights[0].shape[-2]}")
     for h in _layers(net, h):     # only the newest layer stays alive
         pass
     return h[0] if single else h
@@ -101,7 +117,7 @@ def _layers(net, h):
     for k, (w, b) in enumerate(zip(net.weights, net.biases)):
         # a fan-in-1 layer is an outer product: each entry is one multiply,
         # the value BLAS gives, at about a third of its cost
-        h = h * w if w.shape[0] == 1 else h @ w
+        h = h * w if w.shape[-2] == 1 else h @ w
         h += b
         if k < last:
             np.maximum(h, 0.0, out=h)
@@ -128,10 +144,12 @@ def _backward(net, acts, upstream, param_grads=True):
         if k < last:
             delta *= acts[k + 1] > 0.0      # delta is a fresh product here
         if param_grads:
-            grads[k] = (acts[k].T @ delta, delta.sum(axis=0))
+            grads[k] = (acts[k].swapaxes(-1, -2) @ delta,
+                        delta.sum(axis=-2).reshape(net.biases[k].shape))
         w = net.weights[k]
         # through a fan-out-1 layer the product is again an outer product
-        delta = delta * w.T if w.shape[1] == 1 else delta @ w.T
+        w_t = w.swapaxes(-1, -2)
+        delta = delta * w_t if w.shape[-1] == 1 else delta @ w_t
     return grads, delta
 
 
@@ -317,38 +335,42 @@ class VoltEnv:
 def critic_update(critic, critic_target, batch, u_next, cfg):
     """One SGD step on the squared temporal-difference error.
 
-    ``batch`` is (s, u, r, s_next) with 2-d arrays and ``u_next`` holds the
-    target policy's actions at s_next; the bootstrap target
-    r + gamma * Q_target(s', u_next) is held fixed. Returns the pre-step loss,
-    reduced in float64 whatever the critic's dtype, so that its finiteness
-    check is not bounded by the range of float32.
+    ``batch`` is (s, u, r, s_next) with (m, d) arrays, or (A, m, d) arrays
+    for a stack of A critics, and ``u_next`` holds the target policy's
+    actions at s_next; the bootstrap target r + gamma * Q_target(s', u_next)
+    is held fixed. Returns each agent's pre-step loss, a float64 scalar for
+    one critic and an (A,) array for a stack, reduced in float64 whatever
+    the critic's dtype, so that its finiteness check is not bounded by the
+    range of float32.
     """
     s, u, r, s_next = batch
-    q_next = net_eval(critic_target, np.hstack([s_next, u_next]))
+    q_next = net_eval(critic_target, np.concatenate([s_next, u_next], axis=-1))
     y = r + cfg.gamma * q_next
-    acts = _forward(critic, np.hstack([s, u]))
+    acts = _forward(critic, np.concatenate([s, u], axis=-1))
     err = acts[-1] - y
-    loss = float(np.mean(np.square(err, dtype=float)))
-    if not np.isfinite(loss):
+    losses = np.mean(np.square(err, dtype=float), axis=(-2, -1))
+    if not np.isfinite(losses).all():
         raise TrainingDiverged("temporal-difference loss is not finite")
-    upstream = 2.0 * err / len(err)
+    upstream = 2.0 * err / err.shape[-2]
     grads, _ = _backward(critic, acts, upstream)
     sgd_step(critic, grads, cfg.critic_lr)
-    return loss
+    return losses
 
 
 def q_action_grad(critic, s, u):
     """Critic value and its gradient with respect to the action block.
 
-    The action occupies the trailing columns of the critic input; the
-    backward pass skips the parameter gradients. A non-finite gradient
-    raises TrainingDiverged before any actor takes a step along it.
+    ``s`` and ``u`` are (m, d) blocks, or (A, m, d) for a stack of A
+    critics; the action occupies the trailing columns of the critic input,
+    and dQ/du has the shape of ``u``. The backward pass skips the parameter
+    gradients. A non-finite gradient raises TrainingDiverged before any
+    actor takes a step along it.
     """
-    acts = _forward(critic, np.hstack([s, u]))
+    acts = _forward(critic, np.concatenate([s, u], axis=-1))
     q = acts[-1]
     _, input_grad = _backward(critic, acts, np.ones_like(q),
                               param_grads=False)
-    dq_du = input_grad[:, s.shape[1]:]
+    dq_du = input_grad[..., s.shape[-1]:]
     if not np.isfinite(dq_du).all():
         raise TrainingDiverged("critic action gradient is not finite")
     return q, dq_du
@@ -572,15 +594,18 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
     """
     if actor_kind not in ("stable", "unconstrained"):
         raise ValueError(f"unknown actor kind {actor_kind!r}")
-    # each float32 critic pass frees about 0.45 MB of (batch, hidden) arrays
-    # (a float64 MLP actor pass about 0.9 MB); glibc's default thresholds
-    # return it to the kernel and page-fault it back on the next pass, so
-    # keep freed memory mapped (a no-op without glibc)
+    # a pass of the stacked float32 critics frees about A x 0.45 MB of
+    # (A, batch, hidden) arrays for A agents (a float64 MLP actor pass about
+    # 0.9 MB); glibc's default thresholds return it to the kernel and
+    # page-fault it back on the next pass, so keep freed memory mapped (a
+    # no-op without glibc). Each (A, 256, 100) float32 array stays under the
+    # 4 MB mmap threshold up to A = 40; an 8 MB trim threshold returned a
+    # 16-agent round's temporaries (about 1,900 pages) to the kernel.
     with contextlib.suppress(OSError, AttributeError):
         mallopt = ctypes.CDLL("libc.so.6").mallopt
         mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
         mallopt(-3, 4 << 20)    # M_MMAP_THRESHOLD
-        mallopt(-1, 8 << 20)    # M_TRIM_THRESHOLD
+        mallopt(-1, 32 << 20)   # M_TRIM_THRESHOLD
     n = env.n
     joint = cfg.agent_scope == "joint"
     seeds = np.random.SeedSequence(cfg.seed).spawn(4)
@@ -593,16 +618,21 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
                           seed=seeds[3])
     band = env.bounds
 
-    # agents: one per bus column in local scope, the whole feeder for joint
-    dim = n if joint else 1
-    agent_cols = [slice(None)] if joint else [slice(i, i + 1) for i in range(n)]
+    # agents: one per bus column in local scope, the whole feeder for joint;
+    # an (m, n) block maps to the (A, m, dim) per-agent block (a view)
+    dim, agents = (n, 1) if joint else (1, n)
+
+    def per_agent(block):
+        return block.reshape(len(block), agents, dim).swapaxes(0, 1)
+
     # the critics only supply dQ/du and are dropped after training, so they
-    # run in float32 (drawn in float64 from the seeded stream, then cast);
-    # the actor, the replay buffer and the logged TD loss stay float64
-    critics = [FeedForwardNet.create([2 * dim, *cfg.critic_hidden, 1],
-                                     init_rng).astype(np.float32)
-               for _ in agent_cols]
-    critic_targets = [critic.copy() for critic in critics]
+    # run in float32 (drawn in float64 from the seeded stream, one agent
+    # after another, then stacked and cast); the actor, the replay buffer
+    # and the logged TD loss stay float64
+    critic = FeedForwardNet.stack(
+        [FeedForwardNet.create([2 * dim, *cfg.critic_hidden, 1], init_rng)
+         for _ in range(agents)]).astype(np.float32)
+    critic_target = critic.copy()
 
     raw = target_raw = init_raw = None
     actor_nets = actor_targets = None
@@ -612,8 +642,11 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
         init_raw = raw.copy()
     else:
         actor_nets = [FeedForwardNet.create([dim, *cfg.actor_hidden, dim],
-                                            init_rng) for _ in agent_cols]
+                                            init_rng) for _ in range(agents)]
         actor_targets = [net.copy() for net in actor_nets]
+        # the MLP actor steps agent by agent, on its critic's views
+        critic_views = [critic.agent(i) for i in range(agents)]
+        target_views = [critic_target.agent(i) for i in range(agents)]
 
     def greedy_policy():
         # the actor only changes in the update phase, so one build serves a
@@ -652,44 +685,45 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
             for _ in range(cfg.updates_per_episode):
                 updates += 1
                 v_b, u_b, r_b, vn_b = buffer.sample(cfg.batch_size)
+                s, a, s_next = map(per_agent, (v_b, u_b, vn_b))
+                r = (r_b.sum(axis=1, keepdims=True)[None] if joint
+                     else per_agent(r_b))
                 if actor_kind == "stable":
                     # one ramp pass gives the current actions and the
                     # actor step's ramps, one policy_eval the target
-                    # actions; each agent reads its columns of both blocks
+                    # actions; one stacked pass serves every critic
                     u, ramps = _ramp_pass(constrain(raw, band, cfg.eps), v_b)
                     u_next = policy_eval(
                         constrain(target_raw, band, cfg.eps), vn_b)
-                    dqs = []
-                for i, cols in enumerate(agent_cols):
-                    s, s_next = v_b[:, cols], vn_b[:, cols]
-                    r = r_b.sum(axis=1, keepdims=True) if joint else r_b[:, cols]
-                    td_losses.append(critic_update(
-                        critics[i], critic_targets[i],
-                        (s, u_b[:, cols], r, s_next),
-                        u_next[:, cols] if actor_kind == "stable"
-                        else net_eval(actor_targets[i], s_next), cfg))
-                    soft_update(critic_targets[i], critics[i], cfg.tau)
-                    if actor_kind == "stable":
-                        dqs.append(q_action_grad(critics[i], s, u[:, cols])[1])
-                    else:
+                    td_losses.extend(critic_update(
+                        critic, critic_target, (s, a, r, s_next),
+                        per_agent(u_next), cfg))
+                    soft_update(critic_target, critic, cfg.tau)
+                    _, dq = q_action_grad(critic, s, per_agent(u))
+                    norms = stable_actor_update(
+                        raw, ramps, dq.swapaxes(0, 1).reshape(u.shape),
+                        cfg.actor_lr)
+                    grad_norms.extend([np.sqrt(sum(norms ** 2))] if joint
+                                      else norms)
+                    soft_update(target_raw, raw, cfg.tau)
+                    # freed before the next round's ramp pass
+                    del ramps
+                else:
+                    for i, (c, c_target) in enumerate(zip(critic_views,
+                                                          target_views)):
+                        td_losses.append(critic_update(
+                            c, c_target, (s[i], a[i], r[i], s_next[i]),
+                            net_eval(actor_targets[i], s_next[i]), cfg))
+                        soft_update(c_target, c, cfg.tau)
                         # agents share no nets, so agent i's actor steps
                         # now; freeing its activations before the next
                         # agent's passes keeps peak memory flat
-                        acts = _forward(actor_nets[i], s)
-                        _, dq = q_action_grad(critics[i], s, acts[-1])
+                        acts = _forward(actor_nets[i], s[i])
+                        _, dq = q_action_grad(c, s[i], acts[-1])
                         grad_norms.append(net_actor_update(
                             actor_nets[i], acts, dq, cfg.actor_lr))
                         soft_update(actor_targets[i], actor_nets[i], cfg.tau)
                         del acts
-
-                if actor_kind == "stable":
-                    norms = stable_actor_update(raw, ramps, np.hstack(dqs),
-                                                cfg.actor_lr)
-                    grad_norms.extend([np.sqrt(sum(norms ** 2))] if joint
-                                      else norms)
-                    soft_update(target_raw, raw, cfg.tau)
-                    # freed before the next round's ramp pass, as acts are
-                    del ramps
 
         wall = (time.perf_counter() - t0) * 1e3 if cfg.record_timing else 0.0
         log.append(_log_row(episode, ep_return,

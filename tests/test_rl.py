@@ -634,6 +634,140 @@ def test_float32_backprop_agrees_with_float64_of_the_same_weights():
 
 
 # ---------------------------------------------------------------------------
+# stacked critics
+# ---------------------------------------------------------------------------
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    bits = np.dtype(f"u{got.itemsize}")
+    np.testing.assert_array_equal(got.view(bits), want.view(bits))
+
+
+def assert_nets_same_bits(got, want):
+    for a, b in zip(got.arrays(), want.arrays(), strict=True):
+        assert_same_bits(a, b)
+
+
+def stacked_cases():
+    """(per-agent float32 nets, their stack, per-agent blocks, critic?).
+
+    Four local [2, 16, 16, 1] critics with dead units, four fan-in-1
+    [1, 16, 16, 1] nets and one joint [2n, 16, 16, 1] critic. The blocks
+    (s, u, r, s_next, u_next) are strided (A, m, d) views of (m, n) arrays,
+    as ``train`` takes them, with the joint reward summed over buses.
+    """
+    rng = np.random.default_rng(41)
+    m, n = 24, 4
+    v, u, r, v_next, u_next = (rng.uniform(0.9, 1.1, size=(m, n)),
+                               rng.normal(scale=0.5, size=(m, n)),
+                               rng.normal(size=(m, n)),
+                               rng.uniform(0.9, 1.1, size=(m, n)),
+                               rng.normal(scale=0.5, size=(m, n)))
+    # an all-zero input row puts some pre-activations exactly at 0.0
+    v[0] = u[0] = 0.0
+    for sizes, agents in (([2, 16, 16, 1], n), ([1, 16, 16, 1], n),
+                          ([2 * n, 16, 16, 1], 1)):
+        nets = [critic_with_dead_units(sizes, rng).astype(np.float32)
+                for _ in range(agents)]
+        dim = n // agents
+
+        def per_agent(block):
+            return block.reshape(m, agents, dim).swapaxes(0, 1)
+
+        rewards = (r.sum(axis=1, keepdims=True)[None] if agents == 1
+                   else per_agent(r))
+        blocks = (per_agent(v), per_agent(u), rewards, per_agent(v_next),
+                  per_agent(u_next))
+        yield nets, FeedForwardNet.stack(nets), blocks, sizes[0] == 2 * dim
+
+
+def test_stacked_passes_equal_per_agent_passes_bit_for_bit():
+    cfg = TrainConfig(gamma=0.9, critic_lr=0.05, batch_size=16)
+    for nets, stack, (s, u, r, s_next, u_next), is_critic in stacked_cases():
+        assert stack.weights[0].shape[0] == len(nets)
+        assert stack.biases[0].shape == (len(nets), 1, 16)
+        x = np.concatenate([s, u], axis=-1) if is_critic else s
+        xs = [np.hstack([s[i], u[i]]) if is_critic else s[i]
+              for i in range(len(nets))]
+        acts = _forward(stack, x)
+        upstream = np.random.default_rng(5).normal(
+            size=acts[-1].shape).astype(np.float32)
+        upstream[:, 1] = 0.0
+        grads, gin = _backward(stack, acts, upstream)
+        no_grads, gin_only = _backward(stack, acts, upstream,
+                                       param_grads=False)
+        assert no_grads is None
+        assert_same_bits(gin_only, gin)
+        stepped = stack.copy()
+        sgd_step(stepped, grads, 0.05)
+        blended = stack.copy()
+        soft_update(blended, stepped, 0.3)
+        for i, net in enumerate(nets):
+            net_acts = _forward(net, xs[i])
+            for got, want in zip(acts, net_acts, strict=True):
+                assert_same_bits(got[i], want)
+            net_grads, net_gin = _backward(net, net_acts, upstream[i])
+            assert_same_bits(gin[i], net_gin)
+            for (dw, db), (nw, nb) in zip(grads, net_grads, strict=True):
+                assert_same_bits(dw[i], nw)
+                assert_same_bits(db[i, 0], nb)
+            own = net.copy()
+            sgd_step(own, net_grads, 0.05)
+            assert_nets_same_bits(stepped.agent(i), own)
+            own_blend = net.copy()
+            soft_update(own_blend, own, 0.3)
+            assert_nets_same_bits(blended.agent(i), own_blend)
+        if not is_critic:
+            continue
+        trained, target = stack.copy(), stack.copy()
+        alone = [net.copy() for net in nets]
+        for _ in range(3):
+            losses = critic_update(trained, target, (s, u, r, s_next),
+                                   u_next, cfg)
+            assert losses.shape == (len(nets),)
+            for i, net in enumerate(alone):
+                assert_same_bits(losses[i], critic_update(
+                    net, nets[i], (s[i], u[i], r[i], s_next[i]),
+                    u_next[i], cfg))
+        q, dq = q_action_grad(trained, s, u)
+        assert dq.shape == u.shape
+        for i, net in enumerate(alone):
+            assert_nets_same_bits(trained.agent(i), net)
+            net_q, net_dq = q_action_grad(net, s[i], u[i])
+            assert_same_bits(q[i], net_q)
+            assert_same_bits(dq[i], net_dq)
+
+
+def test_agent_view_step_moves_only_its_slice():
+    # the MLP actor's branch of train steps each critic through
+    # critic.agent(i), whose arrays are views of the stack
+    rng = np.random.default_rng(43)
+    nets = [critic_with_dead_units([2, 16, 16, 1], rng).astype(np.float32)
+            for _ in range(4)]
+    stack = FeedForwardNet.stack(nets)
+    target = stack.copy()
+    before = [a.copy() for a in stack.arrays()]
+    block = rng.uniform(0.9, 1.1, size=(24, 4))
+    i = 2
+    batch = (block[:, i:i + 1], rng.normal(scale=0.5, size=(24, 4))[:, i:i + 1],
+             rng.normal(size=(24, 1)), block[::-1, i:i + 1])
+    u_next = rng.normal(scale=0.5, size=(24, 1))
+    cfg = TrainConfig(gamma=0.9, critic_lr=0.05, batch_size=16)
+    alone = nets[i].copy()
+    loss = critic_update(stack.agent(i), target.agent(i), batch, u_next, cfg)
+    assert_same_bits(loss, critic_update(alone, nets[i], batch, u_next, cfg))
+    assert_nets_same_bits(stack.agent(i), alone)
+    assert not np.array_equal(stack.weights[0][i], before[0][i])
+    for a, old in zip(stack.arrays(), before):
+        for j in range(len(nets)):
+            if j != i:
+                assert a[j].tobytes() == old[j].tobytes()
+    for a, old in zip(target.arrays(), before):
+        assert a.tobytes() == old.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # actor updates
 # ---------------------------------------------------------------------------
 
