@@ -10,6 +10,7 @@ stabilizer) and an unconstrained multilayer perceptron baseline.
 import contextlib
 import ctypes
 import json
+import os
 import time
 from dataclasses import dataclass
 
@@ -130,12 +131,13 @@ def _forward(net, h):
     return [h, *_layers(net, h)]
 
 
-def _backward(net, acts, upstream, param_grads=True):
+def _backward(net, acts, upstream, param_grads=True, input_grad=True):
     """Reverse pass through the activations of ``_forward``.
 
     Returns (parameter grads, input grad); the parameter grads are None when
-    ``param_grads`` is false. A hidden unit passes gradient where its
-    activation is positive, which is where its pre-activation was.
+    ``param_grads`` is false, and the input grad is None, its product
+    skipped, when ``input_grad`` is false. A hidden unit passes gradient
+    where its activation is positive, which is where its pre-activation was.
     """
     last = len(net.weights) - 1
     grads = [None] * len(net.weights) if param_grads else None
@@ -146,6 +148,8 @@ def _backward(net, acts, upstream, param_grads=True):
         if param_grads:
             grads[k] = (acts[k].swapaxes(-1, -2) @ delta,
                         delta.sum(axis=-2).reshape(net.biases[k].shape))
+        if k == 0 and not input_grad:
+            return grads, None
         w = net.weights[k]
         # through a fan-out-1 layer the product is again an outer product
         w_t = w.swapaxes(-1, -2)
@@ -352,7 +356,7 @@ def critic_update(critic, critic_target, batch, u_next, cfg):
     if not np.isfinite(losses).all():
         raise TrainingDiverged("temporal-difference loss is not finite")
     upstream = 2.0 * err / err.shape[-2]
-    grads, _ = _backward(critic, acts, upstream)
+    grads, _ = _backward(critic, acts, upstream, input_grad=False)
     sgd_step(critic, grads, cfg.critic_lr)
     return losses
 
@@ -402,12 +406,17 @@ def net_actor_update(actor, acts, dq_du, lr):
 
     ``acts`` is ``_forward(actor, v_batch)``, the pass whose output gave the
     actions at which ``dq_du`` was taken; the step backpropagates through
-    it instead of running the forward pass again.
+    it instead of running the forward pass again. For a stack of A actors
+    the batches are (A, m, d). Returns each agent's gradient norm, a
+    float64 scalar for one actor and an (A,) array for a stack.
     """
-    m = len(acts[0])
-    grads, _ = _backward(actor, acts, dq_du / m)
+    lead = acts[0].shape[:-2]
+    grads, _ = _backward(actor, acts, dq_du / acts[0].shape[-2],
+                         input_grad=False)
     sgd_step(actor, grads, -lr)
-    total = sum(float((dw ** 2).sum() + (db ** 2).sum()) for dw, db in grads)
+    total = sum((dw ** 2).reshape(*lead, -1).sum(axis=-1)
+                + (db ** 2).reshape(*lead, -1).sum(axis=-1)
+                for dw, db in grads)
     return np.sqrt(total)
 
 
@@ -579,6 +588,29 @@ def _one_blas_thread():
         put(old)
 
 
+def _usable_cpus():
+    """The number of CPUs this process may run on."""
+    with contextlib.suppress(AttributeError):     # no affinity off Linux
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _agent_map(agents):
+    """Yield a ``map`` over agent indices that returns results in agent
+    order and raises the lowest-index agent's exception: on a thread pool
+    of one worker per usable CPU, shut down when the block ends, or the
+    builtin ``map`` with no thread for one agent or one CPU."""
+    workers = min(agents, _usable_cpus())
+    if workers < 2:
+        yield map
+        return
+    # imported here: gridvolt's import path stays free of concurrent.futures
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers) as pool:
+        yield pool.map
+
+
 @_one_blas_thread()
 def train(env, cfg, actor_kind="stable", episode_callback=None):
     """Run episodic training and return the final greedy policy plus a log.
@@ -589,18 +621,23 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
     an episode whose voltages blow up or whose action is not finite; it
     counts as diverged and keeps the steps before the cut. The recorded
     steps become per-bus transitions in the replay buffer; then come batched
-    critic/actor updates with soft target tracking. Deterministic under
-    ``cfg.seed`` at any BLAS thread count (see ``_one_blas_thread``).
+    critic/actor updates with soft target tracking; the MLP agents' update
+    rounds run one worker thread per usable CPU (``_agent_map``).
+    Deterministic under ``cfg.seed`` at any BLAS thread count (see
+    ``_one_blas_thread``) and any CPU count.
     """
     if actor_kind not in ("stable", "unconstrained"):
         raise ValueError(f"unknown actor kind {actor_kind!r}")
     # a pass of the stacked float32 critics frees about A x 0.45 MB of
-    # (A, batch, hidden) arrays for A agents (a float64 MLP actor pass about
-    # 0.9 MB); glibc's default thresholds return it to the kernel and
-    # page-fault it back on the next pass, so keep freed memory mapped (a
-    # no-op without glibc). Each (A, 256, 100) float32 array stays under the
-    # 4 MB mmap threshold up to A = 40; an 8 MB trim threshold returned a
-    # 16-agent round's temporaries (about 1,900 pages) to the kernel.
+    # (A, batch, hidden) arrays for A agents, and an MLP agent's round
+    # about 0.45 MB of critic and 0.9 MB of float64 actor arrays, with one
+    # such round alive per worker thread; glibc's default thresholds return
+    # it to the kernel and page-fault it back on the next pass, so keep
+    # freed memory mapped (a no-op without glibc). Both thresholds are
+    # process-wide, so they also hold in each worker's own malloc arena.
+    # Each (A, 256, 100) float32 array stays under the 4 MB mmap threshold
+    # up to A = 40; an 8 MB trim threshold returned a 16-agent round's
+    # temporaries (about 1,900 pages) to the kernel.
     with contextlib.suppress(OSError, AttributeError):
         mallopt = ctypes.CDLL("libc.so.6").mallopt
         mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
@@ -644,7 +681,7 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
         actor_nets = [FeedForwardNet.create([dim, *cfg.actor_hidden, dim],
                                             init_rng) for _ in range(agents)]
         actor_targets = [net.copy() for net in actor_nets]
-        # the MLP actor steps agent by agent, on its critic's views
+        # each MLP agent steps its own views of the critic stacks
         critic_views = [critic.agent(i) for i in range(agents)]
         target_views = [critic_target.agent(i) for i in range(agents)]
 
@@ -660,79 +697,87 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
     updates = 0
     clip = cfg.noise_clip_sigmas * cfg.noise_std
 
-    for episode in range(cfg.episodes):
-        t0 = time.perf_counter()
-        v_env, q0 = env.sample_start(scen_rng)
-        greedy = greedy_policy()
+    def agent_round(i, s, a, r, s_next):
+        # agent i's critic and actor step on its columns of the round's
+        # batch; agents share no arrays, so rounds may run on any thread in
+        # any order with the bits of a sequential loop
+        c, c_target = critic_views[i], target_views[i]
+        loss = critic_update(c, c_target, (s[i], a[i], r[i], s_next[i]),
+                             net_eval(actor_targets[i], s_next[i]), cfg)
+        soft_update(c_target, c, cfg.tau)
+        acts = _forward(actor_nets[i], s[i])
+        _, dq = q_action_grad(c, s[i], acts[-1])
+        norm = net_actor_update(actor_nets[i], acts, dq, cfg.actor_lr)
+        soft_update(actor_targets[i], actor_nets[i], cfg.tau)
+        return loss, norm
 
-        def noisy(v):
-            return greedy(v) + np.clip(
-                noise_rng.normal(0.0, cfg.noise_std, size=v.shape), -clip, clip)
+    # the monotone actor steps all agents in one stacked pass, on no pool
+    with _agent_map(1 if actor_kind == "stable" else agents) as agent_map:
+        for episode in range(cfg.episodes):
+            t0 = time.perf_counter()
+            v_env, q0 = env.sample_start(scen_rng)
+            greedy = greedy_policy()
 
-        runs = rollout(noisy, env.X, v_env, q0, cfg.episode_len, env.dt)
-        k = int(runs.steps[0])
-        v, u = runs.v[:k + 1, 0], runs.u[:k, 0]
-        r = env.per_bus_reward(v[:-1], u)
-        buffer.push(v[:-1], u, r, v[1:])
-        ep_return = 0.0
-        for t in range(k):
-            ep_return += (cfg.gamma ** t) * float(r[t].sum())
-        diverged_episodes += int(runs.diverged[0])
+            def noisy(v):
+                return greedy(v) + np.clip(noise_rng.normal(
+                    0.0, cfg.noise_std, size=v.shape), -clip, clip)
 
-        td_losses = []
-        grad_norms = []
-        if len(buffer) >= cfg.batch_size:
-            for _ in range(cfg.updates_per_episode):
-                updates += 1
-                v_b, u_b, r_b, vn_b = buffer.sample(cfg.batch_size)
-                s, a, s_next = map(per_agent, (v_b, u_b, vn_b))
-                r = (r_b.sum(axis=1, keepdims=True)[None] if joint
-                     else per_agent(r_b))
-                if actor_kind == "stable":
-                    # one ramp pass gives the current actions and the
-                    # actor step's ramps, one policy_eval the target
-                    # actions; one stacked pass serves every critic
-                    u, ramps = _ramp_pass(constrain(raw, band, cfg.eps), v_b)
-                    u_next = policy_eval(
-                        constrain(target_raw, band, cfg.eps), vn_b)
-                    td_losses.extend(critic_update(
-                        critic, critic_target, (s, a, r, s_next),
-                        per_agent(u_next), cfg))
-                    soft_update(critic_target, critic, cfg.tau)
-                    _, dq = q_action_grad(critic, s, per_agent(u))
-                    norms = stable_actor_update(
-                        raw, ramps, dq.swapaxes(0, 1).reshape(u.shape),
-                        cfg.actor_lr)
-                    grad_norms.extend([np.sqrt(sum(norms ** 2))] if joint
-                                      else norms)
-                    soft_update(target_raw, raw, cfg.tau)
-                    # freed before the next round's ramp pass
-                    del ramps
-                else:
-                    for i, (c, c_target) in enumerate(zip(critic_views,
-                                                          target_views)):
-                        td_losses.append(critic_update(
-                            c, c_target, (s[i], a[i], r[i], s_next[i]),
-                            net_eval(actor_targets[i], s_next[i]), cfg))
-                        soft_update(c_target, c, cfg.tau)
-                        # agents share no nets, so agent i's actor steps
-                        # now; freeing its activations before the next
-                        # agent's passes keeps peak memory flat
-                        acts = _forward(actor_nets[i], s[i])
-                        _, dq = q_action_grad(c, s[i], acts[-1])
-                        grad_norms.append(net_actor_update(
-                            actor_nets[i], acts, dq, cfg.actor_lr))
-                        soft_update(actor_targets[i], actor_nets[i], cfg.tau)
-                        del acts
+            runs = rollout(noisy, env.X, v_env, q0, cfg.episode_len, env.dt)
+            k = int(runs.steps[0])
+            v, u = runs.v[:k + 1, 0], runs.u[:k, 0]
+            r = env.per_bus_reward(v[:-1], u)
+            buffer.push(v[:-1], u, r, v[1:])
+            ep_return = 0.0
+            for t in range(k):
+                ep_return += (cfg.gamma ** t) * float(r[t].sum())
+            diverged_episodes += int(runs.diverged[0])
 
-        wall = (time.perf_counter() - t0) * 1e3 if cfg.record_timing else 0.0
-        log.append(_log_row(episode, ep_return,
-                            float(np.mean(td_losses)) if td_losses else 0.0,
-                            float(np.mean(grad_norms)) if grad_norms else 0.0,
-                            wall))
-        if episode_callback is not None:
-            episode_callback(episode, raw if actor_kind == "stable"
-                             else actor_nets)
+            td_losses = []
+            grad_norms = []
+            if len(buffer) >= cfg.batch_size:
+                for _ in range(cfg.updates_per_episode):
+                    updates += 1
+                    v_b, u_b, r_b, vn_b = buffer.sample(cfg.batch_size)
+                    s, a, s_next = map(per_agent, (v_b, u_b, vn_b))
+                    r = (r_b.sum(axis=1, keepdims=True)[None] if joint
+                         else per_agent(r_b))
+                    if actor_kind == "stable":
+                        # one ramp pass gives the current actions and the
+                        # actor step's ramps, one policy_eval the target
+                        # actions; one stacked pass serves every critic
+                        u, ramps = _ramp_pass(constrain(raw, band, cfg.eps),
+                                              v_b)
+                        u_next = policy_eval(
+                            constrain(target_raw, band, cfg.eps), vn_b)
+                        td_losses.extend(critic_update(
+                            critic, critic_target, (s, a, r, s_next),
+                            per_agent(u_next), cfg))
+                        soft_update(critic_target, critic, cfg.tau)
+                        _, dq = q_action_grad(critic, s, per_agent(u))
+                        norms = stable_actor_update(
+                            raw, ramps, dq.swapaxes(0, 1).reshape(u.shape),
+                            cfg.actor_lr)
+                        grad_norms.extend([np.sqrt(sum(norms ** 2))] if joint
+                                          else norms)
+                        soft_update(target_raw, raw, cfg.tau)
+                        # freed before the next round's ramp pass
+                        del ramps
+                    else:
+                        for loss, norm in agent_map(
+                                lambda i: agent_round(i, s, a, r, s_next),
+                                range(agents)):
+                            td_losses.append(loss)
+                            grad_norms.append(norm)
+
+            wall = ((time.perf_counter() - t0) * 1e3 if cfg.record_timing
+                    else 0.0)
+            log.append(_log_row(
+                episode, ep_return,
+                float(np.mean(td_losses)) if td_losses else 0.0,
+                float(np.mean(grad_norms)) if grad_norms else 0.0, wall))
+            if episode_callback is not None:
+                episode_callback(episode, raw if actor_kind == "stable"
+                                 else actor_nets)
 
     return TrainResult(policy=greedy_policy(), log=log, raw=raw,
                        init_raw=init_raw, actor_nets=actor_nets,

@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from collections import namedtuple
 from pathlib import Path
 
@@ -891,6 +893,54 @@ def test_net_actor_ascends_quadratic():
     np.testing.assert_allclose(net_eval(actor, v), 0.7, atol=0.01)
 
 
+@pytest.mark.parametrize("sizes, agents", [([1, 16, 16, 1], 4),
+                                           ([4, 16, 16, 4], 1)])
+def test_stacked_net_actor_update_equals_per_agent_steps_bit_for_bit(
+        sizes, agents):
+    # a stack of A actors must divide dQ/du by the batch size m, not by A,
+    # and return one gradient norm per agent
+    rng = np.random.default_rng(47)
+    nets = [critic_with_dead_units(sizes, rng) for _ in range(agents)]
+    stack = FeedForwardNet.stack(nets)
+    m, dim, lr = 32, sizes[0], 0.05
+    for _ in range(3):
+        v = rng.uniform(0.9, 1.1, size=(m, agents * dim))
+        v[0] = 0.0
+        s = v.reshape(m, agents, dim).swapaxes(0, 1)     # strided views
+        dq = rng.normal(size=s.shape).astype(np.float32)
+        dq[:, 1] = 0.0
+        norms = net_actor_update(stack, _forward(stack, s), dq, lr)
+        assert norms.shape == (agents,)
+        for i, net in enumerate(nets):
+            norm = net_actor_update(net, _forward(net, s[i]), dq[i], lr)
+            assert np.ndim(norm) == 0
+            assert_same_bits(norms[i], norm)
+            assert_nets_same_bits(stack.agent(i), net)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("sizes, agents", [([2, 16, 16, 1], 4),
+                                           ([1, 16, 16, 1], None),
+                                           ([4, 16, 16, 4], None)])
+def test_backward_without_input_grad_keeps_the_parameter_grads(
+        sizes, agents, dtype):
+    rng = np.random.default_rng(53)
+    nets = [critic_with_dead_units(sizes, rng).astype(dtype)
+            for _ in range(agents or 1)]
+    net = FeedForwardNet.stack(nets) if agents else nets[0]
+    lead = (agents,) if agents else ()
+    x = rng.uniform(0.9, 1.1, size=(*lead, 24, sizes[0]))
+    x[..., 0, :] = 0.0
+    acts = _forward(net, x)
+    upstream = rng.normal(size=acts[-1].shape)
+    grads, gin = _backward(net, acts, upstream)
+    only, none = _backward(net, acts, upstream, input_grad=False)
+    assert gin.shape == x.shape and none is None
+    for (dw, db), (ow, ob) in zip(grads, only, strict=True):
+        assert_same_bits(ow, dw)
+        assert_same_bits(ob, db)
+
+
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------
@@ -926,9 +976,9 @@ def test_train_deterministic_logs(actor, scope):
 _THREADED_TRAIN = """
 import sys
 from gridvolt import dynamics, grid, policy, rl
-for actor, scope, seed in (("unconstrained", "local", 0),
-                           ("stable", "local", 1), ("stable", "joint", 1)):
-    net = grid.generate_random_feeder(16, rng_seed=seed)
+for case in sys.argv[2:]:
+    actor, scope, seed = case.split(":")
+    net = grid.generate_random_feeder(16, rng_seed=int(seed))
     X = grid.build_sensitivity(net).X
     band = net.bounds()
     env = rl.VoltEnv(X=X, v_lower=band[0], v_upper=band[1],
@@ -946,21 +996,134 @@ for actor, scope, seed in (("unconstrained", "local", 0),
 """
 
 
+_THREADED_CASES = ("unconstrained:local:0", "stable:local:1",
+                   "stable:joint:1")
+
+
+def threaded_train_outputs(out, cases, threads="1", prelude=""):
+    """Run ``_THREADED_TRAIN`` on ``cases`` in a fresh interpreter at
+    ``threads`` OpenBLAS threads, after ``prelude``; {file name: bytes}."""
+    out.mkdir()
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+           "PYTHONPATH": str(Path(gridvolt.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", prelude + _THREADED_TRAIN,
+                    str(out), *cases], env=env, check=True, timeout=600)
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
 def test_train_bits_do_not_depend_on_blas_threads(tmp_path):
-    src = str(Path(gridvolt.__file__).parents[1])
-    outputs = []
-    for threads in ("1", "2"):
-        out = tmp_path / threads
-        out.mkdir()
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": src}
-        subprocess.run([sys.executable, "-c", _THREADED_TRAIN, str(out)],
-                       env=env, check=True, timeout=600)
-        outputs.append({path.name: path.read_bytes()
-                        for path in out.iterdir()})
+    outputs = [threaded_train_outputs(tmp_path / threads, _THREADED_CASES,
+                                      threads=threads)
+               for threads in ("1", "2")]
     assert len(outputs[0]) == 6
     for name, data in outputs[0].items():
         assert outputs[1][name] == data, name
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs at least two usable CPUs")
+def test_train_bits_do_not_depend_on_the_cpu_count(tmp_path):
+    # the MLP agents' rounds run one worker per usable CPU, inline on one
+    cpu = min(os.sched_getaffinity(0))
+    one_cpu = (f"import os\nos.sched_setaffinity(0, {{{cpu}}})\n"
+               f"assert len(os.sched_getaffinity(0)) == 1\n")
+    outputs = [threaded_train_outputs(tmp_path / label, _THREADED_CASES[:1],
+                                      prelude=prelude)
+               for label, prelude in (("one", one_cpu), ("all", ""))]
+    assert len(outputs[0]) == 2
+    for name, data in outputs[0].items():
+        assert outputs[1][name] == data, name
+
+
+def fake_cpus(monkeypatch, count):
+    """Make ``train`` see ``count`` usable CPUs."""
+    monkeypatch.setattr(rl.os, "sched_getaffinity",
+                        lambda pid: set(range(count)))
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """The names of the threads started during the test."""
+    started, start = [], threading.Thread.start
+
+    def spy(thread):
+        started.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    return started
+
+
+def test_mlp_rounds_give_the_same_bits_on_any_worker_count(
+        monkeypatch, started_threads):
+    # up to one worker per agent, more workers than cores, and thread
+    # switches forced far more often than the interpreter's default
+    runs, interval = [], sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        for cpus in (1, 2, 8):
+            fake_cpus(monkeypatch, cpus)
+            started_threads.clear()
+            before = threading.active_count()
+            res = train(make_env(), small_cfg(), actor_kind="unconstrained")
+            assert threading.active_count() == before
+            assert (len(started_threads) > 0) == (cpus > 1)
+            assert res.updates > 0
+            runs.append(res)
+    finally:
+        sys.setswitchinterval(interval)
+    for res in runs[1:]:
+        assert res.log == runs[0].log
+        for net, want in zip(res.actor_nets, runs[0].actor_nets,
+                             strict=True):
+            assert_nets_same_bits(net, want)
+
+
+@pytest.mark.parametrize("actor, scope", [("unconstrained", "joint"),
+                                          ("stable", "local"),
+                                          ("stable", "joint")])
+def test_one_agent_and_stable_runs_start_no_thread(
+        monkeypatch, started_threads, actor, scope):
+    fake_cpus(monkeypatch, 4)
+    res = train(make_env(), small_cfg(agent_scope=scope), actor_kind=actor)
+    assert res.updates > 0
+    assert started_threads == []
+
+
+def test_threaded_rounds_raise_the_lowest_agents_exception(
+        monkeypatch, started_threads):
+    # agents 1 and 3 diverge; agent 1 raises last in time on two workers,
+    # but the sequential loop would have raised it first
+    update, seen = rl.net_actor_update, {}
+
+    def diverge_1_and_3(actor, *args):
+        i = next(k for k, net in enumerate(seen["nets"]) if net is actor)
+        if i == 1:
+            time.sleep(0.05)
+        if i in (1, 3):
+            raise TrainingDiverged(f"agent {i} diverged")
+        return update(actor, *args)
+
+    def keep_nets(episode, nets):
+        seen.setdefault("nets", nets)
+
+    monkeypatch.setattr(rl, "net_actor_update", diverge_1_and_3)
+    raised = []
+    for cpus in (1, 2):
+        fake_cpus(monkeypatch, cpus)
+        started_threads.clear()
+        seen.clear()
+        before = threading.active_count()
+        # a 10-step episode does not fill a batch of 16, so the first
+        # update round runs after the callback has seen the nets
+        with pytest.raises(TrainingDiverged) as info:
+            train(make_env(), small_cfg(), actor_kind="unconstrained",
+                  episode_callback=keep_nets)
+        assert threading.active_count() == before
+        assert (len(started_threads) > 0) == (cpus > 1)
+        raised.append((type(info.value), str(info.value)))
+    assert raised == [(TrainingDiverged, "agent 1 diverged")] * 2
 
 
 def test_train_runs_unpinned_without_bundled_openblas(monkeypatch):
