@@ -131,6 +131,9 @@ def cmd_simulate(args):
 
 
 def cmd_train(args):
+    if args.actor == "unconstrained" and args.scope == "joint":
+        raise CliError("--scope joint picks the monotone actor's critic; "
+                       "--actor unconstrained trains one local net per bus")
     net = _load_network(args.network)
     sens = grid.build_sensitivity(net)
     band = net.bounds()
@@ -147,8 +150,7 @@ def cmd_train(args):
     if args.actor == "stable":
         policy.save_checkpoint(args.out, result.raw, band, cfg.eps, meta=meta)
     else:
-        rl.save_net_policy(args.out, result.actor_nets,
-                           cfg.agent_scope == "joint", band, meta=meta)
+        rl.save_net_policy(args.out, result.actor_nets, band, meta=meta)
     if args.log:
         rl.write_training_log(result.log, args.log)
     returns = [row["return"] for row in result.log]
@@ -257,7 +259,10 @@ def build_parser():
                    default="stable")
     p.add_argument("--episodes", type=_bounded(int, 1), default=None,
                    help="default 200 stable / 600 unconstrained")
-    p.add_argument("--scope", choices=("local", "joint"), default="local")
+    p.add_argument("--scope", choices=("local", "joint"), default="local",
+                   help="the monotone actor's critic: one per bus (local) or "
+                        "one over all buses (joint); --actor unconstrained "
+                        "takes local only")
     p.add_argument("--seed", type=_bounded(int, 0), default=0)
     p.add_argument("--dt", type=positive_float, default=0.1)
     p.add_argument("--timing", action="store_true",

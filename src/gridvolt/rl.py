@@ -266,7 +266,8 @@ class TrainConfig:
     updates_per_episode: int = 30
     buffer_capacity: int = 1_000_000
     seed: int = 0
-    agent_scope: str = "local"          # 'local' per-bus agents or 'joint'
+    agent_scope: str = "local"          # monotone actor's critic: per bus
+                                        # ('local') or one over all ('joint')
     critic_hidden: tuple = (100, 100)
     actor_hidden: tuple = (100, 100)    # unconstrained baseline actor
     actor_units: int = 16               # ramp units per side, monotone actor
@@ -402,22 +403,17 @@ def stable_actor_update(raw, ramps, dq_du, lr):
 
 
 def net_actor_update(actor, acts, dq_du, lr):
-    """Deterministic policy-gradient ascent for the unconstrained actor.
+    """Deterministic policy-gradient ascent for one unconstrained actor.
 
-    ``acts`` is ``_forward(actor, v_batch)``, the pass whose output gave the
-    actions at which ``dq_du`` was taken; the step backpropagates through
-    it instead of running the forward pass again. For a stack of A actors
-    the batches are (A, m, d). Returns each agent's gradient norm, a
-    float64 scalar for one actor and an (A,) array for a stack.
+    ``acts`` is ``_forward(actor, v_batch)`` on an (m, d) batch, the pass
+    whose output gave the actions at which ``dq_du`` was taken; the step
+    backpropagates through it instead of running the forward pass again.
+    Returns the gradient norm, a float64 scalar.
     """
-    lead = acts[0].shape[:-2]
     grads, _ = _backward(actor, acts, dq_du / acts[0].shape[-2],
                          input_grad=False)
     sgd_step(actor, grads, -lr)
-    total = sum((dw ** 2).reshape(*lead, -1).sum(axis=-1)
-                + (db ** 2).reshape(*lead, -1).sum(axis=-1)
-                for dw, db in grads)
-    return np.sqrt(total)
+    return np.sqrt(sum((dw ** 2).sum() + (db ** 2).sum() for dw, db in grads))
 
 
 # ---------------------------------------------------------------------------
@@ -427,12 +423,11 @@ def net_actor_update(actor, acts, dq_du, lr):
 NET_CHECKPOINT_VERSION = 1
 
 
-def save_net_policy(path, nets, joint, band, meta=None):
-    """Persist the unconstrained perceptron policy (one net per agent)."""
+def save_net_policy(path, nets, band, meta=None):
+    """Persist the unconstrained perceptron policy (one 1 -> 1 net per bus)."""
     data = {
         "format_version": NET_CHECKPOINT_VERSION,
         "kind": "mlp",
-        "joint": bool(joint),
         "band": band_record(band),
         "nets": [{"weights": [w.tolist() for w in net.weights],
                   "biases": [b.tolist() for b in net.biases]}
@@ -463,29 +458,23 @@ def parse_net_policy(data, path):
             [np.array(b, dtype=float) for b in entry["biases"]])
             for entry in data["nets"]]
         band = parse_band(data["band"])
-        # local scope: one 1 -> 1 net per bus; joint scope: one n -> n net
-        n, joint = len(band[0]), data["joint"]
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc
-    if not isinstance(joint, bool):
-        raise CheckpointError(f"checkpoint field 'joint' must be true or "
-                              f"false, got {joint!r}")
-    width = n if joint else 1
-    if len(nets) != (1 if joint else n):
-        raise CheckpointError(f"{'joint' if joint else 'local'} checkpoint "
-                              f"has {len(nets)} nets for {n} buses")
+    if len(nets) != len(band[0]):
+        raise CheckpointError(f"checkpoint has {len(nets)} nets for "
+                              f"{len(band[0])} buses, one 1 -> 1 net per bus")
     for k, net in enumerate(nets):
         ws, bs = net.weights, net.biases
         if not (ws and len(ws) == len(bs)
                 and all(w.ndim == 2 and b.shape == (w.shape[1],)
                         for w, b in zip(ws, bs))
                 and all(a.shape[1] == b.shape[0] for a, b in zip(ws, ws[1:]))
-                and ws[0].shape[0] == width == ws[-1].shape[1]):
-            raise CheckpointError(f"net {k} is not a consistent {width} -> "
-                                  f"{width} network")
+                and ws[0].shape[0] == 1 == ws[-1].shape[1]):
+            raise CheckpointError(f"net {k} is not a consistent 1 -> 1 "
+                                  f"network")
         if not all(np.isfinite(a).all() for a in net.arrays()):
             raise CheckpointError(f"net {k} has a non-finite weight or bias")
-    return _NetPolicy(nets, joint), band
+    return _NetPolicy(nets), band
 
 
 @dataclass
@@ -500,42 +489,29 @@ class TrainResult:
 
 
 class _NetPolicy:
-    """Vector policy backed by per-bus (or one joint) perceptrons."""
+    """Vector policy backed by one 1 -> 1 perceptron per bus."""
 
-    def __init__(self, nets, joint):
+    def __init__(self, nets):
         self.nets = nets
-        self.joint = joint
 
     def __call__(self, v):
         # each row of an (S, n) batch is fed as its own (1, n) input, so a
         # batch gives bit for bit the outputs of row-by-row calls
         v = np.asarray(v, dtype=float)[..., None, :]
-        if self.joint:
-            u = net_eval(self.nets[0], v)
-        else:
-            u = np.concatenate([net_eval(net, v[..., i:i + 1])
-                                for i, net in enumerate(self.nets)], axis=-1)
-        return u[..., 0, :]
+        return np.concatenate([net_eval(net, v[..., i:i + 1])
+                               for i, net in enumerate(self.nets)],
+                              axis=-1)[..., 0, :]
 
     def input_grad(self, v):
-        """Slope du_i/dv_i of each bus at (n,) or (S, n) voltages.
-
-        Local nets give their input gradient; the joint net gives the
-        diagonal of its Jacobian, one input-only backward pass per bus
-        through a shared forward pass.
-        """
+        """Slope du_i/dv_i of each bus at (n,) or (S, n) voltages, from each
+        net's backward pass. u_i reads only v_i, so the Jacobian is diagonal
+        and these slopes are all of it."""
         v = np.asarray(v, dtype=float)
         x = v.reshape(-1, v.shape[-1])
         ones = np.ones((len(x), 1))
-        if self.joint:
-            acts = _forward(self.nets[0], x)
-            cols = [_backward(self.nets[0], acts, ones * e,
-                              param_grads=False)[1][:, i]
-                    for i, e in enumerate(np.eye(x.shape[1]))]
-        else:
-            cols = [_backward(net, _forward(net, x[:, i:i + 1]), ones,
-                              param_grads=False)[1][:, 0]
-                    for i, net in enumerate(self.nets)]
+        cols = [_backward(net, _forward(net, x[:, i:i + 1]), ones,
+                          param_grads=False)[1][:, 0]
+                for i, net in enumerate(self.nets)]
         return np.stack(cols, axis=-1).reshape(v.shape)
 
 
@@ -628,6 +604,10 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
     """
     if actor_kind not in ("stable", "unconstrained"):
         raise ValueError(f"unknown actor kind {actor_kind!r}")
+    if actor_kind == "unconstrained" and cfg.agent_scope == "joint":
+        raise ValueError("agent_scope='joint' picks the monotone actor's "
+                         "critic; actor_kind='unconstrained' trains one "
+                         "local net per bus")
     # a pass of the stacked float32 critics frees about A x 0.45 MB of
     # (A, batch, hidden) arrays for A agents, and an MLP agent's round
     # about 0.45 MB of critic and 0.9 MB of float64 actor arrays, with one
@@ -655,8 +635,9 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
                           seed=seeds[3])
     band = env.bounds
 
-    # agents: one per bus column in local scope, the whole feeder for joint;
-    # an (m, n) block maps to the (A, m, dim) per-agent block (a view)
+    # agents: one per bus column in local scope, the whole feeder for the
+    # monotone actor's joint critic; an (m, n) block maps to the
+    # (A, m, dim) per-agent block (a view)
     dim, agents = (n, 1) if joint else (1, n)
 
     def per_agent(block):
@@ -678,8 +659,8 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
         target_raw = raw.copy()
         init_raw = raw.copy()
     else:
-        actor_nets = [FeedForwardNet.create([dim, *cfg.actor_hidden, dim],
-                                            init_rng) for _ in range(agents)]
+        actor_nets = [FeedForwardNet.create([1, *cfg.actor_hidden, 1],
+                                            init_rng) for _ in range(n)]
         actor_targets = [net.copy() for net in actor_nets]
         # each MLP agent steps its own views of the critic stacks
         critic_views = [critic.agent(i) for i in range(agents)]
@@ -690,7 +671,7 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
         # whole episode's collection
         if actor_kind == "stable":
             return MonotonePolicy.from_raw(raw, band, cfg.eps)
-        return _NetPolicy(actor_nets, joint)
+        return _NetPolicy(actor_nets)
 
     log = []
     diverged_episodes = 0

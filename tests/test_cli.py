@@ -278,6 +278,20 @@ def test_train_and_certify_roundtrip(net_path, tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_train_refuses_the_joint_mlp_before_reading_the_feeder(tmp_path,
+                                                               capsys):
+    # --scope joint picks the monotone actor's critic; the MLP actor is one
+    # local net per bus, so the pair is refused before any file is read
+    out = tmp_path / "mlp.json"
+    code = cli_main(["train", "--network", str(tmp_path / "missing.json"),
+                     "--actor", "unconstrained", "--scope", "joint",
+                     "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: --scope joint" in err and "not found" not in err
+    assert not out.exists()
+
+
 def test_one_bus_feeder_runs_every_subcommand(tmp_path, capsys):
     # a one-bus feeder cannot draw 'mixed' scenarios, so every suite and
     # training episode uses the 'high' and 'low' kinds only
@@ -343,7 +357,7 @@ def _edited_checkpoint(tmp_path, actor, edit):
     else:
         nets = [FeedForwardNet.create([1, 8, 1], np.random.default_rng(k))
                 for k in range(net.n)]
-        save_net_policy(str(path), nets, False, net.bounds())
+        save_net_policy(str(path), nets, net.bounds())
     if edit is not None:
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     return path
@@ -357,7 +371,7 @@ def _edited_checkpoint(tmp_path, actor, edit):
     ("stable", _one_unit, 4, "at least 2 ramp units per side, got 1"),
     ("stable", lambda data: [data], 4, "not a JSON object"),
     ("mlp", _without("nets"), 4, "bad checkpoint"),
-    ("mlp", _drop_net, 4, "local checkpoint has 3 nets for 4 buses"),
+    ("mlp", _drop_net, 4, "checkpoint has 3 nets for 4 buses"),
     ("stable", None, 16, "has 4 buses, the network has 16"),
     ("mlp", None, 16, "has 4 buses, the network has 16"),
     ("mlp", _weight(float("nan")), 4, "net 0 has a non-finite weight"),
@@ -400,33 +414,35 @@ def _nan_v_upper(data):
     return data
 
 
-def _joint(value):
-    def edit(data):
-        data["joint"] = value
-        return data
-    return edit
+def _joint_era(data):
+    # the retired joint MLP's layout: one n -> n net and "joint": true
+    net = FeedForwardNet.create([4, 8, 4], np.random.default_rng(0))
+    data["nets"] = [{"weights": [w.tolist() for w in net.weights],
+                     "biases": [b.tolist() for b in net.biases]}]
+    data["joint"] = True
+    return data
 
 
-@pytest.mark.parametrize("command", ["certify", "evaluate"])
+# simulate reads checkpoints through the same loader as certify and evaluate
+@pytest.mark.parametrize("command", ["certify", "evaluate", "simulate"])
 @pytest.mark.parametrize("actor, edit, message", [
     ("stable", _inverted_band,
      "bus 1 has v_lower = 1.2 not below v_upper = 1.05"),
-    ("mlp", _joint("false"),
-     "checkpoint field 'joint' must be true or false, got 'false'"),
-    ("mlp", _joint(1), "checkpoint field 'joint' must be true or false, got 1"),
+    ("mlp", _joint_era, "checkpoint has 1 nets for 4 buses"),
     ("mlp", _inverted_band,
      "bus 1 has v_lower = 1.2 not below v_upper = 1.05"),
     ("mlp", _short_v_upper, "band has 4 v_lower and 3 v_upper entries"),
     ("mlp", _nan_v_upper, "bus 1 has a non-finite band edge"),
-], ids=["inverted-band", "joint-string", "joint-int", "mlp-inverted-band",
+], ids=["inverted-band", "joint-era", "mlp-inverted-band",
         "mlp-short-v-upper", "mlp-nan-v-upper"])
 def test_certify_and_evaluate_reject_bad_checkpoint_fields(
         net_path, tmp_path, capsys, command, actor, edit, message):
     path = str(_edited_checkpoint(tmp_path, actor, edit))
     out = str(tmp_path / "out")
-    argv = (["certify", "--checkpoint", path, "--rollouts", "2"]
-            if command == "certify" else
-            ["evaluate", "--policies", path, "--scenarios", "2", "--out", out])
+    argv = {"certify": ["certify", "--checkpoint", path, "--rollouts", "2"],
+            "evaluate": ["evaluate", "--policies", path, "--scenarios", "2",
+                         "--out", out],
+            "simulate": ["simulate", "--policy", path, "--out", out]}[command]
     assert cli_main([*argv, "--network", net_path]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
@@ -442,15 +458,12 @@ def test_certify_flags_unstable_policy(net_path, tmp_path, capsys):
     assert "FAIL" in out
 
 
-@pytest.mark.parametrize("joint", [False, True])
-def test_certify_mlp_checkpoint(net_path, tmp_path, capsys, joint):
+def test_certify_mlp_checkpoint(net_path, tmp_path, capsys):
     net = five_bus_fixture()
     rng = np.random.default_rng(3)
-    sizes = [net.n, 8, 8, net.n] if joint else [1, 8, 1]
-    nets = [FeedForwardNet.create(sizes, rng)
-            for _ in range(1 if joint else net.n)]
+    nets = [FeedForwardNet.create([1, 8, 1], rng) for _ in range(net.n)]
     ckpt = tmp_path / "mlp.json"
-    save_net_policy(str(ckpt), nets, joint, net.bounds())
+    save_net_policy(str(ckpt), nets, net.bounds())
     cert_out = tmp_path / "cert.json"
     code = cli_main(["certify", "--network", net_path,
                      "--checkpoint", str(ckpt), "--rollouts", "4",
@@ -549,7 +562,7 @@ def test_evaluate_mlp_checkpoint(net_path, tmp_path, capsys):
     rng = np.random.default_rng(2)
     nets = [FeedForwardNet.create([1, 8, 1], rng) for _ in range(net.n)]
     ckpt = tmp_path / "mlp.json"
-    save_net_policy(str(ckpt), nets, False, net.bounds())
+    save_net_policy(str(ckpt), nets, net.bounds())
     out = tmp_path / "report.csv"
     code = cli_main(["evaluate", "--network", net_path,
                      "--policies", str(ckpt), "linear",

@@ -893,31 +893,6 @@ def test_net_actor_ascends_quadratic():
     np.testing.assert_allclose(net_eval(actor, v), 0.7, atol=0.01)
 
 
-@pytest.mark.parametrize("sizes, agents", [([1, 16, 16, 1], 4),
-                                           ([4, 16, 16, 4], 1)])
-def test_stacked_net_actor_update_equals_per_agent_steps_bit_for_bit(
-        sizes, agents):
-    # a stack of A actors must divide dQ/du by the batch size m, not by A,
-    # and return one gradient norm per agent
-    rng = np.random.default_rng(47)
-    nets = [critic_with_dead_units(sizes, rng) for _ in range(agents)]
-    stack = FeedForwardNet.stack(nets)
-    m, dim, lr = 32, sizes[0], 0.05
-    for _ in range(3):
-        v = rng.uniform(0.9, 1.1, size=(m, agents * dim))
-        v[0] = 0.0
-        s = v.reshape(m, agents, dim).swapaxes(0, 1)     # strided views
-        dq = rng.normal(size=s.shape).astype(np.float32)
-        dq[:, 1] = 0.0
-        norms = net_actor_update(stack, _forward(stack, s), dq, lr)
-        assert norms.shape == (agents,)
-        for i, net in enumerate(nets):
-            norm = net_actor_update(net, _forward(net, s[i]), dq[i], lr)
-            assert np.ndim(norm) == 0
-            assert_same_bits(norms[i], norm)
-            assert_nets_same_bits(stack.agent(i), net)
-
-
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("sizes, agents", [([2, 16, 16, 1], 4),
                                            ([1, 16, 16, 1], None),
@@ -957,8 +932,9 @@ def test_train_without_updates_returns_initial_policy():
     np.testing.assert_array_equal(res1.policy(probe), res2.policy(probe))
 
 
-@pytest.mark.parametrize("scope", ["local", "joint"])
-@pytest.mark.parametrize("actor", ["stable", "unconstrained"])
+@pytest.mark.parametrize("actor, scope", [("stable", "local"),
+                                          ("stable", "joint"),
+                                          ("unconstrained", "local")])
 def test_train_deterministic_logs(actor, scope):
     env = make_env()
     r1 = train(env, small_cfg(agent_scope=scope), actor_kind=actor)
@@ -992,7 +968,7 @@ for case in sys.argv[2:]:
     if actor == "stable":
         policy.save_checkpoint(out + ".json", res.raw, band, cfg.eps)
     else:
-        rl.save_net_policy(out + ".json", res.actor_nets, False, band)
+        rl.save_net_policy(out + ".json", res.actor_nets, band)
 """
 
 
@@ -1080,13 +1056,23 @@ def test_mlp_rounds_give_the_same_bits_on_any_worker_count(
             assert_nets_same_bits(net, want)
 
 
-@pytest.mark.parametrize("actor, scope", [("unconstrained", "joint"),
-                                          ("stable", "local"),
-                                          ("stable", "joint")])
+@pytest.mark.parametrize("actor, scope, buses", [
+    ("unconstrained", "local", 1), ("stable", "local", 4),
+    ("stable", "joint", 4),
+], ids=["unconstrained-1bus", "stable-local", "stable-joint"])
 def test_one_agent_and_stable_runs_start_no_thread(
-        monkeypatch, started_threads, actor, scope):
+        monkeypatch, started_threads, actor, scope, buses):
+    # a 1-bus feeder has one MLP agent, so its rounds run inline
+    if buses == 1:
+        net = generate_random_feeder(1, rng_seed=0)
+        band = net.bounds()
+        env = VoltEnv(X=build_sensitivity(net).X, v_lower=band[0],
+                      v_upper=band[1], cp=CostParams())
+        cfg = small_cfg(episodes=12, batch_size=32)
+    else:
+        env, cfg = make_env(), small_cfg(agent_scope=scope)
     fake_cpus(monkeypatch, 4)
-    res = train(make_env(), small_cfg(agent_scope=scope), actor_kind=actor)
+    res = train(env, cfg, actor_kind=actor)
     assert res.updates > 0
     assert started_threads == []
 
@@ -1163,7 +1149,7 @@ def test_train_runs_float32_critics_and_keeps_the_actor_float64(
             np.testing.assert_array_equal(a, b)
     else:
         arrays = [a for net in res.actor_nets for a in net.arrays()]
-        save_net_policy(str(path), res.actor_nets, False, BOUNDS)
+        save_net_policy(str(path), res.actor_nets, BOUNDS)
         loaded, _band = load_net_policy(str(path))
         v = np.random.default_rng(9).uniform(0.85, 1.15, size=(50, NET.n))
         np.testing.assert_array_equal(loaded(v).view(np.uint64),
@@ -1201,6 +1187,19 @@ def test_train_unconstrained_smoke():
     u = res.policy(np.array([1.07, 1.0, 0.93, 1.0]))
     assert u.shape == (4,)
     assert np.all(np.isfinite(u))
+
+
+def test_train_refuses_the_joint_mlp_before_drawing(monkeypatch):
+    # joint scope only picks the monotone actor's critic; the MLP actor is
+    # one local net per bus
+    def no_draw(*args, **kwargs):
+        raise AssertionError("train drew before refusing")
+
+    monkeypatch.setattr(rl.np.random, "SeedSequence", no_draw)
+    with pytest.raises(ValueError, match="agent_scope='joint'.*"
+                                         "actor_kind='unconstrained'"):
+        train(make_env(), small_cfg(agent_scope="joint"),
+              actor_kind="unconstrained")
 
 
 def test_train_joint_scope_smoke():
@@ -1338,15 +1337,12 @@ def test_config_validation():
             TrainConfig(**{field: value})
 
 
-@pytest.mark.parametrize("joint", [False, True])
-def test_net_policy_batch_equals_row_by_row(tmp_path, joint):
+def test_net_policy_batch_equals_row_by_row(tmp_path):
     rng = np.random.default_rng(4)
     n = NET.n
-    sizes = [n, 16, 16, n] if joint else [1, 16, 16, 1]
-    nets = [FeedForwardNet.create(sizes, rng)
-            for _ in range(1 if joint else n)]
+    nets = [FeedForwardNet.create([1, 16, 16, 1], rng) for _ in range(n)]
     path = tmp_path / "mlp.json"
-    save_net_policy(str(path), nets, joint, BOUNDS)
+    save_net_policy(str(path), nets, BOUNDS)
     pol, _band = load_net_policy(str(path))
     v = rng.uniform(0.9, 1.1, size=(7, n))
     batch = pol(v)
@@ -1355,21 +1351,38 @@ def test_net_policy_batch_equals_row_by_row(tmp_path, joint):
     assert pol(v[0]).shape == (n,)
 
 
-@pytest.mark.parametrize("joint, sizes, count, message", [
-    (False, [1, 8, 1], 3, "local checkpoint has 3 nets for 4 buses"),
-    (True, [4, 8, 4], 2, "joint checkpoint has 2 nets for 4 buses"),
-    (False, [2, 8, 1], 4, "not a consistent 1 -> 1"),
-    (True, [4, 8, 1], 1, "not a consistent 4 -> 4"),
-])
-def test_load_net_policy_rejects_nets_that_miss_the_band(tmp_path, joint,
-                                                         sizes, count,
-                                                         message):
+@pytest.mark.parametrize("sizes, count, message", [
+    ([1, 8, 1], 3, "checkpoint has 3 nets for 4 buses"),
+    ([2, 8, 1], 4, "not a consistent 1 -> 1"),
+], ids=["too-few-nets", "not-1-to-1"])
+def test_load_net_policy_rejects_nets_that_miss_the_band(tmp_path, sizes,
+                                                         count, message):
     rng = np.random.default_rng(8)
     nets = [FeedForwardNet.create(sizes, rng) for _ in range(count)]
     path = tmp_path / "mlp.json"
-    save_net_policy(str(path), nets, joint, BOUNDS)
+    save_net_policy(str(path), nets, BOUNDS)
     with pytest.raises(CheckpointError, match=message):
         load_net_policy(str(path))
+
+
+def test_load_net_policy_ignores_a_stray_joint_key(tmp_path):
+    # files written before the joint MLP was removed carry a "joint" field:
+    # a local file loads as before, and so does a 1-bus joint file, whose
+    # one 1 -> 1 net is a local net
+    rng = np.random.default_rng(10)
+    band1 = (BOUNDS[0][:1], BOUNDS[1][:1])
+    v = rng.uniform(0.9, 1.1, size=(5, NET.n))
+    for band, joint in ((BOUNDS, False), (band1, True)):
+        nets = [FeedForwardNet.create([1, 8, 1], rng)
+                for _ in range(len(band[0]))]
+        path = tmp_path / "mlp.json"
+        save_net_policy(str(path), nets, band)
+        want = load_net_policy(str(path))[0](v[:, :len(nets)])
+        data = json.loads(path.read_text())
+        data["joint"] = joint
+        path.write_text(json.dumps(data))
+        got = load_net_policy(str(path))[0](v[:, :len(nets)])
+        assert_same_bits(got, want)
 
 
 def _drop(key):
@@ -1385,17 +1398,17 @@ def _set_net(key, value):
 
 
 @pytest.mark.parametrize("edit", [
-    _drop("joint"), _drop("nets"), _drop("band"),
+    _drop("nets"), _drop("band"),
     _set_net("weights", "abc"), _set_net("biases", None),
     _set_net("weights", [[["x"]]]),
     lambda data: data.update(nets=[[1.0]]),
-], ids=["no-joint", "no-nets", "no-band", "weights-string", "biases-null",
+], ids=["no-nets", "no-band", "weights-string", "biases-null",
         "weights-not-numbers", "net-not-an-object"])
 def test_load_net_policy_wraps_malformed_fields(tmp_path, edit):
     rng = np.random.default_rng(9)
     nets = [FeedForwardNet.create([1, 4, 1], rng) for _ in range(NET.n)]
     path = tmp_path / "mlp.json"
-    save_net_policy(str(path), nets, False, BOUNDS)
+    save_net_policy(str(path), nets, BOUNDS)
     data = json.loads(path.read_text())
     edit(data)
     path.write_text(json.dumps(data))
@@ -1413,15 +1426,12 @@ def relu_pattern(net, x):
     return np.concatenate(signs, axis=-1)
 
 
-@pytest.mark.parametrize("joint", [False, True])
-def test_net_policy_input_grad_matches_central_differences(joint):
+def test_net_policy_input_grad_matches_central_differences():
     rng = np.random.default_rng(12)
     n, h = NET.n, 1e-6
-    sizes = [n, 16, 16, n] if joint else [1, 16, 16, 1]
-    nets = [FeedForwardNet.create(sizes, rng)
-            for _ in range(1 if joint else n)]
+    nets = [FeedForwardNet.create([1, 16, 16, 1], rng) for _ in range(n)]
     from gridvolt.rl import _NetPolicy
-    pol = _NetPolicy(nets, joint)
+    pol = _NetPolicy(nets)
     v = rng.uniform(0.9, 1.1, size=(40, n))
     grad = pol.input_grad(v)
     assert grad.shape == (40, n)
@@ -1432,16 +1442,14 @@ def test_net_policy_input_grad_matches_central_differences(joint):
     for i in range(n):
         step = np.zeros(n)
         step[i] = h
-        if joint:
-            keep = [np.all(relu_pattern(nets[0], v + s) ==
-                           relu_pattern(nets[0], v), axis=1)
-                    for s in (step, -step)]
-        else:
-            col = v[:, i:i + 1]
-            keep = [np.all(relu_pattern(nets[i], col + s) ==
-                           relu_pattern(nets[i], col), axis=1)
-                    for s in (h, -h)]
+        col = v[:, i:i + 1]
+        keep = [np.all(relu_pattern(nets[i], col + s) ==
+                       relu_pattern(nets[i], col), axis=1)
+                for s in (h, -h)]
         rows = keep[0] & keep[1]
+        # u_j reads only v_j, so the slopes are the whole Jacobian
+        np.testing.assert_array_equal(np.delete(pol(v + step), i, axis=1),
+                                      np.delete(pol(v), i, axis=1))
         fd = (pol(v[rows] + step)[:, i] - pol(v[rows] - step)[:, i]) / (2 * h)
         np.testing.assert_allclose(grad[rows, i], fd, rtol=1e-6, atol=1e-7)
         checked += int(rows.sum())
