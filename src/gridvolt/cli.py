@@ -50,9 +50,7 @@ def _load_policy(spec, band):
     try:
         with open(spec) as fh:
             data = json.load(fh)    # a JSONDecodeError is a ValueError
-        if not isinstance(data, dict):
-            raise CliError(f"bad checkpoint {spec}: not a JSON object")
-        if data.get("kind", "monotone") == "mlp":
+        if isinstance(data, dict) and data.get("kind") == "mlp":
             pol, ck_band = rl.parse_net_policy(data, spec)
         else:
             _, ck_band, _, params = policy.parse_checkpoint(data)
@@ -150,7 +148,7 @@ def cmd_train(args):
     if args.actor == "stable":
         policy.save_checkpoint(args.out, result.raw, band, cfg.eps, meta=meta)
     else:
-        rl.save_net_policy(args.out, result.actor_nets, band, meta=meta)
+        rl.save_net_policy(args.out, result.actor, band, meta=meta)
     if args.log:
         rl.write_training_log(result.log, args.log)
     returns = [row["return"] for row in result.log]

@@ -529,7 +529,11 @@ def load_checkpoint(path):
 def parse_checkpoint(data):
     """``load_checkpoint`` on an already parsed file: returns (raw, band,
     eps, params), where params is the constrained controller that passed
-    its monotonicity certificate."""
+    its monotonicity certificate. A file without ``kind`` is monotone."""
+    if not isinstance(data, dict):
+        raise CheckpointError("checkpoint is not a JSON object")
+    if data.get("kind", "monotone") != "monotone":
+        raise CheckpointError(f"unknown checkpoint kind {data['kind']!r}")
     if data.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint version {data.get('format_version')!r}")

@@ -423,15 +423,15 @@ def net_actor_update(actor, acts, dq_du, lr):
 NET_CHECKPOINT_VERSION = 1
 
 
-def save_net_policy(path, nets, band, meta=None):
-    """Persist the unconstrained perceptron policy (one 1 -> 1 net per bus)."""
+def save_net_policy(path, actor, band, meta=None):
+    """Persist the perceptron policy, a stack of one 1 -> 1 net per bus."""
     data = {
         "format_version": NET_CHECKPOINT_VERSION,
         "kind": "mlp",
         "band": band_record(band),
         "nets": [{"weights": [w.tolist() for w in net.weights],
                   "biases": [b.tolist() for b in net.biases]}
-                 for net in nets],
+                 for net in map(actor.agent, range(len(actor.weights[0])))],
     }
     if meta:
         data["meta"] = meta
@@ -474,7 +474,9 @@ def parse_net_policy(data, path):
                                   f"network")
         if not all(np.isfinite(a).all() for a in net.arrays()):
             raise CheckpointError(f"net {k} has a non-finite weight or bias")
-    return _NetPolicy(nets), band
+        if [w.shape for w in ws] != [w.shape for w in nets[0].weights]:
+            raise CheckpointError(f"net {k} has other layer sizes than net 0")
+    return _NetPolicy(FeedForwardNet.stack(nets)), band
 
 
 @dataclass
@@ -483,36 +485,34 @@ class TrainResult:
     log: list
     raw: RawPolicyParams = None
     init_raw: RawPolicyParams = None
-    actor_nets: list = None
+    actor: FeedForwardNet = None    # the MLP actors, one stacked net
     diverged_episodes: int = 0
     updates: int = 0          # minibatch update rounds run
 
 
 class _NetPolicy:
-    """Vector policy backed by one 1 -> 1 perceptron per bus."""
+    """Vector policy backed by a stack of one 1 -> 1 perceptron per bus."""
 
-    def __init__(self, nets):
-        self.nets = nets
+    def __init__(self, actor):
+        self.actor = actor
+        # one (1, 1) row per voltage, so a batch gives row-by-row bits
+        self._rows = FeedForwardNet([w[:, None] for w in actor.weights],
+                                    [b[:, None] for b in actor.biases])
 
     def __call__(self, v):
-        # each row of an (S, n) batch is fed as its own (1, n) input, so a
-        # batch gives bit for bit the outputs of row-by-row calls
-        v = np.asarray(v, dtype=float)[..., None, :]
-        return np.concatenate([net_eval(net, v[..., i:i + 1])
-                               for i, net in enumerate(self.nets)],
-                              axis=-1)[..., 0, :]
+        v = np.asarray(v, dtype=float)
+        x = v.reshape(-1, v.shape[-1]).T[:, :, None, None]     # (n, S, 1, 1)
+        return net_eval(self._rows, x)[:, :, 0, 0].T.reshape(v.shape)
 
     def input_grad(self, v):
-        """Slope du_i/dv_i of each bus at (n,) or (S, n) voltages, from each
-        net's backward pass. u_i reads only v_i, so the Jacobian is diagonal
-        and these slopes are all of it."""
+        """Slope du_i/dv_i of each bus at (n,) or (S, n) voltages, from one
+        backward pass of the stack. u_i reads only v_i, so the Jacobian is
+        diagonal and these slopes are all of it."""
         v = np.asarray(v, dtype=float)
-        x = v.reshape(-1, v.shape[-1])
-        ones = np.ones((len(x), 1))
-        cols = [_backward(net, _forward(net, x[:, i:i + 1]), ones,
-                          param_grads=False)[1][:, 0]
-                for i, net in enumerate(self.nets)]
-        return np.stack(cols, axis=-1).reshape(v.shape)
+        x = v.reshape(-1, v.shape[-1]).T[:, :, None]           # (n, S, 1)
+        _, grad = _backward(self.actor, _forward(self.actor, x),
+                            np.ones_like(x), param_grads=False)
+        return grad[:, :, 0].T.reshape(v.shape)
 
 
 def _log_row(episode, ret, td_mean, grad_norm, wall_ms):
@@ -597,8 +597,8 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
     an episode whose voltages blow up or whose action is not finite; it
     counts as diverged and keeps the steps before the cut. The recorded
     steps become per-bus transitions in the replay buffer; then come batched
-    critic/actor updates with soft target tracking; the MLP agents' update
-    rounds run one worker thread per usable CPU (``_agent_map``).
+    critic/actor updates, each round closed by one target update per stack;
+    the MLP agents' rounds run a worker thread per usable CPU (``_agent_map``).
     Deterministic under ``cfg.seed`` at any BLAS thread count (see
     ``_one_blas_thread``) and any CPU count.
     """
@@ -652,26 +652,25 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
          for _ in range(agents)]).astype(np.float32)
     critic_target = critic.copy()
 
-    raw = target_raw = init_raw = None
-    actor_nets = actor_targets = None
+    raw = init_raw = actor = None
     if actor_kind == "stable":
-        raw = sample_raw_params(n, cfg.actor_units, init_rng, eps=cfg.eps)
-        target_raw = raw.copy()
+        raw = online = sample_raw_params(n, cfg.actor_units, init_rng,
+                                         eps=cfg.eps)
         init_raw = raw.copy()
     else:
-        actor_nets = [FeedForwardNet.create([1, *cfg.actor_hidden, 1],
-                                            init_rng) for _ in range(n)]
-        actor_targets = [net.copy() for net in actor_nets]
-        # each MLP agent steps its own views of the critic stacks
-        critic_views = [critic.agent(i) for i in range(agents)]
-        target_views = [critic_target.agent(i) for i in range(agents)]
+        actor = online = FeedForwardNet.stack(
+            [FeedForwardNet.create([1, *cfg.actor_hidden, 1], init_rng)
+             for _ in range(n)])
+    target = online.copy()      # the actor's slowly tracking copy
+    # each MLP agent steps its own views of the four stacks
+    views = [[x.agent(i) for x in (critic, critic_target, actor, target)]
+             for i in range(agents)] if actor is not None else []
 
     def greedy_policy():
         # the actor only changes in the update phase, so one build serves a
         # whole episode's collection
-        if actor_kind == "stable":
-            return MonotonePolicy.from_raw(raw, band, cfg.eps)
-        return _NetPolicy(actor_nets)
+        return (MonotonePolicy.from_raw(raw, band, cfg.eps) if actor is None
+                else _NetPolicy(actor))
 
     log = []
     diverged_episodes = 0
@@ -680,17 +679,14 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
 
     def agent_round(i, s, a, r, s_next):
         # agent i's critic and actor step on its columns of the round's
-        # batch; agents share no arrays, so rounds may run on any thread in
-        # any order with the bits of a sequential loop
-        c, c_target = critic_views[i], target_views[i]
+        # batch; agents write disjoint slices, so rounds may run on any
+        # thread in any order with the bits of a sequential loop
+        c, c_target, a_i, a_target = views[i]
         loss = critic_update(c, c_target, (s[i], a[i], r[i], s_next[i]),
-                             net_eval(actor_targets[i], s_next[i]), cfg)
-        soft_update(c_target, c, cfg.tau)
-        acts = _forward(actor_nets[i], s[i])
+                             net_eval(a_target, s_next[i]), cfg)
+        acts = _forward(a_i, s[i])
         _, dq = q_action_grad(c, s[i], acts[-1])
-        norm = net_actor_update(actor_nets[i], acts, dq, cfg.actor_lr)
-        soft_update(actor_targets[i], actor_nets[i], cfg.tau)
-        return loss, norm
+        return loss, net_actor_update(a_i, acts, dq, cfg.actor_lr)
 
     # the monotone actor steps all agents in one stacked pass, on no pool
     with _agent_map(1 if actor_kind == "stable" else agents) as agent_map:
@@ -729,18 +725,16 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
                         u, ramps = _ramp_pass(constrain(raw, band, cfg.eps),
                                               v_b)
                         u_next = policy_eval(
-                            constrain(target_raw, band, cfg.eps), vn_b)
+                            constrain(target, band, cfg.eps), vn_b)
                         td_losses.extend(critic_update(
                             critic, critic_target, (s, a, r, s_next),
                             per_agent(u_next), cfg))
-                        soft_update(critic_target, critic, cfg.tau)
                         _, dq = q_action_grad(critic, s, per_agent(u))
                         norms = stable_actor_update(
                             raw, ramps, dq.swapaxes(0, 1).reshape(u.shape),
                             cfg.actor_lr)
                         grad_norms.extend([np.sqrt(sum(norms ** 2))] if joint
                                           else norms)
-                        soft_update(target_raw, raw, cfg.tau)
                         # freed before the next round's ramp pass
                         del ramps
                     else:
@@ -749,6 +743,10 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
                                 range(agents)):
                             td_losses.append(loss)
                             grad_norms.append(norm)
+                    # no round reads a target after its critic step, and
+                    # the updates are elementwise: one per stack serves all
+                    soft_update(critic_target, critic, cfg.tau)
+                    soft_update(target, online, cfg.tau)
 
             wall = ((time.perf_counter() - t0) * 1e3 if cfg.record_timing
                     else 0.0)
@@ -757,10 +755,9 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
                 float(np.mean(td_losses)) if td_losses else 0.0,
                 float(np.mean(grad_norms)) if grad_norms else 0.0, wall))
             if episode_callback is not None:
-                episode_callback(episode, raw if actor_kind == "stable"
-                                 else actor_nets)
+                episode_callback(episode, online)
 
     return TrainResult(policy=greedy_policy(), log=log, raw=raw,
-                       init_raw=init_raw, actor_nets=actor_nets,
+                       init_raw=init_raw, actor=actor,
                        diverged_episodes=diverged_episodes,
                        updates=updates)

@@ -357,7 +357,7 @@ def _edited_checkpoint(tmp_path, actor, edit):
     else:
         nets = [FeedForwardNet.create([1, 8, 1], np.random.default_rng(k))
                 for k in range(net.n)]
-        save_net_policy(str(path), nets, net.bounds())
+        save_net_policy(str(path), FeedForwardNet.stack(nets), net.bounds())
     if edit is not None:
         path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     return path
@@ -423,6 +423,21 @@ def _joint_era(data):
     return data
 
 
+def _ragged_nets(data):
+    # bus 2's net has 4 hidden units, the other buses' nets 8
+    net = FeedForwardNet.create([1, 4, 1], np.random.default_rng(0))
+    data["nets"][1] = {"weights": [w.tolist() for w in net.weights],
+                       "biases": [b.tolist() for b in net.biases]}
+    return data
+
+
+def _kind(kind):
+    def edit(data):
+        data["kind"] = kind
+        return data
+    return edit
+
+
 # simulate reads checkpoints through the same loader as certify and evaluate
 @pytest.mark.parametrize("command", ["certify", "evaluate", "simulate"])
 @pytest.mark.parametrize("actor, edit, message", [
@@ -433,8 +448,12 @@ def _joint_era(data):
      "bus 1 has v_lower = 1.2 not below v_upper = 1.05"),
     ("mlp", _short_v_upper, "band has 4 v_lower and 3 v_upper entries"),
     ("mlp", _nan_v_upper, "bus 1 has a non-finite band edge"),
+    ("mlp", _ragged_nets, "net 1 has other layer sizes than net 0"),
+    ("stable", _kind("banana"), "unknown checkpoint kind 'banana'"),
+    ("stable", lambda data: [data], "checkpoint is not a JSON object"),
 ], ids=["inverted-band", "joint-era", "mlp-inverted-band",
-        "mlp-short-v-upper", "mlp-nan-v-upper"])
+        "mlp-short-v-upper", "mlp-nan-v-upper", "ragged-nets", "kind-banana",
+        "not-object"])
 def test_certify_and_evaluate_reject_bad_checkpoint_fields(
         net_path, tmp_path, capsys, command, actor, edit, message):
     path = str(_edited_checkpoint(tmp_path, actor, edit))
@@ -463,7 +482,7 @@ def test_certify_mlp_checkpoint(net_path, tmp_path, capsys):
     rng = np.random.default_rng(3)
     nets = [FeedForwardNet.create([1, 8, 1], rng) for _ in range(net.n)]
     ckpt = tmp_path / "mlp.json"
-    save_net_policy(str(ckpt), nets, net.bounds())
+    save_net_policy(str(ckpt), FeedForwardNet.stack(nets), net.bounds())
     cert_out = tmp_path / "cert.json"
     code = cli_main(["certify", "--network", net_path,
                      "--checkpoint", str(ckpt), "--rollouts", "4",
@@ -562,7 +581,7 @@ def test_evaluate_mlp_checkpoint(net_path, tmp_path, capsys):
     rng = np.random.default_rng(2)
     nets = [FeedForwardNet.create([1, 8, 1], rng) for _ in range(net.n)]
     ckpt = tmp_path / "mlp.json"
-    save_net_policy(str(ckpt), nets, net.bounds())
+    save_net_policy(str(ckpt), FeedForwardNet.stack(nets), net.bounds())
     out = tmp_path / "report.csv"
     code = cli_main(["evaluate", "--network", net_path,
                      "--policies", str(ckpt), "linear",

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import warnings
@@ -807,6 +808,36 @@ def test_checkpoint_rejects_bad_version(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"format_version": 99}')
     with pytest.raises(CheckpointError, match="version"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("kind, loads", [
+    (None, True), ("monotone", True), ("banana", False), ("mlp", False),
+], ids=["no-kind", "monotone", "banana", "mlp"])
+def test_checkpoint_kind_must_be_monotone_when_present(tmp_path, kind, loads):
+    raw = sample_raw_params(N, D, np.random.default_rng(15))
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, raw, BAND, EPS)
+    data = json.loads(path.read_text())
+    data.pop("kind")
+    if kind is not None:
+        data["kind"] = kind
+    path.write_text(json.dumps(data))
+    if loads:
+        raw2, _band, _eps = load_checkpoint(path)
+        np.testing.assert_array_equal(raw2.slope_pos, raw.slope_pos)
+    else:
+        with pytest.raises(CheckpointError,
+                           match=f"unknown checkpoint kind '{kind}'"):
+            load_checkpoint(path)
+
+
+@pytest.mark.parametrize("text", ["[]", "[{\"format_version\": 1}]", "1",
+                                  "null", "\"monotone\""])
+def test_checkpoint_rejects_json_that_is_not_an_object(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(CheckpointError, match="not a JSON object"):
         load_checkpoint(path)
 
 

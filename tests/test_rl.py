@@ -769,6 +769,62 @@ def test_agent_view_step_moves_only_its_slice():
         assert a.tobytes() == old.tobytes()
 
 
+def test_one_target_update_per_round_equals_per_view_updates_bit_for_bit():
+    # train's MLP round steps each agent through views of the four stacks
+    # and then updates both target stacks once; updating each agent's
+    # targets inside its round, after its critic and its actor step, must
+    # give the same bits, since no round reads a target after its critic
+    # step and the update is elementwise
+    rng = np.random.default_rng(47)
+    m, n = 24, 4
+
+    def per_agent(block):
+        return block.reshape(m, n, 1).swapaxes(0, 1)
+
+    def stacks():
+        critics = [critic_with_dead_units([2, 16, 16, 1], rng)
+                   for _ in range(n)]
+        actors = [FeedForwardNet.create([1, 16, 16, 1], rng)
+                  for _ in range(n)]
+        return (FeedForwardNet.stack(critics).astype(np.float32),
+                FeedForwardNet.stack(actors))
+
+    online, targets = stacks(), stacks()
+    cfg = TrainConfig(gamma=0.9, critic_lr=0.05, actor_lr=0.05, tau=0.3,
+                      batch_size=16)
+    runs = []
+    for per_view in (True, False):
+        critic, actor = (net.copy() for net in online)
+        critic_target, actor_target = (net.copy() for net in targets)
+        stack_rng = np.random.default_rng(48)
+        for _ in range(3):
+            s, a, r, s_next = (per_agent(stack_rng.uniform(0.9, 1.1, (m, n)))
+                               for _ in range(4))
+            for i in range(n):
+                c, c_target, a_i, a_target = (
+                    x.agent(i) for x in (critic, critic_target, actor,
+                                         actor_target))
+                critic_update(c, c_target, (s[i], a[i], r[i], s_next[i]),
+                              net_eval(a_target, s_next[i]), cfg)
+                if per_view:
+                    soft_update(c_target, c, cfg.tau)
+                acts = _forward(a_i, s[i])
+                _, dq = q_action_grad(c, s[i], acts[-1])
+                net_actor_update(a_i, acts, dq, cfg.actor_lr)
+                if per_view:
+                    soft_update(a_target, a_i, cfg.tau)
+            if not per_view:
+                soft_update(critic_target, critic, cfg.tau)
+                soft_update(actor_target, actor, cfg.tau)
+        runs.append((critic, critic_target, actor, actor_target))
+    dtypes = [net.dtype for net in runs[1]]
+    assert dtypes == [np.float32, np.float32, np.float64, np.float64]
+    for got, want in zip(*runs, strict=True):
+        assert_nets_same_bits(got, want)
+    for moved, before in zip(runs[1][1::2], targets, strict=True):
+        assert not np.array_equal(moved.weights[1], before.weights[1])
+
+
 # ---------------------------------------------------------------------------
 # actor updates
 # ---------------------------------------------------------------------------
@@ -968,7 +1024,7 @@ for case in sys.argv[2:]:
     if actor == "stable":
         policy.save_checkpoint(out + ".json", res.raw, band, cfg.eps)
     else:
-        rl.save_net_policy(out + ".json", res.actor_nets, band)
+        rl.save_net_policy(out + ".json", res.actor, band)
 """
 
 
@@ -1051,9 +1107,7 @@ def test_mlp_rounds_give_the_same_bits_on_any_worker_count(
         sys.setswitchinterval(interval)
     for res in runs[1:]:
         assert res.log == runs[0].log
-        for net, want in zip(res.actor_nets, runs[0].actor_nets,
-                             strict=True):
-            assert_nets_same_bits(net, want)
+        assert_nets_same_bits(res.actor, runs[0].actor)
 
 
 @pytest.mark.parametrize("actor, scope, buses", [
@@ -1084,15 +1138,17 @@ def test_threaded_rounds_raise_the_lowest_agents_exception(
     update, seen = rl.net_actor_update, {}
 
     def diverge_1_and_3(actor, *args):
-        i = next(k for k, net in enumerate(seen["nets"]) if net is actor)
+        stack = seen["actor"].weights[0]
+        i = next(k for k in range(len(stack))
+                 if np.shares_memory(actor.weights[0], stack[k]))
         if i == 1:
             time.sleep(0.05)
         if i in (1, 3):
             raise TrainingDiverged(f"agent {i} diverged")
         return update(actor, *args)
 
-    def keep_nets(episode, nets):
-        seen.setdefault("nets", nets)
+    def keep_actor(episode, actor):
+        seen.setdefault("actor", actor)
 
     monkeypatch.setattr(rl, "net_actor_update", diverge_1_and_3)
     raised = []
@@ -1102,14 +1158,43 @@ def test_threaded_rounds_raise_the_lowest_agents_exception(
         seen.clear()
         before = threading.active_count()
         # a 10-step episode does not fill a batch of 16, so the first
-        # update round runs after the callback has seen the nets
+        # update round runs after the callback has seen the actor
         with pytest.raises(TrainingDiverged) as info:
             train(make_env(), small_cfg(), actor_kind="unconstrained",
-                  episode_callback=keep_nets)
+                  episode_callback=keep_actor)
         assert threading.active_count() == before
         assert (len(started_threads) > 0) == (cpus > 1)
         raised.append((type(info.value), str(info.value)))
     assert raised == [(TrainingDiverged, "agent 1 diverged")] * 2
+
+
+@pytest.mark.parametrize("actor, step", [
+    ("stable", "stable_actor_update"), ("unconstrained", "net_actor_update"),
+])
+def test_each_round_ends_with_one_update_of_each_target_stack(
+        monkeypatch, actor, step):
+    # the targets move once per round, after every agent's critic and
+    # actor step: the critic stack's first, then the actor's
+    calls = []
+    for name in ("critic_update", step, "soft_update"):
+        def spy(*args, _name=name, _call=getattr(rl, name)):
+            calls.append((_name, args[0]))
+            return _call(*args)
+        monkeypatch.setattr(rl, name, spy)
+    res = train(make_env(), small_cfg(), actor_kind=actor)
+    assert res.updates > 0
+    # the monotone actor steps every agent in one stacked call
+    steps = 1 if actor == "stable" else NET.n
+    per_round = 2 * steps + 2
+    assert len(calls) == per_round * res.updates
+    for k in range(0, len(calls), per_round):
+        names, args = zip(*calls[k:k + per_round])
+        assert sorted(names[:-2]) == sorted(["critic_update", step] * steps)
+        assert names[-2:] == ("soft_update", "soft_update")
+        # whole stacks: the critic target's and the actor target's
+        critic_target, actor_target = args[-2:]
+        assert critic_target.weights[0].shape[0] == NET.n
+        assert len(actor_target.arrays()[0]) == NET.n
 
 
 def test_train_runs_unpinned_without_bundled_openblas(monkeypatch):
@@ -1148,8 +1233,8 @@ def test_train_runs_float32_critics_and_keeps_the_actor_float64(
         for a, b in zip(raw.arrays(), res.raw.arrays()):
             np.testing.assert_array_equal(a, b)
     else:
-        arrays = [a for net in res.actor_nets for a in net.arrays()]
-        save_net_policy(str(path), res.actor_nets, BOUNDS)
+        arrays = res.actor.arrays()
+        save_net_policy(str(path), res.actor, BOUNDS)
         loaded, _band = load_net_policy(str(path))
         v = np.random.default_rng(9).uniform(0.85, 1.15, size=(50, NET.n))
         np.testing.assert_array_equal(loaded(v).view(np.uint64),
@@ -1342,13 +1427,43 @@ def test_net_policy_batch_equals_row_by_row(tmp_path):
     n = NET.n
     nets = [FeedForwardNet.create([1, 16, 16, 1], rng) for _ in range(n)]
     path = tmp_path / "mlp.json"
-    save_net_policy(str(path), nets, BOUNDS)
+    save_net_policy(str(path), FeedForwardNet.stack(nets), BOUNDS)
     pol, _band = load_net_policy(str(path))
     v = rng.uniform(0.9, 1.1, size=(7, n))
     batch = pol(v)
     assert batch.shape == (7, n)
     np.testing.assert_array_equal(batch, np.array([pol(row) for row in v]))
     assert pol(v[0]).shape == (n,)
+
+
+def per_net_policy(nets, v):
+    """u and du/dv of one net per bus, each net run on its own: bus i's
+    voltages go through ``net_eval`` as (S, 1, 1) rows and its slopes come
+    from a backward pass of that net alone."""
+    x = np.asarray(v, dtype=float).reshape(-1, len(nets))
+    ones = np.ones((len(x), 1))
+    u = [net_eval(net, x[:, i, None, None])[:, 0, 0]
+         for i, net in enumerate(nets)]
+    grad = [_backward(net, _forward(net, x[:, i:i + 1]), ones,
+                      param_grads=False)[1][:, 0]
+            for i, net in enumerate(nets)]
+    return (np.stack(u, axis=-1).reshape(np.shape(v)),
+            np.stack(grad, axis=-1).reshape(np.shape(v)))
+
+
+@pytest.mark.parametrize("shape", [(4,), (1, 4), (9, 4)])
+def test_net_policy_stack_equals_per_net_passes_bit_for_bit(shape):
+    # nets with dead units and a voltage of 0.0, whose pre-activations sit
+    # exactly at the edge of the ReLU mask
+    rng = np.random.default_rng(16)
+    nets = [critic_with_dead_units([1, 16, 16, 1], rng) for _ in range(4)]
+    from gridvolt.rl import _NetPolicy
+    pol = _NetPolicy(FeedForwardNet.stack(nets))
+    v = rng.uniform(0.9, 1.1, size=shape)
+    v.flat[0] = 0.0
+    want_u, want_grad = per_net_policy(nets, v)
+    assert_same_bits(pol(v), want_u)
+    assert_same_bits(pol.input_grad(v), want_grad)
 
 
 @pytest.mark.parametrize("sizes, count, message", [
@@ -1360,7 +1475,7 @@ def test_load_net_policy_rejects_nets_that_miss_the_band(tmp_path, sizes,
     rng = np.random.default_rng(8)
     nets = [FeedForwardNet.create(sizes, rng) for _ in range(count)]
     path = tmp_path / "mlp.json"
-    save_net_policy(str(path), nets, BOUNDS)
+    save_net_policy(str(path), FeedForwardNet.stack(nets), BOUNDS)
     with pytest.raises(CheckpointError, match=message):
         load_net_policy(str(path))
 
@@ -1376,7 +1491,7 @@ def test_load_net_policy_ignores_a_stray_joint_key(tmp_path):
         nets = [FeedForwardNet.create([1, 8, 1], rng)
                 for _ in range(len(band[0]))]
         path = tmp_path / "mlp.json"
-        save_net_policy(str(path), nets, band)
+        save_net_policy(str(path), FeedForwardNet.stack(nets), band)
         want = load_net_policy(str(path))[0](v[:, :len(nets)])
         data = json.loads(path.read_text())
         data["joint"] = joint
@@ -1408,7 +1523,7 @@ def test_load_net_policy_wraps_malformed_fields(tmp_path, edit):
     rng = np.random.default_rng(9)
     nets = [FeedForwardNet.create([1, 4, 1], rng) for _ in range(NET.n)]
     path = tmp_path / "mlp.json"
-    save_net_policy(str(path), nets, BOUNDS)
+    save_net_policy(str(path), FeedForwardNet.stack(nets), BOUNDS)
     data = json.loads(path.read_text())
     edit(data)
     path.write_text(json.dumps(data))
@@ -1431,7 +1546,7 @@ def test_net_policy_input_grad_matches_central_differences():
     n, h = NET.n, 1e-6
     nets = [FeedForwardNet.create([1, 16, 16, 1], rng) for _ in range(n)]
     from gridvolt.rl import _NetPolicy
-    pol = _NetPolicy(nets)
+    pol = _NetPolicy(FeedForwardNet.stack(nets))
     v = rng.uniform(0.9, 1.1, size=(40, n))
     grad = pol.input_grad(v)
     assert grad.shape == (40, n)
