@@ -479,12 +479,15 @@ def band_record(band):
 
 def parse_band(record):
     """(v_lower, v_upper) arrays from a ``band_record``, refused unless they
-    hold one finite pair per bus with v_lower below v_upper."""
+    hold one finite pair per bus, for at least one bus, with v_lower below
+    v_upper."""
     lo = np.array(record["v_lower"], dtype=float)
     hi = np.array(record["v_upper"], dtype=float)
     if lo.ndim != 1 or lo.shape != hi.shape:
         raise CheckpointError(f"band has {lo.size} v_lower and {hi.size} "
                               "v_upper entries")
+    if not lo.size:
+        raise CheckpointError("band has no buses")
     for i in np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi))):
         raise CheckpointError(f"bus {i + 1} has a non-finite band edge")
     for i in np.flatnonzero(~(lo < hi)):

@@ -408,12 +408,14 @@ def net_actor_update(actor, acts, dq_du, lr):
     ``acts`` is ``_forward(actor, v_batch)`` on an (m, d) batch, the pass
     whose output gave the actions at which ``dq_du`` was taken; the step
     backpropagates through it instead of running the forward pass again.
-    Returns the gradient norm, a float64 scalar.
+    Returns the gradient norm, reduced in float64 whatever the actor's
+    dtype, as ``critic_update`` reduces its loss.
     """
     grads, _ = _backward(actor, acts, dq_du / acts[0].shape[-2],
                          input_grad=False)
     sgd_step(actor, grads, -lr)
-    return np.sqrt(sum((dw ** 2).sum() + (db ** 2).sum() for dw, db in grads))
+    return np.sqrt(sum(np.square(dw, dtype=float).sum()
+                       + np.square(db, dtype=float).sum() for dw, db in grads))
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +487,7 @@ class TrainResult:
     log: list
     raw: RawPolicyParams = None
     init_raw: RawPolicyParams = None
-    actor: FeedForwardNet = None    # the MLP actors, one stacked net
+    actor: FeedForwardNet = None    # the MLP actors, one float64 stack
     diverged_episodes: int = 0
     updates: int = 0          # minibatch update rounds run
 
@@ -553,8 +555,8 @@ def blas_meta():
 @contextlib.contextmanager
 def _one_blas_thread():
     """Hold numpy's bundled OpenBLAS at one thread for the block, since
-    threaded float64 products round differently by thread count; a numpy
-    built against another BLAS runs unpinned."""
+    threaded products of either dtype round differently by thread count; a
+    numpy built against another BLAS runs unpinned."""
     get, put = _openblas_threads() or ((lambda: 1), (lambda threads: None))
     old = get()
     put(1)
@@ -610,7 +612,7 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
                          "local net per bus")
     # a pass of the stacked float32 critics frees about A x 0.45 MB of
     # (A, batch, hidden) arrays for A agents, and an MLP agent's round
-    # about 0.45 MB of critic and 0.9 MB of float64 actor arrays, with one
+    # about 0.45 MB of critic and 0.45 MB of float32 actor arrays, with one
     # such round alive per worker thread; glibc's default thresholds return
     # it to the kernel and page-fault it back on the next pass, so keep
     # freed memory mapped (a no-op without glibc). Both thresholds are
@@ -645,8 +647,8 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
 
     # the critics only supply dQ/du and are dropped after training, so they
     # run in float32 (drawn in float64 from the seeded stream, one agent
-    # after another, then stacked and cast); the actor, the replay buffer
-    # and the logged TD loss stay float64
+    # after another, then stacked and cast); the replay buffer and the
+    # logged losses and gradient norms stay float64
     critic = FeedForwardNet.stack(
         [FeedForwardNet.create([2 * dim, *cfg.critic_hidden, 1], init_rng)
          for _ in range(agents)]).astype(np.float32)
@@ -658,9 +660,10 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
                                          eps=cfg.eps)
         init_raw = raw.copy()
     else:
+        # the perceptron baseline's actors train in float32 too
         actor = online = FeedForwardNet.stack(
             [FeedForwardNet.create([1, *cfg.actor_hidden, 1], init_rng)
-             for _ in range(n)])
+             for _ in range(n)]).astype(np.float32)
     target = online.copy()      # the actor's slowly tracking copy
     # each MLP agent steps its own views of the four stacks
     views = [[x.agent(i) for x in (critic, critic_target, actor, target)]
@@ -668,9 +671,10 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
 
     def greedy_policy():
         # the actor only changes in the update phase, so one build serves a
-        # whole episode's collection
+        # whole episode's collection; the MLP policy holds the float32
+        # weights as float64 values, exactly what its checkpoint saves
         return (MonotonePolicy.from_raw(raw, band, cfg.eps) if actor is None
-                else _NetPolicy(actor))
+                else _NetPolicy(actor.astype(np.float64)))
 
     log = []
     diverged_episodes = 0
@@ -757,7 +761,8 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
             if episode_callback is not None:
                 episode_callback(episode, online)
 
-    return TrainResult(policy=greedy_policy(), log=log, raw=raw,
-                       init_raw=init_raw, actor=actor,
+    final = greedy_policy()
+    return TrainResult(policy=final, log=log, raw=raw, init_raw=init_raw,
+                       actor=final.actor if actor is not None else None,
                        diverged_episodes=diverged_episodes,
                        updates=updates)

@@ -431,6 +431,12 @@ def _ragged_nets(data):
     return data
 
 
+def _no_buses(data):
+    data["band"] = {"v_lower": [], "v_upper": []}
+    data["buses" if "buses" in data else "nets"] = []
+    return data
+
+
 def _kind(kind):
     def edit(data):
         data["kind"] = kind
@@ -451,9 +457,11 @@ def _kind(kind):
     ("mlp", _ragged_nets, "net 1 has other layer sizes than net 0"),
     ("stable", _kind("banana"), "unknown checkpoint kind 'banana'"),
     ("stable", lambda data: [data], "checkpoint is not a JSON object"),
+    ("stable", _no_buses, "band has no buses"),
+    ("mlp", _no_buses, "band has no buses"),
 ], ids=["inverted-band", "joint-era", "mlp-inverted-band",
         "mlp-short-v-upper", "mlp-nan-v-upper", "ragged-nets", "kind-banana",
-        "not-object"])
+        "not-object", "no-buses", "mlp-no-buses"])
 def test_certify_and_evaluate_reject_bad_checkpoint_fields(
         net_path, tmp_path, capsys, command, actor, edit, message):
     path = str(_edited_checkpoint(tmp_path, actor, edit))
@@ -464,7 +472,7 @@ def test_certify_and_evaluate_reject_bad_checkpoint_fields(
             "simulate": ["simulate", "--policy", path, "--out", out]}[command]
     assert cli_main([*argv, "--network", net_path]) == 2
     err = capsys.readouterr().err
-    assert "error:" in err
+    assert "error: bad checkpoint" in err
     assert message in err
 
 

@@ -841,6 +841,17 @@ def test_checkpoint_rejects_json_that_is_not_an_object(tmp_path, text):
         load_checkpoint(path)
 
 
+def test_checkpoint_with_no_buses_is_refused(tmp_path):
+    raw = sample_raw_params(N, D, np.random.default_rng(15))
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, raw, BAND, EPS)
+    data = json.loads(path.read_text())
+    data.update(buses=[], band={"v_lower": [], "v_upper": []})
+    path.write_text(json.dumps(data))
+    with pytest.raises(CheckpointError, match="band has no buses"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_rejects_malformed(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"format_version": 1, "eps": 0.001, '

@@ -949,6 +949,32 @@ def test_net_actor_ascends_quadratic():
     np.testing.assert_allclose(net_eval(actor, v), 0.7, atol=0.01)
 
 
+def actor_step_case(dtype):
+    """A [1, 16, 16, 1] actor in ``dtype``, its pass on a batch, and dQ/du."""
+    rng = np.random.default_rng(12)
+    actor = FeedForwardNet.create([1, 16, 16, 1], rng).astype(dtype)
+    acts = _forward(actor, rng.uniform(0.9, 1.1, size=(32, 1)))
+    return actor, acts, rng.normal(size=(32, 1)).astype(dtype)
+
+
+def test_net_actor_update_norm_keeps_the_float64_bits():
+    actor, acts, dq = actor_step_case(np.float64)
+    grads, _ = _backward(actor, acts, dq / 32, input_grad=False)
+    want = np.sqrt(sum((dw ** 2).sum() + (db ** 2).sum() for dw, db in grads))
+    assert_same_bits(net_actor_update(actor, acts, dq, 1e-3), want)
+
+
+def test_net_actor_update_reduces_a_float32_norm_in_float64():
+    actor, acts, dq = actor_step_case(np.float32)
+    grads, _ = _backward(actor, acts, dq / 32, input_grad=False)
+    want = np.sqrt(sum((dw.astype(float) ** 2).sum()
+                       + (db.astype(float) ** 2).sum() for dw, db in grads))
+    norm = net_actor_update(actor, acts, dq, 1e-3)
+    assert norm.dtype == np.float64
+    assert_same_bits(norm, want)
+    assert all(a.dtype == np.float32 for a in actor.arrays())
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("sizes, agents", [([2, 16, 16, 1], 4),
                                            ([1, 16, 16, 1], None),
@@ -1001,10 +1027,13 @@ def test_train_deterministic_logs(actor, scope):
     np.testing.assert_array_equal(r1.policy(probe), r2.policy(probe))
 
 
-# a 16-bus perceptron run whose float64 actor products round differently
-# at one and two OpenBLAS threads unless train pins BLAS to one, and
-# monotone-actor runs in both scopes, whose step contracts by matmul (on
-# feeder seed 1: on seed 0 their float32 critics overflow)
+# a 16-bus perceptron run and monotone-actor runs in both scopes, whose
+# step contracts by matmul (on feeder seed 1: on seed 0 their float32
+# critics overflow). Every training product is float32 or too small to
+# thread, and OpenBLAS 0.3.31's Haswell kernels round those alike at one
+# and two threads, so there the bytes match even unpinned (float64
+# products of 100 x 128 x 100 and up do not, and other kernels may differ
+# in float32); test_train_holds_openblas_at_one_thread checks the pin.
 _THREADED_TRAIN = """
 import sys
 from gridvolt import dynamics, grid, policy, rl
@@ -1197,6 +1226,34 @@ def test_each_round_ends_with_one_update_of_each_target_stack(
         assert len(actor_target.arrays()[0]) == NET.n
 
 
+@pytest.mark.skipif(rl._openblas_threads() is None,
+                    reason="needs numpy's bundled OpenBLAS")
+@pytest.mark.parametrize("actor", ["stable", "unconstrained"])
+def test_train_holds_openblas_at_one_thread(monkeypatch, actor):
+    # on a machine whose products of the training shapes happen to round
+    # alike at any thread count, the subprocess tests above cannot see a
+    # lost pin; this reads the thread count inside the rounds directly
+    get, put = rl._openblas_threads()
+    counts, update = set(), rl.critic_update
+
+    def spy(*args):
+        counts.add(get())
+        return update(*args)
+
+    monkeypatch.setattr(rl, "critic_update", spy)
+    old = get()
+    put(2)
+    try:
+        before = get()      # 2, or fewer where OpenBLAS caps it
+        res = train(make_env(), small_cfg(), actor_kind=actor)
+        after = get()
+    finally:
+        put(old)
+    assert res.updates > 0
+    assert counts == {1}
+    assert after == before
+
+
 def test_train_runs_unpinned_without_bundled_openblas(monkeypatch):
     # a numpy whose BLAS library cannot be opened trains as before
     pinned = train(make_env(), small_cfg())
@@ -1213,18 +1270,50 @@ def test_train_runs_unpinned_without_bundled_openblas(monkeypatch):
 @pytest.mark.parametrize("actor", ["stable", "unconstrained"])
 def test_train_runs_float32_critics_and_keeps_the_actor_float64(
         tmp_path, monkeypatch, actor):
-    seen = set()
-    update = rl.critic_update
+    # the perceptron actors step in float32 too, but every policy built from
+    # them, and so the result and its checkpoint, holds float64 values
+    seen, rounds, policies = set(), set(), []
+    update, step = rl.critic_update, rl.net_actor_update
+    q_grad, net_policy = rl.q_action_grad, rl._NetPolicy
 
     def spy(critic, critic_target, *args):
         seen.add((str(critic.dtype), str(critic_target.dtype)))
         return update(critic, critic_target, *args)
 
+    def step_spy(actor_net, acts, dq, lr):
+        rounds.add(("step", str(actor_net.dtype),
+                    *(str(a.dtype) for a in (*acts, dq))))
+        return step(actor_net, acts, dq, lr)
+
+    def q_spy(critic, s, u):
+        rounds.add(("q", str(critic.dtype), str(u.dtype)))
+        return q_grad(critic, s, u)
+
+    def policy_spy(actor_net):
+        policies.append(actor_net)
+        return net_policy(actor_net)
+
     monkeypatch.setattr(rl, "critic_update", spy)
+    monkeypatch.setattr(rl, "net_actor_update", step_spy)
+    monkeypatch.setattr(rl, "q_action_grad", q_spy)
+    monkeypatch.setattr(rl, "_NetPolicy", policy_spy)
     res = train(make_env(), small_cfg(), actor_kind=actor)
     assert res.updates > 0
     assert seen == {("float32", "float32")}
     assert all(type(row["td_loss_mean"]) is float for row in res.log)
+    assert all(type(row["grad_norms"]) is float for row in res.log)
+    if actor == "unconstrained":
+        assert rounds == {("step", *["float32"] * 6),
+                          ("q", "float32", "float32")}
+        # one collection policy per episode, then the result's
+        assert len(policies) == len(res.log) + 1
+        assert policies[-1] is res.actor
+        for net in policies:
+            for a in net.arrays():
+                assert a.dtype == np.float64
+                assert_same_bits(a.astype(np.float32).astype(np.float64), a)
+    else:
+        assert rounds == {("q", "float32", "float64")} and not policies
     path = tmp_path / "policy.json"
     if actor == "stable":
         arrays = [*res.raw.arrays(), *res.init_raw.arrays()]
@@ -1477,6 +1566,18 @@ def test_load_net_policy_rejects_nets_that_miss_the_band(tmp_path, sizes,
     path = tmp_path / "mlp.json"
     save_net_policy(str(path), FeedForwardNet.stack(nets), BOUNDS)
     with pytest.raises(CheckpointError, match=message):
+        load_net_policy(str(path))
+
+
+def test_load_net_policy_refuses_a_checkpoint_with_no_buses(tmp_path):
+    rng = np.random.default_rng(8)
+    nets = [FeedForwardNet.create([1, 8, 1], rng) for _ in range(NET.n)]
+    path = tmp_path / "mlp.json"
+    save_net_policy(str(path), FeedForwardNet.stack(nets), BOUNDS)
+    data = json.loads(path.read_text())
+    data.update(nets=[], band={"v_lower": [], "v_upper": []})
+    path.write_text(json.dumps(data))
+    with pytest.raises(CheckpointError, match="band has no buses"):
         load_net_policy(str(path))
 
 
