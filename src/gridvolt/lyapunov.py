@@ -1,14 +1,13 @@
-"""Numerical stability certification for deadband voltage controllers.
+"""Stability certificates for per-bus voltage controllers.
 
-The candidate energy function is the Krasovskii quadratic form built from
-the closed-loop vector field: with voltage dynamics driven through the
-sensitivity matrix, V(v) = 0.5 * g(v)' X g(v) where g is the controller.
-For any controller that is zero on the band, strictly decreasing outside
-it, and unbounded in the tails, V decreases along trajectories and the
-voltages converge to the band. This module checks the slope conditions
-exactly at the kinks of a monotone ramp controller (droop included) and on
-sampled grids for any other policy, runs seeded rollouts, and emits a
-machine-readable certificate with witnesses for every violated clause.
+The energy is the Krasovskii form V(v) = 0.5 * g(v)' X g(v) of the
+controller g and the sensitivity matrix X. For a g that is zero on the
+band, nonincreasing, strictly decreasing outside it and unbounded in the
+tails, V decreases along the continuous-time loop dq/dt = g(v). The
+forward-Euler loop that rollouts integrate also needs dt * L * lambda_max(X)
+< 2 for the largest slope magnitude L, which no clause checks. This module
+checks the slopes exactly on the pieces each policy lists, samples the
+rest on seeded rollouts, and emits a certificate with witnesses.
 """
 
 import json
@@ -17,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .dynamics import dist_to_band, make_suite, rollout_batch, row_dot
-from .policy import MonotonePolicy, verify_monotone
+from .policy import check_pieces
 from .util import clause_lines, config_hash
 
 
@@ -33,24 +32,15 @@ def krasovskii_value(X, g):
 
 @dataclass(frozen=True)
 class CertifyConfig:
-    """Sampling plan for a stability certificate.
-
-    ``grid_points``, ``joint_samples`` and ``margin`` set the sampled slope
-    window [v_lower - margin, v_upper + margin]; only policies without ramp
-    kinks (MLP, zero, custom) use it, a ``MonotonePolicy`` (droop included)
-    is checked exactly on the whole real line. All fields stay in the
-    config hash.
-    """
+    """Band, rollout plan and slope floor of a stability certificate; every
+    field is in the config hash."""
 
     v_lower: tuple
     v_upper: tuple
-    grid_points: int = 200
-    joint_samples: int = 10_000
     rollouts: int = 100
     horizon: int = 100
     dt: float = 0.1
     dist_tol: float = 1e-3
-    margin: float = 0.5
     eps: float = 1e-3
     seed: int = 0
     blowup: float = 10.0
@@ -90,15 +80,6 @@ class StabilityCertificate:
         return "\n".join(lines)
 
 
-def _policy_max_gain(policy, grids):
-    if hasattr(policy, "max_gain"):
-        return policy.max_gain()
-    worst = 0.0
-    for vv in grids:
-        worst = max(worst, float(np.max(np.abs(policy.input_grad(vv)))))
-    return worst
-
-
 def decrease_violations(X, policy, runs, kappa):
     """Steps where the energy rose along each scenario of a Rollouts batch.
 
@@ -129,42 +110,42 @@ def decrease_violations(X, policy, runs, kappa):
 def certify_policy(X, policy, cfg, policy_id="policy"):
     """Run the stability conditions and collect a certificate.
 
-    Clauses:
+    The policy lists its pieces: ``policy.breakpoints(edges)`` returns the
+    per-bus (pts, u, du) of ``policy._breakpoints``; a policy without it
+    is refused with a ValueError. Clauses:
       * jacobian_nonpositive      every bus slope <= 0;
-      * jacobian_strict_outside   slope <= -cfg.eps outside the band;
-                                  for a MonotonePolicy (trained or droop)
-                                  both slope clauses are exact on the whole
-                                  real line (``verify_monotone`` at the ramp
-                                  kinks, stricter than sampling); for MLP,
-                                  zero and custom policies they are checked
-                                  on per-bus sweeps and joint random
-                                  samples of the window;
+      * jacobian_strict_outside   slope <= -cfg.eps outside the band; both
+                                  exact on the pieces (``check_pieces``);
       * lyapunov_decrease         energy nonincreasing along seeded rollouts,
-                                  up to an integrator slack of
-                                  kappa * dt^2 * |u|^2 per step (kappa from
-                                  the matrix norm and the policy gain);
-                                  violations are retried at dt/10 and only
-                                  persistent ones fail the clause. For a
-                                  MonotonePolicy (exact max_gain L, slopes
-                                  in [-L, 0]) a step raises V by at most
-                                  dt^2/2 L^2 lmax(X)^3 |g|^2, half the
-                                  slack, so the clause is evidence only
-                                  for MLP, zero and custom policies;
+                                  up to a slack of kappa * dt^2 * |u|^2 per
+                                  step, kappa = L^2 lmax(X)^3 for the
+                                  largest piece slope L; violations are
+                                  retried at dt/10. With per-bus slopes in
+                                  [-L, 0] a step raises V by at most half
+                                  the slack, so it cannot fail once the
+                                  slope clauses pass;
       * convergence_to_band       every rollout ends within dist_tol of the
                                   band by the horizon.
 
+    None checks the discrete step condition dt * L * lmax(X) < 2.
     Failures are recorded as data with witnesses, never raised.
     """
     eigs = np.linalg.eigvalsh(X)
     if not eigs[0] > 0.0:
         raise ValueError("sensitivity matrix must be positive definite")
+    if not callable(getattr(policy, "breakpoints", None)):
+        raise ValueError("certify_policy needs a policy with a "
+                         "breakpoints(edges) method that lists its pieces")
     lo = np.asarray(cfg.v_lower, dtype=float)
     hi = np.asarray(cfg.v_upper, dtype=float)
     n = len(lo)
     bounds = (lo, hi)
 
-    clauses = {"jacobian_nonpositive": (True, []),
-               "jacobian_strict_outside": (True, []),
+    # -- slope conditions, exact on the policy's pieces
+    pts, u, du = policy.breakpoints(bounds)
+    pieces = check_pieces(pts, u, du, cfg.eps, bounds)
+    clauses = {"jacobian_nonpositive": pieces["nonincreasing"],
+               "jacobian_strict_outside": pieces["strict_slope_outside"],
                "lyapunov_decrease": (True, []),
                "convergence_to_band": (True, [])}
     notes = []
@@ -175,42 +156,8 @@ def certify_policy(X, policy, cfg, policy_id="policy"):
             wit.append(witness)
         clauses[clause] = (False, wit)
 
-    # -- pointwise slope conditions
-    if isinstance(policy, MonotonePolicy):
-        # exact on the whole real line: the controller is linear between
-        # its ramp kinks and band edges
-        exact = verify_monotone(policy.params, eps=cfg.eps, band=bounds)
-        for clause, source in (("jacobian_nonpositive", "nonincreasing"),
-                               ("jacobian_strict_outside",
-                                "strict_slope_outside")):
-            for witness in exact.clauses[source][1]:
-                fail(clause, witness)
-        gain = policy.max_gain()
-    else:
-        # per-bus sweeps plus joint random probes over the sampled window
-        sweeps = np.stack([np.linspace(lo[i] - cfg.margin,
-                                       hi[i] + cfg.margin, cfg.grid_points)
-                           for i in range(n)], axis=1)
-        joint = np.random.default_rng(cfg.seed).uniform(
-            lo - cfg.margin, hi + cfg.margin, size=(cfg.joint_samples, n))
-        strict_floor = -cfg.eps * (1.0 - 1e-9)
-        for block in (sweeps, joint):
-            slopes = np.asarray(policy.input_grad(block), dtype=float)
-            over = slopes > 0.0
-            for k, b in list(zip(*np.nonzero(over)))[:10]:
-                fail("jacobian_nonpositive",
-                     f"bus {b + 1}: slope {slopes[k, b]:.3e} > 0 "
-                     f"at v={block[k, b]:.6f}")
-            outside = (block > hi) | (block < lo)
-            loose = outside & (slopes > strict_floor)
-            for k, b in list(zip(*np.nonzero(loose)))[:10]:
-                fail("jacobian_strict_outside",
-                     f"bus {b + 1}: slope {slopes[k, b]:.3e} > -eps "
-                     f"at v={block[k, b]:.6f}")
-        gain = _policy_max_gain(policy, sweeps[::50])
-
     # -- trajectory conditions
-    gain = max(gain, 1.0)
+    gain = max(float(np.abs(du).max()), 1.0)
     kappa = gain ** 2 * float(eigs[-1]) ** 3
     suite = make_suite(n, cfg.rollouts, seed=cfg.seed + 1)
 

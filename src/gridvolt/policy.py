@@ -281,10 +281,15 @@ def _breakpoints(p, edges):
     # a ramp of zero weight (column 0), or whose kink overflowed to +-inf,
     # never bends the controller: park its kink on the band edge
     kinks = np.where(np.isfinite(kinks) & (weights != 0.0), kinks, p.v_upper)
-    pts = np.sort(np.vstack([kinks, *edges]), axis=0)
-    pts = np.vstack([np.nextafter(pts[0], -np.inf), pts])
+    pts = _sorted_rows([kinks, *edges])
     with np.errstate(over="ignore", invalid="ignore"):
         return pts, policy_eval(p, pts), policy_input_grad(p, pts)
+
+
+def _sorted_rows(rows):
+    """Per-bus sorted breakpoints under a row one float left of the first."""
+    pts = np.sort(np.vstack(rows), axis=0)
+    return np.vstack([np.nextafter(pts[0], -np.inf), pts])
 
 
 class MonotonePolicy:
@@ -357,22 +362,18 @@ class MonotonePolicy:
         np.minimum(u, self.hi[j], out=u)
         return u
 
-    def input_grad(self, v):
-        return policy_input_grad(self.params, v)
-
-    def max_gain(self):
-        """Largest slope magnitude anywhere: the largest prefix sum of the
-        ramp weights over every piece of every bus, on either side."""
-        return float(max(np.abs(np.cumsum(w, axis=1)).max()
-                         for w in (self.params.wplus, self.params.wminus)))
+    def breakpoints(self, edges):
+        """``_breakpoints`` of the controller with the ``edges``."""
+        return _breakpoints(self.params, edges)
 
 
 class ZeroPolicy:
     def __call__(self, v):
         return np.zeros_like(np.asarray(v, dtype=float))
 
-    def input_grad(self, v):
-        return np.zeros_like(np.asarray(v, dtype=float))
+    def breakpoints(self, edges):
+        pts = _sorted_rows(edges)
+        return pts, np.zeros_like(pts), np.zeros_like(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -401,24 +402,33 @@ def verify_monotone(p, eps=None, band=None):
     """Exact check of the deadband-controller contract for every bus.
 
     Each controller is linear between its sorted ramp kinks and band edges,
-    so the values there and each piece's right-hand slope decide, on the
-    whole real line: (a) exact zero on the band, (b) no piece rises, (c)
-    slope <= -eps outside the band, (d) tail slopes >= eps in magnitude.
+    so ``check_pieces`` decides its clauses on the whole real line.
     ``eps`` and ``band`` default to the controller's own; another band's
-    edges join the breakpoints. Witnesses name buses by network id (bus 0
-    is the substation).
+    edges join the breakpoints.
     """
     eps = p.eps if eps is None else eps
     edges = [p.v_lower, p.v_upper]
     if band is not None:
         edges += [np.asarray(band[0], dtype=float),
                   np.asarray(band[1], dtype=float)]
-    v_lower, v_upper = edges[-2:]
-    pts, u, du = _breakpoints(p, edges)         # (2d+3 or 2d+5, n)
+    clauses = check_pieces(*_breakpoints(p, edges), eps, edges[-2:])
+    passed = all(ok for ok, _ in clauses.values())
+    return MonotoneReport(passed=passed, clauses=clauses, eps=eps)
+
+
+def check_pieces(pts, u, du, eps, band):
+    """The deadband clauses of a piece table (pts, u, du) with the contract
+    of ``_breakpoints``, on the whole real line: (a) exact zero on the
+    ``band``, (b) no piece rises, (c) slope <= -eps outside the band, (d)
+    tail slopes >= eps in magnitude. Returns {clause: (ok, witnesses)}, at
+    most 10 witnesses per clause, one per failing piece, naming buses by
+    network id (bus 0 is the substation)."""
+    v_lower, v_upper = band
+    n = pts.shape[1]
     # only in-band values and slopes count; far values may have overflowed
     # piece k runs from lefts[k] to rights[k] with slope du[k]
-    lefts = np.vstack([np.full(p.n, -np.inf), pts[1:]])
-    rights = np.vstack([pts[1:], np.full(p.n, np.inf)])
+    lefts = np.vstack([np.full(n, -np.inf), pts[1:]])
+    rights = np.vstack([pts[1:], np.full(n, np.inf)])
     real = rights > lefts
     outside = (lefts < v_lower) | (lefts >= v_upper)
     tails = np.isinf(lefts) | np.isinf(rights)
@@ -435,8 +445,7 @@ def verify_monotone(p, eps=None, band=None):
                f"{du[k, b]:.3e} on [{lefts[k, b]:.6f}, {rights[k, b]:.6f}]"
                for b, k in list(zip(*np.nonzero(mask.T)))[:10]]
         clauses[name] = (not wit, wit)
-    passed = all(ok for ok, _ in clauses.values())
-    return MonotoneReport(passed=passed, clauses=clauses, eps=eps)
+    return clauses
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@
 Plain-numpy feedforward critics learned by temporal difference, slowly
 tracking target copies, a FIFO replay buffer, Gaussian exploration noise,
 and two actor families: the constrained monotone deadband controller
-(updated through its reparameterization, so every iterate stays a certified
-stabilizer) and an unconstrained multilayer perceptron baseline.
+(updated through its reparameterization, so every iterate stays monotone,
+which makes the energy decrease along the continuous-time loop; the
+discrete step condition dt * L * lambda_max(X) < 2 is not enforced) and an
+unconstrained multilayer perceptron baseline.
 """
 
 import contextlib
@@ -35,7 +37,7 @@ from .policy import (
     policy_eval,
     sample_raw_params,
 )
-from .policy import _ramp_grads, _ramp_pass
+from .policy import _ramp_grads, _ramp_pass, _sorted_rows
 from .util import fmt
 
 
@@ -515,6 +517,38 @@ class _NetPolicy:
         _, grad = _backward(self.actor, _forward(self.actor, x),
                             np.ones_like(x), param_grads=False)
         return grad[:, :, 0].T.reshape(v.shape)
+
+    def breakpoints(self, edges):
+        """``policy._breakpoints``'s piece table over the nets' kinks and
+        the ``edges``, found exactly layer by layer (ExactLine, arXiv
+        1908.06214): between the earlier layers' kinks each pre-activation
+        is affine in v, so one division places its zero. Slopes come from
+        ``input_grad`` inside each piece, the tails' one unit out."""
+        pts = np.sort(np.vstack(edges), axis=0)
+        w, b = self.actor.weights, self.actor.biases
+        for k in range(1, len(w)):
+            x = np.vstack([pts[0] - 1.0, pts, pts[-1] + 1.0]).T[:, :, None]
+            z = net_eval(FeedForwardNet(w[:k], b[:k]), x)
+            # a zero counts inside its piece; the tails run out to -+inf
+            ends = x.copy()
+            ends[:, 0], ends[:, -1] = -np.inf, np.inf
+            x0, z0 = x[:, :-1], z[:, :-1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                root = x0 - z0 * np.diff(x, axis=1) / np.diff(z, axis=1)
+                inside = (root > ends[:, :-1]) & (root < ends[:, 1:])
+            zeros = np.where(inside, root, np.inf).reshape(len(x), -1)
+            found = np.sort(zeros, axis=1)[:, :inside.sum(axis=(1, 2)).max()].T
+            # a bus with fewer zeros parks its spare rows on the last edge
+            pts = np.sort(np.vstack(
+                [pts, np.where(np.isinf(found), edges[-1], found)]), axis=0)
+        pts = _sorted_rows([pts])
+        # a row's slope is read inside the next piece of nonzero width
+        after = np.vstack([pts[1:], np.full(pts.shape[1], np.inf)])
+        nxt = np.minimum.accumulate(
+            np.where(after > pts, after, np.inf)[::-1])[::-1]
+        mid = np.where(np.isinf(nxt), pts + 1.0, 0.5 * (pts + nxt))
+        mid[0] = pts[1] - 1.0
+        return pts, self(pts), self.input_grad(mid)
 
 
 def _log_row(episode, ret, td_mean, grad_norm, wall_ms):

@@ -19,6 +19,7 @@ from gridvolt.policy import (
     droop,
     sample_raw_params,
 )
+from gridvolt.rl import FeedForwardNet, _NetPolicy
 from gridvolt.util import config_hash
 
 NET = five_bus_fixture()
@@ -34,8 +35,7 @@ def make_policy(seed, **kwargs):
 
 def cert_config(**overrides):
     base = dict(v_lower=tuple(BOUNDS[0]), v_upper=tuple(BOUNDS[1]),
-                grid_points=60, joint_samples=300, rollouts=12,
-                horizon=100, dt=0.1, dist_tol=1e-3, seed=0)
+                rollouts=12, horizon=100, dt=0.1, dist_tol=1e-3, seed=0)
     base.update(overrides)
     return CertifyConfig(**base)
 
@@ -124,15 +124,26 @@ def test_certificate_linear_deadband_converges_with_long_horizon():
     assert cert.passed, cert.summary()
 
 
-def test_certificate_forgives_violation_that_vanishes_at_fine_step():
-    # a gain-35 droop rings at dt = 0.1 on the fixture; a max_gain that
-    # understates it keeps the slack small, so one scenario gets flagged and
-    # the dt/10 rerun clears it
-    class Understated(Sampled):
-        def max_gain(self):
-            return 1.0
+class Relisted:
+    """A monotone controller whose calls go through ``scale * pol`` and
+    whose listed pieces scale its slopes by ``slope_scale``."""
 
-    pol = Understated(MonotonePolicy(droop(BOUNDS, 35.0)))
+    def __init__(self, pol, scale=1.0, slope_scale=1.0):
+        self.pol, self.scale, self.slope_scale = pol, scale, slope_scale
+
+    def __call__(self, v):
+        return self.scale * self.pol(v)
+
+    def breakpoints(self, edges):
+        pts, u, du = self.pol.breakpoints(edges)
+        return pts, self.scale * u, self.slope_scale * du
+
+
+def test_certificate_forgives_violation_that_vanishes_at_fine_step():
+    # a gain-35 droop rings at dt = 0.1 on the fixture; pieces that
+    # understate its slopes (gain 1) keep the slack small, so one scenario
+    # gets flagged and the dt/10 rerun clears it
+    pol = Relisted(MonotonePolicy(droop(BOUNDS, 35.0)), slope_scale=1 / 35)
     cert = certify_policy(X5, pol, cert_config())
     assert cert.passed, cert.summary()
     vanished = [note for note in cert.notes if "vanished at dt/10" in note]
@@ -140,16 +151,10 @@ def test_certificate_forgives_violation_that_vanishes_at_fine_step():
 
 
 def test_certificate_keeps_violation_that_survives_fine_step():
-    class Rising(Sampled):
-        # droop at gain -1: it pushes voltages away from the band
-        def __call__(self, v):
-            return -self.pol(v)
-
-        def input_grad(self, v):
-            return -self.pol.input_grad(v)
-
-    cert = certify_policy(X5, Rising(MonotonePolicy(droop(BOUNDS, 1.0))),
-                          cert_config())
+    # droop at gain -1: it pushes voltages away from the band
+    rising = Relisted(MonotonePolicy(droop(BOUNDS, 1.0)), scale=-1.0,
+                      slope_scale=-1.0)
+    cert = certify_policy(X5, rising, cert_config())
     ok, witnesses = cert.clauses["lyapunov_decrease"]
     assert not ok
     assert witnesses and all("dt=0.01" in w for w in witnesses)
@@ -229,7 +234,8 @@ def test_monotone_energy_rise_is_at_most_half_the_slack():
     diverged = 0
     for seed in range(4):
         pol = make_policy(seed, gain_range=(80.0, 90.0))
-        kappa = max(pol.max_gain(), 1.0) ** 2 * lmax ** 3
+        gain = np.abs(pol.breakpoints(BOUNDS)[2]).max()
+        kappa = max(gain, 1.0) ** 2 * lmax ** 3
         runs = rollout_batch(pol, X5, v_env, q0, T=100, dt=0.1)
         diverged += int(runs.diverged.sum())
         assert any(decrease_violations(X5, pol, runs, kappa=0.0))
@@ -238,25 +244,8 @@ def test_monotone_energy_rise_is_at_most_half_the_slack():
 
 
 # ---------------------------------------------------------------------------
-# slope clauses: exact at the kinks of a monotone controller, sampled otherwise
+# slope clauses: exact on the pieces each policy lists
 # ---------------------------------------------------------------------------
-
-class Sampled:
-    """A monotone controller seen only through its calls: no kink structure,
-    so certify_policy samples its slopes."""
-
-    def __init__(self, pol):
-        self.pol = pol
-
-    def __call__(self, v):
-        return self.pol(v)
-
-    def input_grad(self, v):
-        return self.pol.input_grad(v)
-
-    def max_gain(self):
-        return self.pol.max_gain()
-
 
 def flip_far_outside_policy():
     # gain-20 ramps on every bus; bus 2's slope turns positive past a kink
@@ -281,9 +270,26 @@ def test_certificate_rejects_slope_flip_outside_sampled_window():
     assert not cert.clauses["jacobian_strict_outside"][0]
     assert cert.clauses["convergence_to_band"][0]
     assert not cert.passed
-    # the sampled window never reaches the flip
-    sampled = certify_policy(X5, Sampled(pol), cert_config(rollouts=6))
-    assert sampled.passed, sampled.summary()
+
+
+def test_certificate_rejects_mlp_slope_flip_outside_sampled_window():
+    # per-bus 1 -> 3 -> 1 nets: gain-20 droop ramps, and on bus 2 a third
+    # unit whose slope +20.5 past v = 2.0 turns the net's slope positive,
+    # outside the [0.45, 1.55] window that slopes were once sampled on
+    n = NET.n
+    w_out = np.tile([[-20.0], [20.0], [0.0]], (n, 1, 1))
+    w_out[1, 2] = 20.5
+    pol = _NetPolicy(FeedForwardNet(
+        [np.tile([[1.0, -1.0, 1.0]], (n, 1, 1)), w_out],
+        [np.tile([[-1.05, 0.95, -2.0]], (n, 1, 1)), np.zeros((n, 1, 1))]))
+    cert = certify_policy(X5, pol, cert_config(rollouts=6))
+    ok, witnesses = cert.clauses["jacobian_nonpositive"]
+    assert not ok
+    assert len(witnesses) == 1
+    assert re.fullmatch(r"bus 2: u\(2\.000000\) = -1\.900e\+01, slope "
+                        r"5\.000e-01 on \[2\.000000, inf\]", witnesses[0])
+    assert cert.clauses["convergence_to_band"][0]
+    assert not cert.passed
 
 
 def flat_policy(eps, raw_slope):
@@ -295,21 +301,23 @@ def flat_policy(eps, raw_slope):
     return MonotonePolicy.from_raw(raw, BOUNDS, eps=eps)
 
 
-@pytest.mark.parametrize("policy_eps, cfg_eps, raw_slope", [
-    (1e-4, 1e-3, -50.0),    # slopes near 1e-4: below the certificate's floor
-    (1e-2, 1e-3, -50.0),    # slopes near 1e-2: above it
-    (1e-4, 1e-3, 3.0),      # steep despite a small checkpoint eps
-    (1e-3, 5.0, 3.0),       # a floor steeper than the controller
+@pytest.mark.parametrize("policy_eps, cfg_eps, raw_slope, strict", [
+    # slopes near 1e-4: below the certificate's floor
+    pytest.param(1e-4, 1e-3, -50.0, False, id="0.0001-0.001--50.0"),
+    # slopes near 1e-2: above it
+    pytest.param(1e-2, 1e-3, -50.0, True, id="0.01-0.001--50.0"),
+    # steep despite a small checkpoint eps
+    pytest.param(1e-4, 1e-3, 3.0, True, id="0.0001-0.001-3.0"),
+    # a floor steeper than the controller
+    pytest.param(1e-3, 5.0, 3.0, False, id="0.001-5.0-3.0"),
 ])
 def test_strict_slope_floor_comes_from_the_config(policy_eps, cfg_eps,
-                                                  raw_slope):
+                                                  raw_slope, strict):
     pol = flat_policy(policy_eps, raw_slope)
-    cfg = cert_config(rollouts=2, eps=cfg_eps)
-    exact = certify_policy(X5, pol, cfg)
-    sampled = certify_policy(X5, Sampled(pol), cfg)
-    for clause in ("jacobian_nonpositive", "jacobian_strict_outside"):
-        assert exact.clauses[clause][0] == sampled.clauses[clause][0]
-    assert exact.tolerances == sampled.tolerances
+    cert = certify_policy(X5, pol, cert_config(rollouts=2, eps=cfg_eps))
+    assert cert.clauses["jacobian_nonpositive"] == (True, [])
+    assert cert.clauses["jacobian_strict_outside"][0] == strict
+    assert cert.tolerances["strict_slope"] == cfg_eps
 
 
 def test_certificate_judges_slopes_against_its_own_band():
@@ -322,25 +330,30 @@ def test_certificate_judges_slopes_against_its_own_band():
     ok, witnesses = cert.clauses["jacobian_strict_outside"]
     assert not ok
     assert any("[1.030000, 1.050000]" in w for w in witnesses)
-    assert not certify_policy(X5, Sampled(pol), narrow).clauses[
-        "jacobian_strict_outside"][0]
 
 
-def test_policy_without_kinks_keeps_sampled_slope_witnesses():
-    class Bumpy(Sampled):
-        # claims a positive slope on (1.20, 1.30), inside the sampled window
-        def input_grad(self, v):
-            v = np.asarray(v, dtype=float)
-            bump = (v > 1.20) & (v < 1.30)
-            return np.where(bump, 0.1, super().input_grad(v))
+def test_slope_witnesses_name_each_failing_piece_once():
+    class Bumpy(Relisted):
+        # lists a rising piece on [1.20, 1.30] on every bus
+        def breakpoints(self, edges):
+            bump = [np.full(NET.n, 1.20), np.full(NET.n, 1.30)]
+            pts, u, du = self.pol.breakpoints([*edges, *bump])
+            return pts, u, np.where((pts >= 1.20) & (pts < 1.30), 0.1, du)
 
-    pol = Bumpy(MonotonePolicy(droop(BOUNDS, 20.0)))
-    cert = certify_policy(X5, pol, cert_config())
+    cert = certify_policy(X5, Bumpy(MonotonePolicy(droop(BOUNDS, 20.0))),
+                          cert_config())
     ok, witnesses = cert.clauses["jacobian_nonpositive"]
-    assert not ok and witnesses
-    for w in witnesses:
-        assert re.fullmatch(r"bus [1-4]: slope 1\.000e-01 > 0 at v=1\.2\d{5}",
+    assert not ok
+    assert len(witnesses) == NET.n
+    for bus, w in enumerate(witnesses, start=1):
+        assert re.fullmatch(rf"bus {bus}: u\(1\.200000\) = -3\.000e\+00, "
+                            r"slope 1\.000e-01 on \[1\.200000, 1\.300000\]",
                             w), w
+
+
+def test_certify_refuses_a_policy_without_breakpoints():
+    with pytest.raises(ValueError, match=r"breakpoints\(edges\)"):
+        certify_policy(X5, lambda v: -np.asarray(v), cert_config(rollouts=2))
 
 
 def test_monotone_certificate_keeps_config_and_hash():
@@ -349,6 +362,11 @@ def test_monotone_certificate_keeps_config_and_hash():
     cert = certify_policy(X5, pol, cfg)
     assert cert.config == cfg.to_dict()
     assert cert.config_hash == config_hash(cfg.to_dict())
+    # kappa from the largest prefix sum of the ramp weights, bit for bit
+    gain = max(np.abs(np.cumsum(w, axis=1)).max()
+               for w in (pol.params.wplus, pol.params.wminus))
+    assert cert.tolerances["decrease_slack_kappa"] == \
+        gain ** 2 * float(np.linalg.eigvalsh(X5)[-1]) ** 3
     assert list(cert.clauses) == ["jacobian_nonpositive",
                                   "jacobian_strict_outside",
                                   "lyapunov_decrease", "convergence_to_band"]

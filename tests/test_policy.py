@@ -606,7 +606,8 @@ def test_linear_policy_wrapper():
     pol = MonotonePolicy(droop(BAND, 1.0))
     v = np.array([1.07, 0.93, 1.0])
     np.testing.assert_allclose(pol(v), [-0.02, 0.02, 0.0])
-    np.testing.assert_allclose(pol.input_grad(v), [-1.0, -1.0, 0.0])
+    np.testing.assert_allclose(policy_input_grad(pol.params, v),
+                               [-1.0, -1.0, 0.0])
 
 
 def frozen_droop(v, v_lower, v_upper, gain):
@@ -645,9 +646,9 @@ def test_droop_matches_frozen_formula():
         # right-hand slopes: the upper edge already has the outside slope,
         # the lower edge the band's
         outside = (v >= hi) | (v < lo)
-        np.testing.assert_array_equal(pol.input_grad(v),
+        np.testing.assert_array_equal(policy_input_grad(p, v),
                                       np.where(outside, -gain, 0.0))
-        assert pol.max_gain() == gain == p.eps
+        assert np.abs(pol.breakpoints((lo, hi))[2]).max() == gain == p.eps
         assert verify_monotone(p).passed
         for k in range(0, len(v), 17):
             assert_same_bits(pol(v[k]), u[k])

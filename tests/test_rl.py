@@ -1670,3 +1670,43 @@ def test_net_policy_input_grad_matches_central_differences():
         np.testing.assert_allclose(grad[rows, i], fd, rtol=1e-6, atol=1e-7)
         checked += int(rows.sum())
     assert checked > 30 * n
+
+
+@pytest.mark.parametrize("sizes", [[1, 8, 1], [1, 16, 16, 1]])
+def test_net_policy_breakpoints_bound_pieces_of_one_slope(sizes):
+    # between the listed breakpoints a dense input_grad sweep never changes,
+    # and the values follow the piece's line; one net with dead units
+    rng = np.random.default_rng(len(sizes))
+    nets = [FeedForwardNet.create(sizes, rng) for _ in range(NET.n - 1)]
+    nets.append(critic_with_dead_units(sizes, rng))
+    nets[-1].weights[0][0, 1] = 0.0    # a unit without a kink: rows to park
+    from gridvolt.rl import _NetPolicy
+    pol = _NetPolicy(FeedForwardNet.stack(nets))
+    pts, u, du = pol.breakpoints(BOUNDS)
+    assert pts.shape == u.shape == du.shape and pts.shape[1] == NET.n
+    assert np.all(np.diff(pts, axis=0) >= 0.0)
+    assert np.array_equal(pts[0], np.nextafter(pts[1], -np.inf))
+    assert_same_bits(u, pol(pts))
+    # a repeated breakpoint's row holds the slope right of its last copy
+    for b in range(NET.n):
+        last = np.searchsorted(pts[:, b], pts[:, b], side="right") - 1
+        np.testing.assert_array_equal(du[:, b], du[last, b])
+    assert any(len(np.unique(col)) < len(col) for col in pts.T)
+    sweep = np.concatenate([np.linspace(-3.0, 5.0, 20_001),
+                            np.linspace(-300.0, 300.0, 4_001)])
+    v = np.tile(sweep[:, None], (1, NET.n))
+    grad = pol.input_grad(v)
+    for b in range(NET.n):
+        # the left tail's voltages below row 0 read row 0
+        k = np.maximum(np.searchsorted(pts[:, b], v[:, b], side="right") - 1,
+                       0)
+        gap = np.abs(v[:, b, None] - pts[None, :, b]).min(axis=1)
+        rows = gap > 1e-9
+        assert rows.sum() > 23_900
+        # equal up to the rounding of a row's place in a batched product
+        np.testing.assert_allclose(grad[rows, b], du[k[rows], b],
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(
+            pol(v)[rows, b],
+            u[k[rows], b] + du[k[rows], b] * (v[rows, b] - pts[k[rows], b]),
+            rtol=1e-9, atol=1e-9)
