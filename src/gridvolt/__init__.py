@@ -40,9 +40,9 @@ from .lyapunov import (
 )
 from .policy import (
     MonotonePolicy,
+    PieceTable,
     RawPolicyParams,
     StackedReluParams,
-    ZeroPolicy,
     constrain,
     droop,
     load_checkpoint,
@@ -52,6 +52,7 @@ from .policy import (
     sample_raw_params,
     save_checkpoint,
     verify_monotone,
+    zero_policy,
 )
 from .rl import (
     FeedForwardNet,

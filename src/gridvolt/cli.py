@@ -43,7 +43,7 @@ def _load_policy(spec, band):
     if spec == "linear":
         return "linear", policy.MonotonePolicy(policy.droop(band, 1.0))
     if spec == "zero":
-        return "zero", policy.ZeroPolicy()
+        return "zero", policy.zero_policy(band)
     if not os.path.exists(spec):
         raise CliError(f"policy checkpoint not found: {spec}")
     name = os.path.splitext(os.path.basename(spec))[0]
@@ -53,8 +53,7 @@ def _load_policy(spec, band):
         if isinstance(data, dict) and data.get("kind") == "mlp":
             pol, ck_band = rl.parse_net_policy(data, spec)
         else:
-            _, ck_band, _, params = policy.parse_checkpoint(data)
-            pol = policy.MonotonePolicy(params)
+            _, ck_band, _, pol = policy.parse_checkpoint(data)
         if len(ck_band[0]) != len(band[0]):
             raise CliError(f"checkpoint {spec} has {len(ck_band[0])} buses, "
                            f"the network has {len(band[0])}")

@@ -292,32 +292,23 @@ def _sorted_rows(rows):
     return np.vstack([np.nextafter(pts[0], -np.inf), pts])
 
 
-class MonotonePolicy:
-    """Callable bundle of constrained parameters for a whole feeder.
-
-    When built, the controller is compiled into an exact per-bus table of
-    linear pieces, and calls evaluate the table: one lookup and one
-    multiply-add per voltage instead of summing every ramp.
-
-    The pieces lie between the sorted breakpoints of ``_breakpoints``, so
-    the table holds the function ``verify_monotone`` checks. On piece j a
-    bus's controller is u = value[j] + slope[j] (v - at[j]), anchored at the
-    piece's end nearer the band, where |u| is smaller, so the multiply-add
-    never cancels; the left tail is anchored at the first breakpoint. A
-    breakpoint selects the piece anchored on it, so there the table returns
-    ``policy_eval``'s bits, and u is clipped to the value at the piece's
-    far end, so rounding never breaks monotonicity across a breakpoint.
-
+class PieceTable:
+    """The per-bus piecewise-linear policy of a piece list (pts, u, du)
+    with the contract of ``_breakpoints`` and the ``band``'s edges among its
+    breakpoints. On piece j, u = value[j] + slope[j] (v - at[j]), anchored
+    at the end nearer the band, where a deadband controller's |u| is
+    smaller, so the multiply-add never cancels. A breakpoint selects the
+    piece anchored on it, so there u has the listed bits, and u is clipped
+    between the piece's end values, so rounding never breaks monotonicity.
     A voltage finds its piece by two exact integer lookups: its rank among
     every bus's distinct breakpoints and their float successors (which
     tells v == p from v > p), then that rank within its own bus's block of
-    piece keys. Memory is O(n K) for K breakpoints per bus.
-    """
+    piece keys. Memory is O(n K) for K breakpoints per bus."""
 
-    def __init__(self, params):
-        self.params = p = params
-        pts, u, du = _breakpoints(p, (p.v_lower, p.v_upper))
+    def __init__(self, pts, u, du, band):
+        self.pieces = pts, u, du
         kinks, u = pts[1:], u[1:]                                # (K, n)
+        n = kinks.shape[1]
         distinct = np.unique(kinks)
         # g < g+ <= next g, and v > g exactly when v >= g+, so a voltage's
         # rank counts the distinct breakpoints <= v plus those < v
@@ -326,31 +317,26 @@ class MonotonePolicy:
         # piece j runs from breakpoint j - 1 to breakpoint j (the tails to
         # -+inf) and starts once j breakpoints are passed: one at or below
         # the lower edge once v is beyond it, any other once v reaches it
-        below = kinks <= p.v_lower
+        below = kinks <= band[0]
         passed = 1 + 2 * np.searchsorted(distinct, kinks) + below
-        self.offsets = np.arange(p.n) * (len(self.grid) + 1)
-        keys = np.vstack([np.zeros(p.n, dtype=int), passed]) + self.offsets
+        self.offsets = np.arange(n) * (len(self.grid) + 1)
+        keys = np.vstack([np.zeros(n, dtype=int), passed]) + self.offsets
         # a piece whose right end is at or below the lower edge is anchored
-        # there, any other piece on its left end; rows -1 and K of the far
-        # ends are the tails' infinite ends
-        right = np.vstack([below, np.zeros(p.n, dtype=bool)])     # (K+1, n)
+        # there, any other piece on its left end; rows -1 and K of the ends
+        # are the tails' infinite ends
+        right = np.vstack([below, np.zeros(n, dtype=bool)])       # (K+1, n)
         rows = np.arange(len(right))[:, None]
         anchor, far = rows - 1 + right, rows - right
-        nan = np.full((1, p.n), np.nan)
-        far_u = np.take_along_axis(np.vstack([nan, u, nan]), far + 1, axis=0)
-        # u stays below the far end's value left of the band and above it
-        # elsewhere; no clip at an infinite end or a far kink's NaN value
-        free = np.isnan(far_u)
-        tables = (keys, np.take_along_axis(kinks, anchor, axis=0),
-                  np.take_along_axis(u, anchor, axis=0), du,
-                  np.where(right | free, -np.inf, far_u),
-                  np.where(~right | free, np.inf, far_u))
+        nan = np.full((1, n), np.nan)
+        ends = [np.take_along_axis(np.vstack([nan, u, nan]), e + 1, axis=0)
+                for e in (anchor, far)]
+        # no clip at an infinite end or a far kink's NaN value
+        free = np.isnan(ends[0]) | np.isnan(ends[1])
+        tables = (keys, np.take_along_axis(kinks, anchor, axis=0), ends[0],
+                  du, np.where(free, -np.inf, np.fmin(*ends)),
+                  np.where(free, np.inf, np.fmax(*ends)))
         (self.keys, self.at, self.value, self.slope, self.lo,
          self.hi) = (t.T.ravel() for t in tables)
-
-    @classmethod
-    def from_raw(cls, raw, band, eps=1e-3):
-        return cls(constrain(raw, band, eps))
 
     def __call__(self, v):
         v = np.asarray(v, dtype=float)
@@ -363,17 +349,37 @@ class MonotonePolicy:
         return u
 
     def breakpoints(self, edges):
-        """``_breakpoints`` of the controller with the ``edges``."""
-        return _breakpoints(self.params, edges)
+        """The table's pieces with the ``edges`` joined and valued by the
+        table; edges that are breakpoints of every bus join nothing."""
+        pts = self.pieces[0]
+        edges = [e for e in edges if not (pts[1:] == e).any(axis=0).all()]
+        if not edges:
+            return self.pieces
+        pts = _sorted_rows([pts[1:], *edges])
+        # ranked as its float successor, a row finds the piece right of it
+        rank = self.grid.searchsorted(pts, side="right")
+        j = self.keys.searchsorted(rank + rank % 2 + self.offsets, "right")
+        return pts, self(pts), self.slope[j - 1]
 
 
-class ZeroPolicy:
-    def __call__(self, v):
-        return np.zeros_like(np.asarray(v, dtype=float))
+class MonotonePolicy(PieceTable):
+    """Constrained parameters acting as the table of their ``_breakpoints``
+    with the band's edges: the function ``verify_monotone`` checks."""
 
-    def breakpoints(self, edges):
-        pts = _sorted_rows(edges)
-        return pts, np.zeros_like(pts), np.zeros_like(pts)
+    def __init__(self, params):
+        self.params = p = params
+        band = (p.v_lower, p.v_upper)
+        super().__init__(*_breakpoints(p, band), band)
+
+    @classmethod
+    def from_raw(cls, raw, band, eps=1e-3):
+        return cls(constrain(raw, band, eps))
+
+
+def zero_policy(band):
+    """No control: zero values and slopes on the band's edges (u = +0.0)."""
+    pts = _sorted_rows(band)
+    return PieceTable(pts, np.zeros_like(pts), np.zeros_like(pts), band)
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +390,12 @@ class ZeroPolicy:
 class MonotoneReport:
     """Outcome of the exact monotonicity certificate for one policy."""
 
-    passed: bool
     clauses: dict
     eps: float
+
+    @property
+    def passed(self):
+        return all(ok for ok, _ in self.clauses.values())
 
     def summary(self):
         return "\n".join([f"monotone certificate: "
@@ -402,27 +411,23 @@ def verify_monotone(p, eps=None, band=None):
     """Exact check of the deadband-controller contract for every bus.
 
     Each controller is linear between its sorted ramp kinks and band edges,
-    so ``check_pieces`` decides its clauses on the whole real line.
-    ``eps`` and ``band`` default to the controller's own; another band's
-    edges join the breakpoints.
+    so ``check_pieces`` decides its clauses on the whole real line, on the
+    pieces its ``MonotonePolicy`` acts with. ``eps`` and ``band`` default to
+    the controller's own; another band's edges join the breakpoints.
     """
     eps = p.eps if eps is None else eps
-    edges = [p.v_lower, p.v_upper]
-    if band is not None:
-        edges += [np.asarray(band[0], dtype=float),
-                  np.asarray(band[1], dtype=float)]
-    clauses = check_pieces(*_breakpoints(p, edges), eps, edges[-2:])
-    passed = all(ok for ok, _ in clauses.values())
-    return MonotoneReport(passed=passed, clauses=clauses, eps=eps)
+    band = (p.v_lower, p.v_upper) if band is None else band
+    pieces = MonotonePolicy(p).breakpoints(band)
+    return MonotoneReport(check_pieces(*pieces, eps, band), eps)
 
 
 def check_pieces(pts, u, du, eps, band):
     """The deadband clauses of a piece table (pts, u, du) with the contract
     of ``_breakpoints``, on the whole real line: (a) exact zero on the
     ``band``, (b) no piece rises, (c) slope <= -eps outside the band, (d)
-    tail slopes >= eps in magnitude. Returns {clause: (ok, witnesses)}, at
-    most 10 witnesses per clause, one per failing piece, naming buses by
-    network id (bus 0 is the substation)."""
+    tail slopes >= eps in magnitude. Returns {clause: (ok, witnesses)}: for
+    at most 10 failing buses, by network id (bus 0 is the substation), the
+    bus's first failing piece and how many fail."""
     v_lower, v_upper = band
     n = pts.shape[1]
     # only in-band values and slopes count; far values may have overflowed
@@ -441,9 +446,12 @@ def check_pieces(pts, u, du, eps, band):
     }
     clauses = {}
     for name, mask in failing.items():
+        counts = mask.sum(axis=0)
+        bad = np.flatnonzero(counts)[:10]
         wit = [f"bus {b + 1}: u({pts[k, b]:.6f}) = {u[k, b]:.3e}, slope "
                f"{du[k, b]:.3e} on [{lefts[k, b]:.6f}, {rights[k, b]:.6f}]"
-               for b, k in list(zip(*np.nonzero(mask.T)))[:10]]
+               + (f" (first of {c} failing pieces)" if c > 1 else "")
+               for b, k, c in zip(bad, mask.argmax(axis=0)[bad], counts[bad])]
         clauses[name] = (not wit, wit)
     return clauses
 
@@ -540,8 +548,8 @@ def load_checkpoint(path):
 
 def parse_checkpoint(data):
     """``load_checkpoint`` on an already parsed file: returns (raw, band,
-    eps, params), where params is the constrained controller that passed
-    its monotonicity certificate. A file without ``kind`` is monotone."""
+    eps, policy), where policy is the ``MonotonePolicy`` whose table passed
+    the monotonicity certificate. A file without ``kind`` is monotone."""
     if not isinstance(data, dict):
         raise CheckpointError("checkpoint is not a JSON object")
     if data.get("kind", "monotone") != "monotone":
@@ -569,8 +577,10 @@ def parse_checkpoint(data):
         if d != raw.d:
             raise CheckpointError(f"bus {i + 1} declares d = {d!r} but has "
                                   f"{raw.d} ramp units per side")
-    report = verify_monotone(params)
+    pol = MonotonePolicy(params)
+    report = MonotoneReport(check_pieces(*pol.breakpoints(band), eps, band),
+                            eps)
     if not report.passed:
         raise CheckpointError("checkpoint failed the monotonicity "
                               f"certificate:\n{report.summary()}")
-    return raw, band, eps, params
+    return raw, band, eps, pol

@@ -30,6 +30,7 @@ from .dynamics import (
 from .policy import (
     CheckpointError,
     MonotonePolicy,
+    PieceTable,
     RawPolicyParams,
     band_record,
     constrain,
@@ -451,8 +452,8 @@ def load_net_policy(path):
 
 
 def parse_net_policy(data, path):
-    """``load_net_policy`` on an already parsed file read from ``path``:
-    returns (policy, band); every defect raises ``CheckpointError``."""
+    """``load_net_policy`` on parsed ``data``: (the ``PieceTable`` of the
+    nets' walked pieces, band); every defect raises ``CheckpointError``."""
     if not isinstance(data, dict) or data.get("kind") != "mlp" or \
             data.get("format_version") != NET_CHECKPOINT_VERSION:
         raise CheckpointError(f"not an mlp policy checkpoint: {path}")
@@ -480,7 +481,8 @@ def parse_net_policy(data, path):
             raise CheckpointError(f"net {k} has a non-finite weight or bias")
         if [w.shape for w in ws] != [w.shape for w in nets[0].weights]:
             raise CheckpointError(f"net {k} has other layer sizes than net 0")
-    return _NetPolicy(FeedForwardNet.stack(nets)), band
+    pieces = _NetPolicy(FeedForwardNet.stack(nets)).breakpoints(band)
+    return PieceTable(*pieces, band), band
 
 
 @dataclass

@@ -11,8 +11,8 @@ from gridvolt.bench import (
 )
 from gridvolt.dynamics import Rollouts, make_suite, recovery_time
 from gridvolt.grid import build_sensitivity, five_bus_fixture
-from gridvolt.policy import MonotonePolicy, ZeroPolicy, droop, \
-    sample_raw_params
+from gridvolt.policy import MonotonePolicy, droop, sample_raw_params, \
+    zero_policy
 
 NET = five_bus_fixture()
 X5 = build_sensitivity(NET).X
@@ -84,7 +84,7 @@ def steep_policy(seed=0):
 
 def test_zero_policy_never_stabilizes():
     suite = make_suite(NET.n, 9, seed=1)
-    report = evaluate([("zero", ZeroPolicy())], X5, suite, BOUNDS, T=50)
+    report = evaluate([("zero", zero_policy(BOUNDS))], X5, suite, BOUNDS, T=50)
     rate, _ = report.metric("zero", "stability_rate")
     cost, _ = report.metric("zero", "control_energy_u2")
     assert rate == 0.0
@@ -136,14 +136,14 @@ def test_evaluate_computes_recovery_once_per_policy(monkeypatch):
     suite = make_suite(NET.n, 5, seed=4)
     pols = [("steep", steep_policy()),
             ("linear", MonotonePolicy(droop(BOUNDS, 1.0))),
-            ("zero", ZeroPolicy())]
+            ("zero", zero_policy(BOUNDS))]
     evaluate(pols, X5, suite, BOUNDS, T=40)
     assert calls == [5, 5, 5]
 
 
 def test_report_csv_deterministic(tmp_path):
     suite = make_suite(NET.n, 6, seed=3)
-    pols = [("steep", steep_policy()), ("zero", ZeroPolicy())]
+    pols = [("steep", steep_policy()), ("zero", zero_policy(BOUNDS))]
     r1 = evaluate(pols, X5, suite, BOUNDS, T=40)
     r2 = evaluate(pols, X5, suite, BOUNDS, T=40)
     assert r1.to_csv() == r2.to_csv()
@@ -158,7 +158,7 @@ def test_report_csv_deterministic(tmp_path):
 
 def test_same_suite_applied_to_every_policy():
     suite = make_suite(NET.n, 5, seed=4)
-    report = evaluate([("a", ZeroPolicy()), ("b", ZeroPolicy())],
+    report = evaluate([("a", zero_policy(BOUNDS)), ("b", zero_policy(BOUNDS))],
                       X5, suite, BOUNDS, T=20)
     a = report.stats["a"]
     b = report.stats["b"]
@@ -167,7 +167,7 @@ def test_same_suite_applied_to_every_policy():
 
 def test_empty_suite_rejected():
     with pytest.raises(ValueError, match="empty"):
-        evaluate([("zero", ZeroPolicy())], X5, [], BOUNDS)
+        evaluate([("zero", zero_policy(BOUNDS))], X5, [], BOUNDS)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +199,7 @@ def test_histogram_bins_total():
 
 def test_histogram_csv_totals(tmp_path):
     suite = make_suite(NET.n, 7, seed=6)
-    report = evaluate([("zero", ZeroPolicy())], X5, suite, BOUNDS, T=20)
+    report = evaluate([("zero", zero_policy(BOUNDS))], X5, suite, BOUNDS, T=20)
     path = tmp_path / "hist.csv"
     write_histograms_csv(report, path)
     rows = path.read_text().strip().splitlines()[1:]

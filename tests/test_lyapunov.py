@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gridvolt.dynamics import dist_to_band, make_suite, rollout_batch
-from gridvolt.grid import build_sensitivity, five_bus_fixture
+from gridvolt.grid import build_sensitivity, five_bus_fixture, \
+    generate_random_feeder
 from gridvolt.lyapunov import (
     CertifyConfig,
     certify_policy,
@@ -15,11 +16,12 @@ from gridvolt.policy import (
     MonotonePolicy,
     RawPolicyParams,
     StackedReluParams,
-    ZeroPolicy,
     droop,
     sample_raw_params,
+    zero_policy,
 )
-from gridvolt.rl import FeedForwardNet, _NetPolicy
+from gridvolt.rl import FeedForwardNet, TrainConfig, _NetPolicy, \
+    load_net_policy, save_net_policy
 from gridvolt.util import config_hash
 
 NET = five_bus_fixture()
@@ -109,7 +111,7 @@ def test_certificate_fails_for_inverted_policy():
 
 
 def test_certificate_zero_policy():
-    cert = certify_policy(X5, ZeroPolicy(), cert_config(rollouts=6))
+    cert = certify_policy(X5, zero_policy(BOUNDS), cert_config(rollouts=6))
     assert cert.clauses["jacobian_nonpositive"][0]
     assert cert.clauses["lyapunov_decrease"][0]
     assert not cert.clauses["jacobian_strict_outside"][0]
@@ -322,14 +324,17 @@ def test_strict_slope_floor_comes_from_the_config(policy_eps, cfg_eps,
 
 def test_certificate_judges_slopes_against_its_own_band():
     # a controller quiet on [0.95, 1.05] certified against [0.97, 1.03]:
-    # slope 0 between the two edges is outside the certified band
+    # slope 0 between the two edges is outside the certified band, on two
+    # pieces of every bus
     pol = make_policy(12)
     narrow = cert_config(rollouts=2, v_lower=(0.97,) * NET.n,
                          v_upper=(1.03,) * NET.n)
     cert = certify_policy(X5, pol, narrow)
     ok, witnesses = cert.clauses["jacobian_strict_outside"]
     assert not ok
-    assert any("[1.030000, 1.050000]" in w for w in witnesses)
+    assert len(witnesses) == NET.n
+    assert all(w.endswith("on [0.950000, 0.970000] (first of 2 failing "
+                          "pieces)") for w in witnesses)
 
 
 def test_slope_witnesses_name_each_failing_piece_once():
@@ -349,6 +354,28 @@ def test_slope_witnesses_name_each_failing_piece_once():
         assert re.fullmatch(rf"bus {bus}: u\(1\.200000\) = -3\.000e\+00, "
                             r"slope 1\.000e-01 on \[1\.200000, 1\.300000\]",
                             w), w
+
+
+def test_mlp_witnesses_name_each_failing_bus_once(tmp_path):
+    # a loaded 16-bus MLP rises on many pieces of many buses; each failing
+    # bus gets one witness, its first failing piece and their count
+    net = generate_random_feeder(16, 1)
+    rng = np.random.default_rng(1)
+    nets = [FeedForwardNet.create([1, *TrainConfig.actor_hidden, 1], rng)
+            for _ in range(net.n)]
+    path = tmp_path / "mlp.json"
+    save_net_policy(str(path), FeedForwardNet.stack(nets), net.bounds())
+    pol, band = load_net_policy(str(path))
+    cfg = cert_config(rollouts=2, v_lower=tuple(band[0]),
+                      v_upper=tuple(band[1]))
+    cert = certify_policy(build_sensitivity(net).X, pol, cfg)
+    ok, witnesses = cert.clauses["jacobian_nonpositive"]
+    assert not ok
+    buses = [int(re.match(r"bus (\d+): ", w).group(1)) for w in witnesses]
+    assert 1 < len(buses) == len(set(buses)) <= 10
+    assert buses == sorted(buses)
+    assert any(re.search(r" \(first of \d+ failing pieces\)$", w)
+               for w in witnesses)
 
 
 def test_certify_refuses_a_policy_without_breakpoints():

@@ -25,8 +25,9 @@ from gridvolt.policy import (
     sigmoid,
     softplus,
     verify_monotone,
+    zero_policy,
 )
-from gridvolt.policy import _ramp_grads, _ramp_pass
+from gridvolt.policy import _breakpoints, _ramp_grads, _ramp_pass
 
 N, D = 3, 8
 BAND = (np.full(N, 0.95), np.full(N, 1.05))
@@ -490,7 +491,7 @@ def test_ramp_pass_matches_param_grad_and_policy_eval(d, overflow):
 
 
 # ---------------------------------------------------------------------------
-# piece-table evaluation (MonotonePolicy.__call__)
+# piece-table evaluation (PieceTable.__call__)
 # ---------------------------------------------------------------------------
 
 def table_cases(d, overflow, count=10):
@@ -589,6 +590,36 @@ def test_piece_table_passes_nan_and_inf_on_to_the_rollout_cut():
     with pytest.raises(ValueError, match="v_env"):
         rollout_batch(pol, 0.05 * np.eye(p.n) + 0.01, v_env,
                       np.zeros((3, p.n)), T=6, dt=0.1)
+
+
+def test_piece_table_lists_its_pieces_and_values_joined_edges():
+    for p, band, rng in table_cases(8, False, count=3):
+        pol = MonotonePolicy(p)
+        # its own band's edges are breakpoints already: the pieces that
+        # verify_monotone checks, bit for bit
+        for got, want in zip(pol.breakpoints(band), _breakpoints(p, band)):
+            assert_same_bits(got, want)
+        # another band's edges join with the table's values and the
+        # right-hand slopes of the pieces they fall in
+        other = (band[0] + 0.01, band[1] - 0.01)
+        pts, u, du = pol.breakpoints(other)
+        assert len(pts) == len(_breakpoints(p, band)[0]) + 2
+        assert_same_bits(u, pol(pts))
+        assert_same_bits(du, policy_input_grad(p, pts))
+
+
+def test_zero_policy_returns_positive_zero_everywhere():
+    # trace CSVs print u, so the baseline never gives a -0.0
+    pol = zero_policy(BAND)
+    edges = np.vstack(BAND)
+    v = np.vstack([np.linspace(-1e300, 1e300, 7)[:, None] + np.zeros(N),
+                   np.linspace(0.5, 1.5, 101)[:, None] + np.zeros(N),
+                   edges, np.nextafter(edges, -np.inf),
+                   np.nextafter(edges, np.inf)])
+    for u in (pol(v), pol(v[3])):
+        assert not u.any() and not np.signbit(u).any()
+    pts, u, du = pol.breakpoints(BAND)
+    assert not (u.any() or du.any())
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +780,7 @@ def test_verify_left_tail_is_one_piece_up_to_the_first_lower_kink():
         "zero_in_band": True, "nonincreasing": True,
         "strict_slope_outside": False, "unbounded_tails": False}
     witnesses = [w for _, wit in report.clauses.values() for w in wit]
-    ends = [re.search(r"on \[(\S+), (\S+)\]$", w).groups() for w in witnesses]
+    ends = [re.search(r"on \[(\S+), (\S+)\]", w).groups() for w in witnesses]
     assert all(float(right) != 0.0 for _, right in ends)
     tails = report.clauses["unbounded_tails"][1]
     for bus in range(N):
@@ -757,7 +788,9 @@ def test_verify_left_tail_is_one_piece_up_to_the_first_lower_kink():
                 if w.startswith(f"bus {bus + 1}:") and "[-inf, " in w]
         first_kink = p.bminus[bus, 1:].min()
         assert len(left) == 1
-        assert left[0].endswith(f"[-inf, {first_kink:.6f}]")
+        # the right tail fails too, and is counted, not listed
+        assert left[0].endswith(f"[-inf, {first_kink:.6f}] (first of 2 "
+                                "failing pieces)")
 
 
 def test_verify_rejects_inverted_sign():

@@ -22,6 +22,7 @@ from gridvolt.grid import (
 from gridvolt.policy import (
     CheckpointError,
     MonotonePolicy,
+    PieceTable,
     RawPolicyParams,
     constrain,
     load_checkpoint,
@@ -1324,10 +1325,13 @@ def test_train_runs_float32_critics_and_keeps_the_actor_float64(
     else:
         arrays = res.actor.arrays()
         save_net_policy(str(path), res.actor, BOUNDS)
+        # a reloaded checkpoint acts as the table of the nets' pieces
         loaded, _band = load_net_policy(str(path))
+        table = PieceTable(*res.policy.breakpoints(BOUNDS), BOUNDS)
+        for got, want in zip(loaded.pieces, table.pieces):
+            assert_same_bits(got, want)
         v = np.random.default_rng(9).uniform(0.85, 1.15, size=(50, NET.n))
-        np.testing.assert_array_equal(loaded(v).view(np.uint64),
-                                      res.policy(v).view(np.uint64))
+        assert_same_bits(loaded(v), table(v))
     assert all(a.dtype == np.float64 for a in arrays)
 
 
@@ -1389,14 +1393,14 @@ def test_train_reward_sign_convention():
     # train are the exact negation of the stage costs
     env = make_env()
     from gridvolt.dynamics import rollout
-    from gridvolt.policy import ZeroPolicy
+    from gridvolt.policy import zero_policy
 
     def fidgety(v):
         return np.full_like(v, 0.1)
 
     v_env = np.full(4, 1.0)
     cost_zero = discounted_stage_cost(
-        rollout(ZeroPolicy(), X5, v_env, np.zeros(4), T=30, dt=0.1))
+        rollout(zero_policy(BOUNDS), X5, v_env, np.zeros(4), T=30, dt=0.1))
     cost_fidget = discounted_stage_cost(
         rollout(fidgety, X5, v_env, np.zeros(4), T=30, dt=0.1))
     assert cost_zero == 0.0
@@ -1670,6 +1674,31 @@ def test_net_policy_input_grad_matches_central_differences():
         np.testing.assert_allclose(grad[rows, i], fd, rtol=1e-6, atol=1e-7)
         checked += int(rows.sum())
     assert checked > 30 * n
+
+
+@pytest.mark.parametrize("feeder", ["fixture", "16bus"])
+def test_loaded_mlp_table_equals_its_nets(tmp_path, feeder):
+    # a loaded checkpoint's table holds the nets' bits at every breakpoint
+    # and follows them within 1e-15 between breakpoints on the voltages a
+    # feeder sees; far out the rounding grows with |v|
+    net = NET if feeder == "fixture" else generate_random_feeder(16, 1)
+    rng = np.random.default_rng(net.n)
+    nets = FeedForwardNet.stack(
+        [FeedForwardNet.create([1, *TrainConfig.actor_hidden, 1], rng)
+         for _ in range(net.n)])
+    path = tmp_path / "mlp.json"
+    save_net_policy(str(path), nets, net.bounds())
+    table, _band = load_net_policy(str(path))
+    assert isinstance(table, PieceTable)
+    from gridvolt.rl import _NetPolicy
+    pol = _NetPolicy(nets)
+    pts = table.pieces[0]
+    assert_same_bits(table(pts[1:]), pol(pts[1:]))
+    v = rng.uniform(0.5, 1.5, size=(2_000, net.n))
+    np.testing.assert_allclose(table(v), pol(v), rtol=0.0, atol=1e-15)
+    mids = np.vstack([pts[:1], 0.5 * (pts[1:] + pts[:-1])])
+    assert np.all(np.abs(table(mids) - pol(mids))
+                  <= 1e-15 * np.maximum(1.0, np.abs(mids)))
 
 
 @pytest.mark.parametrize("sizes", [[1, 8, 1], [1, 16, 16, 1]])

@@ -19,7 +19,8 @@ lines whose outputs a behaviour-preserving change must leave untouched:
 Every command runs inside OUTDIR on relative paths, and its stdout, stderr
 and exit code are kept next to its files, so two runs can be compared with
 ``diff -r``. ``--repo`` points at another checkout (say, the parent commit)
-whose ``src/`` is run instead of this one's.
+whose ``src/`` is run instead of this one's. Each command's wall time is
+printed on this script's stdout, never written into OUTDIR.
 """
 
 import argparse
@@ -46,12 +47,14 @@ def main():
     status = []
 
     def gridvolt(name, *argv):
+        began = time.perf_counter()
         proc = subprocess.run([sys.executable, "-m", "gridvolt.cli", *argv],
                               cwd=out, env=env, capture_output=True,
                               text=True)
         (out / f"{name}.stdout").write_text(proc.stdout)
         (out / f"{name}.stderr").write_text(proc.stderr)
         status.append(f"{proc.returncode} gridvolt {' '.join(argv)}\n")
+        print(f"{time.perf_counter() - began:7.3f} s  {name}", flush=True)
 
     start = time.perf_counter()
     for feeder, flags in FEEDERS.items():
