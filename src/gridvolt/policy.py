@@ -12,6 +12,7 @@ are enforced by reparameterization, so every point of the unconstrained
 parameter space maps to a valid controller.
 """
 
+import itertools
 import json
 from dataclasses import dataclass, fields
 
@@ -494,12 +495,26 @@ def band_record(band):
             "v_upper": list(map(float, band[1]))}
 
 
+def json_floats(value):
+    """``value``, JSON numbers nested in lists, as a float array. A bool,
+    string or null in it raises a TypeError: numpy reads them as numbers
+    (null as NaN), so a checkpoint holding one would load as another
+    controller than the one saved."""
+    out, items = np.array(value, dtype=float), [value]
+    for _ in range(out.ndim):
+        items = itertools.chain.from_iterable(items)
+    odd = set(map(type, items)) - {int, float}
+    if odd:
+        raise TypeError("expected JSON numbers, got "
+                        + ", ".join(sorted(t.__name__ for t in odd)))
+    return out
+
+
 def parse_band(record):
     """(v_lower, v_upper) arrays from a ``band_record``, refused unless they
-    hold one finite pair per bus, for at least one bus, with v_lower below
-    v_upper."""
-    lo = np.array(record["v_lower"], dtype=float)
-    hi = np.array(record["v_upper"], dtype=float)
+    hold one finite pair of JSON numbers per bus, for at least one bus, with
+    v_lower below v_upper."""
+    lo, hi = json_floats(record["v_lower"]), json_floats(record["v_upper"])
     if lo.ndim != 1 or lo.shape != hi.shape:
         raise CheckpointError(f"band has {lo.size} v_lower and {hi.size} "
                               "v_upper entries")
@@ -561,11 +576,11 @@ def parse_checkpoint(data):
         buses = data["buses"]
         # field order: each side's slopes, then its spacings
         raw = RawPolicyParams(*(
-            np.array([b[key][side] for b in buses], dtype=float)
+            json_floats([b[key][side] for b in buses])
             for side in (0, 1)
             for key in ("raw_slopes", "raw_bias_decrements")))
         band = parse_band(data["band"])
-        eps = float(data["eps"])
+        eps = float(json_floats(data["eps"]))
         declared = [b["d"] for b in buses]
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc

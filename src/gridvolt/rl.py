@@ -34,6 +34,7 @@ from .policy import (
     RawPolicyParams,
     band_record,
     constrain,
+    json_floats,
     parse_band,
     policy_eval,
     sample_raw_params,
@@ -459,8 +460,8 @@ def parse_net_policy(data, path):
         raise CheckpointError(f"not an mlp policy checkpoint: {path}")
     try:
         nets = [FeedForwardNet(
-            [np.array(w, dtype=float) for w in entry["weights"]],
-            [np.array(b, dtype=float) for b in entry["biases"]])
+            [json_floats(w) for w in entry["weights"]],
+            [json_floats(b) for b in entry["biases"]])
             for entry in data["nets"]]
         band = parse_band(data["band"])
     except (KeyError, IndexError, TypeError, ValueError) as exc:

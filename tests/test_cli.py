@@ -335,6 +335,17 @@ def _weight(value):
     return edit
 
 
+def _put(value, *path):
+    """An edit that stores ``value`` at ``path`` in the checkpoint."""
+    def edit(data):
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return data
+    return edit
+
+
 def _wrong_d(data):
     data["buses"][0]["d"] = 3
     return data
@@ -377,10 +388,20 @@ def _edited_checkpoint(tmp_path, actor, edit):
     ("mlp", _weight(float("nan")), 4, "net 0 has a non-finite weight"),
     ("mlp", _weight("a"), 4, "could not convert string to float"),
     ("stable", _wrong_d, 4, "bus 1 declares d = 3 but has 8 ramp units"),
+    # numpy and float() read these as numbers; each would load silently
+    ("stable", _put(True, "eps"), 4, "expected JSON numbers, got bool"),
+    ("stable", _put("0.001", "eps"), 4, "expected JSON numbers, got str"),
+    ("stable", _put("0.95", "band", "v_lower", 0), 4, "got str"),
+    ("stable", _put(True, "buses", 0, "raw_slopes", 0, 0), 4, "got bool"),
+    ("mlp", _weight(True), 4, "expected JSON numbers, got bool"),
+    ("mlp", _put("0.5", "nets", 1, "biases", 0, 0), 4, "got str"),
+    ("mlp", _put("1.05", "band", "v_upper", 3), 4, "got str"),
 ], ids=["inf-slope", "no-band", "no-eps", "no-buses", "one-unit",
         "not-object", "mlp-no-nets", "mlp-net-missing", "stable-on-16-buses",
         "mlp-on-16-buses", "mlp-nan-weight", "mlp-text-weight",
-        "stable-wrong-d"])
+        "stable-wrong-d", "bool-eps", "text-eps", "text-band-edge",
+        "bool-raw-slope", "mlp-bool-weight", "mlp-text-bias",
+        "mlp-text-band-edge"])
 def test_certify_rejects_corrupt_checkpoint(net_path, tmp_path, capsys,
                                             actor, edit, buses, message):
     # a checkpoint that is malformed, cannot rebuild a valid controller, or

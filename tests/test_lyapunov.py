@@ -14,6 +14,7 @@ from gridvolt.lyapunov import (
 )
 from gridvolt.policy import (
     MonotonePolicy,
+    PieceTable,
     RawPolicyParams,
     StackedReluParams,
     droop,
@@ -141,15 +142,25 @@ class Relisted:
         return pts, self.scale * u, self.slope_scale * du
 
 
-def test_certificate_forgives_violation_that_vanishes_at_fine_step():
+def test_certificate_fails_understated_slopes_at_its_own_step(monkeypatch):
     # a gain-35 droop rings at dt = 0.1 on the fixture; pieces that
-    # understate its slopes (gain 1) keep the slack small, so one scenario
-    # gets flagged and the dt/10 rerun clears it
+    # understate its slopes (gain 1) keep the slack small, so the rise
+    # fails the clause at the rolled dt, with no finer rerun
+    import gridvolt.lyapunov as lyapunov
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["dt"])
+        return rollout_batch(*args, **kwargs)
+
+    monkeypatch.setattr(lyapunov, "rollout_batch", counted)
     pol = Relisted(MonotonePolicy(droop(BOUNDS, 35.0)), slope_scale=1 / 35)
     cert = certify_policy(X5, pol, cert_config())
-    assert cert.passed, cert.summary()
-    vanished = [note for note in cert.notes if "vanished at dt/10" in note]
-    assert len(vanished) == 1
+    ok, witnesses = cert.clauses["lyapunov_decrease"]
+    assert not ok and not cert.passed
+    assert len(witnesses) == 1 and "dt=0.1)" in witnesses[0]
+    assert calls == [0.1]
+    assert cert.notes == []
 
 
 def test_certificate_keeps_violation_that_survives_fine_step():
@@ -159,7 +170,7 @@ def test_certificate_keeps_violation_that_survives_fine_step():
     cert = certify_policy(X5, rising, cert_config())
     ok, witnesses = cert.clauses["lyapunov_decrease"]
     assert not ok
-    assert witnesses and all("dt=0.01" in w for w in witnesses)
+    assert witnesses and all("dt=0.1)" in w for w in witnesses)
 
 
 def test_certificate_json_and_summary(tmp_path):
@@ -224,18 +235,37 @@ def test_decrease_violations_match_per_step_energy():
         assert got == want
 
 
+def random_piece_table(seed, kinks=6, gain=90.0):
+    """A nonincreasing ``PieceTable`` built from a random piece list, as the
+    MLP line walk lists one: the band's edges among its breakpoints, any
+    slope in [-gain, 0] on each piece and no zero required on the band."""
+    rng = np.random.default_rng(seed)
+    pts = np.sort(np.vstack([rng.uniform(0.8, 1.2, (kinks, NET.n)),
+                             *BOUNDS]), axis=0)
+    pts = np.vstack([np.nextafter(pts[0], -np.inf), pts])
+    du = -rng.uniform(0.0, gain, pts.shape)
+    u = np.empty_like(pts)
+    u[1] = rng.uniform(1.0, 4.0, NET.n)
+    for j in range(1, len(pts) - 1):
+        u[j + 1] = u[j] + du[j] * (pts[j + 1] - pts[j])
+    u[0] = u[1] - du[0] * (pts[1] - pts[0])
+    return PieceTable(pts, u, du, BOUNDS)
+
+
 def test_monotone_energy_rise_is_at_most_half_the_slack():
     # slopes in [-L, 0] give v+ - v = dt X g and g(v+) - g(v) = dt D X g with
     # D diagonal in [-L, 0], so V(v+) - V(v) = dt (Xg)'D(Xg)
     # + dt^2/2 (DXg)'X(DXg) <= dt^2/2 L^2 lmax^3 |g|^2: half of certify's
-    # slack, even on runs that diverge
+    # slack, even on runs that diverge, for ramp stacks and for tables
+    # built from a piece list alike
     suite = make_suite(NET.n, 30, seed=5)
     v_env = np.array([v for v, _, _ in suite])
     q0 = np.array([q for _, q, _ in suite])
     lmax = np.linalg.eigvalsh(X5).max()
+    policies = [make_policy(seed, gain_range=(80.0, 90.0))
+                for seed in range(4)] + [random_piece_table(0)]
     diverged = 0
-    for seed in range(4):
-        pol = make_policy(seed, gain_range=(80.0, 90.0))
+    for pol in policies:
         gain = np.abs(pol.breakpoints(BOUNDS)[2]).max()
         kappa = max(gain, 1.0) ** 2 * lmax ** 3
         runs = rollout_batch(pol, X5, v_env, q0, T=100, dt=0.1)

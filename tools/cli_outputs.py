@@ -10,9 +10,10 @@ lines whose outputs a behaviour-preserving change must leave untouched:
   pairs), on the bundled 5-bus feeder and on
   ``generate-network --buses 16 --seed 1`` (checkpoint and log kept);
 * ``certify --out`` and ``simulate --index 2`` for every trained checkpoint
-  and for ``linear`` and ``zero``, and ``certify --dt 0.3`` of the bundled
-  feeder's stable local checkpoint, a step at which dt * L * lambda_max(X)
-  exceeds 2;
+  and for ``linear`` and ``zero``, and ``certify --dt 0.3`` and
+  ``--dt 0.2`` of the bundled feeder's stable local checkpoint, steps at
+  which dt * L * lambda_max(X) exceeds 2 (dt 0.2 passes every clause, so a
+  step clause shows there first);
 * ``evaluate --scenarios 30`` of all of them with ``--histograms`` and
   ``--traces-dir``.
 
@@ -79,9 +80,11 @@ def main():
                  "--policies", *policies, "--scenarios", "30", "--out",
                  f"{feeder}/report.csv", "--histograms",
                  f"{feeder}/histograms.csv", "--traces-dir", f"{feeder}/traces")
-    gridvolt("fixture/stable-local-dt0.3.certify", "certify", "--network",
-             "fixture/net.json", "--checkpoint", "fixture/stable-local.json",
-             "--dt", "0.3", "--out", "fixture/stable-local-dt0.3.cert.json")
+    for dt in ("0.3", "0.2"):
+        name = f"fixture/stable-local-dt{dt}"
+        gridvolt(f"{name}.certify", "certify", "--network", "fixture/net.json",
+                 "--checkpoint", "fixture/stable-local.json", "--dt", dt,
+                 "--out", f"{name}.cert.json")
     (out / "status.txt").write_text("".join(status))
     print(f"wrote {len(status)} command outputs to {out} in "
           f"{time.perf_counter() - start:.1f} s")
