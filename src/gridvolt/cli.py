@@ -1,4 +1,4 @@
-"""Command line front end: generate feeders, simulate, train, certify, evaluate."""
+"""Command line front end: generate feeders, train, certify, evaluate."""
 
 import argparse
 import json
@@ -63,7 +63,7 @@ def _load_policy(spec, band):
 
 
 def _suite_for(args, n):
-    if getattr(args, "scenario_file", None):
+    if args.scenario_file:
         if not os.path.exists(args.scenario_file):
             raise CliError(f"scenario file not found: {args.scenario_file}")
         try:
@@ -81,10 +81,9 @@ def _suite_for(args, n):
             if not all(map(math.isfinite, [*v_env, *q0])):
                 raise CliError(f"scenario {label} has a non-finite entry")
         return suite
-    count = getattr(args, "scenarios", 0)
-    if count < 1:
+    if args.scenarios < 1:
         raise CliError("need --scenarios >= 1 or --scenario-file")
-    return dynamics.make_suite(n, count, seed=args.seed)
+    return dynamics.make_suite(n, args.scenarios, seed=args.seed)
 
 
 def cmd_generate_network(args):
@@ -104,26 +103,6 @@ def cmd_generate_network(args):
     grid.save_network(net, args.out)
     print(f"wrote {args.out}: {net.n} controllable buses, "
           f"min sensitivity eigenvalue {fmt(min_eig)}")
-    return 0
-
-
-def cmd_simulate(args):
-    net = _load_network(args.network)
-    sens = grid.build_sensitivity(net)
-    band = net.bounds()
-    name, pol = _load_policy(args.policy, band)
-    suite = _suite_for(args, net.n)
-    if not 0 <= args.index < len(suite):
-        raise CliError(f"scenario index {args.index} outside 0.."
-                       f"{len(suite) - 1}")
-    v_env, q0, label = suite[args.index]
-    runs = dynamics.rollout(pol, sens.X, v_env, q0, T=args.horizon, dt=args.dt)
-    bench.write_trajectory_csv(runs, 0, args.out, band, dynamics.CostParams(),
-                               policy=name, scenario=label)
-    rec, = dynamics.recovery_time(runs, band, tol=args.recovery_tol)
-    status = "diverged" if runs.diverged[0] else (
-        f"recovered at step {rec}" if rec is not None else "not recovered")
-    print(f"wrote {args.out}: {label} under {name}: {status}")
     return 0
 
 
@@ -233,22 +212,6 @@ def build_parser():
     p.add_argument("--impedance-hi", type=positive_float, default=0.08)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_generate_network)
-
-    p = sub.add_parser("simulate", help="roll one policy over one scenario")
-    p.add_argument("--network", required=True)
-    p.add_argument("--policy", required=True,
-                   help="'linear', 'zero', or a checkpoint path")
-    p.add_argument("--scenario-file")
-    p.add_argument("--scenarios", type=int, default=10,
-                   help="size of the generated suite when no file is given")
-    p.add_argument("--index", type=int, default=0)
-    p.add_argument("--horizon", type=_bounded(int, 1), default=100)
-    p.add_argument("--dt", type=positive_float, default=0.1)
-    p.add_argument("--recovery-tol", type=_bounded(float, 0),
-                   default=bench.DEFAULT_RECOVERY_TOL)
-    p.add_argument("--seed", type=_bounded(int, 0), default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("train", help="train a policy and write a checkpoint")
     p.add_argument("--network", required=True)

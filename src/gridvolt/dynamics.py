@@ -5,6 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .util import json_floats
+
 DEFAULT_DT = 0.1
 BLOWUP_BOUND = 10.0
 SCENARIO_KINDS = ("high", "low", "mixed")
@@ -128,7 +130,7 @@ def save_scenarios(suite, path):
 def load_scenarios(path):
     with open(path) as fh:
         data = json.load(fh)
-    return [(np.array(d["v_env"], dtype=float), np.array(d["q0"], dtype=float),
+    return [(json_floats(d["v_env"]), json_floats(d["q0"]),
              d.get("label", f"scenario-{i}")) for i, d in enumerate(data)]
 
 

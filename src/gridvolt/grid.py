@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .util import json_floats
+
 
 class NetworkValidationError(ValueError):
     """Raised when a feeder description is not a valid rooted radial network."""
@@ -269,20 +271,21 @@ def network_from_dict(data):
         for key in entry:
             if key not in _BUS_KEYS:
                 warn.append(f"unknown bus key {key!r} (bus {entry.get('id')})")
-        buses.append(Bus(id=entry["id"],
-                         v_lower=float(entry.get("v_lower", 0.95)),
-                         v_upper=float(entry.get("v_upper", 1.05))))
+        lo, hi = json_floats([entry.get("v_lower", 0.95),
+                              entry.get("v_upper", 1.05)])
+        buses.append(Bus(id=entry["id"], v_lower=float(lo), v_upper=float(hi)))
     lines = []
     for entry in data["lines"]:
         for key in entry:
             if key not in _LINE_KEYS:
                 warn.append(f"unknown line key {key!r} "
                             f"(line {entry.get('from')}-{entry.get('to')})")
+        r, x = json_floats([entry["r"], entry["x"]])
         lines.append(Line(parent=entry["from"], child=entry["to"],
-                          r=float(entry["r"]), x=float(entry["x"])))
+                          r=float(r), x=float(x)))
+    v0, base_kv = json_floats([data.get("v0", 1.0), data.get("base_kv", 12.0)])
     net = RadialNetwork(buses=tuple(buses), lines=tuple(lines),
-                        v0=float(data.get("v0", 1.0)),
-                        base_kv=float(data.get("base_kv", 12.0)))
+                        v0=float(v0), base_kv=float(base_kv))
     for msg in warn:
         warnings.warn(msg, stacklevel=2)
     return net, warn

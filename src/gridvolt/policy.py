@@ -12,13 +12,12 @@ are enforced by reparameterization, so every point of the unconstrained
 parameter space maps to a valid controller.
 """
 
-import itertools
 import json
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .util import clause_lines
+from .util import clause_lines, json_floats
 
 
 class CheckpointError(RuntimeError):
@@ -495,21 +494,6 @@ def band_record(band):
             "v_upper": list(map(float, band[1]))}
 
 
-def json_floats(value):
-    """``value``, JSON numbers nested in lists, as a float array. A bool,
-    string or null in it raises a TypeError: numpy reads them as numbers
-    (null as NaN), so a checkpoint holding one would load as another
-    controller than the one saved."""
-    out, items = np.array(value, dtype=float), [value]
-    for _ in range(out.ndim):
-        items = itertools.chain.from_iterable(items)
-    odd = set(map(type, items)) - {int, float}
-    if odd:
-        raise TypeError("expected JSON numbers, got "
-                        + ", ".join(sorted(t.__name__ for t in odd)))
-    return out
-
-
 def parse_band(record):
     """(v_lower, v_upper) arrays from a ``band_record``, refused unless they
     hold one finite pair of JSON numbers per bus, for at least one bus, with
@@ -569,9 +553,9 @@ def parse_checkpoint(data):
         raise CheckpointError("checkpoint is not a JSON object")
     if data.get("kind", "monotone") != "monotone":
         raise CheckpointError(f"unknown checkpoint kind {data['kind']!r}")
-    if data.get("format_version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version {data.get('format_version')!r}")
+    version = data.get("format_version")
+    if type(version) is not int or version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version!r}")
     try:
         buses = data["buses"]
         # field order: each side's slopes, then its spacings
@@ -589,7 +573,7 @@ def parse_checkpoint(data):
     except ValueError as exc:
         raise CheckpointError(f"checkpoint parameters rejected: {exc}") from exc
     for i, d in enumerate(declared):
-        if d != raw.d:
+        if type(d) is not int or d != raw.d:     # a bool or 16.0 is no count
             raise CheckpointError(f"bus {i + 1} declares d = {d!r} but has "
                                   f"{raw.d} ramp units per side")
     pol = MonotonePolicy(params)

@@ -34,13 +34,12 @@ from .policy import (
     RawPolicyParams,
     band_record,
     constrain,
-    json_floats,
     parse_band,
     policy_eval,
     sample_raw_params,
 )
 from .policy import _ramp_grads, _ramp_pass, _sorted_rows
-from .util import fmt
+from .util import fmt, json_floats
 
 
 class TrainingDiverged(RuntimeError):
@@ -238,11 +237,6 @@ class ReplayBuffer:
         for arr, f in zip(self._fields, block):
             arr[rows] = f[skip:]
         self._pushed += k
-
-    def snapshot(self):
-        """The four field arrays oldest first; empty before the first push."""
-        order = (self._pushed + np.arange(-len(self), 0)) % self.capacity
-        return tuple(arr[order] for arr in self._fields or ())
 
     def sample(self, batch_size):
         if not 0 < batch_size <= len(self):
@@ -456,7 +450,8 @@ def parse_net_policy(data, path):
     """``load_net_policy`` on parsed ``data``: (the ``PieceTable`` of the
     nets' walked pieces, band); every defect raises ``CheckpointError``."""
     if not isinstance(data, dict) or data.get("kind") != "mlp" or \
-            data.get("format_version") != NET_CHECKPOINT_VERSION:
+            type(data.get("format_version")) is not int or \
+            data["format_version"] != NET_CHECKPOINT_VERSION:
         raise CheckpointError(f"not an mlp policy checkpoint: {path}")
     try:
         nets = [FeedForwardNet(

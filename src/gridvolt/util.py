@@ -1,7 +1,8 @@
-"""Small shared helpers: canonical config hashing, float formatting and
-certificate clause lines."""
+"""Small shared helpers: canonical config hashing, JSON number reading,
+float formatting and certificate clause lines."""
 
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -23,6 +24,21 @@ def canonical_json(obj):
 def config_hash(obj):
     """Short content hash of a configuration mapping."""
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()[:16]
+
+
+def json_floats(value):
+    """``value``, JSON numbers nested in lists, as a float array. A bool,
+    string or null in it raises a TypeError: numpy reads them as numbers
+    (null as NaN), so a file holding one would load as another feeder,
+    scenario or controller than the one saved."""
+    out, items = np.array(value, dtype=float), [value]
+    for _ in range(out.ndim):
+        items = itertools.chain.from_iterable(items)
+    odd = set(map(type, items)) - {int, float}
+    if odd:
+        raise TypeError("expected JSON numbers, got "
+                        + ", ".join(sorted(t.__name__ for t in odd)))
+    return out
 
 
 def fmt(x):

@@ -11,19 +11,25 @@ import pytest
 
 import gridvolt
 from gridvolt import rl
+from gridvolt.bench import write_trajectory_csv
 from gridvolt.cli import cli_main
-from gridvolt.dynamics import make_suite, save_scenarios
+from gridvolt.dynamics import CostParams, make_suite, rollout, save_scenarios
 from gridvolt.grid import (
+    build_sensitivity,
     five_bus_fixture,
     generate_random_feeder,
     save_network,
 )
 from gridvolt.policy import (
+    MonotonePolicy,
     StackedReluParams,
+    droop,
+    parse_checkpoint,
     sample_raw_params,
     save_checkpoint,
+    zero_policy,
 )
-from gridvolt.rl import FeedForwardNet, save_net_policy
+from gridvolt.rl import FeedForwardNet, load_net_policy, save_net_policy
 from gridvolt.util import config_hash, fmt
 
 
@@ -72,27 +78,20 @@ def test_generate_network_fixture(tmp_path):
                for line in data["lines"])
 
 
-def test_simulate(net_path, ckpt_path, tmp_path, capsys):
-    out = tmp_path / "traj.csv"
-    code = cli_main(["simulate", "--network", net_path, "--policy", ckpt_path,
-                     "--scenarios", "5", "--index", "1", "--out", str(out)])
-    assert code == 0
-    header = out.read_text().splitlines()[0]
-    assert header == "policy,scenario,t,bus,v,q,u,cost"
-    assert "recovered" in capsys.readouterr().out
-
-
-def test_simulate_linear_policy(net_path, tmp_path):
-    out = tmp_path / "traj.csv"
-    code = cli_main(["simulate", "--network", net_path, "--policy", "linear",
-                     "--scenarios", "3", "--out", str(out)])
-    assert code == 0
-
-
-def test_simulate_missing_network(tmp_path):
-    code = cli_main(["simulate", "--network", str(tmp_path / "none.json"),
-                     "--policy", "linear", "--out", str(tmp_path / "t.csv")])
+def test_evaluate_missing_network(tmp_path, capsys):
+    code = cli_main(["evaluate", "--network", str(tmp_path / "none.json"),
+                     "--policies", "linear", "--scenarios", "2",
+                     "--out", str(tmp_path / "r.csv")])
     assert code == 2
+    assert "error: network file not found" in capsys.readouterr().err
+
+
+def test_simulate_is_not_a_subcommand(net_path, tmp_path, capsys):
+    # evaluate --traces-dir writes the per-step trace of every scenario
+    code = cli_main(["simulate", "--network", net_path, "--policy", "linear",
+                     "--out", str(tmp_path / "t.csv")])
+    assert code == 2
+    assert "invalid choice: 'simulate'" in capsys.readouterr().err
 
 
 def _r_not_a_number(data):
@@ -134,36 +133,36 @@ def _with_ids(edits):
 EMPTY_SUITE = "empty-suite.json"
 NAN_SUITE = "nan-suite.json"
 INF_SUITE = "inf-suite.json"
+BOOL_SUITE = "bool-suite.json"
+TEXT_SUITE = "text-suite.json"
 
 
 def _suite_with(field, index, value):
-    suite = make_suite(4, 2, seed=0)
-    suite[1][field][index] = value
-    return suite
+    """A saved two-scenario suite with one entry of scenario 1 replaced."""
+    data = [{"v_env": v_env.tolist(), "q0": q0.tolist(), "label": label}
+            for v_env, q0, label in make_suite(4, 2, seed=0)]
+    data[1][field][index] = value
+    return data
+
+
+EVALUATE = ["evaluate", "--policies", "linear", "--scenarios", "2"]
 
 
 @pytest.mark.parametrize("edit, argv", [
-    (lambda data: [data], ["simulate", "--policy", "linear"]),
-    (_r_not_a_number, ["simulate", "--policy", "linear"]),
-    (_with("buses", 5), ["simulate", "--policy", "linear"]),
-    (None, ["simulate", "--policy", "linear", "--horizon", "0"]),
-    (None, ["simulate", "--policy", "linear", "--dt", "inf"]),
+    (lambda data: [data], EVALUATE),
+    (_r_not_a_number, EVALUATE),
+    (_with("buses", 5), EVALUATE),
+    (None, ["certify", "--checkpoint", "linear", "--horizon", "0"]),
+    (None, [*EVALUATE, "--dt", "inf"]),
     (None, ["train", "--episodes", "1", "--dt", "0"]),
     (None, ["certify", "--checkpoint", "linear", "--rollouts", "0"]),
-    (None, ["evaluate", "--policies", "linear", "--scenarios", "2",
-            "--horizon", "0"]),
-    (None, ["simulate", "--policy", "linear", "--recovery-tol", "nan"]),
-    (None, ["simulate", "--policy", "linear", "--recovery-tol", "-1"]),
-    (None, ["evaluate", "--policies", "linear", "--scenarios", "2",
-            "--recovery-tol", "nan"]),
-    (None, ["evaluate", "--policies", "linear", "--scenarios", "2",
-            "--recovery-tol", "-1"]),
+    (None, [*EVALUATE, "--horizon", "0"]),
+    (None, [*EVALUATE, "--recovery-tol", "nan"]),
+    (None, [*EVALUATE, "--recovery-tol", "-1"]),
     (None, ["certify", "--checkpoint", "linear", "--tol", "-1"]),
-    (None, ["simulate", "--policy", "linear", "--seed", "-1"]),
     (None, ["train", "--episodes", "1", "--seed", "-1"]),
     (None, ["certify", "--checkpoint", "linear", "--seed", "-1"]),
-    (None, ["evaluate", "--policies", "linear", "--scenarios", "2",
-            "--seed", "-1"]),
+    (None, [*EVALUATE, "--seed", "-1"]),
     (None, ["generate-network", "--buses", "4", "--seed", "-1"]),
     (None, ["generate-network", "--buses", "0"]),
     (None, ["generate-network", "--buses", "4", "--impedance-lo", "0.08",
@@ -172,55 +171,61 @@ def _suite_with(field, index, value):
     (None, ["train", "--episodes", "-3"]),
     (None, ["evaluate", "--policies", "linear", "--scenario-file",
             EMPTY_SUITE]),
-    (_with_line("x", float("nan")), ["simulate", "--policy", "linear"]),
+    (_with_line("x", float("nan")), EVALUATE),
     (_with_line("x", float("inf")), ["certify", "--checkpoint", "linear"]),
-    (None, ["evaluate", "--policies", "linear", "--scenario-file",
-            NAN_SUITE]),
-    (None, ["simulate", "--policy", "linear", "--scenario-file",
-            INF_SUITE, "--index", "1"]),
+    *[(None, ["evaluate", "--policies", "linear", "--scenario-file", suite])
+      for suite in (NAN_SUITE, INF_SUITE, BOOL_SUITE, TEXT_SUITE)],
     *[(_with_band(key, value), argv)
       for key, value in (("v_upper", float("inf")),
                          ("v_lower", -float("inf")))
       for argv in (["certify", "--checkpoint", "linear"],
-                   ["simulate", "--policy", "linear"],
                    ["evaluate", "--policies", "linear", "--scenarios", "3"],
                    ["train", "--episodes", "1"])],
-    *[(_with_ids(edits), ["simulate", "--policy", "linear"])
+    *[(_with_ids(edits), EVALUATE)
       for edits in ({("buses", 3, "id"): 3.7, ("lines", 2, "to"): 3.2},
                     {("lines", 3, "to"): 4.5},
                     {("lines", 0, "from"): False},
                     {("buses", 1, "id"): True},
                     {("buses", 2, "id"): "2"},
                     {("lines", 1, "from"): "1"})],
+    # numpy and float() read these as numbers; each would load silently
+    (_with_line("x", True), ["certify", "--checkpoint", "linear"]),
+    (_with_line("x", "0.05"), EVALUATE),
+    (_with_band("v_upper", "1.05"), ["certify", "--checkpoint", "linear"]),
+    (_with("v0", True), EVALUATE),
+    (_with("base_kv", "12"), ["train", "--episodes", "1"]),
 ], ids=["network-list", "network-r-not-a-number", "network-buses-not-a-list",
-        "simulate-horizon-0", "simulate-dt-inf", "train-dt-0",
+        "certify-horizon-0", "evaluate-dt-inf", "train-dt-0",
         "certify-rollouts-0", "evaluate-horizon-0",
-        "simulate-recovery-tol-nan", "simulate-recovery-tol-negative",
         "evaluate-recovery-tol-nan", "evaluate-recovery-tol-negative",
-        "certify-tol-negative", "simulate-seed-negative",
-        "train-seed-negative", "certify-seed-negative",
-        "evaluate-seed-negative", "generate-network-seed-negative",
-        "generate-network-buses-0", "generate-network-impedance-empty",
-        "generate-network-impedance-inf",
+        "certify-tol-negative", "train-seed-negative",
+        "certify-seed-negative", "evaluate-seed-negative",
+        "generate-network-seed-negative", "generate-network-buses-0",
+        "generate-network-impedance-empty", "generate-network-impedance-inf",
         "train-episodes-negative", "evaluate-empty-scenario-file",
         "network-x-nan", "network-x-inf", "evaluate-scenario-v-env-nan",
-        "simulate-scenario-q0-inf",
+        "evaluate-scenario-q0-inf", "evaluate-scenario-v-env-boolean",
+        "evaluate-scenario-q0-string",
         *[f"network-{edge}-{command}"
           for edge in ("v-upper-inf", "v-lower-inf")
-          for command in ("certify", "simulate", "evaluate", "train")],
+          for command in ("certify", "evaluate", "train")],
         "network-bus-id-fractional", "network-line-to-fractional",
         "network-line-from-boolean", "network-bus-id-boolean",
-        "network-bus-id-string", "network-line-from-string"])
+        "network-bus-id-string", "network-line-from-string",
+        "network-x-boolean", "network-x-string", "network-v-upper-string",
+        "network-v0-boolean", "network-base-kv-string"])
 def test_bad_input_exits_2(net_path, tmp_path, capsys, edit, argv):
     if edit is not None:
         with open(net_path) as fh:
             data = edit(json.load(fh))
         with open(net_path, "w") as fh:
             json.dump(data, fh)
-    suites = {EMPTY_SUITE: [], NAN_SUITE: _suite_with(0, 2, float("nan")),
-              INF_SUITE: _suite_with(1, 0, float("inf"))}
+    suites = {EMPTY_SUITE: [], NAN_SUITE: _suite_with("v_env", 2, float("nan")),
+              INF_SUITE: _suite_with("q0", 0, float("inf")),
+              BOOL_SUITE: _suite_with("v_env", 1, True),
+              TEXT_SUITE: _suite_with("q0", 3, "0.0")}
     for name, suite in suites.items():
-        save_scenarios(suite, tmp_path / name)
+        (tmp_path / name).write_text(json.dumps(suite))
     command, *flags = argv
     flags = [str(tmp_path / f) if f in suites else f for f in flags]
     if command != "generate-network":
@@ -300,10 +305,9 @@ def test_one_bus_feeder_runs_every_subcommand(tmp_path, capsys):
     assert cli_main(["generate-network", "--buses", "1", "--out", net]) == 0
     assert cli_main(["train", "--network", net, "--episodes", "10",
                      "--out", ckpt]) == 0
-    assert cli_main(["simulate", "--network", net, "--policy", ckpt,
-                     "--out", str(tmp_path / "traj.csv")]) == 0
     assert cli_main(["evaluate", "--network", net, "--policies", "linear",
-                     ckpt, "--scenarios", "3",
+                     ckpt, "--scenarios", "3", "--traces-dir",
+                     str(tmp_path / "traces"),
                      "--out", str(tmp_path / "report.csv")]) == 0
     assert cli_main(["certify", "--network", net, "--checkpoint", ckpt,
                      "--rollouts", "6"]) == 0
@@ -396,12 +400,22 @@ def _edited_checkpoint(tmp_path, actor, edit):
     ("mlp", _weight(True), 4, "expected JSON numbers, got bool"),
     ("mlp", _put("0.5", "nets", 1, "biases", 0, 0), 4, "got str"),
     ("mlp", _put("1.05", "band", "v_upper", 3), 4, "got str"),
+    # and == reads these as the integers the loaders expect
+    ("stable", _put(True, "format_version"), 4,
+     "unsupported checkpoint version True"),
+    ("stable", _put(1.0, "format_version"), 4,
+     "unsupported checkpoint version 1.0"),
+    ("mlp", _put(True, "format_version"), 4, "not an mlp policy checkpoint"),
+    ("mlp", _put(1.0, "format_version"), 4, "not an mlp policy checkpoint"),
+    ("stable", _put(8.0, "buses", 0, "d"), 4,
+     "bus 1 declares d = 8.0 but has 8 ramp units"),
 ], ids=["inf-slope", "no-band", "no-eps", "no-buses", "one-unit",
         "not-object", "mlp-no-nets", "mlp-net-missing", "stable-on-16-buses",
         "mlp-on-16-buses", "mlp-nan-weight", "mlp-text-weight",
         "stable-wrong-d", "bool-eps", "text-eps", "text-band-edge",
         "bool-raw-slope", "mlp-bool-weight", "mlp-text-bias",
-        "mlp-text-band-edge"])
+        "mlp-text-band-edge", "bool-version", "float-version",
+        "mlp-bool-version", "mlp-float-version", "float-d"])
 def test_certify_rejects_corrupt_checkpoint(net_path, tmp_path, capsys,
                                             actor, edit, buses, message):
     # a checkpoint that is malformed, cannot rebuild a valid controller, or
@@ -465,8 +479,7 @@ def _kind(kind):
     return edit
 
 
-# simulate reads checkpoints through the same loader as certify and evaluate
-@pytest.mark.parametrize("command", ["certify", "evaluate", "simulate"])
+@pytest.mark.parametrize("command", ["certify", "evaluate"])
 @pytest.mark.parametrize("actor, edit, message", [
     ("stable", _inverted_band,
      "bus 1 has v_lower = 1.2 not below v_upper = 1.05"),
@@ -489,8 +502,7 @@ def test_certify_and_evaluate_reject_bad_checkpoint_fields(
     out = str(tmp_path / "out")
     argv = {"certify": ["certify", "--checkpoint", path, "--rollouts", "2"],
             "evaluate": ["evaluate", "--policies", path, "--scenarios", "2",
-                         "--out", out],
-            "simulate": ["simulate", "--policy", path, "--out", out]}[command]
+                         "--out", out]}[command]
     assert cli_main([*argv, "--network", net_path]) == 2
     err = capsys.readouterr().err
     assert "error: bad checkpoint" in err
@@ -539,31 +551,45 @@ def test_evaluate(net_path, ckpt_path, tmp_path, capsys):
     assert len(list(traces.glob("*.csv"))) == 3 * 6
 
 
-def test_trace_csv_is_the_same_from_simulate_and_evaluate(net_path, tmp_path,
-                                                         capsys):
-    # steep enough that scenarios 0, 4 and 5 of the seed-0 suite diverge
+def test_evaluate_traces_are_one_scenario_rollouts(net_path, tmp_path):
+    # each trace is byte for byte the CSV of that policy's one-scenario
+    # rollout, for the built-in policies and both checkpoint kinds
     net = five_bus_fixture()
+    band = net.bounds()
+    # steep enough that scenarios 0, 4 and 5 of the seed-0 suite diverge
     raw = sample_raw_params(net.n, 16, np.random.default_rng(0),
                             gain_range=(80, 90))
-    ckpt = tmp_path / "steep.json"
-    save_checkpoint(str(ckpt), raw, net.bounds(), 1e-3)
+    steep, mlp = tmp_path / "steep.json", tmp_path / "mlp.json"
+    save_checkpoint(str(steep), raw, band, 1e-3)
+    nets = [FeedForwardNet.create([1, 8, 1], np.random.default_rng(k))
+            for k in range(net.n)]
+    save_net_policy(str(mlp), FeedForwardNet.stack(nets), band)
+    policies = {"linear": MonotonePolicy(droop(band, 1.0)),
+                "zero": zero_policy(band),
+                "steep": parse_checkpoint(json.loads(steep.read_text()))[3],
+                "mlp": load_net_policy(str(mlp))[0]}
     traces = tmp_path / "traces"
     assert cli_main(["evaluate", "--network", net_path, "--policies",
-                     str(ckpt), "--scenarios", "6", "--out",
-                     str(tmp_path / "report.csv"), "--traces-dir",
-                     str(traces)]) == 0
-    capsys.readouterr()
+                     "linear", "zero", str(steep), str(mlp), "--scenarios",
+                     "6", "--out", str(tmp_path / "report.csv"),
+                     "--traces-dir", str(traces)]) == 0
+    X = build_sensitivity(net).X
     diverged = []
+    for name, pol in policies.items():
+        for k, (v_env, q0, label) in enumerate(make_suite(net.n, 6, seed=0)):
+            runs = rollout(pol, X, v_env, q0, T=100, dt=0.1)
+            out = tmp_path / f"{name}-{k}.csv"
+            write_trajectory_csv(runs, 0, out, band, CostParams(),
+                                 policy=name, scenario=label)
+            assert (traces / f"{name}-{k}.csv").read_bytes() == \
+                out.read_bytes()
+            if name == "steep" and runs.diverged[0]:
+                diverged.append(k)
+    assert diverged == [0, 4, 5]
     for k in range(6):
-        out = tmp_path / f"sim-{k}.csv"
-        assert cli_main(["simulate", "--network", net_path, "--policy",
-                         str(ckpt), "--scenarios", "6", "--index", str(k),
-                         "--out", str(out)]) == 0
-        if "diverged" in capsys.readouterr().out:
-            diverged.append(k)
-        text = out.read_text()
-        assert (traces / f"steep-{k}.csv").read_text() == text
-        rows = [line.split(",") for line in text.splitlines()[1:]]
+        lines = (traces / f"steep-{k}.csv").read_text().splitlines()
+        assert lines[0] == "policy,scenario,t,bus,v,q,u,cost"
+        rows = [line.split(",") for line in lines[1:]]
         states = [rows[i:i + net.n] for i in range(0, len(rows), net.n)]
         assert len(states) * net.n == len(rows)
         for t, state in enumerate(states):
@@ -575,7 +601,6 @@ def test_trace_csv_is_the_same_from_simulate_and_evaluate(net_path, tmp_path,
                        for i, r in enumerate(state))
         # a diverged run holds its steps + 1 states, a full one T + 1
         assert (len(states) < 101) == (k in diverged)
-    assert diverged == [0, 4, 5]
 
 
 def test_evaluate_csvs_quote_fields_that_hold_commas(net_path, ckpt_path,

@@ -352,12 +352,19 @@ def tr(val):
     return arr, arr, arr, arr
 
 
+def snapshot(buf):
+    """The buffer's four field arrays oldest first; empty before the first
+    push."""
+    order = (buf._pushed + np.arange(-len(buf), 0)) % buf.capacity
+    return tuple(arr[order] for arr in buf._fields or ())
+
+
 def test_buffer_fifo_eviction():
     buf = ReplayBuffer(capacity=5, seed=0)
     for k in range(8):
         buf.push(*tr(k))
     assert len(buf) == 5
-    held = list(buf.snapshot()[0][:, 0])
+    held = list(snapshot(buf)[0][:, 0])
     assert held == [3.0, 4.0, 5.0, 6.0, 7.0]
 
 
@@ -425,7 +432,7 @@ def push_rows(buf, ref, rows):
 def assert_same_contents(buf, ref):
     assert len(buf) == len(ref.items)
     oldest_first = ref.items[ref.head:] + ref.items[:ref.head]
-    for got, name in zip(buf.snapshot(), Row._fields, strict=True):
+    for got, name in zip(snapshot(buf), Row._fields, strict=True):
         want = [getattr(t, name) for t in oldest_first]
         np.testing.assert_array_equal(got, np.array(want).reshape(-1, 3))
 
@@ -468,7 +475,7 @@ def test_buffer_block_push_equals_list_reference(blocks):
         push_rows(buf, ref, rows[k:k + size])
         k += size
         if not ref.items:
-            assert len(buf) == 0 and buf.snapshot() == ()
+            assert len(buf) == 0 and snapshot(buf) == ()
             continue
         assert_same_contents(buf, ref)
         m = min(8, len(buf))
@@ -484,7 +491,7 @@ def test_buffer_eviction_after_wrap():
     for k in range(total):
         buf.push(*tr(k))
     assert len(buf) == capacity
-    held = list(buf.snapshot()[0][:, 0])
+    held = list(snapshot(buf)[0][:, 0])
     assert held == list(map(float, range(total - capacity, total)))
 
 

@@ -9,13 +9,14 @@ lines whose outputs a behaviour-preserving change must leave untouched:
   scope and the unconstrained actor in local scope (the three supported
   pairs), on the bundled 5-bus feeder and on
   ``generate-network --buses 16 --seed 1`` (checkpoint and log kept);
-* ``certify --out`` and ``simulate --index 2`` for every trained checkpoint
-  and for ``linear`` and ``zero``, and ``certify --dt 0.3`` and
-  ``--dt 0.2`` of the bundled feeder's stable local checkpoint, steps at
-  which dt * L * lambda_max(X) exceeds 2 (dt 0.2 passes every clause, so a
-  step clause shows there first);
+* ``certify --out`` for every trained checkpoint and for ``linear`` and
+  ``zero``, and ``certify --dt 0.3`` and ``--dt 0.2`` of the bundled
+  feeder's stable local checkpoint, steps at which dt * L * lambda_max(X)
+  exceeds 2 (dt 0.2 passes every clause, so a step clause shows there
+  first);
 * ``evaluate --scenarios 30`` of all of them with ``--histograms`` and
-  ``--traces-dir``.
+  ``--traces-dir``, whose trace CSVs are each policy's per-step record of
+  every scenario.
 
 Every command runs inside OUTDIR on relative paths, and its stdout, stderr
 and exit code are kept next to its files, so two runs can be compared with
@@ -73,9 +74,6 @@ def main():
             name = f"{feeder}/{Path(spec).stem}"
             gridvolt(f"{name}.certify", "certify", "--network", net,
                      "--checkpoint", spec, "--out", f"{name}.cert.json")
-            gridvolt(f"{name}.simulate", "simulate", "--network", net,
-                     "--policy", spec, "--index", "2", "--out",
-                     f"{name}.sim.csv")
         gridvolt(f"{feeder}/evaluate", "evaluate", "--network", net,
                  "--policies", *policies, "--scenarios", "30", "--out",
                  f"{feeder}/report.csv", "--histograms",
