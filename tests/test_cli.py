@@ -551,41 +551,67 @@ def test_evaluate(net_path, ckpt_path, tmp_path, capsys):
     assert len(list(traces.glob("*.csv"))) == 3 * 6
 
 
-def test_evaluate_traces_are_one_scenario_rollouts(net_path, tmp_path):
-    # each trace is byte for byte the CSV of that policy's one-scenario
-    # rollout, for the built-in policies and both checkpoint kinds
+def _assert_traces_are_rollouts(net_path, tmp_path, policies, args):
+    # runs evaluate --traces-dir on 6 scenarios and checks that each trace
+    # is byte for byte the CSV of that policy's one-scenario rollout;
+    # returns the diverged scenarios of each policy
     net = five_bus_fixture()
-    band = net.bounds()
-    # steep enough that scenarios 0, 4 and 5 of the seed-0 suite diverge
-    raw = sample_raw_params(net.n, 16, np.random.default_rng(0),
-                            gain_range=(80, 90))
-    steep, mlp = tmp_path / "steep.json", tmp_path / "mlp.json"
-    save_checkpoint(str(steep), raw, band, 1e-3)
-    nets = [FeedForwardNet.create([1, 8, 1], np.random.default_rng(k))
-            for k in range(net.n)]
-    save_net_policy(str(mlp), FeedForwardNet.stack(nets), band)
-    policies = {"linear": MonotonePolicy(droop(band, 1.0)),
-                "zero": zero_policy(band),
-                "steep": parse_checkpoint(json.loads(steep.read_text()))[3],
-                "mlp": load_net_policy(str(mlp))[0]}
     traces = tmp_path / "traces"
-    assert cli_main(["evaluate", "--network", net_path, "--policies",
-                     "linear", "zero", str(steep), str(mlp), "--scenarios",
-                     "6", "--out", str(tmp_path / "report.csv"),
+    assert cli_main(["evaluate", "--network", net_path, "--policies", *args,
+                     "--scenarios", "6", "--out", str(tmp_path / "report.csv"),
                      "--traces-dir", str(traces)]) == 0
     X = build_sensitivity(net).X
-    diverged = []
+    diverged = {}
     for name, pol in policies.items():
+        diverged[name] = []
         for k, (v_env, q0, label) in enumerate(make_suite(net.n, 6, seed=0)):
             runs = rollout(pol, X, v_env, q0, T=100, dt=0.1)
             out = tmp_path / f"{name}-{k}.csv"
-            write_trajectory_csv(runs, 0, out, band, CostParams(),
+            write_trajectory_csv(runs, 0, out, net.bounds(), CostParams(),
                                  policy=name, scenario=label)
             assert (traces / f"{name}-{k}.csv").read_bytes() == \
                 out.read_bytes()
-            if name == "steep" and runs.diverged[0]:
-                diverged.append(k)
+            if runs.diverged[0]:
+                diverged[name].append(k)
+    return diverged
+
+
+def test_simulate(net_path, ckpt_path, tmp_path):
+    # the per-step trace of a stable and an MLP checkpoint, which the
+    # simulate subcommand wrote, is evaluate --traces-dir's
+    net = five_bus_fixture()
+    mlp = tmp_path / "mlp.json"
+    nets = [FeedForwardNet.create([1, 8, 1], np.random.default_rng(k))
+            for k in range(net.n)]
+    save_net_policy(str(mlp), FeedForwardNet.stack(nets), net.bounds())
+    policies = {
+        "steep": parse_checkpoint(json.loads(Path(ckpt_path).read_text()))[3],
+        "mlp": load_net_policy(str(mlp))[0]}
+    _assert_traces_are_rollouts(net_path, tmp_path, policies,
+                                [ckpt_path, str(mlp)])
+
+
+def test_simulate_linear_policy(net_path, tmp_path):
+    band = five_bus_fixture().bounds()
+    policies = {"linear": MonotonePolicy(droop(band, 1.0)),
+                "zero": zero_policy(band)}
+    _assert_traces_are_rollouts(net_path, tmp_path, policies,
+                                ["linear", "zero"])
+
+
+def test_trace_csv_is_the_same_from_simulate_and_evaluate(net_path, tmp_path):
+    # a diverged run's trace stops at its cut, as simulate's did
+    net = five_bus_fixture()
+    # steep enough that scenarios 0, 4 and 5 of the seed-0 suite diverge
+    raw = sample_raw_params(net.n, 16, np.random.default_rng(0),
+                            gain_range=(80, 90))
+    steep = tmp_path / "steep.json"
+    save_checkpoint(str(steep), raw, net.bounds(), 1e-3)
+    policies = {"steep": parse_checkpoint(json.loads(steep.read_text()))[3]}
+    diverged = _assert_traces_are_rollouts(net_path, tmp_path, policies,
+                                           [str(steep)])["steep"]
     assert diverged == [0, 4, 5]
+    traces = tmp_path / "traces"
     for k in range(6):
         lines = (traces / f"steep-{k}.csv").read_text().splitlines()
         assert lines[0] == "policy,scenario,t,bus,v,q,u,cost"
