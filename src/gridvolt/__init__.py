@@ -10,7 +10,6 @@ from .bench import EvalReport, control_energy, evaluate, transient_cost
 from .dynamics import (
     CostParams,
     Rollouts,
-    ScenarioConfig,
     dist_to_band,
     make_suite,
     recovery_time,

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import recovery_time, rollout_batch, row_dot, stage_cost
+from .dynamics import (CostParams, recovery_time, rollout_batch, row_dot,
+                       stage_cost)
 from .util import config_hash, fmt
 
 DEFAULT_RECOVERY_TOL = 1e-3
@@ -164,15 +165,16 @@ def write_histograms_csv(report, path):
     _csv(rows, path)
 
 
-def write_trajectory_csv(runs, s, path, bounds, cp, policy="policy",
+def write_trajectory_csv(runs, s, path, bounds, policy="policy",
                          scenario="scenario"):
     """Per-step plot data of scenario ``s`` of a Rollouts, up to its cut:
     t = step * dt, bus, v, q, u, and the stage cost of (v, u) priced with
-    ``bounds`` and ``cp`` (u and cost blank on the last row)."""
+    ``bounds`` and the default ``CostParams`` (u and cost blank on the last
+    row)."""
     rows = [("policy", "scenario", "t", "bus", "v", "q", "u", "cost")]
     steps = int(runs.steps[s])
     v, q, u = runs.v[:, s], runs.q[:, s], runs.u[:, s]
-    cost = stage_cost(v[:steps], u[:steps], bounds, cp)
+    cost = stage_cost(v[:steps], u[:steps], bounds, CostParams())
     for t in range(steps + 1):
         for i in range(v.shape[1]):
             u_txt = fmt(u[t, i]) if t < steps else ""

@@ -117,8 +117,7 @@ def cmd_train(args):
     if episodes is None:
         episodes = 200 if args.actor == "stable" else 600
     cfg = rl.TrainConfig(episodes=episodes, seed=args.seed,
-                         agent_scope=args.scope,
-                         record_timing=args.timing)
+                         agent_scope=args.scope)
     env = rl.VoltEnv(X=sens.X, v_lower=band[0], v_upper=band[1],
                      cp=dynamics.CostParams(), dt=args.dt)
     result = rl.train(env, cfg, actor_kind=args.actor)
@@ -126,7 +125,7 @@ def cmd_train(args):
     if args.actor == "stable":
         policy.save_checkpoint(args.out, result.raw, band, cfg.eps, meta=meta)
     else:
-        rl.save_net_policy(args.out, result.actor, band, meta=meta)
+        rl.save_net_policy(args.out, result.policy.actor, band, meta=meta)
     if args.log:
         rl.write_training_log(result.log, args.log)
     returns = [row["return"] for row in result.log]
@@ -175,13 +174,11 @@ def cmd_evaluate(args):
         bench.write_histograms_csv(report, args.histograms)
     if args.traces_dir:
         os.makedirs(args.traces_dir, exist_ok=True)
-        cp = dynamics.CostParams()
         for pname in names:
             for k, (_, _, label) in enumerate(suite):
                 path = os.path.join(args.traces_dir, f"{pname}-{k}.csv")
                 bench.write_trajectory_csv(report.rollouts[pname], k, path,
-                                           band, cp, policy=pname,
-                                           scenario=label)
+                                           band, policy=pname, scenario=label)
     print(f"wrote {args.out}: {len(suite)} scenarios "
           f"(hash {report.scenario_hash}), policies: {', '.join(names)}")
     for pname in names:
@@ -225,9 +222,6 @@ def build_parser():
                         "takes local only")
     p.add_argument("--seed", type=_bounded(int, 0), default=0)
     p.add_argument("--dt", type=positive_float, default=0.1)
-    p.add_argument("--timing", action="store_true",
-                   help="record wall-clock per episode (breaks bit-identical "
-                        "logs across runs)")
     p.add_argument("--out", required=True)
     p.add_argument("--log")
     p.set_defaults(func=cmd_train)

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import json_floats
+from .util import json_floats_at
 
 DEFAULT_DT = 0.1
 BLOWUP_BOUND = 10.0
@@ -56,39 +56,28 @@ def stage_cost(v, u, bounds, cp):
     return float(c) if dev.ndim == 1 else c
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Disturbance sampler settings for one scenario kind.
-
-    ``kind`` is 'high', 'low' or 'mixed'. Violating buses are a uniformly
-    chosen nonempty subset; for 'mixed' at least one bus is pushed over and
-    one under the band. Remaining buses stay near nominal.
-    """
-
-    kind: str
-    n: int
-
-    def __post_init__(self):
-        if self.kind not in SCENARIO_KINDS:
-            raise ValueError(f"unknown scenario kind {self.kind!r}")
-        if self.kind == "mixed" and self.n < 2:
-            raise ValueError("mixed scenarios need at least two buses")
-
-
 def scenario_kinds(n):
     """The scenario kinds an n-bus feeder can draw: 'mixed' needs two buses."""
     return SCENARIO_KINDS if n >= 2 else SCENARIO_KINDS[:2]
 
 
-def sample_scenario(cfg, rng):
-    """Draw (v_env, q0) for one disturbance scenario. q0 is zero."""
-    n = cfg.n
+def sample_scenario(kind, n, rng):
+    """Draw (v_env, q0) for one n-bus disturbance scenario; q0 is zero.
+
+    ``kind`` is 'high', 'low' or 'mixed'. Violating buses are a uniformly
+    chosen nonempty subset; for 'mixed' at least one bus is pushed over and
+    one under the band. Remaining buses stay near nominal.
+    """
+    if kind not in SCENARIO_KINDS:
+        raise ValueError(f"unknown scenario kind {kind!r}")
+    if kind == "mixed" and n < 2:
+        raise ValueError("mixed scenarios need at least two buses")
     v_env = rng.uniform(*AMBIENT_RANGE, size=n)
     k = int(rng.integers(1, n + 1))
     chosen = rng.choice(n, size=k, replace=False)
-    if cfg.kind == "high":
+    if kind == "high":
         v_env[chosen] = rng.uniform(*HIGH_RANGE, size=k)
-    elif cfg.kind == "low":
+    elif kind == "low":
         v_env[chosen] = rng.uniform(*LOW_RANGE, size=k)
     else:
         if k == 1:
@@ -114,8 +103,7 @@ def make_suite(n, count, seed):
     suite = []
     for i in range(count):
         kind = kinds[i % len(kinds)]
-        cfg = ScenarioConfig(kind=kind, n=n)
-        v_env, q0 = sample_scenario(cfg, rng)
+        v_env, q0 = sample_scenario(kind, n, rng)
         suite.append((v_env, q0, f"{kind}-{i}"))
     return suite
 
@@ -130,8 +118,13 @@ def save_scenarios(suite, path):
 def load_scenarios(path):
     with open(path) as fh:
         data = json.load(fh)
-    return [(json_floats(d["v_env"]), json_floats(d["q0"]),
-             d.get("label", f"scenario-{i}")) for i, d in enumerate(data)]
+    suite = []
+    for i, d in enumerate(data):
+        v_env, q0, label = d["v_env"], d["q0"], d.get("label", f"scenario-{i}")
+        where = f"scenario {i} ({label})"
+        suite.append((json_floats_at(v_env, f"{where} v_env"),
+                      json_floats_at(q0, f"{where} q0"), label))
+    return suite
 
 
 @dataclass
@@ -249,7 +242,7 @@ def rollout_batch(policy, X, v_env, q0, T, dt, blowup=BLOWUP_BOUND):
     return Rollouts(v=v, q=q, u=u, dt=dt, steps=steps)
 
 
-def rollout(policy, X, v_env, q0, T, dt, blowup=BLOWUP_BOUND):
+def rollout(policy, X, v_env, q0, T, dt):
     """Roll one closed loop forward: ``rollout_batch`` with S = 1.
 
     ``v_env`` is an (n,) disturbance or a (T+1, n) series replayed one row
@@ -258,8 +251,7 @@ def rollout(policy, X, v_env, q0, T, dt, blowup=BLOWUP_BOUND):
     """
     v_env = np.asarray(v_env, dtype=float)
     return rollout_batch(policy, X, v_env[..., None, :],
-                         np.asarray(q0, dtype=float)[None], T, dt,
-                         blowup=blowup)
+                         np.asarray(q0, dtype=float)[None], T, dt)
 
 
 def recovery_time(runs, bounds, tol=1e-3):

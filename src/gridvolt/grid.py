@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import json_floats
+from .util import json_floats_at
 
 
 class NetworkValidationError(ValueError):
@@ -59,6 +59,9 @@ class RadialNetwork:
             if isinstance(i, bool) or not isinstance(i, numbers.Integral):
                 raise NetworkValidationError(
                     f"bus ids and line ends must be integers, got {i!r}")
+        if len(ids) < 2:
+            raise NetworkValidationError(
+                "the network has no controllable bus (a bus other than 0)")
         if sorted(ids) != list(range(len(ids))):
             raise NetworkValidationError(
                 f"bus ids must be 0..n without gaps, got {sorted(ids)}")
@@ -184,24 +187,22 @@ def solve_distflow(network, p, q):
     return BranchFlows(P=P, Q=Q), v
 
 
-def check_positive_definite(m, sym_tol=1e-9):
+def check_positive_definite(m):
     """Return the minimum eigenvalue of a symmetric matrix.
 
     A positive return value certifies positive definiteness. Raises if the
-    input is not square or deviates from symmetry beyond ``sym_tol``.
+    input is not square or deviates from symmetry by more than 1e-9.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if np.max(np.abs(m - m.T)) > sym_tol:
-        raise ValueError("matrix is not symmetric within tolerance "
-                         f"{sym_tol:g}")
+    if np.max(np.abs(m - m.T)) > 1e-9:
+        raise ValueError("matrix is not symmetric within tolerance 1e-09")
     sym = 0.5 * (m + m.T)
     return float(np.linalg.eigvalsh(sym)[0])
 
 
-def generate_random_feeder(n, rng_seed=0, impedance_range=(0.01, 0.08),
-                           v_lower=0.95, v_upper=1.05):
+def generate_random_feeder(n, rng_seed=0, impedance_range=(0.01, 0.08)):
     """Random radial feeder with n controllable buses.
 
     Each new bus attaches to a uniformly chosen existing bus; r and x are
@@ -220,7 +221,7 @@ def generate_random_feeder(n, rng_seed=0, impedance_range=(0.01, 0.08),
         parent = int(rng.integers(0, child))
         r = float(rng.uniform(lo, hi))
         x = float(rng.uniform(lo, hi))
-        buses.append(Bus(id=child, v_lower=v_lower, v_upper=v_upper))
+        buses.append(Bus(id=child))
         lines.append(Line(parent=parent, child=child, r=r, x=x))
     return RadialNetwork(buses=tuple(buses), lines=tuple(lines))
 
@@ -271,21 +272,23 @@ def network_from_dict(data):
         for key in entry:
             if key not in _BUS_KEYS:
                 warn.append(f"unknown bus key {key!r} (bus {entry.get('id')})")
-        lo, hi = json_floats([entry.get("v_lower", 0.95),
-                              entry.get("v_upper", 1.05)])
-        buses.append(Bus(id=entry["id"], v_lower=float(lo), v_upper=float(hi)))
+        where = f"bus {entry.get('id')}"
+        band = {key: float(json_floats_at(entry[key], f"{where} {key}"))
+                for key in ("v_lower", "v_upper") if key in entry}
+        buses.append(Bus(id=entry["id"], **band))
     lines = []
     for entry in data["lines"]:
         for key in entry:
             if key not in _LINE_KEYS:
                 warn.append(f"unknown line key {key!r} "
                             f"(line {entry.get('from')}-{entry.get('to')})")
-        r, x = json_floats([entry["r"], entry["x"]])
-        lines.append(Line(parent=entry["from"], child=entry["to"],
-                          r=float(r), x=float(x)))
-    v0, base_kv = json_floats([data.get("v0", 1.0), data.get("base_kv", 12.0)])
-    net = RadialNetwork(buses=tuple(buses), lines=tuple(lines),
-                        v0=float(v0), base_kv=float(base_kv))
+        where = f"line {entry.get('from')}-{entry.get('to')}"
+        r, x = (float(json_floats_at(entry[key], f"{where} {key}"))
+                for key in ("r", "x"))
+        lines.append(Line(parent=entry["from"], child=entry["to"], r=r, x=x))
+    top = {key: float(json_floats_at(data[key], key))
+           for key in ("v0", "base_kv") if key in data}
+    net = RadialNetwork(buses=tuple(buses), lines=tuple(lines), **top)
     for msg in warn:
         warnings.warn(msg, stacklevel=2)
     return net, warn

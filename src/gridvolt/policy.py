@@ -391,7 +391,6 @@ class MonotoneReport:
     """Outcome of the exact monotonicity certificate for one policy."""
 
     clauses: dict
-    eps: float
 
     @property
     def passed(self):
@@ -407,18 +406,18 @@ class MonotoneReport:
 _SLOPE_RTOL = 1e-9
 
 
-def verify_monotone(p, eps=None, band=None):
+def verify_monotone(p, eps=None):
     """Exact check of the deadband-controller contract for every bus.
 
     Each controller is linear between its sorted ramp kinks and band edges,
     so ``check_pieces`` decides its clauses on the whole real line, on the
-    pieces its ``MonotonePolicy`` acts with. ``eps`` and ``band`` default to
-    the controller's own; another band's edges join the breakpoints.
+    pieces its ``MonotonePolicy`` acts with, against the controller's own
+    band. ``eps`` defaults to the controller's own.
     """
     eps = p.eps if eps is None else eps
-    band = (p.v_lower, p.v_upper) if band is None else band
+    band = (p.v_lower, p.v_upper)
     pieces = MonotonePolicy(p).breakpoints(band)
-    return MonotoneReport(check_pieces(*pieces, eps, band), eps)
+    return MonotoneReport(check_pieces(*pieces, eps, band))
 
 
 def check_pieces(pts, u, du, eps, band):
@@ -460,11 +459,11 @@ def check_pieces(pts, u, du, eps, band):
 # samplers and persistence
 # ---------------------------------------------------------------------------
 
-def sample_raw_params(n, d, rng, gain_range=(22.0, 26.0),
-                      spacing_range=(0.004, 0.02), eps=1e-3):
+def sample_raw_params(n, d, rng, gain_range=(22.0, 26.0), eps=1e-3):
     """Random controller family used for certification suites and training
     starts: droop-like gain near the band drawn from ``gain_range``,
-    kinks packed just outside the band, 5% steeper at the last ramp.
+    kinks packed 0.004-0.02 apart just outside the band, 5% steeper at
+    the last ramp.
 
     Gains well below ~4 cannot pull the bundled feeder back inside a
     0.1-wide band within a 100-step horizon, and gains above ~27 make the
@@ -476,7 +475,7 @@ def sample_raw_params(n, d, rng, gain_range=(22.0, 26.0),
         growth = np.linspace(1.0, 1.05, d)[None, :]
         target = base * growth
         slope_raw = np.log(np.expm1(np.maximum(target - eps, 1e-6)))
-        spacing = rng.uniform(*spacing_range, size=(n, d))
+        spacing = rng.uniform(0.004, 0.02, size=(n, d))
         decr_raw = np.log(np.expm1(spacing))
         return slope_raw, decr_raw
 
@@ -577,8 +576,7 @@ def parse_checkpoint(data):
             raise CheckpointError(f"bus {i + 1} declares d = {d!r} but has "
                                   f"{raw.d} ramp units per side")
     pol = MonotonePolicy(params)
-    report = MonotoneReport(check_pieces(*pol.breakpoints(band), eps, band),
-                            eps)
+    report = MonotoneReport(check_pieces(*pol.breakpoints(band), eps, band))
     if not report.passed:
         raise CheckpointError("checkpoint failed the monotonicity "
                               f"certificate:\n{report.summary()}")

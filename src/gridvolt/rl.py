@@ -13,14 +13,12 @@ import contextlib
 import ctypes
 import json
 import os
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import (
     DEFAULT_DT,
-    ScenarioConfig,
     band_violation,
     rollout,
     row_dot,
@@ -270,7 +268,6 @@ class TrainConfig:
     actor_hidden: tuple = (100, 100)    # unconstrained baseline actor
     actor_units: int = 16               # ramp units per side, monotone actor
     eps: float = 1e-3
-    record_timing: bool = False
 
     def __post_init__(self):
         for name in ("actor_lr", "critic_lr", "eps"):
@@ -323,7 +320,7 @@ class VoltEnv:
     def sample_start(self, rng):
         kinds = scenario_kinds(self.n)
         kind = kinds[int(rng.integers(0, len(kinds)))]
-        return sample_scenario(ScenarioConfig(kind=kind, n=self.n), rng)
+        return sample_scenario(kind, self.n, rng)
 
     def per_bus_reward(self, v, u):
         """Negated per-bus stage cost, elementwise over any leading axes."""
@@ -487,7 +484,6 @@ class TrainResult:
     log: list
     raw: RawPolicyParams = None
     init_raw: RawPolicyParams = None
-    actor: FeedForwardNet = None    # the MLP actors, one float64 stack
     diverged_episodes: int = 0
     updates: int = 0          # minibatch update rounds run
 
@@ -549,18 +545,12 @@ class _NetPolicy:
         return pts, self(pts), self.input_grad(mid)
 
 
-def _log_row(episode, ret, td_mean, grad_norm, wall_ms):
-    return {"episode": episode, "return": ret, "td_loss_mean": td_mean,
-            "grad_norms": grad_norm, "wall_ms": wall_ms}
-
-
 def write_training_log(log, path):
     with open(path, "w") as fh:
-        fh.write("episode,return,td_loss_mean,grad_norms,wall_ms\n")
+        fh.write("episode,return,td_loss_mean,grad_norms\n")
         for row in log:
             fh.write(f"{row['episode']},{fmt(row['return'])},"
-                     f"{fmt(row['td_loss_mean'])},{fmt(row['grad_norms'])},"
-                     f"{fmt(row['wall_ms'])}\n")
+                     f"{fmt(row['td_loss_mean'])},{fmt(row['grad_norms'])}\n")
 
 
 def _openblas_threads():
@@ -727,7 +717,6 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
     # the monotone actor steps all agents in one stacked pass, on no pool
     with _agent_map(1 if actor_kind == "stable" else agents) as agent_map:
         for episode in range(cfg.episodes):
-            t0 = time.perf_counter()
             v_env, q0 = env.sample_start(scen_rng)
             greedy = greedy_policy()
 
@@ -784,17 +773,13 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
                     soft_update(critic_target, critic, cfg.tau)
                     soft_update(target, online, cfg.tau)
 
-            wall = ((time.perf_counter() - t0) * 1e3 if cfg.record_timing
-                    else 0.0)
-            log.append(_log_row(
-                episode, ep_return,
-                float(np.mean(td_losses)) if td_losses else 0.0,
-                float(np.mean(grad_norms)) if grad_norms else 0.0, wall))
+            log.append({"episode": episode, "return": ep_return,
+                        "td_loss_mean": float(np.mean(td_losses or [0.0])),
+                        "grad_norms": float(np.mean(grad_norms or [0.0]))})
             if episode_callback is not None:
                 episode_callback(episode, online)
 
     final = greedy_policy()
     return TrainResult(policy=final, log=log, raw=raw, init_raw=init_raw,
-                       actor=final.actor if actor is not None else None,
                        diverged_episodes=diverged_episodes,
                        updates=updates)

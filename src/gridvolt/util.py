@@ -41,6 +41,14 @@ def json_floats(value):
     return out
 
 
+def json_floats_at(value, where):
+    """``json_floats(value)``, its refusal prefixed with ``where``."""
+    try:
+        return json_floats(value)
+    except (TypeError, ValueError) as exc:
+        raise type(exc)(f"{where}: {exc}") from None
+
+
 def fmt(x):
     """Render a float with 12 significant digits (stable across runs)."""
     return format(float(x), ".12g")

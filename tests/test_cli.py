@@ -13,7 +13,7 @@ import gridvolt
 from gridvolt import rl
 from gridvolt.bench import write_trajectory_csv
 from gridvolt.cli import cli_main
-from gridvolt.dynamics import CostParams, make_suite, rollout, save_scenarios
+from gridvolt.dynamics import make_suite, rollout, save_scenarios
 from gridvolt.grid import (
     build_sensitivity,
     five_bus_fixture,
@@ -146,42 +146,59 @@ def _suite_with(field, index, value):
 
 
 EVALUATE = ["evaluate", "--policies", "linear", "--scenarios", "2"]
+# the subcommands that read a feeder, each on its own bad file
+READERS = (["certify", "--checkpoint", "linear"],
+           ["evaluate", "--policies", "linear", "--scenarios", "3"],
+           ["train", "--episodes", "1"])
+NO_BUS = "the network has no controllable bus"
 
 
-@pytest.mark.parametrize("edit, argv", [
-    (lambda data: [data], EVALUATE),
-    (_r_not_a_number, EVALUATE),
-    (_with("buses", 5), EVALUATE),
-    (None, ["certify", "--checkpoint", "linear", "--horizon", "0"]),
-    (None, [*EVALUATE, "--dt", "inf"]),
-    (None, ["train", "--episodes", "1", "--dt", "0"]),
-    (None, ["certify", "--checkpoint", "linear", "--rollouts", "0"]),
-    (None, [*EVALUATE, "--horizon", "0"]),
-    (None, [*EVALUATE, "--recovery-tol", "nan"]),
-    (None, [*EVALUATE, "--recovery-tol", "-1"]),
-    (None, ["certify", "--checkpoint", "linear", "--tol", "-1"]),
-    (None, ["train", "--episodes", "1", "--seed", "-1"]),
-    (None, ["certify", "--checkpoint", "linear", "--seed", "-1"]),
-    (None, [*EVALUATE, "--seed", "-1"]),
-    (None, ["generate-network", "--buses", "4", "--seed", "-1"]),
-    (None, ["generate-network", "--buses", "0"]),
+def _only_buses(buses):
+    """A feeder file listing ``buses`` and no lines."""
+    return lambda data: {"buses": buses, "lines": []}
+
+
+# where: a part of the one-line error, naming the defect and its place
+@pytest.mark.parametrize("edit, argv, where", [
+    (lambda data: [data], EVALUATE, None),
+    (_r_not_a_number, EVALUATE, "line 0-1 r: could not convert"),
+    (_with("buses", 5), EVALUATE, None),
+    (None, ["certify", "--checkpoint", "linear", "--horizon", "0"], None),
+    (None, [*EVALUATE, "--dt", "inf"], None),
+    (None, ["train", "--episodes", "1", "--dt", "0"], None),
+    (None, ["certify", "--checkpoint", "linear", "--rollouts", "0"], None),
+    (None, [*EVALUATE, "--horizon", "0"], None),
+    (None, [*EVALUATE, "--recovery-tol", "nan"], None),
+    (None, [*EVALUATE, "--recovery-tol", "-1"], None),
+    (None, ["certify", "--checkpoint", "linear", "--tol", "-1"], None),
+    (None, ["train", "--episodes", "1", "--seed", "-1"], None),
+    (None, ["certify", "--checkpoint", "linear", "--seed", "-1"], None),
+    (None, [*EVALUATE, "--seed", "-1"], None),
+    (None, ["generate-network", "--buses", "4", "--seed", "-1"], None),
+    (None, ["generate-network", "--buses", "0"], None),
     (None, ["generate-network", "--buses", "4", "--impedance-lo", "0.08",
-            "--impedance-hi", "0.08"]),
-    (None, ["generate-network", "--buses", "4", "--impedance-hi", "inf"]),
-    (None, ["train", "--episodes", "-3"]),
+            "--impedance-hi", "0.08"], None),
+    (None, ["generate-network", "--buses", "4", "--impedance-hi", "inf"],
+     None),
+    (None, ["train", "--episodes", "-3"], None),
     (None, ["evaluate", "--policies", "linear", "--scenario-file",
-            EMPTY_SUITE]),
-    (_with_line("x", float("nan")), EVALUATE),
-    (_with_line("x", float("inf")), ["certify", "--checkpoint", "linear"]),
-    *[(None, ["evaluate", "--policies", "linear", "--scenario-file", suite])
-      for suite in (NAN_SUITE, INF_SUITE, BOOL_SUITE, TEXT_SUITE)],
-    *[(_with_band(key, value), argv)
+            EMPTY_SUITE], None),
+    (_with_line("x", float("nan")), EVALUATE, None),
+    (_with_line("x", float("inf")), ["certify", "--checkpoint", "linear"],
+     None),
+    *[(None, ["evaluate", "--policies", "linear", "--scenario-file", suite],
+       where)
+      for suite, where in (
+          (NAN_SUITE, None), (INF_SUITE, None),
+          (BOOL_SUITE, "scenario 1 (low-1) v_env: expected JSON numbers, "
+                       "got bool"),
+          (TEXT_SUITE, "scenario 1 (low-1) q0: expected JSON numbers, "
+                       "got str"))],
+    *[(_with_band(key, value), argv, None)
       for key, value in (("v_upper", float("inf")),
                          ("v_lower", -float("inf")))
-      for argv in (["certify", "--checkpoint", "linear"],
-                   ["evaluate", "--policies", "linear", "--scenarios", "3"],
-                   ["train", "--episodes", "1"])],
-    *[(_with_ids(edits), EVALUATE)
+      for argv in READERS],
+    *[(_with_ids(edits), EVALUATE, None)
       for edits in ({("buses", 3, "id"): 3.7, ("lines", 2, "to"): 3.2},
                     {("lines", 3, "to"): 4.5},
                     {("lines", 0, "from"): False},
@@ -189,11 +206,17 @@ EVALUATE = ["evaluate", "--policies", "linear", "--scenarios", "2"]
                     {("buses", 2, "id"): "2"},
                     {("lines", 1, "from"): "1"})],
     # numpy and float() read these as numbers; each would load silently
-    (_with_line("x", True), ["certify", "--checkpoint", "linear"]),
-    (_with_line("x", "0.05"), EVALUATE),
-    (_with_band("v_upper", "1.05"), ["certify", "--checkpoint", "linear"]),
-    (_with("v0", True), EVALUATE),
-    (_with("base_kv", "12"), ["train", "--episodes", "1"]),
+    (_with_line("x", True), ["certify", "--checkpoint", "linear"],
+     "line 0-1 x: expected JSON numbers, got bool"),
+    (_with_line("x", "0.05"), EVALUATE,
+     "line 0-1 x: expected JSON numbers, got str"),
+    (_with_band("v_upper", "1.05"), ["certify", "--checkpoint", "linear"],
+     "bus 1 v_upper: expected JSON numbers, got str"),
+    (_with("v0", True), EVALUATE, ": v0: expected JSON numbers, got bool"),
+    (_with("base_kv", "12"), ["train", "--episodes", "1"],
+     ": base_kv: expected JSON numbers, got str"),
+    *[(_only_buses(buses), argv, NO_BUS)
+      for buses in ([{"id": 0}], []) for argv in READERS],
 ], ids=["network-list", "network-r-not-a-number", "network-buses-not-a-list",
         "certify-horizon-0", "evaluate-dt-inf", "train-dt-0",
         "certify-rollouts-0", "evaluate-horizon-0",
@@ -213,8 +236,11 @@ EVALUATE = ["evaluate", "--policies", "linear", "--scenarios", "2"]
         "network-line-from-boolean", "network-bus-id-boolean",
         "network-bus-id-string", "network-line-from-string",
         "network-x-boolean", "network-x-string", "network-v-upper-string",
-        "network-v0-boolean", "network-base-kv-string"])
-def test_bad_input_exits_2(net_path, tmp_path, capsys, edit, argv):
+        "network-v0-boolean", "network-base-kv-string",
+        *[f"network-{buses}-{command}"
+          for buses in ("substation-only", "no-buses")
+          for command in ("certify", "evaluate", "train")]])
+def test_bad_input_exits_2(net_path, tmp_path, capsys, edit, argv, where):
     if edit is not None:
         with open(net_path) as fh:
             data = edit(json.load(fh))
@@ -235,6 +261,7 @@ def test_bad_input_exits_2(net_path, tmp_path, capsys, edit, argv):
     assert code == 2
     err = capsys.readouterr().err
     assert "error:" in err and "unrecognized arguments" not in err
+    assert where is None or where in err
     assert not out.exists()
 
 
@@ -271,7 +298,7 @@ def test_train_and_certify_roundtrip(net_path, tmp_path, capsys):
     # run fails, though it still writes its checkpoint and log
     assert code == 1
     assert log.read_text().startswith(
-        "episode,return,td_loss_mean,grad_norms,wall_ms")
+        "episode,return,td_loss_mean,grad_norms\n")
     assert "warning: training made 0 updates" in capsys.readouterr().err
     cert_out = tmp_path / "cert.json"
     code = cli_main(["certify", "--network", net_path,
@@ -567,8 +594,8 @@ def _assert_traces_are_rollouts(net_path, tmp_path, policies, args):
         for k, (v_env, q0, label) in enumerate(make_suite(net.n, 6, seed=0)):
             runs = rollout(pol, X, v_env, q0, T=100, dt=0.1)
             out = tmp_path / f"{name}-{k}.csv"
-            write_trajectory_csv(runs, 0, out, net.bounds(), CostParams(),
-                                 policy=name, scenario=label)
+            write_trajectory_csv(runs, 0, out, net.bounds(), policy=name,
+                                 scenario=label)
             assert (traces / f"{name}-{k}.csv").read_bytes() == \
                 out.read_bytes()
             if runs.diverged[0]:

@@ -6,7 +6,6 @@ from gridvolt.dynamics import (
     SCENARIO_KINDS,
     CostParams,
     Rollouts,
-    ScenarioConfig,
     dist_to_band,
     load_scenarios,
     make_suite,
@@ -143,39 +142,47 @@ def test_cost_params_validation():
 # ---------------------------------------------------------------------------
 
 def test_high_scenario_violates_upper():
-    cfg = ScenarioConfig(kind="high", n=4)
     rng = np.random.default_rng(3)
     for _ in range(50):
-        v_env, q0 = sample_scenario(cfg, rng)
+        v_env, q0 = sample_scenario("high", 4, rng)
         assert np.any(v_env > 1.05)
         np.testing.assert_array_equal(q0, 0.0)
 
 
 def test_low_scenario_violates_lower():
-    cfg = ScenarioConfig(kind="low", n=4)
     rng = np.random.default_rng(4)
     for _ in range(50):
-        v_env, _ = sample_scenario(cfg, rng)
+        v_env, _ = sample_scenario("low", 4, rng)
         assert np.any(v_env < 0.95)
 
 
 def test_scenario_deterministic_under_seed():
-    cfg = ScenarioConfig(kind="mixed", n=5)
-    a, _ = sample_scenario(cfg, np.random.default_rng(9))
-    b, _ = sample_scenario(cfg, np.random.default_rng(9))
+    a, _ = sample_scenario("mixed", 5, np.random.default_rng(9))
+    b, _ = sample_scenario("mixed", 5, np.random.default_rng(9))
     np.testing.assert_array_equal(a, b)
 
 
 def test_mixed_scenarios_cover_both_sides():
-    cfg = ScenarioConfig(kind="mixed", n=4)
     rng = np.random.default_rng(5)
     over = under = 0
     for _ in range(1000):
-        v_env, _ = sample_scenario(cfg, rng)
+        v_env, _ = sample_scenario("mixed", 4, rng)
         over += int(np.any(v_env > 1.05))
         under += int(np.any(v_env < 0.95))
     assert over == 1000
     assert under == 1000
+
+
+@pytest.mark.parametrize("kind, n, message", [
+    ("sideways", 4, "unknown scenario kind 'sideways'"),
+    ("mixed", 1, "mixed scenarios need at least two buses"),
+], ids=["unknown-kind", "mixed-one-bus"])
+def test_sample_scenario_refusals(kind, n, message):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=message):
+        sample_scenario(kind, n, rng)
+    # refused before any draw
+    assert rng.random() == np.random.default_rng(0).random()
 
 
 # config_hash of make_suite(n, 150, seed), frozen while the mixed branch
@@ -444,7 +451,7 @@ def test_trace_csv_costs_match_reference_loop(tmp_path):
             mixed_policy, MIXED_X, np.tile(MIXED_ENV[s], (T + 1, 1)),
             MIXED_Q0[s], dt, CP, MIXED_BOUNDS)
         path = tmp_path / f"trace-{s}.csv"
-        write_trajectory_csv(runs, s, path, MIXED_BOUNDS, CP)
+        write_trajectory_csv(runs, s, path, MIXED_BOUNDS)
         rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
         assert len(rows) == (len(costs) + 1) * n
         for k, row in enumerate(rows):

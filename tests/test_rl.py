@@ -1061,7 +1061,7 @@ for case in sys.argv[2:]:
     if actor == "stable":
         policy.save_checkpoint(out + ".json", res.raw, band, cfg.eps)
     else:
-        rl.save_net_policy(out + ".json", res.actor, band)
+        rl.save_net_policy(out + ".json", res.policy.actor, band)
 """
 
 
@@ -1144,7 +1144,7 @@ def test_mlp_rounds_give_the_same_bits_on_any_worker_count(
         sys.setswitchinterval(interval)
     for res in runs[1:]:
         assert res.log == runs[0].log
-        assert_nets_same_bits(res.actor, runs[0].actor)
+        assert_nets_same_bits(res.policy.actor, runs[0].policy.actor)
 
 
 @pytest.mark.parametrize("actor, scope, buses", [
@@ -1315,7 +1315,7 @@ def test_train_runs_float32_critics_and_keeps_the_actor_float64(
                           ("q", "float32", "float32")}
         # one collection policy per episode, then the result's
         assert len(policies) == len(res.log) + 1
-        assert policies[-1] is res.actor
+        assert policies[-1] is res.policy.actor
         for net in policies:
             for a in net.arrays():
                 assert a.dtype == np.float64
@@ -1330,8 +1330,8 @@ def test_train_runs_float32_critics_and_keeps_the_actor_float64(
         for a, b in zip(raw.arrays(), res.raw.arrays()):
             np.testing.assert_array_equal(a, b)
     else:
-        arrays = res.actor.arrays()
-        save_net_policy(str(path), res.actor, BOUNDS)
+        arrays = res.policy.actor.arrays()
+        save_net_policy(str(path), res.policy.actor, BOUNDS)
         # a reloaded checkpoint acts as the table of the nets' pieces
         loaded, _band = load_net_policy(str(path))
         table = PieceTable(*res.policy.breakpoints(BOUNDS), BOUNDS)
@@ -1348,7 +1348,7 @@ def test_train_log_csv_roundtrip(tmp_path):
     path = tmp_path / "log.csv"
     write_training_log(res.log, path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "episode,return,td_loss_mean,grad_norms,wall_ms"
+    assert lines[0] == "episode,return,td_loss_mean,grad_norms"
     assert len(lines) == 4
 
 
