@@ -7,7 +7,7 @@ import os
 import sys
 
 from . import bench, dynamics, grid, lyapunov, policy, rl
-from .util import fmt
+from .util import fmt, keep_freed_memory
 
 
 class CliError(Exception):
@@ -263,6 +263,7 @@ def cli_main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
+    keep_freed_memory()     # rollout records are (T+1, S, n) arrays
     try:
         return args.func(args)
     except CliError as exc:

@@ -156,19 +156,20 @@ def row_dot(a, b):
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def _row_matvec(X, q):
-    # one matrix-vector product per row: bit-equal to X @ q[i]
-    return np.matmul(X, q[..., None])[..., 0]
-
-
-def step(q, u, dt, X, v_env):
+def step(q, u, dt, X, v_env, out=None):
     """One forward-Euler step: the action is the rate of change of q.
 
     Returns (q_next, v_next) with v_next = X q_next + v_env, for one (n,)
-    state or row by row for an (S, n) block.
+    state or row by row for an (S, n) block, written into the pair of
+    arrays ``out`` when given (which must not overlap q, u or v_env).
     """
-    q_next = q + dt * u
-    return q_next, _row_matvec(X, q_next) + v_env
+    q_next, v_next = out or (np.empty(np.shape(u)), np.empty(np.shape(u)))
+    np.multiply(u, dt, out=q_next)      # dt u + q has the bits of q + dt u
+    q_next += q
+    # one matrix-vector product per row: bit-equal to X @ q_next[i]
+    np.matmul(X, q_next[..., None], out=v_next[..., None])
+    v_next += v_env
+    return q_next, v_next
 
 
 def rollout_batch(policy, X, v_env, q0, T, dt, blowup=BLOWUP_BOUND):
@@ -208,7 +209,8 @@ def rollout_batch(policy, X, v_env, q0, T, dt, blowup=BLOWUP_BOUND):
     u = np.zeros((T, S, n))
     steps = np.full(S, T)
     q[0] = q0
-    v[0] = _row_matvec(X, q0) + (v_env[0] if series else v_env)
+    np.matmul(X, q0[..., None], out=v[0, ..., None])      # as in step
+    v[0] += v_env[0] if series else v_env
     # every row live: step on basic slices (views); index arrays only from
     # the first cut on. Each cut test is one whole-block reduction, and the
     # per-row mask is built only when it fires.
@@ -234,7 +236,10 @@ def rollout_batch(policy, X, v_env, q0, T, dt, blowup=BLOWUP_BOUND):
             if len(v_t) == 0:
                 break
         env = v_env[t + 1, live] if series else v_env[live]
-        q[t + 1, live], v[t + 1, live] = step(q[t, live], u_t, dt, X, env)
+        if type(live) is slice:     # the next states go to their slots
+            step(q[t], u_t, dt, X, env, out=(q[t + 1], v[t + 1]))
+        else:
+            q[t + 1, live], v[t + 1, live] = step(q[t, live], u_t, dt, X, env)
         u[t, live] = u_t
     for s in np.flatnonzero(steps < T):
         v[steps[s] + 1:, s] = v[steps[s], s]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .util import json_floats_at
+from .util import json_float_at
 
 
 class NetworkValidationError(ValueError):
@@ -257,6 +257,15 @@ def network_to_dict(network):
     }
 
 
+def _objects(data, field):
+    """The list ``data[field]``, refused at its first entry that is not a
+    JSON object."""
+    for i, entry in enumerate(data[field]):
+        if not isinstance(entry, dict):
+            raise TypeError(f"{field}[{i}] is not a JSON object")
+    return data[field]
+
+
 def network_from_dict(data):
     """Build a RadialNetwork from its JSON form.
 
@@ -268,25 +277,25 @@ def network_from_dict(data):
         if key not in _NETWORK_KEYS:
             warn.append(f"unknown network key {key!r}")
     buses = []
-    for entry in data["buses"]:
+    for entry in _objects(data, "buses"):
         for key in entry:
             if key not in _BUS_KEYS:
                 warn.append(f"unknown bus key {key!r} (bus {entry.get('id')})")
         where = f"bus {entry.get('id')}"
-        band = {key: float(json_floats_at(entry[key], f"{where} {key}"))
+        band = {key: json_float_at(entry[key], f"{where} {key}")
                 for key in ("v_lower", "v_upper") if key in entry}
         buses.append(Bus(id=entry["id"], **band))
     lines = []
-    for entry in data["lines"]:
+    for entry in _objects(data, "lines"):
         for key in entry:
             if key not in _LINE_KEYS:
                 warn.append(f"unknown line key {key!r} "
                             f"(line {entry.get('from')}-{entry.get('to')})")
         where = f"line {entry.get('from')}-{entry.get('to')}"
-        r, x = (float(json_floats_at(entry[key], f"{where} {key}"))
+        r, x = (json_float_at(entry[key], f"{where} {key}")
                 for key in ("r", "x"))
         lines.append(Line(parent=entry["from"], child=entry["to"], r=r, x=x))
-    top = {key: float(json_floats_at(data[key], key))
+    top = {key: json_float_at(data[key], key)
            for key in ("v0", "base_kv") if key in data}
     net = RadialNetwork(buses=tuple(buses), lines=tuple(lines), **top)
     for msg in warn:

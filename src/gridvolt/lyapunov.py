@@ -165,13 +165,14 @@ def certify_policy(X, policy, cfg, policy_id="policy"):
                          dt=cfg.dt, blowup=cfg.blowup)
     bad = decrease_violations(X, policy, runs, kappa)
     dist_T = dist_to_band(runs.v[-1], bounds)
+    diverged = runs.diverged
     for k, (_, _, label) in enumerate(suite):
         if bad[k]:
             t, v0, v1, slack = bad[k][0]
             fail("lyapunov_decrease",
                  f"{label}: V rose {v0:.6e} -> {v1:.6e} at step {t} "
                  f"(slack {slack:.2e}, dt={cfg.dt})")
-        if runs.diverged[k]:
+        if diverged[k]:
             fail("convergence_to_band",
                  f"{label}: trajectory diverged at step {runs.steps[k]}")
         elif dist_T[k] > cfg.dist_tol:

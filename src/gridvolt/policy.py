@@ -300,10 +300,10 @@ class PieceTable:
     smaller, so the multiply-add never cancels. A breakpoint selects the
     piece anchored on it, so there u has the listed bits, and u is clipped
     between the piece's end values, so rounding never breaks monotonicity.
-    A voltage finds its piece by two exact integer lookups: its rank among
-    every bus's distinct breakpoints and their float successors (which
-    tells v == p from v > p), then that rank within its own bus's block of
-    piece keys. Memory is O(n K) for K breakpoints per bus."""
+    A voltage finds its piece by one search, its rank among every bus's
+    distinct breakpoints and their float successors (which tells v == p
+    from v > p), then one read of its bus's dense map from rank to piece.
+    Memory is O(n G) for G distinct breakpoints over all buses."""
 
     def __init__(self, pts, u, du, band):
         self.pieces = pts, u, du
@@ -319,8 +319,12 @@ class PieceTable:
         # the lower edge once v is beyond it, any other once v reaches it
         below = kinks <= band[0]
         passed = 1 + 2 * np.searchsorted(distinct, kinks) + below
+        # the dense map: at bus i's rank r, the last piece that starts at a
+        # rank <= r, as a row of the flat per-bus tables below
         self.offsets = np.arange(n) * (len(self.grid) + 1)
-        keys = np.vstack([np.zeros(n, dtype=int), passed]) + self.offsets
+        starts = np.vstack([np.zeros(n, dtype=int), passed]) + self.offsets
+        self.index = starts.T.ravel().searchsorted(
+            np.arange(n * (len(self.grid) + 1)), side="right") - 1
         # a piece whose right end is at or below the lower edge is anchored
         # there, any other piece on its left end; rows -1 and K of the ends
         # are the tails' infinite ends
@@ -332,17 +336,20 @@ class PieceTable:
                 for e in (anchor, far)]
         # no clip at an infinite end or a far kink's NaN value
         free = np.isnan(ends[0]) | np.isnan(ends[1])
-        tables = (keys, np.take_along_axis(kinks, anchor, axis=0), ends[0],
-                  du, np.where(free, -np.inf, np.fmin(*ends)),
+        tables = (np.take_along_axis(kinks, anchor, axis=0), ends[0], du,
+                  np.where(free, -np.inf, np.fmin(*ends)),
                   np.where(free, np.inf, np.fmax(*ends)))
-        (self.keys, self.at, self.value, self.slope, self.lo,
+        (self.at, self.value, self.slope, self.lo,
          self.hi) = (t.T.ravel() for t in tables)
+
+    def _piece(self, v):
+        # each voltage's piece as a flat table row; NaN ranks after every
+        # breakpoint and lands on the right tail
+        return self.index[self.grid.searchsorted(v, "right") + self.offsets]
 
     def __call__(self, v):
         v = np.asarray(v, dtype=float)
-        # NaN ranks after every breakpoint and lands on the right tail
-        rank = self.grid.searchsorted(v, side="right")
-        j = self.keys.searchsorted(rank + self.offsets, side="right") - 1
+        j = self._piece(v)
         u = self.value[j] + self.slope[j] * (v - self.at[j])
         np.maximum(u, self.lo[j], out=u)
         np.minimum(u, self.hi[j], out=u)
@@ -358,8 +365,8 @@ class PieceTable:
         pts = _sorted_rows([pts[1:], *edges])
         # ranked as its float successor, a row finds the piece right of it
         rank = self.grid.searchsorted(pts, side="right")
-        j = self.keys.searchsorted(rank + rank % 2 + self.offsets, "right")
-        return pts, self(pts), self.slope[j - 1]
+        j = self.index[rank + rank % 2 + self.offsets]
+        return pts, self(pts), self.slope[j]
 
 
 class MonotonePolicy(PieceTable):

@@ -37,7 +37,7 @@ from .policy import (
     sample_raw_params,
 )
 from .policy import _ramp_grads, _ramp_pass, _sorted_rows
-from .util import fmt, json_floats
+from .util import fmt, json_floats, keep_freed_memory
 
 
 class TrainingDiverged(RuntimeError):
@@ -504,12 +504,16 @@ class _NetPolicy:
 
     def input_grad(self, v):
         """Slope du_i/dv_i of each bus at (n,) or (S, n) voltages, from one
-        backward pass of the stack. u_i reads only v_i, so the Jacobian is
-        diagonal and these slopes are all of it."""
+        backward pass per bus's net, so only one bus's activations are
+        alive at a time. u_i reads only v_i, so the Jacobian is diagonal
+        and these slopes are all of it."""
         v = np.asarray(v, dtype=float)
         x = v.reshape(-1, v.shape[-1]).T[:, :, None]           # (n, S, 1)
-        _, grad = _backward(self.actor, _forward(self.actor, x),
-                            np.ones_like(x), param_grads=False)
+        grad = np.empty(x.shape, self.actor.dtype)
+        for i, x_i in enumerate(x):
+            net = self.actor.agent(i)
+            _, grad[i] = _backward(net, _forward(net, x_i),
+                                   np.ones_like(x_i), param_grads=False)
         return grad[:, :, 0].T.reshape(v.shape)
 
     def breakpoints(self, edges):
@@ -632,21 +636,11 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
         raise ValueError("agent_scope='joint' picks the monotone actor's "
                          "critic; actor_kind='unconstrained' trains one "
                          "local net per bus")
-    # a pass of the stacked float32 critics frees about A x 0.45 MB of
-    # (A, batch, hidden) arrays for A agents, and an MLP agent's round
-    # about 0.45 MB of critic and 0.45 MB of float32 actor arrays, with one
-    # such round alive per worker thread; glibc's default thresholds return
-    # it to the kernel and page-fault it back on the next pass, so keep
-    # freed memory mapped (a no-op without glibc). Both thresholds are
-    # process-wide, so they also hold in each worker's own malloc arena.
-    # Each (A, 256, 100) float32 array stays under the 4 MB mmap threshold
-    # up to A = 40; an 8 MB trim threshold returned a 16-agent round's
-    # temporaries (about 1,900 pages) to the kernel.
-    with contextlib.suppress(OSError, AttributeError):
-        mallopt = ctypes.CDLL("libc.so.6").mallopt
-        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-        mallopt(-3, 4 << 20)    # M_MMAP_THRESHOLD
-        mallopt(-1, 32 << 20)   # M_TRIM_THRESHOLD
+    # a stacked critic pass frees about A x 0.45 MB of (A, batch, hidden)
+    # float32 arrays for A agents, each under 4 MB up to A = 40, and an MLP
+    # agent's round about 0.9 MB per worker thread; an 8 MB trim threshold
+    # returned a 16-agent round's temporaries (1,900 pages) to the kernel
+    keep_freed_memory()
     n = env.n
     joint = cfg.agent_scope == "joint"
     seeds = np.random.SeedSequence(cfg.seed).spawn(4)

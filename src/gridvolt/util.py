@@ -1,6 +1,8 @@
 """Small shared helpers: canonical config hashing, JSON number reading,
-float formatting and certificate clause lines."""
+float formatting, certificate clause lines and the heap setting."""
 
+import contextlib
+import ctypes
 import hashlib
 import itertools
 import json
@@ -49,6 +51,14 @@ def json_floats_at(value, where):
         raise type(exc)(f"{where}: {exc}") from None
 
 
+def json_float_at(value, where):
+    """One JSON number as a float; a list is refused, named by ``where``."""
+    out = json_floats_at(value, where)
+    if out.ndim:
+        raise TypeError(f"{where}: expected a JSON number, got a list")
+    return float(out)
+
+
 def fmt(x):
     """Render a float with 12 significant digits (stable across runs)."""
     return format(float(x), ".12g")
@@ -62,3 +72,16 @@ def clause_lines(clauses):
         lines.append(f"  [{'ok ' if ok else 'FAIL'}] {name}")
         lines += [f"        witness: {w}" for w in witnesses[:5]]
     return lines
+
+
+def keep_freed_memory():
+    """Keep what numpy frees mapped for the next arrays, in every thread's
+    malloc arena (a no-op without glibc): glibc returns each freed block
+    over 128 KB to the kernel and page-faults it back in on reuse. Blocks
+    under 4 MB now come from the heap, trimmed only past 32 MB free."""
+    with contextlib.suppress(OSError, AttributeError):
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        mallopt(-3, 4 << 20)    # M_MMAP_THRESHOLD
+        mallopt(-1, 32 << 20)   # M_TRIM_THRESHOLD

@@ -120,6 +120,13 @@ def _with_band(key, value):
     return edit
 
 
+def _with_entry(field, index, value):
+    def edit(data):
+        data[field][index] = value
+        return data
+    return edit
+
+
 def _with_ids(edits):
     """Set (field, entry index, key) to a value for each listed edit."""
     def edit(data):
@@ -217,6 +224,13 @@ def _only_buses(buses):
      ": base_kv: expected JSON numbers, got str"),
     *[(_only_buses(buses), argv, NO_BUS)
       for buses in ([{"id": 0}], []) for argv in READERS],
+    # a list where an object or a number belongs, refused by its place
+    (_with_entry("buses", 2, [2]), ["certify", "--checkpoint", "linear"],
+     "buses[2] is not a JSON object"),
+    (_with_entry("lines", 1, ["x"]), ["certify", "--checkpoint", "linear"],
+     "lines[1] is not a JSON object"),
+    (_with_line("x", [0.05]), ["certify", "--checkpoint", "linear"],
+     "line 0-1 x: expected a JSON number, got a list"),
 ], ids=["network-list", "network-r-not-a-number", "network-buses-not-a-list",
         "certify-horizon-0", "evaluate-dt-inf", "train-dt-0",
         "certify-rollouts-0", "evaluate-horizon-0",
@@ -239,7 +253,9 @@ def _only_buses(buses):
         "network-v0-boolean", "network-base-kv-string",
         *[f"network-{buses}-{command}"
           for buses in ("substation-only", "no-buses")
-          for command in ("certify", "evaluate", "train")]])
+          for command in ("certify", "evaluate", "train")],
+        "network-bus-entry-list", "network-line-entry-list",
+        "network-x-list"])
 def test_bad_input_exits_2(net_path, tmp_path, capsys, edit, argv, where):
     if edit is not None:
         with open(net_path) as fh:

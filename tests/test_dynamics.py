@@ -487,6 +487,33 @@ def test_engine_first_cut_after_all_rows_ran_live():
     assert calls == [3] * 5 + [2] * 5 + [1] * (T - 10)
 
 
+@pytest.mark.parametrize("writeable", [True, False])
+def test_engine_neither_writes_nor_refuses_a_returned_array(writeable):
+    # the policy hands back views of one cached array, read-only or not;
+    # the engine copies them into its record, on the slices while every
+    # row is live and on index arrays after row 2 blows up at step 5
+    T, dt = 20, 0.1
+    series = np.tile(MIXED_ENV[[0, 3, 3]], (T + 1, 1, 1))
+    series[5:, 2] = 11.0
+    q0 = MIXED_Q0[:3]
+    action = np.array([[0.01, -0.02, 0.03, 0.0], [-0.01, 0.0, 0.02, 0.01],
+                       [0.02, 0.01, -0.01, 0.0]])
+    action.flags.writeable = writeable
+    kept = action.copy()
+    runs = rollout_batch(lambda v: action[:len(v)], MIXED_X, series, q0,
+                         T=None, dt=dt)
+    np.testing.assert_array_equal(action, kept)
+    np.testing.assert_array_equal(runs.steps, [T, T, 5])
+    for s in range(3):
+        v, q, u, _, _ = reference_rollout(lambda v: action[s], MIXED_X,
+                                          series[:, s], q0[s], dt, CP,
+                                          MIXED_BOUNDS)
+        k = runs.steps[s]
+        np.testing.assert_array_equal(runs.v[:k + 1, s], v)
+        np.testing.assert_array_equal(runs.q[:k + 1, s], q)
+        np.testing.assert_array_equal(runs.u[:k, s], u)
+
+
 @pytest.mark.parametrize("env, calls_made", [
     (np.full((3, 4), 11.0), []),                          # all blown up
     (np.full((3, 4), -11.0), []),                         # ... below -blowup

@@ -11,6 +11,7 @@ from gridvolt.dynamics import rollout_batch
 from gridvolt.policy import (
     CheckpointError,
     MonotonePolicy,
+    PieceTable,
     RawPolicyParams,
     StackedReluParams,
     constrain,
@@ -27,7 +28,7 @@ from gridvolt.policy import (
     verify_monotone,
     zero_policy,
 )
-from gridvolt.policy import _breakpoints, _ramp_grads, _ramp_pass
+from gridvolt.policy import _breakpoints, _ramp_grads, _ramp_pass, _sorted_rows
 
 N, D = 3, 8
 BAND = (np.full(N, 0.95), np.full(N, 1.05))
@@ -606,6 +607,47 @@ def test_piece_table_lists_its_pieces_and_values_joined_edges():
         assert len(pts) == len(_breakpoints(p, band)[0]) + 2
         assert_same_bits(u, pol(pts))
         assert_same_bits(du, policy_input_grad(p, pts))
+
+
+def side_rule_piece(kinks, lower, v):
+    """A bus's piece at voltages v by a search on its own sorted
+    breakpoints: piece j starts once j breakpoints are passed, one at or
+    below the lower edge once v is beyond it, any other once v reaches it.
+    NaN sorts after every breakpoint, onto the right tail."""
+    return (np.searchsorted(kinks[kinks <= lower], v, side="left")
+            + np.searchsorted(kinks[kinks > lower], v, side="right"))
+
+
+def test_piece_table_picks_each_bus_own_piece():
+    # one search over every bus's breakpoints, then the dense map, picks
+    # the piece of a per-bus search; breakpoints repeat within a bus and
+    # across buses, and some repeat a band edge
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        n, k = int(rng.integers(1, 6)), int(rng.integers(2, 10))
+        lower = rng.uniform(0.9, 0.97, size=n)
+        upper = rng.uniform(1.03, 1.1, size=n)
+        drawn = rng.choice(rng.uniform(0.85, 1.15, size=4), size=(k - 2, n))
+        edge = rng.random((k - 2, n))
+        drawn = np.where(edge < 0.2, lower, np.where(edge > 0.8, upper, drawn))
+        kinks = np.sort(np.vstack([drawn, lower, upper]), axis=0)
+        pts = _sorted_rows([kinks])
+        table = PieceTable(pts, rng.normal(size=pts.shape),
+                           rng.normal(size=pts.shape), (lower, upper))
+        v = np.vstack([kinks, np.nextafter(kinks, -np.inf),
+                       np.nextafter(kinks, np.inf),
+                       rng.uniform(0.8, 1.2, size=(5, n)),
+                       np.full((3, n), [[np.inf], [-np.inf], [np.nan]])])
+        want = np.column_stack([side_rule_piece(kinks[:, i], lower[i],
+                                                v[:, i]) for i in range(n)])
+        rows = np.arange(n) * (k + 1)
+        np.testing.assert_array_equal(table._piece(v) - rows, want)
+        for row in (0, 3 * k + 7):                   # one (n,) vector
+            np.testing.assert_array_equal(table._piece(v[row]) - rows,
+                                          want[row])
+        np.testing.assert_array_equal(                     # (2, m, n)
+            table._piece(np.stack([v, v[::-1]])) - rows,
+            np.stack([want, want[::-1]]))
 
 
 def test_zero_policy_returns_positive_zero_everywhere():
