@@ -83,6 +83,11 @@ class FeedForwardNet:
         return FeedForwardNet([w[i] for w in self.weights],
                               [b[i, 0] for b in self.biases])
 
+    def block(self, agents):
+        """The agents of slice ``agents`` as a stack of views."""
+        return FeedForwardNet([w[agents] for w in self.weights],
+                              [b[agents] for b in self.biases])
+
     @property
     def dtype(self):
         return self.weights[0].dtype
@@ -132,13 +137,16 @@ def _forward(net, h):
     return [h, *_layers(net, h)]
 
 
-def _backward(net, acts, upstream, param_grads=True, input_grad=True):
+def _backward(net, acts, upstream, param_grads=True, input_grad=True,
+              release=False):
     """Reverse pass through the activations of ``_forward``.
 
     Returns (parameter grads, input grad); the parameter grads are None when
     ``param_grads`` is false, and the input grad is None, its product
     skipped, when ``input_grad`` is false. A hidden unit passes gradient
     where its activation is positive, which is where its pre-activation was.
+    A caller that owns ``acts`` may ``release`` each hidden activation once
+    its mask is applied.
     """
     last = len(net.weights) - 1
     grads = [None] * len(net.weights) if param_grads else None
@@ -146,6 +154,8 @@ def _backward(net, acts, upstream, param_grads=True, input_grad=True):
     for k in range(last, -1, -1):
         if k < last:
             delta *= acts[k + 1] > 0.0      # delta is a fresh product here
+            if release:
+                acts[k + 1] = None
         if param_grads:
             grads[k] = (acts[k].swapaxes(-1, -2) @ delta,
                         delta.sum(axis=-2).reshape(net.biases[k].shape))
@@ -352,7 +362,8 @@ def critic_update(critic, critic_target, batch, u_next, cfg):
     if not np.isfinite(losses).all():
         raise TrainingDiverged("temporal-difference loss is not finite")
     upstream = 2.0 * err / err.shape[-2]
-    grads, _ = _backward(critic, acts, upstream, input_grad=False)
+    grads, _ = _backward(critic, acts, upstream, input_grad=False,
+                         release=True)
     sgd_step(critic, grads, cfg.critic_lr)
     return losses
 
@@ -369,7 +380,7 @@ def q_action_grad(critic, s, u):
     acts = _forward(critic, np.concatenate([s, u], axis=-1))
     q = acts[-1]
     _, input_grad = _backward(critic, acts, np.ones_like(q),
-                              param_grads=False)
+                              param_grads=False, release=True)
     dq_du = input_grad[..., s.shape[-1]:]
     if not np.isfinite(dq_du).all():
         raise TrainingDiverged("critic action gradient is not finite")
@@ -403,20 +414,43 @@ def net_actor_update(actor, acts, dq_du, lr):
     ``acts`` is ``_forward(actor, v_batch)`` on an (m, d) batch, the pass
     whose output gave the actions at which ``dq_du`` was taken; the step
     backpropagates through it instead of running the forward pass again.
-    Returns the gradient norm, reduced in float64 whatever the actor's
-    dtype, as ``critic_update`` reduces its loss.
+    Returns the gradient norm (an (A,) array for a stack of A actors on
+    (A, m, d) batches), reduced in float64 whatever the actor's dtype.
     """
     grads, _ = _backward(actor, acts, dq_du / acts[0].shape[-2],
                          input_grad=False)
     sgd_step(actor, grads, -lr)
-    return np.sqrt(sum(np.square(dw, dtype=float).sum()
-                       + np.square(db, dtype=float).sum() for dw, db in grads))
+    lead = acts[0].shape[:-2]
+    return np.sqrt(sum(np.square(dw, dtype=float).reshape(*lead, -1).sum(-1)
+                       + np.square(db, dtype=float).reshape(*lead, -1).sum(-1)
+                       for dw, db in grads))
 
 
 # ---------------------------------------------------------------------------
 # training loop
 # ---------------------------------------------------------------------------
 
+def _block_round(nets, rows, block, cfg):
+    """One update round of the agents of slice ``block``, in stacked passes
+    on their slices of the ``nets`` (the critic stack, its target, then the
+    MLP actors and theirs) and their rows of the per-agent ``rows`` (s, u,
+    r, s_next and the monotone actor's u_next, u), copied C-contiguous:
+    strided rows take a fan-in-1 layer's weight gradient off BLAS. Returns
+    the TD losses and the MLP actors' gradient norms or the monotone dQ/du.
+    """
+    critic, critic_target, *actors = (x.block(block) for x in nets)
+    batch = tuple(np.ascontiguousarray(x[block]) for x in rows)
+    s, s_next = batch[0], batch[3]
+    u_next, u = batch[4:] or (net_eval(actors[1], s_next), None)
+    losses = critic_update(critic, critic_target, batch[:4], u_next, cfg)
+    if not actors:
+        return losses, q_action_grad(critic, s, u)[1]
+    acts = _forward(actors[0], s)
+    _, dq = q_action_grad(critic, s, acts[-1])
+    return losses, net_actor_update(actors[0], acts, dq, cfg.actor_lr)
+
+
+AGENT_BLOCK = 4     # train-mlp-16bus: +48% updates/s, +6% RSS (8: +19% RSS)
 NET_CHECKPOINT_VERSION = 1
 
 
@@ -521,24 +555,23 @@ class _NetPolicy:
         the ``edges``, found exactly layer by layer (ExactLine, arXiv
         1908.06214): between the earlier layers' kinks each pre-activation
         is affine in v, so one division places its zero. Slopes come from
-        ``input_grad`` inside each piece, the tails' one unit out."""
+        ``input_grad`` inside each piece, the tails' one unit out. The
+        layers and the values run in blocks of ``AGENT_BLOCK`` buses, so
+        only one block's activations are alive at a time."""
         pts = np.sort(np.vstack(edges), axis=0)
+        blocks = [slice(i, i + AGENT_BLOCK)
+                  for i in range(0, pts.shape[1], AGENT_BLOCK)]
         w, b = self.actor.weights, self.actor.biases
         for k in range(1, len(w)):
             x = np.vstack([pts[0] - 1.0, pts, pts[-1] + 1.0]).T[:, :, None]
-            z = net_eval(FeedForwardNet(w[:k], b[:k]), x)
-            # a zero counts inside its piece; the tails run out to -+inf
-            ends = x.copy()
-            ends[:, 0], ends[:, -1] = -np.inf, np.inf
-            x0, z0 = x[:, :-1], z[:, :-1]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                root = x0 - z0 * np.diff(x, axis=1) / np.diff(z, axis=1)
-                inside = (root > ends[:, :-1]) & (root < ends[:, 1:])
-            zeros = np.where(inside, root, np.inf).reshape(len(x), -1)
-            found = np.sort(zeros, axis=1)[:, :inside.sum(axis=(1, 2)).max()].T
+            front = FeedForwardNet(w[:k], b[:k])
+            zeros = [_kinks(front.block(bl), x[bl]) for bl in blocks]
+            found = np.full((len(x), max(z.shape[1] for z in zeros)), np.inf)
+            for bl, z in zip(blocks, zeros):
+                found[bl, :z.shape[1]] = z
             # a bus with fewer zeros parks its spare rows on the last edge
             pts = np.sort(np.vstack(
-                [pts, np.where(np.isinf(found), edges[-1], found)]), axis=0)
+                [pts, np.where(np.isinf(found.T), edges[-1], found.T)]), axis=0)
         pts = _sorted_rows([pts])
         # a row's slope is read inside the next piece of nonzero width
         after = np.vstack([pts[1:], np.full(pts.shape[1], np.inf)])
@@ -546,7 +579,25 @@ class _NetPolicy:
             np.where(after > pts, after, np.inf)[::-1])[::-1]
         mid = np.where(np.isinf(nxt), pts + 1.0, 0.5 * (pts + nxt))
         mid[0] = pts[1] - 1.0
-        return pts, self(pts), self.input_grad(mid)
+        u = np.hstack([_NetPolicy(self.actor.block(bl))(pts[:, bl])
+                       for bl in blocks])
+        return pts, u, self.input_grad(mid)
+
+
+def _kinks(net, x):
+    """Each net's last-layer pre-activation zeros (the next layer's kinks)
+    between its sorted (R, 1) points of the (A, R, 1) ``x``, sorted and
+    inf-padded to the net with the most."""
+    z = net_eval(net, x)
+    # a zero counts inside its piece; the tails run out to -+inf
+    ends = x.copy()
+    ends[:, 0], ends[:, -1] = -np.inf, np.inf
+    x0, z0 = x[:, :-1], z[:, :-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = x0 - z0 * np.diff(x, axis=1) / np.diff(z, axis=1)
+        inside = (root > ends[:, :-1]) & (root < ends[:, 1:])
+    zeros = np.where(inside, root, np.inf).reshape(len(x), -1)
+    return np.sort(zeros, axis=1)[:, :inside.sum(axis=(1, 2)).max()]
 
 
 def write_training_log(log, path):
@@ -600,12 +651,12 @@ def _usable_cpus():
 
 
 @contextlib.contextmanager
-def _agent_map(agents):
-    """Yield a ``map`` over agent indices that returns results in agent
-    order and raises the lowest-index agent's exception: on a thread pool
+def _agent_map(blocks):
+    """Yield a ``map`` over ``blocks`` agent blocks that returns results in
+    block order and raises the lowest block's exception: on a thread pool
     of one worker per usable CPU, shut down when the block ends, or the
-    builtin ``map`` with no thread for one agent or one CPU."""
-    workers = min(agents, _usable_cpus())
+    builtin ``map`` with no thread for one agent block or one CPU."""
+    workers = min(blocks, _usable_cpus())
     if workers < 2:
         yield map
         return
@@ -625,8 +676,10 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
     an episode whose voltages blow up or whose action is not finite; it
     counts as diverged and keeps the steps before the cut. The recorded
     steps become per-bus transitions in the replay buffer; then come batched
-    critic/actor updates, each round closed by one target update per stack;
-    the MLP agents' rounds run a worker thread per usable CPU (``_agent_map``).
+    critic/actor updates, each round closed by one target update per stack.
+    A round steps the agents in blocks of ``AGENT_BLOCK``, one stacked pass
+    per block, on a worker thread per usable CPU (``_agent_map``); the
+    monotone actor's ramp pass and step stay one call per round.
     Deterministic under ``cfg.seed`` at any BLAS thread count (see
     ``_one_blas_thread``) and any CPU count.
     """
@@ -636,10 +689,10 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
         raise ValueError("agent_scope='joint' picks the monotone actor's "
                          "critic; actor_kind='unconstrained' trains one "
                          "local net per bus")
-    # a stacked critic pass frees about A x 0.45 MB of (A, batch, hidden)
-    # float32 arrays for A agents, each under 4 MB up to A = 40, and an MLP
-    # agent's round about 0.9 MB per worker thread; an 8 MB trim threshold
-    # returned a 16-agent round's temporaries (1,900 pages) to the kernel
+    # a block's round frees about A x 0.9 MB of (A, batch, hidden) float32
+    # arrays on its worker thread, A <= AGENT_BLOCK, each under 4 MB; an
+    # 8 MB trim threshold returned a 16-agent stacked round's temporaries
+    # (1,900 pages) to the kernel
     keep_freed_memory()
     n = env.n
     joint = cfg.agent_scope == "joint"
@@ -681,9 +734,8 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
             [FeedForwardNet.create([1, *cfg.actor_hidden, 1], init_rng)
              for _ in range(n)]).astype(np.float32)
     target = online.copy()      # the actor's slowly tracking copy
-    # each MLP agent steps its own views of the four stacks
-    views = [[x.agent(i) for x in (critic, critic_target, actor, target)]
-             for i in range(agents)] if actor is not None else []
+    nets = ((critic, critic_target) if actor is None
+            else (critic, critic_target, actor, target))
 
     def greedy_policy():
         # the actor only changes in the update phase, so one build serves a
@@ -696,20 +748,9 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
     diverged_episodes = 0
     updates = 0
     clip = cfg.noise_clip_sigmas * cfg.noise_std
+    blocks = [slice(i, i + AGENT_BLOCK) for i in range(0, agents, AGENT_BLOCK)]
 
-    def agent_round(i, s, a, r, s_next):
-        # agent i's critic and actor step on its columns of the round's
-        # batch; agents write disjoint slices, so rounds may run on any
-        # thread in any order with the bits of a sequential loop
-        c, c_target, a_i, a_target = views[i]
-        loss = critic_update(c, c_target, (s[i], a[i], r[i], s_next[i]),
-                             net_eval(a_target, s_next[i]), cfg)
-        acts = _forward(a_i, s[i])
-        _, dq = q_action_grad(c, s[i], acts[-1])
-        return loss, net_actor_update(a_i, acts, dq, cfg.actor_lr)
-
-    # the monotone actor steps all agents in one stacked pass, on no pool
-    with _agent_map(1 if actor_kind == "stable" else agents) as agent_map:
+    with _agent_map(len(blocks)) as agent_map:
         for episode in range(cfg.episodes):
             v_env, q0 = env.sample_start(scen_rng)
             greedy = greedy_policy()
@@ -734,34 +775,30 @@ def train(env, cfg, actor_kind="stable", episode_callback=None):
                 for _ in range(cfg.updates_per_episode):
                     updates += 1
                     v_b, u_b, r_b, vn_b = buffer.sample(cfg.batch_size)
-                    s, a, s_next = map(per_agent, (v_b, u_b, vn_b))
-                    r = (r_b.sum(axis=1, keepdims=True)[None] if joint
-                         else per_agent(r_b))
-                    if actor_kind == "stable":
-                        # one ramp pass gives the current actions and the
-                        # actor step's ramps, one policy_eval the target
-                        # actions; one stacked pass serves every critic
+                    rows = [per_agent(v_b), per_agent(u_b),
+                            r_b.sum(axis=1, keepdims=True)[None] if joint
+                            else per_agent(r_b), per_agent(vn_b)]
+                    if actor is None:
+                        # the actions and the step's ramps from one ramp
+                        # pass, the target actions from one policy_eval
                         u, ramps = _ramp_pass(constrain(raw, band, cfg.eps),
                                               v_b)
-                        u_next = policy_eval(
-                            constrain(target, band, cfg.eps), vn_b)
-                        td_losses.extend(critic_update(
-                            critic, critic_target, (s, a, r, s_next),
-                            per_agent(u_next), cfg))
-                        _, dq = q_action_grad(critic, s, per_agent(u))
+                        rows += [per_agent(policy_eval(
+                            constrain(target, band, cfg.eps), vn_b)),
+                            per_agent(u)]
+                    losses, outs = zip(*agent_map(
+                        lambda b: _block_round(nets, rows, b, cfg), blocks))
+                    td_losses.extend(np.concatenate(losses))
+                    if actor is None:
+                        dq = np.concatenate(outs).swapaxes(0, 1)
                         norms = stable_actor_update(
-                            raw, ramps, dq.swapaxes(0, 1).reshape(u.shape),
-                            cfg.actor_lr)
+                            raw, ramps, dq.reshape(u.shape), cfg.actor_lr)
                         grad_norms.extend([np.sqrt(sum(norms ** 2))] if joint
                                           else norms)
                         # freed before the next round's ramp pass
                         del ramps
                     else:
-                        for loss, norm in agent_map(
-                                lambda i: agent_round(i, s, a, r, s_next),
-                                range(agents)):
-                            td_losses.append(loss)
-                            grad_norms.append(norm)
+                        grad_norms.extend(np.concatenate(outs))
                     # no round reads a target after its critic step, and
                     # the updates are elementwise: one per stack serves all
                     soft_update(critic_target, critic, cfg.tau)

@@ -5,7 +5,7 @@ import subprocess
 import sys
 import threading
 import time
-from collections import namedtuple
+from collections import Counter, namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +70,14 @@ def discounted_stage_cost(runs, gamma=TrainConfig().gamma):
 def make_env():
     return VoltEnv(X=X5, v_lower=BOUNDS[0], v_upper=BOUNDS[1],
                    cp=CostParams())
+
+
+def feeder_env(buses, seed=0):
+    """The training environment of ``generate_random_feeder(buses, seed)``."""
+    net = generate_random_feeder(buses, rng_seed=seed)
+    band = net.bounds()
+    return VoltEnv(X=build_sensitivity(net).X, v_lower=band[0],
+                   v_upper=band[1], cp=CostParams())
 
 
 def small_cfg(**over):
@@ -750,8 +758,8 @@ def test_stacked_passes_equal_per_agent_passes_bit_for_bit():
 
 
 def test_agent_view_step_moves_only_its_slice():
-    # the MLP actor's branch of train steps each critic through
-    # critic.agent(i), whose arrays are views of the stack
+    # an agent's view, critic.agent(i), and a block's, critic.block(...),
+    # which train's rounds step, are views of the stack
     rng = np.random.default_rng(43)
     nets = [critic_with_dead_units([2, 16, 16, 1], rng).astype(np.float32)
             for _ in range(4)]
@@ -775,14 +783,28 @@ def test_agent_view_step_moves_only_its_slice():
                 assert a[j].tobytes() == old[j].tobytes()
     for a, old in zip(target.arrays(), before):
         assert a.tobytes() == old.tobytes()
+    block = slice(1, 3)
+    moved = [a.copy() for a in stack.arrays()]
+    alone = stack.block(block).copy()
+    pair = tuple(np.stack([x, x[::-1]]) for x in (*batch, u_next))
+    assert_same_bits(
+        critic_update(stack.block(block), target.block(block), pair[:4],
+                      pair[4], cfg),
+        critic_update(alone, target.block(block).copy(), pair[:4], pair[4],
+                      cfg))
+    assert_nets_same_bits(stack.block(block), alone)
+    for a, old in zip(stack.arrays(), moved):
+        assert not np.array_equal(a[block], old[block])
+        for j in (0, 3):
+            assert a[j].tobytes() == old[j].tobytes()
 
 
 def test_one_target_update_per_round_equals_per_view_updates_bit_for_bit():
-    # train's MLP round steps each agent through views of the four stacks
-    # and then updates both target stacks once; updating each agent's
-    # targets inside its round, after its critic and its actor step, must
-    # give the same bits, since no round reads a target after its critic
-    # step and the update is elementwise
+    # train's round steps the agents through views of the stacks and then
+    # updates both target stacks once; updating each agent's targets
+    # inside its round, after its critic and its actor step, must give the
+    # same bits, since no round reads a target after its critic step and
+    # the update is elementwise
     rng = np.random.default_rng(47)
     m, n = 24, 4
 
@@ -831,6 +853,58 @@ def test_one_target_update_per_round_equals_per_view_updates_bit_for_bit():
         assert_nets_same_bits(got, want)
     for moved, before in zip(runs[1][1::2], targets, strict=True):
         assert not np.array_equal(moved.weights[1], before.weights[1])
+
+
+@pytest.mark.parametrize("actor", ["stable", "unconstrained"])
+def test_blocked_round_equals_the_per_agent_loop_bit_for_bit(actor):
+    # train steps 7 agents in blocks of 4 + 3 on strided per-agent views of
+    # a sampled batch; each agent must get the bits of its own round
+    # through views of the stacks. Strided rows would take the fan-in-1
+    # actor's layer-0 weight gradient off BLAS and move its norm
+    assert rl.AGENT_BLOCK == 4
+    rng = np.random.default_rng(59)
+    m, n = 64, 7
+    buffer = ReplayBuffer(4 * m, seed=60)
+    buffer.push(*(rng.uniform(0.9, 1.1, size=(4 * m, n)) for _ in range(4)))
+
+    def per_agent(block):
+        return block.reshape(m, n, 1).swapaxes(0, 1)
+
+    rows = [per_agent(x) for x in buffer.sample(m)]
+    if actor == "stable":       # the target and current actions
+        rows += [per_agent(rng.normal(scale=0.5, size=(m, n)))
+                 for _ in range(2)]
+    assert not rows[0].flags.c_contiguous
+
+    def stack(sizes):
+        return FeedForwardNet.stack([critic_with_dead_units(sizes, rng)
+                                     for _ in range(n)]).astype(np.float32)
+
+    nets = [stack([2, 16, 16, 1]), stack([2, 16, 16, 1])]
+    if actor == "unconstrained":
+        nets += [stack([1, 16, 16, 1]), stack([1, 16, 16, 1])]
+    ref = [net.copy() for net in nets]
+    cfg = TrainConfig(gamma=0.9, critic_lr=0.05, actor_lr=0.05,
+                      batch_size=16)
+    losses, outs = zip(*(rl._block_round(nets, rows, block, cfg)
+                         for block in (slice(0, 4), slice(4, 8))))
+    assert [len(x) for x in losses] == [4, 3]
+    losses, outs = np.concatenate(losses), np.concatenate(outs)
+    for i in range(n):
+        c, c_target, *actors = (net.agent(i) for net in ref)
+        s, a, r, s_next, *actions = (x[i] for x in rows)
+        u_next = actions[0] if actions else net_eval(actors[1], s_next)
+        assert_same_bits(losses[i], critic_update(
+            c, c_target, (s, a, r, s_next), u_next, cfg))
+        if actions:
+            assert_same_bits(outs[i], q_action_grad(c, s, actions[1])[1])
+            continue
+        acts = _forward(actors[0], s)
+        _, dq = q_action_grad(c, s, acts[-1])
+        assert_same_bits(outs[i], net_actor_update(actors[0], acts, dq,
+                                                   cfg.actor_lr))
+    for got, want in zip(nets, ref, strict=True):
+        assert_nets_same_bits(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -1093,14 +1167,15 @@ def test_train_bits_do_not_depend_on_blas_threads(tmp_path):
                     or len(os.sched_getaffinity(0)) < 2,
                     reason="needs at least two usable CPUs")
 def test_train_bits_do_not_depend_on_the_cpu_count(tmp_path):
-    # the MLP agents' rounds run one worker per usable CPU, inline on one
+    # 16 agents' rounds run their 4 blocks on one worker per usable CPU,
+    # inline on one
     cpu = min(os.sched_getaffinity(0))
     one_cpu = (f"import os\nos.sched_setaffinity(0, {{{cpu}}})\n"
                f"assert len(os.sched_getaffinity(0)) == 1\n")
-    outputs = [threaded_train_outputs(tmp_path / label, _THREADED_CASES[:1],
+    outputs = [threaded_train_outputs(tmp_path / label, _THREADED_CASES[:2],
                                       prelude=prelude)
                for label, prelude in (("one", one_cpu), ("all", ""))]
-    assert len(outputs[0]) == 2
+    assert len(outputs[0]) == 4
     for name, data in outputs[0].items():
         assert outputs[1][name] == data, name
 
@@ -1126,8 +1201,9 @@ def started_threads(monkeypatch):
 
 def test_mlp_rounds_give_the_same_bits_on_any_worker_count(
         monkeypatch, started_threads):
-    # up to one worker per agent, more workers than cores, and thread
-    # switches forced far more often than the interpreter's default
+    # 7 agents in blocks of 4 + 3: up to one worker per block, more
+    # workers than cores, and thread switches forced far more often than
+    # the interpreter's default
     runs, interval = [], sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-5)
@@ -1135,7 +1211,8 @@ def test_mlp_rounds_give_the_same_bits_on_any_worker_count(
             fake_cpus(monkeypatch, cpus)
             started_threads.clear()
             before = threading.active_count()
-            res = train(make_env(), small_cfg(), actor_kind="unconstrained")
+            res = train(feeder_env(7), small_cfg(),
+                        actor_kind="unconstrained")
             assert threading.active_count() == before
             assert (len(started_threads) > 0) == (cpus > 1)
             assert res.updates > 0
@@ -1155,11 +1232,7 @@ def test_one_agent_and_stable_runs_start_no_thread(
         monkeypatch, started_threads, actor, scope, buses):
     # a 1-bus feeder has one MLP agent, so its rounds run inline
     if buses == 1:
-        net = generate_random_feeder(1, rng_seed=0)
-        band = net.bounds()
-        env = VoltEnv(X=build_sensitivity(net).X, v_lower=band[0],
-                      v_upper=band[1], cp=CostParams())
-        cfg = small_cfg(episodes=12, batch_size=32)
+        env, cfg = feeder_env(1), small_cfg(episodes=12, batch_size=32)
     else:
         env, cfg = make_env(), small_cfg(agent_scope=scope)
     fake_cpus(monkeypatch, 4)
@@ -1168,26 +1241,40 @@ def test_one_agent_and_stable_runs_start_no_thread(
     assert started_threads == []
 
 
+def test_stable_runs_of_two_blocks_start_the_pool(monkeypatch,
+                                                  started_threads):
+    # 7 monotone-actor agents step their critics in blocks of 4 + 3 on the
+    # pool, with the bits of the inline run
+    runs = []
+    for cpus in (1, 2):
+        fake_cpus(monkeypatch, cpus)
+        started_threads.clear()
+        runs.append(train(feeder_env(7), small_cfg(), actor_kind="stable"))
+        assert runs[-1].updates > 0
+        assert (len(started_threads) > 0) == (cpus > 1)
+    assert runs[1].log == runs[0].log
+    for got, want in zip(runs[1].raw.arrays(), runs[0].raw.arrays()):
+        assert_same_bits(got, want)
+
+
 def test_threaded_rounds_raise_the_lowest_agents_exception(
         monkeypatch, started_threads):
-    # agents 1 and 3 diverge; agent 1 raises last in time on two workers,
-    # but the sequential loop would have raised it first
+    # both blocks of 7 agents (4 + 3) diverge; block 0 raises last in time
+    # on two workers, but the sequential loop would have raised it first
     update, seen = rl.net_actor_update, {}
 
-    def diverge_1_and_3(actor, *args):
+    def diverge_both(actor, *args):
         stack = seen["actor"].weights[0]
-        i = next(k for k in range(len(stack))
-                 if np.shares_memory(actor.weights[0], stack[k]))
-        if i == 1:
+        lo = next(k for k in range(len(stack))
+                  if np.shares_memory(actor.weights[0], stack[k]))
+        if lo == 0:
             time.sleep(0.05)
-        if i in (1, 3):
-            raise TrainingDiverged(f"agent {i} diverged")
-        return update(actor, *args)
+        raise TrainingDiverged(f"block at agent {lo} diverged")
 
     def keep_actor(episode, actor):
         seen.setdefault("actor", actor)
 
-    monkeypatch.setattr(rl, "net_actor_update", diverge_1_and_3)
+    monkeypatch.setattr(rl, "net_actor_update", diverge_both)
     raised = []
     for cpus in (1, 2):
         fake_cpus(monkeypatch, cpus)
@@ -1197,12 +1284,12 @@ def test_threaded_rounds_raise_the_lowest_agents_exception(
         # a 10-step episode does not fill a batch of 16, so the first
         # update round runs after the callback has seen the actor
         with pytest.raises(TrainingDiverged) as info:
-            train(make_env(), small_cfg(), actor_kind="unconstrained",
+            train(feeder_env(7), small_cfg(), actor_kind="unconstrained",
                   episode_callback=keep_actor)
         assert threading.active_count() == before
         assert (len(started_threads) > 0) == (cpus > 1)
         raised.append((type(info.value), str(info.value)))
-    assert raised == [(TrainingDiverged, "agent 1 diverged")] * 2
+    assert raised == [(TrainingDiverged, "block at agent 0 diverged")] * 2
 
 
 @pytest.mark.parametrize("actor, step", [
@@ -1210,7 +1297,7 @@ def test_threaded_rounds_raise_the_lowest_agents_exception(
 ])
 def test_each_round_ends_with_one_update_of_each_target_stack(
         monkeypatch, actor, step):
-    # the targets move once per round, after every agent's critic and
+    # the targets move once per round, after every block's critic and
     # actor step: the critic stack's first, then the actor's
     calls = []
     for name in ("critic_update", step, "soft_update"):
@@ -1218,20 +1305,29 @@ def test_each_round_ends_with_one_update_of_each_target_stack(
             calls.append((_name, args[0]))
             return _call(*args)
         monkeypatch.setattr(rl, name, spy)
-    res = train(make_env(), small_cfg(), actor_kind=actor)
-    assert res.updates > 0
-    # the monotone actor steps every agent in one stacked call
-    steps = 1 if actor == "stable" else NET.n
-    per_round = 2 * steps + 2
-    assert len(calls) == per_round * res.updates
-    for k in range(0, len(calls), per_round):
-        names, args = zip(*calls[k:k + per_round])
-        assert sorted(names[:-2]) == sorted(["critic_update", step] * steps)
-        assert names[-2:] == ("soft_update", "soft_update")
-        # whole stacks: the critic target's and the actor target's
-        critic_target, actor_target = args[-2:]
-        assert critic_target.weights[0].shape[0] == NET.n
-        assert len(actor_target.arrays()[0]) == NET.n
+    # the fixture's 4 agents are one block, 7 agents two
+    for env, buses, sizes in ((make_env(), NET.n, [4]),
+                              (feeder_env(7), 7, [4, 3])):
+        calls.clear()
+        res = train(env, small_cfg(), actor_kind=actor)
+        assert res.updates > 0
+        # one critic step per block; the monotone actor steps every agent
+        # in one call, the MLP actors one per block
+        steps = 1 if actor == "stable" else len(sizes)
+        per_round = len(sizes) + steps + 2
+        assert len(calls) == per_round * res.updates
+        for k in range(0, len(calls), per_round):
+            names, args = zip(*calls[k:k + per_round])
+            assert sorted(names[:-2]) == sorted(
+                ["critic_update"] * len(sizes) + [step] * steps)
+            blocks = [len(net.weights[0]) for name, net in zip(names, args)
+                      if name == "critic_update"]
+            assert sorted(blocks) == sorted(sizes)
+            assert names[-2:] == ("soft_update", "soft_update")
+            # whole stacks: the critic target's and the actor target's
+            critic_target, actor_target = args[-2:]
+            assert critic_target.weights[0].shape[0] == buses
+            assert len(actor_target.arrays()[0]) == buses
 
 
 @pytest.mark.skipif(rl._openblas_threads() is None,
@@ -1281,20 +1377,24 @@ def test_train_runs_float32_critics_and_keeps_the_actor_float64(
     # the perceptron actors step in float32 too, but every policy built from
     # them, and so the result and its checkpoint, holds float64 values
     seen, rounds, policies = set(), set(), []
+    calls = Counter()
     update, step = rl.critic_update, rl.net_actor_update
     q_grad, net_policy = rl.q_action_grad, rl._NetPolicy
 
     def spy(critic, critic_target, *args):
         seen.add((str(critic.dtype), str(critic_target.dtype)))
+        calls["critic", len(critic.weights[0])] += 1
         return update(critic, critic_target, *args)
 
     def step_spy(actor_net, acts, dq, lr):
         rounds.add(("step", str(actor_net.dtype),
                     *(str(a.dtype) for a in (*acts, dq))))
+        calls["step", len(actor_net.weights[0])] += 1
         return step(actor_net, acts, dq, lr)
 
     def q_spy(critic, s, u):
         rounds.add(("q", str(critic.dtype), str(u.dtype)))
+        calls["q", len(critic.weights[0])] += 1
         return q_grad(critic, s, u)
 
     def policy_spy(actor_net):
@@ -1307,6 +1407,11 @@ def test_train_runs_float32_critics_and_keeps_the_actor_float64(
     monkeypatch.setattr(rl, "_NetPolicy", policy_spy)
     res = train(make_env(), small_cfg(), actor_kind=actor)
     assert res.updates > 0
+    # the fixture's 4 agents are one block: one stacked call of each per
+    # round
+    steps = ("critic", "q", "step") if actor == "unconstrained" else (
+        "critic", "q")
+    assert calls == {(name, NET.n): res.updates for name in steps}
     assert seen == {("float32", "float32")}
     assert all(type(row["td_loss_mean"]) is float for row in res.log)
     assert all(type(row["grad_norms"]) is float for row in res.log)

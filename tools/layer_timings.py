@@ -1,4 +1,5 @@
-"""Time the closed loop's layers on seeded 4-, 16- and 64-bus feeders.
+"""Time the closed loop's layers on seeded 4-, 16- and 64-bus feeders,
+and training's update rounds.
 
     python tools/layer_timings.py [OUT.json]
 
@@ -15,6 +16,13 @@ this process with OpenBLAS held at one thread:
   in-process CLI call, ``certify`` of that controller's checkpoint and
   ``evaluate`` of it, ``linear`` and ``zero`` on 60 scenarios, after one
   warm-up call of each.
+
+``update_round_ms`` is one training update round of each actor kind on the
+bundled 5-bus feeder (``fixture``, 4 agents) and on
+``generate_random_feeder(16, rng_seed=1)`` (``16bus``): the median wall time
+of a ``TRAIN_EPISODES``-episode run's updating episodes (the episodes whose
+log has a TD loss, timed between ``episode_callback`` calls) over
+``updates_per_episode``, under the default ``TrainConfig``.
 
 Timings are medians in microseconds, faults medians in counts. The JSON
 goes to stdout, and also to OUT.json when given. The gridvolt it times is
@@ -37,13 +45,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from gridvolt import cli, dynamics, grid, policy  # noqa: E402
+from gridvolt import cli, dynamics, grid, policy, rl  # noqa: E402
 from gridvolt.rl import _one_blas_thread  # noqa: E402
 
 SIZES = (4, 16, 64)
 HORIZON = 100
 REPEATS = 15
 UNITS = 16
+TRAIN_EPISODES = 16     # the first 8 fill a batch of 256, the last 8 update
 
 
 def median_us(fn, repeats, per=1):
@@ -105,13 +114,36 @@ def feeder_timings(n, workdir):
     return out
 
 
+def update_round_ms(net):
+    """Median ms of one update round per actor kind on feeder ``net``."""
+    band = net.bounds()
+    env = rl.VoltEnv(X=grid.build_sensitivity(net).X, v_lower=band[0],
+                     v_upper=band[1], cp=dynamics.CostParams())
+    cfg = rl.TrainConfig(episodes=TRAIN_EPISODES, seed=0)
+    out = {}
+    for actor in ("stable", "unconstrained"):
+        stamps = [time.perf_counter()]
+        res = rl.train(env, cfg, actor_kind=actor,
+                       episode_callback=lambda *_: stamps.append(
+                           time.perf_counter()))
+        walls = [b - a for a, b, row in zip(stamps, stamps[1:], res.log)
+                 if row["td_loss_mean"]]
+        out[actor] = round(1e3 * statistics.median(walls)
+                           / cfg.updates_per_episode, 2)
+    return out
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", nargs="?", help="also write the JSON here")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as workdir, _one_blas_thread():
         results = [feeder_timings(n, workdir) for n in SIZES]
-    text = json.dumps({"feeders": results}, indent=1)
+        rounds = {name: update_round_ms(net) for name, net in (
+            ("fixture", grid.five_bus_fixture()),
+            ("16bus", grid.generate_random_feeder(16, rng_seed=1)))}
+    text = json.dumps({"feeders": results, "update_round_ms": rounds},
+                      indent=1)
     print(text)
     if args.out:
         Path(args.out).write_text(text + "\n")
