@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -9,7 +10,6 @@ from gridvolt.grid import build_sensitivity, five_bus_fixture, \
 from gridvolt.lyapunov import (
     CertifyConfig,
     certify_policy,
-    decrease_violations,
     krasovskii_value,
 )
 from gridvolt.policy import (
@@ -68,8 +68,8 @@ def test_energy_nonnegative_random():
 
 
 def test_energy_of_a_stack_is_the_row_by_row_energy():
-    # a (T, S, n) block, as decrease_violations passes it, gives each row's
-    # 0.5 g'Xg bit for bit
+    # a (T, S, n) block, as a Rollouts record's states give it, gives each
+    # row's 0.5 g'Xg bit for bit
     pol = make_policy(14)
     v = np.random.default_rng(2).uniform(0.8, 1.2, (7, 5, NET.n))
     g = pol(v)
@@ -116,6 +116,7 @@ def test_certificate_zero_policy():
     assert cert.clauses["jacobian_nonpositive"][0]
     assert cert.clauses["lyapunov_decrease"][0]
     assert not cert.clauses["jacobian_strict_outside"][0]
+    assert not cert.clauses["unbounded_tails"][0]
     ok, witnesses = cert.clauses["convergence_to_band"]
     assert not ok and witnesses
     assert not cert.passed
@@ -142,42 +143,52 @@ class Relisted:
         return pts, self.scale * u, self.slope_scale * du
 
 
-def test_certificate_fails_understated_slopes_at_its_own_step(monkeypatch):
-    # a gain-35 droop rings at dt = 0.1 on the fixture; pieces that
-    # understate its slopes (gain 1) keep the slack small, so the rise
-    # fails the clause at the rolled dt, with no finer rerun
+def test_certificate_holds_a_policy_to_the_pieces_it_lists(monkeypatch):
+    # the certificate's contract: a policy acts as the pieces it lists.
+    # Droops whose listed pieces understate their slopes (gain 1) pass
+    # every piece clause, so only the rollouts, the one place the policy
+    # is called, judge them: at gain 35 they ring at dt = 0.1 on the
+    # fixture but settle, and at gain 70 they diverge
     import gridvolt.lyapunov as lyapunov
-    calls = []
+    calls, inside = [], [False]
 
     def counted(*args, **kwargs):
         calls.append(kwargs["dt"])
-        return rollout_batch(*args, **kwargs)
+        inside[0] = True
+        runs = rollout_batch(*args, **kwargs)
+        inside[0] = False
+        return runs
+
+    class Checked(Relisted):
+        def __call__(self, v):
+            assert inside[0], "policy called outside rollout_batch"
+            return super().__call__(v)
 
     monkeypatch.setattr(lyapunov, "rollout_batch", counted)
-    pol = Relisted(MonotonePolicy(droop(BOUNDS, 35.0)), slope_scale=1 / 35)
-    cert = certify_policy(X5, pol, cert_config())
-    ok, witnesses = cert.clauses["lyapunov_decrease"]
-    assert not ok and not cert.passed
-    assert len(witnesses) == 1 and "dt=0.1)" in witnesses[0]
-    assert calls == [0.1]
-    assert cert.notes == []
+    for gain, failing in ((35.0, []), (70.0, ["convergence_to_band"])):
+        calls.clear()
+        pol = Checked(MonotonePolicy(droop(BOUNDS, gain)),
+                      slope_scale=1 / gain)
+        cert = certify_policy(X5, pol, cert_config())
+        assert calls == [0.1]
+        assert [name for name, (ok, _) in cert.clauses.items()
+                if not ok] == failing
+        assert cert.passed == (not failing) and cert.notes == []
 
-
-def test_certificate_keeps_violation_that_survives_fine_step():
-    # droop at gain -1: it pushes voltages away from the band
+    # droop at gain -1 pushes voltages away from the band: its rising
+    # pieces fail the energy clause with the slope clause's witnesses
     rising = Relisted(MonotonePolicy(droop(BOUNDS, 1.0)), scale=-1.0,
                       slope_scale=-1.0)
     cert = certify_policy(X5, rising, cert_config())
     ok, witnesses = cert.clauses["lyapunov_decrease"]
-    assert not ok
-    assert witnesses and all("dt=0.1)" in w for w in witnesses)
+    assert not ok and witnesses
+    assert (ok, witnesses) == cert.clauses["jacobian_nonpositive"]
 
 
 def test_certificate_json_and_summary(tmp_path):
     pol = make_policy(9)
     cert = certify_policy(X5, pol, cert_config(rollouts=4), policy_id="demo")
     text = cert.to_json(tmp_path / "cert.json")
-    import json
     data = json.loads(text)
     assert data["policy_id"] == "demo"
     assert data["passed"] == cert.passed
@@ -201,44 +212,12 @@ def test_certified_rollouts_settle_in_band():
         assert dist_to_band(runs.v[-1, 0], BOUNDS) <= 1e-3
 
 
-def reference_violations(X, pol, runs, s, kappa):
-    """Energy rises along scenario s, with 0.5 g'Xg computed a step at a
-    time from a fresh policy call."""
-    def energy(v):
-        g = pol(v)
-        return 0.5 * float(g @ X @ g)
-
-    bad = []
-    v, u = runs.v[:, s], runs.u[:, s]
-    v_prev = energy(v[0])
-    for t in range(runs.steps[s]):
-        v_next = energy(v[t + 1])
-        slack = kappa * runs.dt * runs.dt * float(u[t] @ u[t])
-        if v_next > v_prev + slack + 1e-12 * max(1.0, v_prev):
-            bad.append((t, v_prev, v_next, slack))
-        v_prev = v_next
-    return bad
-
-
-def test_decrease_violations_match_per_step_energy():
-    suite = make_suite(NET.n, 12, seed=1)
-    v_env = np.array([v for v, _, _ in suite])
-    q0 = np.array([q for _, q, _ in suite])
-    # steep enough to ring, then steep enough to diverge (cut rows)
-    for gain_range in ((40.0, 50.0), (80.0, 90.0)):
-        pol = make_policy(3, gain_range=gain_range)
-        runs = rollout_batch(pol, X5, v_env, q0, T=100, dt=0.1)
-        got = decrease_violations(X5, pol, runs, kappa=1.0)
-        want = [reference_violations(X5, pol, runs, s, 1.0)
-                for s in range(len(suite))]
-        assert any(got)
-        assert got == want
-
-
-def random_piece_table(seed, kinks=6, gain=90.0):
-    """A nonincreasing ``PieceTable`` built from a random piece list, as the
-    MLP line walk lists one: the band's edges among its breakpoints, any
-    slope in [-gain, 0] on each piece and no zero required on the band."""
+def random_piece_table(seed, kinks=6, gain=90.0, rising=None):
+    """A ``PieceTable`` built from a random piece list, as the MLP line walk
+    lists one: the band's edges among its breakpoints and any slope in
+    [-gain, 0] on each piece. With ``rising=None`` it is nonincreasing and
+    need not be zero on the band. With a bus index, every bus is zero on
+    its band and that bus's piece from its upper edge rises at ``gain``."""
     rng = np.random.default_rng(seed)
     pts = np.sort(np.vstack([rng.uniform(0.8, 1.2, (kinks, NET.n)),
                              *BOUNDS]), axis=0)
@@ -246,18 +225,33 @@ def random_piece_table(seed, kinks=6, gain=90.0):
     du = -rng.uniform(0.0, gain, pts.shape)
     u = np.empty_like(pts)
     u[1] = rng.uniform(1.0, 4.0, NET.n)
+    top = np.argmax(pts == BOUNDS[1], axis=0)       # each upper edge's row
+    if rising is not None:
+        du[(pts >= BOUNDS[0]) & (pts < BOUNDS[1])] = 0.0
+        du[top[rising], rising] = gain
     for j in range(1, len(pts) - 1):
         u[j + 1] = u[j] + du[j] * (pts[j + 1] - pts[j])
     u[0] = u[1] - du[0] * (pts[1] - pts[0])
+    if rising is not None:
+        u -= u[top, np.arange(NET.n)]   # constant on the band, now zero
     return PieceTable(pts, u, du, BOUNDS)
+
+
+def energy_rise(X, pol, runs):
+    """V(v_t+1) - V(v_t) for each step t < steps of a Rollouts record, from
+    ``krasovskii_value`` of the policy at the recorded states; 0 past a
+    cut."""
+    energy = krasovskii_value(X, pol(runs.v))
+    rise = energy[1:] - energy[:-1]
+    return np.where(np.arange(len(rise))[:, None] < runs.steps, rise, 0.0)
 
 
 def test_monotone_energy_rise_is_at_most_half_the_slack():
     # slopes in [-L, 0] give v+ - v = dt X g and g(v+) - g(v) = dt D X g with
     # D diagonal in [-L, 0], so V(v+) - V(v) = dt (Xg)'D(Xg)
-    # + dt^2/2 (DXg)'X(DXg) <= dt^2/2 L^2 lmax^3 |g|^2: half of certify's
-    # slack, even on runs that diverge, for ramp stacks and for tables
-    # built from a piece list alike
+    # + dt^2/2 (DXg)'X(DXg) <= 0.5 kappa dt^2 |g|^2 for kappa =
+    # L^2 lmax^3, even on runs that diverge, for ramp stacks and for tables
+    # built from a piece list alike; V does rise, so the bound is not slack
     suite = make_suite(NET.n, 30, seed=5)
     v_env = np.array([v for v, _, _ in suite])
     q0 = np.array([q for _, q, _ in suite])
@@ -266,13 +260,37 @@ def test_monotone_energy_rise_is_at_most_half_the_slack():
                 for seed in range(4)] + [random_piece_table(0)]
     diverged = 0
     for pol in policies:
-        gain = np.abs(pol.breakpoints(BOUNDS)[2]).max()
-        kappa = max(gain, 1.0) ** 2 * lmax ** 3
+        kappa = np.abs(pol.breakpoints(BOUNDS)[2]).max() ** 2 * lmax ** 3
         runs = rollout_batch(pol, X5, v_env, q0, T=100, dt=0.1)
         diverged += int(runs.diverged.sum())
-        assert any(decrease_violations(X5, pol, runs, kappa=0.0))
-        assert not any(decrease_violations(X5, pol, runs, kappa=kappa / 2))
+        rise = energy_rise(X5, pol, runs)
+        bound = 0.5 * kappa * runs.dt ** 2 * (runs.u ** 2).sum(axis=-1)
+        # V(v_t) = 0.5 u_t' X u_t sets the rounding floor
+        floor = 1e-12 * np.maximum(krasovskii_value(X5, runs.u), 1.0)
+        assert (rise > floor).any()
+        assert (rise <= bound + floor).all()
     assert diverged > 0
+
+
+def test_a_rising_piece_raises_the_energy():
+    # the converse: with one bus on a rising piece and every other bus
+    # inside its band, where the table is zero, one small step raises V
+    for bus in range(NET.n):
+        pol = random_piece_table(bus, rising=bus)
+        cert = certify_policy(X5, pol, cert_config(rollouts=2))
+        ok, witnesses = cert.clauses["lyapunov_decrease"]
+        assert cert.clauses["zero_in_band"] == (True, [])
+        assert not ok and len(witnesses) == 1
+        assert witnesses[0].startswith(f"bus {bus + 1}: ")
+        # the middle of the rising piece, or 0.01 into it if it is the tail
+        ends = np.append(pol.pieces[0][:, bus], np.inf)
+        k = np.flatnonzero(ends == BOUNDS[1][bus])[0]
+        v = (BOUNDS[0] + BOUNDS[1]) / 2
+        v[bus] = min((ends[k] + ends[k + 1]) / 2, ends[k] + 0.01)
+        runs = rollout_batch(pol, X5, v[None], np.zeros((1, NET.n)), T=1,
+                             dt=1e-3)
+        assert np.count_nonzero(runs.u[0, 0]) == 1
+        assert energy_rise(X5, pol, runs)[0, 0] > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +366,11 @@ def test_strict_slope_floor_comes_from_the_config(policy_eps, cfg_eps,
     pol = flat_policy(policy_eps, raw_slope)
     cert = certify_policy(X5, pol, cert_config(rollouts=2, eps=cfg_eps))
     assert cert.clauses["jacobian_nonpositive"] == (True, [])
+    # the tail clause reads the same floor
     assert cert.clauses["jacobian_strict_outside"][0] == strict
-    assert cert.tolerances["strict_slope"] == cfg_eps
+    assert cert.clauses["unbounded_tails"][0] == strict
+    assert cert.clauses["zero_in_band"] == (True, [])
+    assert cert.config["eps"] == cfg_eps
 
 
 def test_certificate_judges_slopes_against_its_own_band():
@@ -419,11 +440,11 @@ def test_monotone_certificate_keeps_config_and_hash():
     cert = certify_policy(X5, pol, cfg)
     assert cert.config == cfg.to_dict()
     assert cert.config_hash == config_hash(cfg.to_dict())
-    # kappa from the largest prefix sum of the ramp weights, bit for bit
-    gain = max(np.abs(np.cumsum(w, axis=1)).max()
-               for w in (pol.params.wplus, pol.params.wminus))
-    assert cert.tolerances["decrease_slack_kappa"] == \
-        gain ** 2 * float(np.linalg.eigvalsh(X5)[-1]) ** 3
+    # the slope floor and the convergence tolerance live in the config only
+    assert (cert.config["eps"], cert.config["dist_tol"]) == (1e-3, 1e-3)
+    assert set(json.loads(cert.to_json())) == {
+        "policy_id", "passed", "clauses", "config", "config_hash", "notes"}
     assert list(cert.clauses) == ["jacobian_nonpositive",
-                                  "jacobian_strict_outside",
-                                  "lyapunov_decrease", "convergence_to_band"]
+                                  "jacobian_strict_outside", "zero_in_band",
+                                  "unbounded_tails", "lyapunov_decrease",
+                                  "convergence_to_band"]

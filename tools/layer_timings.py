@@ -1,5 +1,5 @@
-"""Time the closed loop's layers on seeded 4-, 16- and 64-bus feeders,
-and training's update rounds.
+"""Time the closed loop's layers and the certificate on seeded 4-, 16- and
+64-bus feeders, and training's update rounds.
 
     python tools/layer_timings.py [OUT.json]
 
@@ -12,6 +12,9 @@ this process with OpenBLAS held at one thread:
 * ``piece_table_us``: one call of a sampled monotone controller's table
   (``sample_raw_params`` at the training default of 16 ramp units per
   side) on a (60, n) block of voltages;
+* ``certify_ms``: one ``certify_policy`` call of that controller under the
+  default ``CertifyConfig`` on the feeder's band (100 rollouts of 100
+  steps), in milliseconds;
 * ``certify_faults`` and ``evaluate_faults``: the minor page faults of one
   in-process CLI call, ``certify`` of that controller's checkpoint and
   ``evaluate`` of it, ``linear`` and ``zero`` on 60 scenarios, after one
@@ -24,9 +27,9 @@ of a ``TRAIN_EPISODES``-episode run's updating episodes (the episodes whose
 log has a TD loss, timed between ``episode_callback`` calls) over
 ``updates_per_episode``, under the default ``TrainConfig``.
 
-Timings are medians in microseconds, faults medians in counts. The JSON
-goes to stdout, and also to OUT.json when given. The gridvolt it times is
-this checkout's ``src/``.
+Timings are medians in the unit their name ends in, faults medians in
+counts. The JSON goes to stdout, and also to OUT.json when given. The
+gridvolt it times is this checkout's ``src/``.
 """
 
 import argparse
@@ -45,7 +48,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from gridvolt import cli, dynamics, grid, policy, rl  # noqa: E402
+from gridvolt import cli, dynamics, grid, lyapunov, policy, rl  # noqa: E402
 from gridvolt.rl import _one_blas_thread  # noqa: E402
 
 SIZES = (4, 16, 64)
@@ -100,6 +103,10 @@ def feeder_timings(n, workdir):
             REPEATS, per=HORIZON)
     v = np.random.default_rng(1).uniform(0.9, 1.1, size=(60, n))
     out["piece_table_us"] = median_us(lambda: table(v), 200)
+    cfg = lyapunov.CertifyConfig(v_lower=tuple(band[0]),
+                                 v_upper=tuple(band[1]))
+    out["certify_ms"] = round(median_us(
+        lambda: lyapunov.certify_policy(X, table, cfg), REPEATS) / 1e3, 2)
 
     net_path = os.path.join(workdir, f"net{n}.json")
     ckpt = os.path.join(workdir, f"ck{n}.json")
