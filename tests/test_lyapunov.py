@@ -143,12 +143,12 @@ class Relisted:
         return pts, self.scale * u, self.slope_scale * du
 
 
-def test_certificate_holds_a_policy_to_the_pieces_it_lists(monkeypatch):
+def test_certificate_fails_understated_slopes_at_its_own_step(monkeypatch):
     # the certificate's contract: a policy acts as the pieces it lists.
     # Droops whose listed pieces understate their slopes (gain 1) pass
-    # every piece clause, so only the rollouts, the one place the policy
-    # is called, judge them: at gain 35 they ring at dt = 0.1 on the
-    # fixture but settle, and at gain 70 they diverge
+    # every piece clause, so only the rollouts at the rolled dt, the one
+    # place the policy is called, judge them: at gain 35 they ring at
+    # dt = 0.1 on the fixture but settle, and at gain 70 they diverge
     import gridvolt.lyapunov as lyapunov
     calls, inside = [], [False]
 
@@ -175,13 +175,16 @@ def test_certificate_holds_a_policy_to_the_pieces_it_lists(monkeypatch):
                 if not ok] == failing
         assert cert.passed == (not failing) and cert.notes == []
 
+
+def test_certificate_keeps_violation_that_survives_fine_step():
     # droop at gain -1 pushes voltages away from the band: its rising
-    # pieces fail the energy clause with the slope clause's witnesses
+    # pieces fail the energy clause with the slope clause's witnesses,
+    # whatever the step
     rising = Relisted(MonotonePolicy(droop(BOUNDS, 1.0)), scale=-1.0,
                       slope_scale=-1.0)
     cert = certify_policy(X5, rising, cert_config())
     ok, witnesses = cert.clauses["lyapunov_decrease"]
-    assert not ok and witnesses
+    assert not ok and witnesses and not cert.passed
     assert (ok, witnesses) == cert.clauses["jacobian_nonpositive"]
 
 
