@@ -11,14 +11,17 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
-from .dynamics import (CostParams, recovery_time, rollout_batch, row_dot,
-                       stage_cost)
+from .dynamics import (CostParams, Rollouts, recovery_time, rollout_batch,
+                       row_dot, stage_cost)
+from .policy import PieceTable
 from .util import config_hash, fmt
 
 DEFAULT_RECOVERY_TOL = 1e-3
+POLICY_BLOCK = 4        # piece tables rolled in one engine pass
 
 # terminal voltage ratio histogram: 20 regular bins to 10% plus an overflow
 HIST_EDGES = [0.005 * k for k in range(21)] + [float("inf")]
@@ -94,14 +97,41 @@ def _csv(rows, path=None):
     return buf.getvalue()
 
 
+def _rollouts(policies, X, v_env, q0, T, dt):
+    """Each policy's (name, Rollouts) over the suite. Consecutive piece
+    tables roll POLICY_BLOCK to one engine pass on a (P, S, n) broadcast of
+    the suite (``PieceTable.stack``) and get views of its record; a block
+    of one, or any other callable, rolls alone."""
+    for tables, group in groupby(policies,
+                                 lambda item: isinstance(item[1], PieceTable)):
+        group, size = list(group), POLICY_BLOCK if tables else 1
+        for block in (group[k:k + size] for k in range(0, len(group), size)):
+            if len(block) == 1:
+                (name, policy), = block
+                yield name, rollout_batch(policy, X, v_env, q0, T=T, dt=dt)
+                continue
+            table = PieceTable.stack([pol for _, pol in block])
+            q0s = np.broadcast_to(q0, (len(block), *q0.shape))
+            runs = rollout_batch(table, X, v_env, q0s, T=T, dt=dt)
+            for p, (name, _) in enumerate(block):
+                yield name, Rollouts(runs.v[:, p], runs.q[:, p],
+                                     runs.u[:, p], dt, runs.steps[p])
+            del table, runs     # freed before the next pass
+
+
 def evaluate(policies, X, suite, bounds, v0=1.0, T=100, dt=0.1,
              recovery_tol=DEFAULT_RECOVERY_TOL, keep_trajectories=False):
     """Roll every policy over every scenario and aggregate the comparison.
 
-    ``policies`` is a list of (name, callable) pairs. Unrecovered scenarios
-    enter the mean recovery time at the full horizon T and count against the
-    stability rate. Returns an EvalReport; with ``keep_trajectories`` its
-    ``rollouts`` holds each policy's closed-loop record.
+    ``policies`` is a list of (name, callable) pairs. Consecutive
+    ``PieceTable`` policies roll POLICY_BLOCK to one engine pass
+    (``_rollouts``), each with the bits of its own pass; any other
+    callable rolls alone. Each policy's metrics come from views of its
+    block's record, which is freed before the next pass. Unrecovered
+    scenarios enter the mean recovery time at the full horizon T and count
+    against the stability rate. Returns an EvalReport; with
+    ``keep_trajectories`` its ``rollouts`` holds each policy's closed-loop
+    record.
     """
     if len(suite) < 1:
         raise ValueError("scenario suite is empty")
@@ -110,18 +140,17 @@ def evaluate(policies, X, suite, bounds, v0=1.0, T=100, dt=0.1,
     rows = []
     stats = {}
     rollouts = {} if keep_trajectories else None
-    for name, policy in policies:
-        runs = rollout_batch(policy, X, v_env, q0, T=T, dt=dt)
+    for name, runs in _rollouts(policies, X, v_env, q0, T, dt):
         recs = recovery_time(runs, bounds, tol=recovery_tol)
-        v_T = runs.v[-1]
-        over = np.maximum(v_T - v0, 0.0) / v0
-        under = np.maximum(v0 - v_T, 0.0) / v0
+        over = np.maximum(runs.v[-1] - v0, 0.0) / v0
+        under = np.maximum(v0 - runs.v[-1], 0.0) / v0
         st = PolicyStats(transient=transient_cost(runs, recs),
                          energy=control_energy(runs), over_ratio=over,
                          under_ratio=under)
         stats[name] = st
         if keep_trajectories:
             rollouts[name] = runs
+        del runs        # a view of its block's record, freed before the next
 
         N = len(suite)
         rec_filled = [T if r is None else r for r in recs]

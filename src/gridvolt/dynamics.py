@@ -173,77 +173,70 @@ def step(q, u, dt, X, v_env, out=None):
 
 
 def rollout_batch(policy, X, v_env, q0, T, dt, blowup=BLOWUP_BOUND):
-    """Roll S closed loops forward together with u(t) = policy(v(t)).
+    """Roll a block of closed loops forward together with u(t) = policy(v(t)).
 
-    Each step moves the whole (S, n) block through ``step``:
-    q <- q + dt u, v <- X q + v_env.
-    ``v_env`` is either a constant (S, n) block or a per-step (T+1, S, n)
-    series replayed row by row (then T may be None). ``policy`` maps an
-    (S, n) block of voltages to an (S, n) block of actions row-wise, and an
-    (n,) vector to an (n,) action; custom callables must do both, and must
-    not write to the voltages they are given (a view of the record).
+    ``q0`` is a (*rows, n) block, such as (S, n) scenarios or (P, S, n) for
+    P policies on one suite; each step moves all of it through ``step``:
+    q <- q + dt u, v <- X q + v_env. ``v_env`` broadcasts to ``q0`` or is a
+    (T+1, ...) series of such, one axis more than ``q0`` (then T may be
+    None). ``policy`` maps a block of voltages row-wise to actions and must
+    not write to them (they are a view of the record).
 
-    A scenario whose voltage magnitude exceeds ``blowup``, or whose action
-    is not finite, is cut at that step, flagged as diverged and frozen; the
-    policy is called only on the scenarios still live.
+    A row whose voltage magnitude exceeds ``blowup``, or whose action is
+    not finite, is cut at that step: it stays in the block frozen, with
+    action 0 and q and v carried over bit for bit. The policy still sees
+    it, past the bound or not; its actions are dropped without writing to
+    the returned array. The loop ends once every row is cut.
     """
     v_env = np.asarray(v_env, dtype=float)
     q0 = np.asarray(q0, dtype=float)
-    series = v_env.ndim == 3
+    series = v_env.ndim == q0.ndim + 1
     if series:
         if T is None:
             T = len(v_env) - 1
         elif len(v_env) != T + 1:
             raise ValueError(f"v_env series has {len(v_env)} steps, "
                              f"need T+1 = {T + 1}")
+    elif T is None:
+        raise ValueError("T is needed for a constant v_env")
     if T < 1:
-        raise ValueError("horizon must be at least 1")
+        raise ValueError(f"horizon T must be at least 1, got {T}")
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and positive, got {dt}")
     for name, arr in (("v_env", v_env), ("q0", q0)):
         if not np.isfinite(arr).all():
             raise ValueError(f"{name} has a non-finite entry")
-    S, n = q0.shape
-    v = np.empty((T + 1, S, n))
-    q = np.empty((T + 1, S, n))
-    u = np.zeros((T, S, n))
-    steps = np.full(S, T)
+    v = np.empty((T + 1, *q0.shape))
+    q = np.empty((T + 1, *q0.shape))
+    u = np.zeros((T, *q0.shape))
+    steps = np.full(q0.shape[:-1], T)
     q[0] = q0
     np.matmul(X, q0[..., None], out=v[0, ..., None])      # as in step
     v[0] += v_env[0] if series else v_env
-    # every row live: step on basic slices (views); index arrays only from
-    # the first cut on. Each cut test is one whole-block reduction, and the
-    # per-row mask is built only when it fires.
-    live = slice(None)
+    # each cut test is one reduction over the live rows: True, or from the
+    # first cut on a (*rows, 1) mask; the per-row test runs only on a cut
+    live = True
     for t in range(T):
-        v_t = v[t, live]
-        if len(v_t) and np.abs(v_t).max() > blowup:
-            cut = np.abs(v_t).max(axis=1) > blowup
-            live = np.arange(S)[live]
-            steps[live[cut]] = t
-            live, v_t = live[~cut], v_t[~cut]
-        if len(v_t) == 0:
+        v_t = v[t]
+        if np.abs(v_t).max(initial=0.0, where=live) > blowup:
+            cut = live & (np.abs(v_t).max(axis=-1, keepdims=True) > blowup)
+            steps[cut[..., 0]], live = t, live & ~cut
+        if live is not True and not live.any():
+            v[t + 1:], q[t + 1:] = v_t, q[t]
             break
         u_t = np.asarray(policy(v_t), dtype=float)
         if u_t.shape != v_t.shape:
             raise ValueError(f"action shape {u_t.shape} does not match state "
                              f"{v_t.shape}")
-        if not np.isfinite(u_t).all():
-            cut = ~np.isfinite(u_t).all(axis=1)
-            live = np.arange(S)[live]
-            steps[live[cut]] = t
-            live, v_t, u_t = live[~cut], v_t[~cut], u_t[~cut]
-            if len(v_t) == 0:
-                break
-        env = v_env[t + 1, live] if series else v_env[live]
-        if type(live) is slice:     # the next states go to their slots
-            step(q[t], u_t, dt, X, env, out=(q[t + 1], v[t + 1]))
-        else:
-            q[t + 1, live], v[t + 1, live] = step(q[t, live], u_t, dt, X, env)
-        u[t, live] = u_t
-    for s in np.flatnonzero(steps < T):
-        v[steps[s] + 1:, s] = v[steps[s], s]
-        q[steps[s] + 1:, s] = q[steps[s], s]
+        if not np.isfinite(u_t).all(where=live):
+            cut = live & ~np.isfinite(u_t).all(axis=-1, keepdims=True)
+            steps[cut[..., 0]], live = t, live & ~cut
+        np.copyto(u[t], u_t, where=live)        # a cut row's stays 0
+        step(q[t], u[t], dt, X, v_env[t + 1] if series else v_env,
+             out=(q[t + 1], v[t + 1]))
+        if live is not True:                    # cut rows carry over
+            np.copyto(q[t + 1], q[t], where=~live)
+            np.copyto(v[t + 1], v_t, where=~live)
     return Rollouts(v=v, q=q, u=u, dt=dt, steps=steps)
 
 

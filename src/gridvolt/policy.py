@@ -368,6 +368,45 @@ class PieceTable:
         j = self.index[rank + rank % 2 + self.offsets]
         return pts, self(pts), self.slope[j]
 
+    @staticmethod
+    def stack(tables):
+        """One table acting on (P, ..., n) blocks, table p on block p with
+        its own bits: ``_TableStack``."""
+        return _TableStack(tables)
+
+
+class _TableStack:
+    """Stacked tables. One search over their merged grid gives a rank that
+    a (2G + 1) rank map per table, for G merged distinct breakpoints, turns
+    into that table's own rank, read in its own dense map: O(P G) memory on
+    top of the tables' maps, not the O(P n G) of a merged dense map. It
+    acts like a table but lists no pieces, so it is no ``PieceTable``."""
+
+    __call__ = PieceTable.__call__
+
+    def __init__(self, tables):
+        distinct = np.unique(np.concatenate([t.grid[::2] for t in tables]))
+        self.grid = np.column_stack(
+            [distinct, np.nextafter(distinct, np.inf)]).ravel()
+        # a voltage of merged rank r > 0 lies in [grid[r-1], grid[r]), where
+        # no table has a grid point, so it has each table's rank of grid[r-1]
+        self.ranks = np.concatenate([np.append(0, t.grid.searchsorted(
+            self.grid, "right")) for t in tables])
+        self.bases = np.arange(len(tables))[:, None] * (len(self.grid) + 1)
+        # the tables' maps and pieces lie end to end
+        maps = np.cumsum([0] + [len(t.index) for t in tables])
+        self.offsets = np.stack([t.offsets + m for t, m in zip(tables, maps)])
+        rows = np.cumsum([0] + [len(t.at) for t in tables])
+        self.index = np.concatenate([t.index + r for t, r in zip(tables, rows)])
+        for name in ("at", "value", "slope", "lo", "hi"):
+            setattr(self, name, np.concatenate([getattr(t, name)
+                                                for t in tables]))
+
+    def _piece(self, v):
+        lead = (slice(None),) + (None,) * (v.ndim - 2)
+        rank = self.grid.searchsorted(v, "right") + self.bases[lead]
+        return self.index[self.ranks[rank] + self.offsets[lead]]
+
 
 class MonotonePolicy(PieceTable):
     """Constrained parameters acting as the table of their ``_breakpoints``

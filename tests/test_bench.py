@@ -9,7 +9,8 @@ from gridvolt.bench import (
     transient_cost,
     write_histograms_csv,
 )
-from gridvolt.dynamics import Rollouts, make_suite, recovery_time
+from gridvolt.dynamics import (Rollouts, make_suite, recovery_time,
+                               rollout_batch)
 from gridvolt.grid import build_sensitivity, five_bus_fixture
 from gridvolt.policy import MonotonePolicy, droop, sample_raw_params, \
     zero_policy
@@ -163,6 +164,53 @@ def test_same_suite_applied_to_every_policy():
     a = report.stats["a"]
     b = report.stats["b"]
     np.testing.assert_array_equal(a.over_ratio, b.over_ratio)
+
+
+def test_policy_blocks_write_the_csvs_of_one_policy_calls(tmp_path,
+                                                          monkeypatch):
+    # at dt 0.3 rows of the sampled controllers are cut inside a block of
+    # four, next to linear and zero rows that never are; a callable that is
+    # no piece table rolls alone and splits the tables around it, leaving
+    # steep0 and steep3 as blocks of one
+    import gridvolt.bench as bench
+    passes = []
+
+    def counted(policy, X, v_env, q0, **kw):
+        passes.append(np.shape(q0))
+        return rollout_batch(policy, X, v_env, q0, **kw)
+
+    suite = make_suite(NET.n, 30, seed=2)
+    linear = MonotonePolicy(droop(BOUNDS, 1.0))
+    pols = [("steep0", steep_policy(0)), ("callable", lambda v: linear(v)),
+            ("steep1", steep_policy(1)), ("linear", linear),
+            ("zero", zero_policy(BOUNDS)), ("steep2", steep_policy(2)),
+            ("steep3", steep_policy(3))]
+    args = (X5, suite, BOUNDS)
+    kw = {"T": 60, "dt": 0.3, "keep_trajectories": True}
+    alone = [evaluate([pol], *args, **kw) for pol in pols]
+    monkeypatch.setattr(bench, "rollout_batch", counted)
+    report = evaluate(pols, *args, **kw)
+    assert passes == [(30, 4), (30, 4), (4, 30, 4), (30, 4)]
+    header, body = "policy,metric,mean,std,n\n", []
+    for one in alone:
+        text = one.to_csv()
+        assert text.startswith(header)
+        body.append(text[len(header):])
+    assert report.to_csv() == header + "".join(body)
+    runs = report.rollouts
+    assert runs["steep1"].diverged.any() and runs["steep2"].diverged.any()
+    assert not runs["linear"].diverged.any()
+    assert report.metric("steep1", "stability_rate")[0] < 1.0
+    for (name, _), one in zip(pols, alone):
+        for field in ("v", "q", "u", "steps"):
+            np.testing.assert_array_equal(getattr(runs[name], field),
+                                          getattr(one.rollouts[name], field))
+    hists = []
+    for k, one in enumerate([report, *alone]):
+        write_histograms_csv(one, tmp_path / f"hist-{k}.csv")
+        hists.append((tmp_path / f"hist-{k}.csv").read_text())
+    header = hists[0].split("\n", 1)[0] + "\n"
+    assert hists[0] == header + "".join(h[len(header):] for h in hists[1:])
 
 
 def test_empty_suite_rejected():

@@ -412,9 +412,9 @@ def test_engine_matches_reference_loop_per_row():
     assert not runs.diverged[0] and runs.steps[0] == T
     for s in (1, 2):
         assert runs.diverged[s] and 0 < runs.steps[s] < T
-    # cut rows are frozen and dropped from later policy calls
+    # cut rows are frozen, yet stay in every later policy call
     np.testing.assert_array_equal(runs.v[-1, 1], runs.v[runs.steps[1], 1])
-    assert seen[0] == 3 and seen[-1] == 1 and len(seen) == T
+    assert seen == [3] * T
 
 
 def test_engine_replays_a_per_step_series():
@@ -461,7 +461,7 @@ def test_trace_csv_costs_match_reference_loop(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the engine steps on slices until the first cut, then on index arrays
+# the engine steps the whole block every step; cut rows stay in it frozen
 # ---------------------------------------------------------------------------
 
 def counting(calls):
@@ -472,8 +472,8 @@ def counting(calls):
 
 
 def test_engine_first_cut_after_all_rows_ran_live():
-    # all rows live for 5 steps; row 1 blows up at step 5 (the switch to
-    # index arrays), row 2's action turns NaN at step 9 (a later cut)
+    # all rows live for 5 steps; row 1 blows up at step 5 (the first cut),
+    # row 2's action turns NaN at step 9 (a later cut)
     T, dt = 30, 0.1
     series = np.tile(MIXED_ENV[[0, 3, 3]], (T + 1, 1, 1))
     series[5:, 1] = 11.0
@@ -484,14 +484,14 @@ def test_engine_first_cut_after_all_rows_ran_live():
                          dt=dt)
     assert_rows_match_reference(runs, series, q0, dt)
     np.testing.assert_array_equal(runs.steps, [T, 5, 9])
-    assert calls == [3] * 5 + [2] * 5 + [1] * (T - 10)
+    assert calls == [3] * T
 
 
 @pytest.mark.parametrize("writeable", [True, False])
 def test_engine_neither_writes_nor_refuses_a_returned_array(writeable):
     # the policy hands back views of one cached array, read-only or not;
-    # the engine copies them into its record, on the slices while every
-    # row is live and on index arrays after row 2 blows up at step 5
+    # the engine copies them into its record, and drops row 2's actions
+    # once it blows up at step 5 without zeroing them in the cached array
     T, dt = 20, 0.1
     series = np.tile(MIXED_ENV[[0, 3, 3]], (T + 1, 1, 1))
     series[5:, 2] = 11.0
@@ -518,7 +518,7 @@ def test_engine_neither_writes_nor_refuses_a_returned_array(writeable):
     (np.full((3, 4), 11.0), []),                          # all blown up
     (np.full((3, 4), -11.0), []),                         # ... below -blowup
     (np.full((3, 4), 0.2), [3]),                          # all actions NaN
-    (np.array([[11.0] * 4, [0.2] * 4, [-12.0] * 4]), [1]),  # both kinds
+    (np.array([[11.0] * 4, [0.2] * 4, [-12.0] * 4]), [3]),  # both kinds
 ])
 def test_engine_cuts_every_row_at_step_zero(env, calls_made):
     T, dt = 10, 0.1
@@ -531,7 +531,8 @@ def test_engine_cuts_every_row_at_step_zero(env, calls_made):
     np.testing.assert_array_equal(runs.v, np.broadcast_to(runs.v[0],
                                                           runs.v.shape))
     np.testing.assert_array_equal(runs.u, 0.0)
-    # blown-up rows are cut before the policy sees them
+    # the policy is not called once every row has blown up; otherwise it
+    # sees the whole block, blown-up rows included
     assert calls == calls_made
 
 
@@ -548,7 +549,101 @@ def test_engine_blowup_and_nonfinite_cut_in_one_step():
                          dt=dt)
     assert_rows_match_reference(runs, series, q0, dt)
     np.testing.assert_array_equal(runs.steps, [k, k, T])
-    assert calls == [3] * k + [2] + [1] * (T - k - 1)
+    assert calls == [3] * T
+
+
+def test_engine_steps_policy_blocks_with_each_row_own_bits():
+    # a (P, S, n) block of three gains on one suite: gain block p has the
+    # bits of its own (S, n) pass, and its rows are cut at their own steps
+    T, dt = 40, 0.1
+    gains = np.array([1.0, 3.0, 0.5])
+    env, q0 = MIXED_ENV[:3], MIXED_Q0[:3]
+    seen = []
+
+    def block_policy(v):
+        seen.append(v.copy())
+        return mixed_policy(v) * gains[:, None, None]
+
+    block = rollout_batch(block_policy, MIXED_X, env,
+                          np.broadcast_to(q0, (3, *q0.shape)), T=T, dt=dt)
+    assert block.v.shape == (T + 1, 3, 3, 4) and block.steps.shape == (3, 3)
+    for p, gain in enumerate(gains):
+        alone = rollout_batch(lambda v: mixed_policy(v) * gain, MIXED_X, env,
+                              q0, T=T, dt=dt)
+        for field in ("v", "q", "u"):
+            np.testing.assert_array_equal(getattr(block, field)[:, p],
+                                          getattr(alone, field))
+        np.testing.assert_array_equal(block.steps[p], alone.steps)
+    assert len(set(block.steps[:, 1].tolist())) > 1      # cut apart
+    # the policy saw the whole record every step, frozen rows past the
+    # blow-up bound included
+    assert len(seen) == T
+    for t, v in enumerate(seen):
+        np.testing.assert_array_equal(v, block.v[t])
+    k = block.steps[0, 1]
+    assert np.abs(seen[-1][0, 1]).max() > 10.0 and k < T - 1
+    # a per-step series broadcasts to the block as a constant does
+    series = np.tile(env, (T + 1, 1, 1, 1))
+    replay = rollout_batch(block_policy, MIXED_X, series,
+                           np.broadcast_to(q0, (3, *q0.shape)), T=None, dt=dt)
+    np.testing.assert_array_equal(replay.v, block.v)
+    np.testing.assert_array_equal(replay.steps, block.steps)
+
+
+def test_engine_shared_disturbance_matches_tiled_across_a_cut():
+    # one (n,) disturbance for every row: row 1 runs away and is cut at
+    # step 3, and row 0 keeps bus 2 at 0.98 with the bits of the tiled
+    # (S, n) disturbance
+    X = 0.1 * np.eye(2)
+    v_env = np.array([1.0, 0.98])
+    q0 = np.array([[0.0, 0.0], [20.0, 0.0]])
+    shared = rollout_batch(mixed_policy, X, v_env, q0, T=10, dt=0.1)
+    tiled = rollout_batch(mixed_policy, X, np.tile(v_env, (2, 1)), q0, T=10,
+                          dt=0.1)
+    np.testing.assert_array_equal(shared.steps, [10, 3])
+    for field in ("v", "q", "u"):
+        np.testing.assert_array_equal(getattr(shared, field),
+                                      getattr(tiled, field))
+    assert (shared.v[:, 0, 1] == 0.98).all()
+
+
+def test_engine_frozen_rows_keep_their_bits_while_the_series_moves_on():
+    # row 0 starts blown up with q0 = -0.0 and row 1 blows up at step 5,
+    # while both disturbances keep moving; row 2 stays live. A frozen row
+    # keeps the v and q of its cut step, the sign of a zero included
+    T, dt = 12, 0.1
+    series = np.tile(MIXED_ENV[[3, 0, 0]], (T + 1, 1, 1))
+    series[:, 0] = 11.0 + np.arange(T + 1)[:, None]
+    series[5:, 1] = 11.0 + np.arange(T - 4)[:, None]
+    q0 = np.zeros((3, 4))
+    q0[0] = -0.0
+    runs = rollout_batch(mixed_policy, MIXED_X, series, q0, T=None, dt=dt)
+    np.testing.assert_array_equal(runs.steps, [0, 5, T])
+    for s in (0, 1):
+        k = runs.steps[s]
+        for field in (runs.v, runs.q):
+            np.testing.assert_array_equal(
+                field[k:, s].view(np.int64),
+                np.broadcast_to(field[k, s], field[k:, s].shape).view(
+                    np.int64))
+        np.testing.assert_array_equal(runs.u[k:, s], 0.0)
+    assert np.signbit(runs.q[:, 0]).all()
+
+
+def test_engine_needs_a_horizon_for_a_constant_disturbance():
+    # a series is told from q0's rank: a (T+1, S, n) series replays, while
+    # an (S, n) constant needs T, and so does a (P, S, n) constant block
+    with pytest.raises(ValueError, match=r"\bT\b"):
+        rollout_batch(mixed_policy, MIXED_X, MIXED_ENV, MIXED_Q0, T=None,
+                      dt=0.1)
+    with pytest.raises(ValueError, match=r"\bT\b"):
+        rollout_batch(mixed_policy, MIXED_X, np.stack([MIXED_ENV] * 2),
+                      np.stack([MIXED_Q0] * 2), T=None, dt=0.1)
+    with pytest.raises(ValueError, match="horizon T"):
+        rollout_batch(mixed_policy, MIXED_X, MIXED_ENV, MIXED_Q0, T=0, dt=0.1)
+    runs = rollout_batch(mixed_policy, MIXED_X, np.stack([MIXED_ENV] * 3),
+                         MIXED_Q0, T=None, dt=0.1)
+    assert len(runs.u) == 2
 
 
 @pytest.mark.parametrize("field, value", [

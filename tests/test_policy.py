@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gridvolt.dynamics import rollout_batch
+from gridvolt.grid import five_bus_fixture, generate_random_feeder
 from gridvolt.policy import (
     CheckpointError,
     MonotonePolicy,
@@ -29,6 +30,8 @@ from gridvolt.policy import (
     zero_policy,
 )
 from gridvolt.policy import _breakpoints, _ramp_grads, _ramp_pass, _sorted_rows
+from gridvolt.rl import (FeedForwardNet, TrainConfig, load_net_policy,
+                         save_net_policy)
 
 N, D = 3, 8
 BAND = (np.full(N, 0.95), np.full(N, 1.05))
@@ -648,6 +651,59 @@ def test_piece_table_picks_each_bus_own_piece():
         np.testing.assert_array_equal(                     # (2, m, n)
             table._piece(np.stack([v, v[::-1]])) - rows,
             np.stack([want, want[::-1]]))
+
+
+def stack_cases(tmp_path):
+    """Tables of different piece counts on the 5-bus fixture's band: a
+    sampled d = 16 monotone controller, ``linear``, ``zero`` and a loaded
+    MLP checkpoint."""
+    net = five_bus_fixture()
+    band = net.bounds()
+    rng = np.random.default_rng(41)
+    nets = [FeedForwardNet.create([1, *TrainConfig.actor_hidden, 1], rng)
+            for _ in range(net.n)]
+    path = tmp_path / "mlp.json"
+    save_net_policy(str(path), FeedForwardNet.stack(nets), band)
+    return [MonotonePolicy.from_raw(sample_raw_params(net.n, 16, rng), band),
+            MonotonePolicy(droop(band, 1.0)), zero_policy(band),
+            load_net_policy(str(path))[0]]
+
+
+def test_stacked_tables_match_each_table_bit_for_bit(tmp_path):
+    tables = stack_cases(tmp_path)
+    assert len({len(t.pieces[0]) for t in tables}) == len(tables)
+    n = tables[0].pieces[0].shape[1]
+    # every table's breakpoints on every bus, their float neighbours, far
+    # tails, +-inf and NaN
+    pts = np.vstack([t.pieces[0][1:] for t in tables]).ravel()
+    sweep = np.concatenate([pts, np.nextafter(pts, -np.inf),
+                            np.nextafter(pts, np.inf), [-1e300, -50.0, 0.0,
+                            50.0, 1e300, -np.inf, np.inf, np.nan]])
+    v = np.tile(sweep[:, None], (1, n))
+    stacked = PieceTable.stack(tables)
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = stacked(np.broadcast_to(v, (len(tables), *v.shape)))
+        for p, table in enumerate(tables):
+            assert_same_bits(block[p], table(v))
+        # a (P, n) block and a (P, 2, m, n) block
+        assert_same_bits(stacked(v[:len(tables)]),
+                         np.stack([t(v[p]) for p, t in enumerate(tables)]))
+        deep = np.stack([np.stack([v, v[::-1]])] * len(tables))
+        got = stacked(deep)
+        for p, table in enumerate(tables):
+            assert_same_bits(got[p], table(deep[p]))
+
+
+def test_stacked_map_stays_near_the_tables_own_maps():
+    # four sampled tables on a 16-bus feeder: the merged grid's rank maps
+    # add O(P G) to the tables' own maps, no O(P n G) dense map
+    net = generate_random_feeder(16, rng_seed=0)
+    rng = np.random.default_rng(5)
+    tables = [MonotonePolicy.from_raw(sample_raw_params(net.n, 16, rng),
+                                      net.bounds()) for _ in range(4)]
+    stacked = PieceTable.stack(tables)
+    own = sum(t.index.nbytes for t in tables)
+    assert own < stacked.ranks.nbytes + stacked.index.nbytes <= 2 * own
 
 
 def test_zero_policy_returns_positive_zero_everywhere():

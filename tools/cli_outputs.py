@@ -16,7 +16,10 @@ lines whose outputs a behaviour-preserving change must leave untouched:
   first);
 * ``evaluate --scenarios 30`` of all of them with ``--histograms`` and
   ``--traces-dir``, whose trace CSVs are each policy's per-step record of
-  every scenario.
+  every scenario, and the same ``evaluate`` of the bundled feeder's
+  policies at ``--dt 0.3``, where some rows of a block of policies stepped
+  together are cut and frozen next to rows that never are (its report
+  shows a stability rate below 1).
 
 Every command runs inside OUTDIR on relative paths, and its stdout, stderr
 and exit code are kept next to its files, so two runs can be compared with
@@ -70,6 +73,8 @@ def main():
                      actor, "--scope", scope, "--episodes", "14", "--seed",
                      "3", "--out", f"{ckpt}.json", "--log", f"{ckpt}.log.csv")
             policies.append(f"{ckpt}.json")
+        if feeder == "fixture":
+            fixture_policies = policies
         for spec in policies:
             name = f"{feeder}/{Path(spec).stem}"
             gridvolt(f"{name}.certify", "certify", "--network", net,
@@ -83,6 +88,11 @@ def main():
         gridvolt(f"{name}.certify", "certify", "--network", "fixture/net.json",
                  "--checkpoint", "fixture/stable-local.json", "--dt", dt,
                  "--out", f"{name}.cert.json")
+    gridvolt("fixture/evaluate-dt0.3", "evaluate", "--network",
+             "fixture/net.json", "--policies", *fixture_policies,
+             "--scenarios", "30", "--dt", "0.3", "--out",
+             "fixture/report-dt0.3.csv", "--traces-dir",
+             "fixture/traces-dt0.3")
     (out / "status.txt").write_text("".join(status))
     print(f"wrote {len(status)} command outputs to {out} in "
           f"{time.perf_counter() - start:.1f} s")

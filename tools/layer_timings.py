@@ -8,17 +8,23 @@ this process with OpenBLAS held at one thread:
 
 * ``step_us``: one ``rollout_batch`` step at S = 60 and S = 100 scenarios
   (the median over repeats of a T = 100 rollout's wall time over T), with
-  unit droop acting, which no feeder cuts, so every step runs on slices;
+  unit droop acting, which no feeder cuts, so no row is ever frozen;
 * ``piece_table_us``: one call of a sampled monotone controller's table
   (``sample_raw_params`` at the training default of 16 ramp units per
   side) on a (60, n) block of voltages;
 * ``certify_ms``: one ``certify_policy`` call of that controller under the
   default ``CertifyConfig`` on the feeder's band (100 rollouts of 100
   steps), in milliseconds;
-* ``certify_faults`` and ``evaluate_faults``: the minor page faults of one
-  in-process CLI call, ``certify`` of that controller's checkpoint and
-  ``evaluate`` of it, ``linear`` and ``zero`` on 60 scenarios, after one
-  warm-up call of each.
+* ``certify_faults``: the minor page faults of one in-process ``certify``
+  CLI call of that controller's checkpoint, after one warm-up call;
+* ``evaluate_ms`` and ``evaluate_faults``: the wall time and minor page
+  faults of one in-process ``evaluate`` CLI call of the assess mix, that
+  controller and 5 more sampled ones, ``linear`` and ``zero`` on 60
+  scenarios (two engine passes of four piece tables), after one warm-up
+  call;
+* ``stacked_map_bytes``: the dense maps and rank maps of
+  ``PieceTable.stack`` of the first four sampled controllers, next to
+  ``own_map_bytes``, the sum of their own dense maps.
 
 ``update_round_ms`` is one training update round of each actor kind on the
 bundled 5-bus feeder (``fixture``, 4 agents) and on
@@ -69,20 +75,22 @@ def median_us(fn, repeats, per=1):
     return round(1e6 * statistics.median(times) / per, 2)
 
 
-def median_faults(argv, repeats):
-    """Median minor page faults of one in-process ``cli_main(argv)`` call,
-    after one warm-up call."""
-    counts = []
+def median_cli(argv, repeats):
+    """Median ms and minor page faults of one in-process ``cli_main(argv)``
+    call, after one warm-up call."""
+    times, counts = [], []
     for k in range(repeats + 1):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        t0 = time.perf_counter()
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.cli_main(argv)
         if code not in (0, 1):
             raise RuntimeError(f"gridvolt {' '.join(argv)} exited {code}")
         if k:
+            times.append(time.perf_counter() - t0)
             counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                           - before)
-    return statistics.median(counts)
+    return round(1e3 * statistics.median(times), 2), statistics.median(counts)
 
 
 def feeder_timings(n, workdir):
@@ -90,8 +98,10 @@ def feeder_timings(n, workdir):
     X = grid.build_sensitivity(net).X
     band = net.bounds()
     droop = policy.MonotonePolicy(policy.droop(band, 1.0))
-    raw = policy.sample_raw_params(n, UNITS, np.random.default_rng(0))
-    table = policy.MonotonePolicy.from_raw(raw, band)
+    rng = np.random.default_rng(0)
+    raws = [policy.sample_raw_params(n, UNITS, rng) for _ in range(6)]
+    tables = [policy.MonotonePolicy.from_raw(raw, band) for raw in raws]
+    table = tables[0]
     out = {"buses": n, "distinct_breakpoints": len(table.grid) // 2,
            "step_us": {}}
     for scenarios in (60, 100):
@@ -108,16 +118,21 @@ def feeder_timings(n, workdir):
     out["certify_ms"] = round(median_us(
         lambda: lyapunov.certify_policy(X, table, cfg), REPEATS) / 1e3, 2)
 
+    stacked = policy.PieceTable.stack(tables[:4])
+    out["stacked_map_bytes"] = stacked.ranks.nbytes + stacked.index.nbytes
+    out["own_map_bytes"] = sum(t.index.nbytes for t in tables[:4])
+
     net_path = os.path.join(workdir, f"net{n}.json")
-    ckpt = os.path.join(workdir, f"ck{n}.json")
     grid.save_network(net, net_path)
-    policy.save_checkpoint(ckpt, raw, band, 1e-3)
-    out["certify_faults"] = median_faults(
-        ["certify", "--network", net_path, "--checkpoint", ckpt], 5)
-    out["evaluate_faults"] = median_faults(
-        ["evaluate", "--network", net_path, "--policies", ckpt, "linear",
+    ckpts = [os.path.join(workdir, f"ck{n}-{k}.json") for k in range(6)]
+    for ckpt, raw in zip(ckpts, raws):
+        policy.save_checkpoint(ckpt, raw, band, 1e-3)
+    _, out["certify_faults"] = median_cli(
+        ["certify", "--network", net_path, "--checkpoint", ckpts[0]], 5)
+    out["evaluate_ms"], out["evaluate_faults"] = median_cli(
+        ["evaluate", "--network", net_path, "--policies", *ckpts, "linear",
          "zero", "--scenarios", "60", "--out",
-         os.path.join(workdir, "report.csv")], 5)
+         os.path.join(workdir, "report.csv")], REPEATS)
     return out
 
 
