@@ -42,6 +42,7 @@ from .policy import (
     PieceTable,
     RawPolicyParams,
     StackedReluParams,
+    TableStack,
     constrain,
     droop,
     load_checkpoint,

@@ -11,17 +11,22 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
 from .dynamics import (CostParams, Rollouts, recovery_time, rollout_batch,
                        row_dot, stage_cost)
-from .policy import PieceTable
+from .policy import PieceTable, TableStack
 from .util import config_hash, fmt
 
 DEFAULT_RECOVERY_TOL = 1e-3
-POLICY_BLOCK = 4        # piece tables rolled in one engine pass
+# voltages per step (P S n) up to which P piece tables roll as one stacked
+# pass: there a pass costs mostly its per-call overhead (four sampled tables
+# on 60 scenarios of the 4-bus fixture, 960, take 0.8 of their time alone),
+# past it the work grows with the voltages and the merged search costs the
+# rows of small tables more (16 buses, a sampled table with linear and zero,
+# 2,880: 1.2 times). It also bounds a block's record: 2.5 MB at T = 100.
+STACK_VOLTAGES = 1024
 
 # terminal voltage ratio histogram: 20 regular bins to 10% plus an overflow
 HIST_EDGES = [0.005 * k for k in range(21)] + [float("inf")]
@@ -99,24 +104,29 @@ def _csv(rows, path=None):
 
 def _rollouts(policies, X, v_env, q0, T, dt):
     """Each policy's (name, Rollouts) over the suite. Consecutive piece
-    tables roll POLICY_BLOCK to one engine pass on a (P, S, n) broadcast of
-    the suite (``PieceTable.stack``) and get views of its record; a block
-    of one, or any other callable, rolls alone."""
-    for tables, group in groupby(policies,
-                                 lambda item: isinstance(item[1], PieceTable)):
-        group, size = list(group), POLICY_BLOCK if tables else 1
-        for block in (group[k:k + size] for k in range(0, len(group), size)):
-            if len(block) == 1:
-                (name, policy), = block
-                yield name, rollout_batch(policy, X, v_env, q0, T=T, dt=dt)
-                continue
-            table = PieceTable.stack([pol for _, pol in block])
-            q0s = np.broadcast_to(q0, (len(block), *q0.shape))
-            runs = rollout_batch(table, X, v_env, q0s, T=T, dt=dt)
-            for p, (name, _) in enumerate(block):
-                yield name, Rollouts(runs.v[:, p], runs.q[:, p],
-                                     runs.u[:, p], dt, runs.steps[p])
-            del table, runs     # freed before the next pass
+    tables roll as one engine pass on a (P, S, n) broadcast of the suite
+    (``TableStack``) while the block holds at most STACK_VOLTAGES voltages
+    per step, and yield views of its record; any other policy rolls alone."""
+    blocks = []
+    for item in policies:
+        joined = [*blocks[-1], item] if blocks else []
+        if (joined and all(isinstance(pol, PieceTable) for _, pol in joined)
+                and len(joined) * q0.size <= STACK_VOLTAGES):
+            blocks[-1].append(item)
+        else:
+            blocks.append([item])
+    for block in blocks:
+        if len(block) == 1:
+            (name, policy), = block
+            yield name, rollout_batch(policy, X, v_env, q0, T=T, dt=dt)
+            continue
+        runs = rollout_batch(TableStack([pol for _, pol in block]), X, v_env,
+                             np.broadcast_to(q0, (len(block), *q0.shape)),
+                             T=T, dt=dt)
+        for p, (name, _) in enumerate(block):
+            yield name, Rollouts(runs.v[:, p], runs.q[:, p], runs.u[:, p],
+                                 dt, runs.steps[p])
+        del runs        # freed before the next pass
 
 
 def evaluate(policies, X, suite, bounds, v0=1.0, T=100, dt=0.1,
@@ -124,10 +134,11 @@ def evaluate(policies, X, suite, bounds, v0=1.0, T=100, dt=0.1,
     """Roll every policy over every scenario and aggregate the comparison.
 
     ``policies`` is a list of (name, callable) pairs. Consecutive
-    ``PieceTable`` policies roll POLICY_BLOCK to one engine pass
-    (``_rollouts``), each with the bits of its own pass; any other
-    callable rolls alone. Each policy's metrics come from views of its
-    block's record, which is freed before the next pass. Unrecovered
+    ``PieceTable`` policies roll as one engine pass while the block holds
+    at most STACK_VOLTAGES voltages per step (``_rollouts``), each with the
+    bits of its own pass; any other policy rolls alone. Each policy's
+    metrics come from views of its block's record, which is freed before
+    the next pass. Unrecovered
     scenarios enter the mean recovery time at the full horizon T and count
     against the stability rate. Returns an EvalReport; with
     ``keep_trajectories`` its ``rollouts`` holds each policy's closed-loop

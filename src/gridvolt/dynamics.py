@@ -180,13 +180,15 @@ def rollout_batch(policy, X, v_env, q0, T, dt, blowup=BLOWUP_BOUND):
     q <- q + dt u, v <- X q + v_env. ``v_env`` broadcasts to ``q0`` or is a
     (T+1, ...) series of such, one axis more than ``q0`` (then T may be
     None). ``policy`` maps a block of voltages row-wise to actions and must
-    not write to them (they are a view of the record).
+    not write to them (they can be a view of the record).
 
     A row whose voltage magnitude exceeds ``blowup``, or whose action is
-    not finite, is cut at that step: it stays in the block frozen, with
-    action 0 and q and v carried over bit for bit. The policy still sees
-    it, past the bound or not; its actions are dropped without writing to
-    the returned array. The loop ends once every row is cut.
+    not finite, is cut at that step and frozen: action 0, q and v carried
+    over bit for bit. A cut row stays in the block, the policy still seeing
+    it (past the bound or not) and its actions dropped, until at most half
+    the block is live; then the live rows roll on as a fresh (K, n) block,
+    for which a policy with a ``rows(keep)`` method (``policy.TableStack``)
+    is narrowed to the rows that the boolean mask ``keep`` keeps.
     """
     v_env = np.asarray(v_env, dtype=float)
     q0 = np.asarray(q0, dtype=float)
@@ -221,22 +223,33 @@ def rollout_batch(policy, X, v_env, q0, T, dt, blowup=BLOWUP_BOUND):
         if np.abs(v_t).max(initial=0.0, where=live) > blowup:
             cut = live & (np.abs(v_t).max(axis=-1, keepdims=True) > blowup)
             steps[cut[..., 0]], live = t, live & ~cut
-        if live is not True and not live.any():
-            v[t + 1:], q[t + 1:] = v_t, q[t]
+        if live is not True and 2 * np.count_nonzero(live) <= live.size:
+            keep = live[..., 0]         # the rest stay frozen to the end
+            v[t + 1:, ~keep], q[t + 1:, ~keep] = v_t[~keep], q[t][~keep]
+            if keep.any():
+                env = np.broadcast_to(v_env, v_env.shape[:series] + q0.shape)
+                sub = rollout_batch(
+                    policy.rows(keep) if hasattr(policy, "rows") else policy,
+                    X, env[t:, keep] if series else env[keep], q[t][keep],
+                    T - t, dt, blowup)
+                v[t:, keep], q[t:, keep], u[t:, keep] = sub.v, sub.q, sub.u
+                steps[keep] = t + sub.steps
             break
         u_t = np.asarray(policy(v_t), dtype=float)
         if u_t.shape != v_t.shape:
             raise ValueError(f"action shape {u_t.shape} does not match state "
                              f"{v_t.shape}")
-        if not np.isfinite(u_t).all(where=live):
-            cut = live & ~np.isfinite(u_t).all(axis=-1, keepdims=True)
-            steps[cut[..., 0]], live = t, live & ~cut
         np.copyto(u[t], u_t, where=live)        # a cut row's stays 0
+        if not np.isfinite(u[t]).all():
+            cut = ~np.isfinite(u[t]).all(axis=-1, keepdims=True)
+            steps[cut[..., 0]], live = t, live & ~cut
+            np.copyto(u[t], 0.0, where=cut)
         step(q[t], u[t], dt, X, v_env[t + 1] if series else v_env,
              out=(q[t + 1], v[t + 1]))
         if live is not True:                    # cut rows carry over
-            np.copyto(q[t + 1], q[t], where=~live)
-            np.copyto(v[t + 1], v_t, where=~live)
+            frozen = ~live
+            np.copyto(q[t + 1], q[t], where=frozen)
+            np.copyto(v[t + 1], v_t, where=frozen)
     return Rollouts(v=v, q=q, u=u, dt=dt, steps=steps)
 
 

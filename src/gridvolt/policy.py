@@ -12,6 +12,7 @@ are enforced by reparameterization, so every point of the unconstrained
 parameter space maps to a valid controller.
 """
 
+import copy
 import json
 from dataclasses import dataclass, fields
 
@@ -292,7 +293,21 @@ def _sorted_rows(rows):
     return np.vstack([np.nextafter(pts[0], -np.inf), pts])
 
 
-class PieceTable:
+class _Pieces:
+    """Flat piece rows (``at``, ``value``, ``slope`` and the clip ends
+    ``lo``, ``hi``) and ``_piece``, which finds each voltage's row: a call
+    evaluates each voltage's piece."""
+
+    def __call__(self, v):
+        v = np.asarray(v, dtype=float)
+        j = self._piece(v)
+        u = self.value[j] + self.slope[j] * (v - self.at[j])
+        np.maximum(u, self.lo[j], out=u)
+        np.minimum(u, self.hi[j], out=u)
+        return u
+
+
+class PieceTable(_Pieces):
     """The per-bus piecewise-linear policy of a piece list (pts, u, du)
     with the contract of ``_breakpoints`` and the ``band``'s edges among its
     breakpoints. On piece j, u = value[j] + slope[j] (v - at[j]), anchored
@@ -347,14 +362,6 @@ class PieceTable:
         # breakpoint and lands on the right tail
         return self.index[self.grid.searchsorted(v, "right") + self.offsets]
 
-    def __call__(self, v):
-        v = np.asarray(v, dtype=float)
-        j = self._piece(v)
-        u = self.value[j] + self.slope[j] * (v - self.at[j])
-        np.maximum(u, self.lo[j], out=u)
-        np.minimum(u, self.hi[j], out=u)
-        return u
-
     def breakpoints(self, edges):
         """The table's pieces with the ``edges`` joined and valued by the
         table; edges that are breakpoints of every bus join nothing."""
@@ -368,21 +375,14 @@ class PieceTable:
         j = self.index[rank + rank % 2 + self.offsets]
         return pts, self(pts), self.slope[j]
 
-    @staticmethod
-    def stack(tables):
-        """One table acting on (P, ..., n) blocks, table p on block p with
-        its own bits: ``_TableStack``."""
-        return _TableStack(tables)
 
-
-class _TableStack:
-    """Stacked tables. One search over their merged grid gives a rank that
+class TableStack(_Pieces):
+    """Piece tables stacked to act on (P, ..., n) blocks, table p on block p
+    with its own bits. One search over their merged grid gives a rank that
     a (2G + 1) rank map per table, for G merged distinct breakpoints, turns
     into that table's own rank, read in its own dense map: O(P G) memory on
     top of the tables' maps, not the O(P n G) of a merged dense map. It
-    acts like a table but lists no pieces, so it is no ``PieceTable``."""
-
-    __call__ = PieceTable.__call__
+    lists no pieces, so it is no ``PieceTable``."""
 
     def __init__(self, tables):
         distinct = np.unique(np.concatenate([t.grid[::2] for t in tables]))
@@ -392,8 +392,9 @@ class _TableStack:
         # no table has a grid point, so it has each table's rank of grid[r-1]
         self.ranks = np.concatenate([np.append(0, t.grid.searchsorted(
             self.grid, "right")) for t in tables])
-        self.bases = np.arange(len(tables))[:, None] * (len(self.grid) + 1)
+        # per leading row, where its table's rank map and dense map start;
         # the tables' maps and pieces lie end to end
+        self.bases = np.arange(len(tables))[:, None] * (len(self.grid) + 1)
         maps = np.cumsum([0] + [len(t.index) for t in tables])
         self.offsets = np.stack([t.offsets + m for t, m in zip(tables, maps)])
         rows = np.cumsum([0] + [len(t.at) for t in tables])
@@ -406,6 +407,16 @@ class _TableStack:
         lead = (slice(None),) + (None,) * (v.ndim - 2)
         rank = self.grid.searchsorted(v, "right") + self.bases[lead]
         return self.index[self.ranks[rank] + self.offsets[lead]]
+
+    def rows(self, keep):
+        """The stack for the rows of a (P, ..., n) block that the boolean
+        mask ``keep`` over its row axes keeps, as one (K, n) block."""
+        lead = (slice(None),) + (None,) * (keep.ndim - 1)
+        narrow = copy.copy(self)
+        narrow.bases, narrow.offsets = (np.broadcast_to(
+            a[lead], keep.shape + a.shape[1:])[keep] for a in (
+                self.bases, self.offsets))
+        return narrow
 
 
 class MonotonePolicy(PieceTable):

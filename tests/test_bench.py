@@ -169,9 +169,9 @@ def test_same_suite_applied_to_every_policy():
 def test_policy_blocks_write_the_csvs_of_one_policy_calls(tmp_path,
                                                           monkeypatch):
     # at dt 0.3 rows of the sampled controllers are cut inside a block of
-    # four, next to linear and zero rows that never are; a callable that is
+    # five, next to linear and zero rows that never are; a callable that is
     # no piece table rolls alone and splits the tables around it, leaving
-    # steep0 and steep3 as blocks of one
+    # steep0 a block of one
     import gridvolt.bench as bench
     passes = []
 
@@ -190,7 +190,7 @@ def test_policy_blocks_write_the_csvs_of_one_policy_calls(tmp_path,
     alone = [evaluate([pol], *args, **kw) for pol in pols]
     monkeypatch.setattr(bench, "rollout_batch", counted)
     report = evaluate(pols, *args, **kw)
-    assert passes == [(30, 4), (30, 4), (4, 30, 4), (30, 4)]
+    assert passes == [(30, 4), (30, 4), (5, 30, 4)]
     header, body = "policy,metric,mean,std,n\n", []
     for one in alone:
         text = one.to_csv()
@@ -211,6 +211,30 @@ def test_policy_blocks_write_the_csvs_of_one_policy_calls(tmp_path,
         hists.append((tmp_path / f"hist-{k}.csv").read_text())
     header = hists[0].split("\n", 1)[0] + "\n"
     assert hists[0] == header + "".join(h[len(header):] for h in hists[1:])
+
+
+def test_blocks_hold_at_most_the_voltage_budget(monkeypatch):
+    # 60 scenarios of 4 buses are 240 voltages per table and step, so four
+    # tables fill a block of STACK_VOLTAGES = 1024 and the fifth and sixth
+    # start the next; the CSV is that of one-policy calls
+    import gridvolt.bench as bench
+    passes = []
+
+    def counted(policy, X, v_env, q0, **kw):
+        passes.append(np.shape(q0))
+        return rollout_batch(policy, X, v_env, q0, **kw)
+
+    suite = make_suite(NET.n, 60, seed=4)
+    pols = [(f"steep{k}", steep_policy(k)) for k in range(4)]
+    pols += [("linear", MonotonePolicy(droop(BOUNDS, 1.0))),
+             ("zero", zero_policy(BOUNDS))]
+    assert 4 * 60 * NET.n <= bench.STACK_VOLTAGES < 5 * 60 * NET.n
+    alone = "".join(evaluate([pol], X5, suite, BOUNDS, T=40).to_csv()
+                    .split("\n", 1)[1] for pol in pols)
+    monkeypatch.setattr(bench, "rollout_batch", counted)
+    text = evaluate(pols, X5, suite, BOUNDS, T=40).to_csv()
+    assert passes == [(4, 60, 4), (2, 60, 4)]
+    assert text.split("\n", 1)[1] == alone
 
 
 def test_empty_suite_rejected():

@@ -412,9 +412,12 @@ def test_engine_matches_reference_loop_per_row():
     assert not runs.diverged[0] and runs.steps[0] == T
     for s in (1, 2):
         assert runs.diverged[s] and 0 < runs.steps[s] < T
-    # cut rows are frozen, yet stay in every later policy call
+    # cut rows are frozen: row 1 blows up at step 2 and stays in the block;
+    # row 2's action turns NaN at step 3, and from step 4 row 0 rolls on
+    # alone as a fresh block
     np.testing.assert_array_equal(runs.v[-1, 1], runs.v[runs.steps[1], 1])
-    assert seen == [3] * T
+    np.testing.assert_array_equal(runs.steps[1:], [2, 3])
+    assert seen == [3] * 4 + [1] * (T - 4)
 
 
 def test_engine_replays_a_per_step_series():
@@ -461,7 +464,8 @@ def test_trace_csv_costs_match_reference_loop(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the engine steps the whole block every step; cut rows stay in it frozen
+# the engine steps the whole block; cut rows stay in it frozen until at
+# most half of it is live, then the live rows roll on as a fresh block
 # ---------------------------------------------------------------------------
 
 def counting(calls):
@@ -484,7 +488,9 @@ def test_engine_first_cut_after_all_rows_ran_live():
                          dt=dt)
     assert_rows_match_reference(runs, series, q0, dt)
     np.testing.assert_array_equal(runs.steps, [T, 5, 9])
-    assert calls == [3] * T
+    # row 1 stays in the block frozen while two of three rows are live; at
+    # step 10 only row 0 is, and it rolls on alone
+    assert calls == [3] * 10 + [1] * (T - 10)
 
 
 @pytest.mark.parametrize("writeable", [True, False])
@@ -518,7 +524,7 @@ def test_engine_neither_writes_nor_refuses_a_returned_array(writeable):
     (np.full((3, 4), 11.0), []),                          # all blown up
     (np.full((3, 4), -11.0), []),                         # ... below -blowup
     (np.full((3, 4), 0.2), [3]),                          # all actions NaN
-    (np.array([[11.0] * 4, [0.2] * 4, [-12.0] * 4]), [3]),  # both kinds
+    (np.array([[11.0] * 4, [0.2] * 4, [-12.0] * 4]), [1]),  # both kinds
 ])
 def test_engine_cuts_every_row_at_step_zero(env, calls_made):
     T, dt = 10, 0.1
@@ -531,8 +537,8 @@ def test_engine_cuts_every_row_at_step_zero(env, calls_made):
     np.testing.assert_array_equal(runs.v, np.broadcast_to(runs.v[0],
                                                           runs.v.shape))
     np.testing.assert_array_equal(runs.u, 0.0)
-    # the policy is not called once every row has blown up; otherwise it
-    # sees the whole block, blown-up rows included
+    # the policy is not called once every row has blown up, and sees row 1
+    # alone once rows 0 and 2 have
     assert calls == calls_made
 
 
@@ -549,7 +555,24 @@ def test_engine_blowup_and_nonfinite_cut_in_one_step():
                          dt=dt)
     assert_rows_match_reference(runs, series, q0, dt)
     np.testing.assert_array_equal(runs.steps, [k, k, T])
-    assert calls == [3] * T
+    # row 0 is frozen in the block at step k, row 1 after its NaN action;
+    # from step k + 1 row 2 rolls on alone
+    assert calls == [3] * (k + 1) + [1] * (T - k - 1)
+
+
+class Gains:
+    """``mixed_policy`` scaled by a gain per leading row of the block;
+    ``rows`` narrows it to the rows a mask keeps, as the engine asks."""
+
+    def __init__(self, gains, seen):
+        self.gains, self.seen = gains, seen
+
+    def __call__(self, v):
+        self.seen.append(v.copy())
+        return mixed_policy(v) * self.gains[..., None]
+
+    def rows(self, keep):
+        return Gains(np.broadcast_to(self.gains, keep.shape)[keep], self.seen)
 
 
 def test_engine_steps_policy_blocks_with_each_row_own_bits():
@@ -559,12 +582,7 @@ def test_engine_steps_policy_blocks_with_each_row_own_bits():
     gains = np.array([1.0, 3.0, 0.5])
     env, q0 = MIXED_ENV[:3], MIXED_Q0[:3]
     seen = []
-
-    def block_policy(v):
-        seen.append(v.copy())
-        return mixed_policy(v) * gains[:, None, None]
-
-    block = rollout_batch(block_policy, MIXED_X, env,
+    block = rollout_batch(Gains(gains[:, None], seen), MIXED_X, env,
                           np.broadcast_to(q0, (3, *q0.shape)), T=T, dt=dt)
     assert block.v.shape == (T + 1, 3, 3, 4) and block.steps.shape == (3, 3)
     for p, gain in enumerate(gains):
@@ -575,16 +593,20 @@ def test_engine_steps_policy_blocks_with_each_row_own_bits():
                                           getattr(alone, field))
         np.testing.assert_array_equal(block.steps[p], alone.steps)
     assert len(set(block.steps[:, 1].tolist())) > 1      # cut apart
-    # the policy saw the whole record every step, frozen rows past the
-    # blow-up bound included
-    assert len(seen) == T
-    for t, v in enumerate(seen):
+    # while more than half the block is live the policy sees all of it,
+    # frozen rows past the blow-up bound included; from step k on it sees
+    # the live rows alone
+    k = sum(v.ndim == 3 for v in seen)
+    assert len(seen) == T and 0 < k < T
+    assert np.abs(seen[k - 1]).max() > 10.0
+    for t, v in enumerate(seen[:k]):
         np.testing.assert_array_equal(v, block.v[t])
-    k = block.steps[0, 1]
-    assert np.abs(seen[-1][0, 1]).max() > 10.0 and k < T - 1
+    keep = block.steps > k
+    assert 0 < 2 * keep.sum() <= keep.size
+    np.testing.assert_array_equal(seen[k], block.v[k][keep])
     # a per-step series broadcasts to the block as a constant does
     series = np.tile(env, (T + 1, 1, 1, 1))
-    replay = rollout_batch(block_policy, MIXED_X, series,
+    replay = rollout_batch(Gains(gains[:, None], []), MIXED_X, series,
                            np.broadcast_to(q0, (3, *q0.shape)), T=None, dt=dt)
     np.testing.assert_array_equal(replay.v, block.v)
     np.testing.assert_array_equal(replay.steps, block.steps)

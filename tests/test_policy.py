@@ -13,6 +13,7 @@ from gridvolt.policy import (
     CheckpointError,
     MonotonePolicy,
     PieceTable,
+    TableStack,
     RawPolicyParams,
     StackedReluParams,
     constrain,
@@ -680,11 +681,20 @@ def test_stacked_tables_match_each_table_bit_for_bit(tmp_path):
                             np.nextafter(pts, np.inf), [-1e300, -50.0, 0.0,
                             50.0, 1e300, -np.inf, np.inf, np.nan]])
     v = np.tile(sweep[:, None], (1, n))
-    stacked = PieceTable.stack(tables)
+    stacked = TableStack(tables)
     with np.errstate(over="ignore", invalid="ignore"):
         block = stacked(np.broadcast_to(v, (len(tables), *v.shape)))
         for p, table in enumerate(tables):
             assert_same_bits(block[p], table(v))
+        # narrowed to the rows a mask keeps, as the engine narrows a block
+        # that is at most half live, then narrowed again
+        keep = np.zeros(block.shape[:-1], dtype=bool)
+        keep[::2, ::3] = keep[1, 5] = True
+        rows = np.broadcast_to(v, block.shape)[keep]
+        narrow = stacked.rows(keep)
+        assert_same_bits(narrow(rows), block[keep])
+        again = np.arange(len(rows)) % 3 != 1
+        assert_same_bits(narrow.rows(again)(rows[again]), block[keep][again])
         # a (P, n) block and a (P, 2, m, n) block
         assert_same_bits(stacked(v[:len(tables)]),
                          np.stack([t(v[p]) for p, t in enumerate(tables)]))
@@ -701,7 +711,7 @@ def test_stacked_map_stays_near_the_tables_own_maps():
     rng = np.random.default_rng(5)
     tables = [MonotonePolicy.from_raw(sample_raw_params(net.n, 16, rng),
                                       net.bounds()) for _ in range(4)]
-    stacked = PieceTable.stack(tables)
+    stacked = TableStack(tables)
     own = sum(t.index.nbytes for t in tables)
     assert own < stacked.ranks.nbytes + stacked.index.nbytes <= 2 * own
 

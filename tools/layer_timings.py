@@ -20,10 +20,11 @@ this process with OpenBLAS held at one thread:
 * ``evaluate_ms`` and ``evaluate_faults``: the wall time and minor page
   faults of one in-process ``evaluate`` CLI call of the assess mix, that
   controller and 5 more sampled ones, ``linear`` and ``zero`` on 60
-  scenarios (two engine passes of four piece tables), after one warm-up
-  call;
+  scenarios, after one warm-up call (piece tables share an engine pass
+  while the block holds at most ``bench.STACK_VOLTAGES`` voltages per
+  step: two passes of four at 4 buses, one pass per policy at 16 and 64);
 * ``stacked_map_bytes``: the dense maps and rank maps of
-  ``PieceTable.stack`` of the first four sampled controllers, next to
+  ``policy.TableStack`` of the first four sampled controllers, next to
   ``own_map_bytes``, the sum of their own dense maps.
 
 ``update_round_ms`` is one training update round of each actor kind on the
@@ -118,7 +119,7 @@ def feeder_timings(n, workdir):
     out["certify_ms"] = round(median_us(
         lambda: lyapunov.certify_policy(X, table, cfg), REPEATS) / 1e3, 2)
 
-    stacked = policy.PieceTable.stack(tables[:4])
+    stacked = policy.TableStack(tables[:4])
     out["stacked_map_bytes"] = stacked.ranks.nbytes + stacked.index.nbytes
     out["own_map_bytes"] = sum(t.index.nbytes for t in tables[:4])
 
